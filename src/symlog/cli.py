@@ -14,7 +14,8 @@ Commands::
 Exit codes: 0 on a successful run, 1 on a failed check or an unproved
 search goal, 2 on usage or parse errors.  Diagnostics go to stderr,
 reports to stdout.  Context-liberalization flags are never assumed: they
-come from the script's ``flags`` line or the command line, or stay off.
+come from the script's ``flags`` line or, for check, sym and search, the
+command line, or stay off.
 """
 from __future__ import annotations
 
@@ -95,7 +96,6 @@ def _add_config_flags(sub) -> None:
                      dest="d_axiom")
     sub.add_argument("--collapse-demo", action="store_true",
                      dest="collapse_demo")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,35 +118,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--name", required=True)
     p.add_argument("--duality", required=True, choices=("perp", "top"))
-    _add_config_flags(p)
 
     p = sub.add_parser("search", help="bounded proof search for a named sequent")
     p.add_argument("file")
     p.add_argument("--name", required=True)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--expect-proof", action="store_true", dest="expect_proof",
-                   help="fail loudly when nothing is found (the default)")
     p.add_argument("--report-only", action="store_true",
                    help="exit 0 even when nothing is found")
     _add_config_flags(p)
 
     p = sub.add_parser("corpus", help="run the regression corpus")
-    _add_config_flags(p)
 
     p = sub.add_parser("qstate", help="the logical image of a qubit state")
     p.add_argument("file", help='JSON: {"alpha": .., "beta": .., "phi": ..}')
-    _add_config_flags(p)
 
     p = sub.add_parser("bell", help="print a correlated two-particle state")
     p.add_argument("--phase", required=True, choices=("plus", "minus"))
     p.add_argument("--correlation", required=True,
                    choices=("identical", "opposite"))
-    _add_config_flags(p)
 
     p = sub.add_parser("guard", help="check a domain's license consistency")
     p.add_argument("domain")
-    _add_config_flags(p)
+    p.add_argument("--collapse-demo", action="store_true",
+                   dest="collapse_demo")
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return ap
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .dualities import PERP_INV, TOP_INV
 from .formulas import (
     DualMember, Eq, Formula, Member, Neq, Or, Outcome, Term, Var, seq,
 )
@@ -291,10 +292,6 @@ def standard_registry(collapse_demo: bool = False) -> Registry:
         "V", (Outcome("v1", half), Outcome("v2", half)),
         focused=False, virtual_singleton=True, duality="d",
         substitution_allowed=collapse_demo))
-    reg.declare_duality_table("perp", {
-        "Ddown": "Dup", "Dup": "Ddown", "Dplus": "Dplus", "Dminus": "Dminus",
-    })
-    reg.declare_duality_table("top", {
-        "Dplus": "Dminus", "Dminus": "Dplus", "Ddown": "Ddown", "Dup": "Dup",
-    })
+    for inv in (PERP_INV, TOP_INV):
+        reg.declare_duality_table(inv.name, inv.domain_table)
     return reg

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 from .formulas import (
     And, Atom, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
-    IndexRel, Join, Member, Neq, Or, Outcome, Par, Sequent, Single, Slot,
-    Times,
+    IndexRel, Join, Member, Neq, Or, Outcome, Par, SHARP_LABELS, Sequent,
+    Single, Slot, Times,
 )
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "SHARP_LABELS", "PHASE_DOMAINS",
 ]
 
-SHARP_LABELS = {"down": "up", "up": "down"}
 PHASE_DOMAINS = {"Dplus": "Dminus", "Dminus": "Dplus"}
 SHARP_DOMAINS = {"Ddown": "Dup", "Dup": "Ddown"}
 
@@ -70,6 +69,11 @@ class LiteralInvolution:
     def swap_domain(self, name: str):
         return self.domain_table.get(name)
 
+    def swap_term(self, t):
+        if isinstance(t, Outcome):
+            return Outcome(self.swap_label(t.label), t.prob)
+        return t
+
 
 IDENTITY_INV = LiteralInvolution("identity")
 PERP_INV = LiteralInvolution("perp", label_swap=dict(SHARP_LABELS),
@@ -81,16 +85,15 @@ TOP_INV = LiteralInvolution("top", domain_table={**PHASE_DOMAINS,
                                                  "Dup": "Dup"})
 
 
-def _swap_term(inv: LiteralInvolution, t):
-    if isinstance(t, Outcome):
-        return Outcome(inv.swap_label(t.label), t.prob)
-    return t
+# each constructor's mate under the symmetry map
+_MATE_OF = {And: Or, Times: Par, Imp: Excl, Eq: Neq, Forall: Exists}
+_MATE_OF.update({b: a for a, b in _MATE_OF.items()})
 
 
 def symmetrize_formula(f: Formula, inv: LiteralInvolution) -> Formula:
     s = lambda g: symmetrize_formula(g, inv)
     if isinstance(f, Atom):
-        return Atom(f.pred, f.index, tuple(_swap_term(inv, t) for t in f.args))
+        return Atom(f.pred, f.index, tuple(inv.swap_term(t) for t in f.args))
     if isinstance(f, Member):
         mapped = inv.swap_domain(f.domain)
         if mapped is not None:
@@ -100,32 +103,19 @@ def symmetrize_formula(f: Formula, inv: LiteralInvolution) -> Formula:
         if f.dual == inv.name:
             return Member(f.term, f.domain)
         return f  # a foreign tag is outside this involution's swap
-    if isinstance(f, Eq):
-        return Neq(f.lhs, f.rhs)
-    if isinstance(f, Neq):
-        return Eq(f.lhs, f.rhs)
+    if isinstance(f, (Eq, Neq)):
+        return _MATE_OF[type(f)](f.lhs, f.rhs)
     if isinstance(f, IndexRel):
         return IndexRel(f.j, f.tag, f.i)
-    if isinstance(f, And):
-        return Or(s(f.b), s(f.a))
-    if isinstance(f, Or):
-        return And(s(f.b), s(f.a))
-    if isinstance(f, Times):
-        return Par(s(f.b), s(f.a))
-    if isinstance(f, Par):
-        return Times(s(f.b), s(f.a))
-    if isinstance(f, Imp):
-        return Excl(s(f.b), s(f.a))
-    if isinstance(f, Excl):
-        return Imp(s(f.b), s(f.a))
     if isinstance(f, Join):
         return Join(f.tag, s(f.b), s(f.a))
-    if isinstance(f, Forall):
-        ctor = Forall if f.domain in inv.self_dual_domains else Exists
+    if isinstance(f, (Forall, Exists)):
+        self_dual = f.domain in inv.self_dual_domains
+        ctor = type(f) if self_dual else _MATE_OF[type(f)]
         return ctor(f.var, f.domain, s(f.body))
-    if isinstance(f, Exists):
-        ctor = Exists if f.domain in inv.self_dual_domains else Forall
-        return ctor(f.var, f.domain, s(f.body))
+    mate = _MATE_OF.get(type(f))
+    if mate is not None:
+        return mate(s(f.b), s(f.a))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -151,14 +141,6 @@ class UnclassifiedLiteral(Exception):
     """Raised when a formula falls outside the qubit dictionary."""
 
 
-_DUAL_TABLES = {
-    "perp": {"labels": SHARP_LABELS,
-             "domains": {**SHARP_DOMAINS, "Dplus": "Dplus", "Dminus": "Dminus"}},
-    "top": {"labels": {},
-            "domains": {**PHASE_DOMAINS, "Ddown": "Ddown", "Dup": "Dup"}},
-}
-
-
 def _is_sharp_atom(f: Formula) -> bool:
     return (isinstance(f, Atom) and len(f.args) == 1
             and isinstance(f.args[0], Outcome)
@@ -176,14 +158,11 @@ def apply_duality(f: Formula, name: str) -> Formula:
     identity because the switch of phase modality and the switch of
     correlation modality cancel.
     """
-    if name not in _DUAL_TABLES:
+    inv = {"perp": PERP_INV, "top": TOP_INV}.get(name)
+    if inv is None:
         raise ValueError(f"unknown duality: {name!r}")
-    tables = _DUAL_TABLES[name]
     if _is_sharp_atom(f):
-        out = f.args[0]
-        return Atom(f.pred, f.index, (Outcome(tables["labels"].get(out.label,
-                                                                   out.label),
-                                               out.prob),))
+        return Atom(f.pred, f.index, (inv.swap_term(f.args[0]),))
     if isinstance(f, And) and _is_sharp_atom(f.a) and _is_sharp_atom(f.b):
         # the post-measurement mixed state: both dualities leave it alone
         # except perp, which swaps the two conjuncts' labels
@@ -192,10 +171,11 @@ def apply_duality(f: Formula, name: str) -> Formula:
         if isinstance(f.body, Join):
             # correlated-pair formulas are fixed points of both dualities
             return f
-        if f.domain not in tables["domains"]:
+        mapped = inv.swap_domain(f.domain)
+        if mapped is None:
             raise UnclassifiedLiteral(f"domain outside the dictionary: {f.domain}")
         body = f.body
         if not (isinstance(body, Atom) and f.var in body.args):
             raise UnclassifiedLiteral(f"body outside the dictionary: {body!r}")
-        return type(f)(f.var, tables["domains"][f.domain], body)
+        return type(f)(f.var, mapped, body)
     raise UnclassifiedLiteral(f"not a qubit-dictionary formula: {f!r}")

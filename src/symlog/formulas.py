@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Union
 __all__ = [
     "Var", "Const", "Outcome", "Term",
     "IVar", "IConst", "Index",
-    "CorrelationTag", "IDENTICAL", "OPPOSITE",
+    "SHARP_LABELS", "CorrelationTag", "IDENTICAL", "OPPOSITE",
     "Formula", "Atom", "Member", "DualMember", "Eq", "Neq", "IndexRel",
     "And", "Or", "Times", "Par", "Imp", "Excl", "Forall", "Exists", "Join",
     "Single", "CorrPair", "Slot", "Sequent",
@@ -94,6 +94,11 @@ class IConst:
 Index = Union[IVar, IConst]
 
 
+# the two sharp outcome labels: the opposite correlation and the ``perp``
+# duality both swap them
+SHARP_LABELS = {"down": "up", "up": "down"}
+
+
 @dataclass(frozen=True)
 class CorrelationTag:
     """One of the two invertible outcome maps: identity or label swap."""
@@ -112,8 +117,7 @@ class CorrelationTag:
         """Apply the outcome map to a two-valued label."""
         if self.kind == "identical":
             return label
-        swap = {"down": "up", "up": "down"}
-        return swap.get(label, label)
+        return SHARP_LABELS.get(label, label)
 
     def __str__(self) -> str:
         return self.short

@@ -17,7 +17,7 @@ from typing import Optional
 from .domains import Registry
 from .dualities import LiteralInvolution, symmetrize_formula, symmetrize_sequent
 from .formulas import (
-    Eq, Formula, Outcome, Sequent, Term, Var, free_vars, replace_var,
+    Eq, Formula, Outcome, Sequent, Single, Var, free_vars, replace_var,
 )
 from .rules import (
     MACRO_RULES, CalculusConfig, RuleContext, RuleError, validate_rule,
@@ -98,7 +98,7 @@ def _collect_stats(p: ProofNode, stats: dict) -> None:
         dom = p.params.get("domain")
         if dom is not None:
             stats["subst_domains"][dom] += 1
-    if p.rule == "d_axiom":
+    if p.rule == "d_axiom" and {"domain", "dual"} <= p.params.keys():
         stats["d_axiom_pairs"][f"{p.params['domain']}:{p.params['dual']}"] += 1
     for q in p.premises:
         _collect_stats(q, stats)
@@ -175,10 +175,105 @@ def proof_from_json(obj: dict) -> ProofNode:
 # --------------------------------------------------------------------------
 # the symmetry transformation
 
-def _sterm(t: Term, inv: LiteralInvolution) -> Term:
-    if isinstance(t, Outcome):
-        return Outcome(inv.swap_label(t.label), t.prob)
-    return t
+# The mate table: each pair of mates is written once; the way back is
+# derived.  An entry names the rule, its mate, whether the two premises
+# swap, and what the mirror does to each parameter: FORMULA symmetrizes
+# it, TERM swaps its outcome label, COPY keeps it, DUAL gives the mate a
+# ``dual`` naming the involution (dropped on the way back), AS_EQ turns
+# the equality form of membership into the ``neq`` duality, else into the
+# involution's name (NEQ on the way back), and a tuple (k, side, width) is
+# a slot position counted on side "l"/"r" of premise k or of the
+# conclusion (CONCL), mirrored to ``len - width - pos``.  Parameter names
+# pass through _RENAME.
+
+FORMULA, TERM, COPY, DUAL, AS_EQ, NEQ = (
+    "formula", "term", "copy", "dual", "as_eq", "neq")
+CONCL = "conclusion"
+
+_RENAME = {"apos": "bpos", "bpos": "apos", "lpos": "rpos", "rpos": "lpos",
+           "i": "j", "j": "i", "y": "z", "z": "y", "mpos": "dpos",
+           "dpos": "mpos"}
+
+_MATE_PAIRS = (
+    ("id", "id", False, {"a": FORMULA}),
+    ("refl", "neq_refl", False, {"t": TERM}),
+    ("member", "dual_member_refuted", False,
+     {"domain": COPY, "term": TERM, "dual": DUAL}),
+    ("dual_exclusion", "dual_em", False,
+     {"domain": COPY, "var": COPY, "dual": COPY}),
+    ("focus", "dual_focus", False, {"domain": COPY, "var": COPY, "dual": DUAL}),
+    ("d_axiom", "d_axiom", False, {"domain": COPY, "dual": COPY, "z": COPY,
+                                   "y": COPY, "hole": COPY, "body": FORMULA}),
+    ("and_l1", "or_r2", False, {"pos": (0, "l", 1), "other": FORMULA}),
+    ("and_l2", "or_r1", False, {"pos": (0, "l", 1), "other": FORMULA}),
+    ("times_l", "par_r", False, {"pos": (0, "l", 2)}),
+    ("imp_r", "excl_l", False, {}),
+    ("weak_l", "weak_r", False, {"pos": (0, "l", 0), "formula": FORMULA}),
+    ("contract_l", "contract_r", False, {"i": (0, "l", 1), "j": (0, "l", 1)}),
+    ("expand_l", "expand_r", False, {"pos": (0, "l", 1)}),
+    ("subst", "subst", False, {"var": COPY, "term": TERM, "domain": COPY}),
+    ("eq_left", "neq_right", False,
+     {"pos": (CONCL, "l", 1), "s": TERM, "t": TERM}),
+    ("eq_left_elim", "neq_right_elim", False, {"pos": (0, "l", 1)}),
+    ("conv_pair_elim", "conv_pair_elim_l", False, {"qpos": (0, "r", 1)}),
+    ("conv_pair_intro", "conv_pair_intro_l", False,
+     {"qpos": (0, "r", 1), "relpos": (0, "l", 1)}),
+    ("join_intro", "join_intro_l", False, {"qpos": (0, "r", 1)}),
+    ("join_elim", "join_elim_l", False, {"qpos": (0, "r", 1)}),
+    ("and_r", "or_l", True, {"pos": (0, "r", 1)}),
+    ("times_r", "par_l", True,
+     {"pos": (CONCL, "r", 1), "apos": (0, "r", 1), "bpos": (1, "r", 1)}),
+    ("imp_l", "excl_r", True, {"pos": (CONCL, "l", 1)}),
+    ("cut", "cut", True, {"rpos": (0, "r", 1), "lpos": (1, "l", 1)}),
+)
+
+# The quantifier families, from the membership side.  Each line also pairs
+# the ``_vsym`` forms (``exists_f_vsym`` takes ``forall_f``'s parameters).
+# Over a domain the involution lists as self-dual the quantifier keeps its
+# constructor, so there the mate is the rule's own ``_vsym`` twin instead.
+_QUANTIFIER_MATES = (
+    ("forall_f", "exists_f", False, {"var": COPY, "domain": COPY,
+     "mpos": (0, "l", 1), "qpos": (0, "r", 1), "as_eq": AS_EQ}),
+    ("forall_r", "exists_r", True, {"pos": (CONCL, "l", 1), "term": TERM,
+     "var": COPY, "domain": COPY, "body": FORMULA, "as_eq": AS_EQ}),
+)
+
+
+def _reverse(params: dict, swap: bool) -> dict:
+    """The parameter table of the way back from a mate."""
+    out = {}
+    for name, kind in params.items():
+        back = _RENAME.get(name, name)
+        if kind == AS_EQ:
+            out["dual"] = NEQ
+        elif isinstance(kind, tuple):
+            where, side, width = kind
+            if swap and where != CONCL:
+                where = 1 - where
+            out[back] = (where, "r" if side == "l" else "l", width)
+        elif kind != DUAL:
+            out[back] = kind
+    return out
+
+
+def _mate_tables():
+    mates, twins = {}, {}
+
+    def pair(rule, mate, swap, params):
+        mates[rule] = (mate, swap, params)
+        mates[mate] = (rule, swap, _reverse(params, swap))
+
+    for entry in _MATE_PAIRS:
+        pair(*entry)
+    for rule, mate, swap, params in _QUANTIFIER_MATES:
+        pair(rule, mate, swap, params)
+        pair(mate + "_vsym", rule + "_vsym", swap, params)
+        for r in (rule, mate):
+            twins[r], twins[r + "_vsym"] = r + "_vsym", r
+    return mates, twins
+
+
+_MATES, _VSYM_TWIN = _mate_tables()
 
 
 def symmetrize_proof(p: ProofNode, inv: LiteralInvolution,
@@ -196,183 +291,43 @@ def symmetrize_proof(p: ProofNode, inv: LiteralInvolution,
 
 
 def _sym_node(n: ProofNode, inv: LiteralInvolution) -> ProofNode:
-    name, params, order = _mirror(n, inv)
+    name, params, order = _mate(n, inv)
     prems = tuple(_sym_node(n.premises[k], inv) for k in order)
     return ProofNode(name, params, prems, symmetrize_sequent(n.conclusion, inv))
 
 
-def _mirror(n: ProofNode, inv: LiteralInvolution):
-    """The rule-pairing table: mate name, mirrored params, premise order."""
+def _mate(n: ProofNode, inv: LiteralInvolution):
+    """Apply the mate table to one annotated node: the mate's name, its
+    parameters and the order of its premises."""
+    entry = _MATES.get(n.rule)
+    if entry is None:
+        hint = "; symmetrize its expanded form" if n.rule in MACRO_RULES else ""
+        raise KernelError(f"no symmetric mate for rule {n.rule}{hint}")
+    mate, swap, table = entry
     P = n.params
-    sf = lambda f: symmetrize_formula(f, inv)
-    st = lambda t: _sterm(t, inv)
-    prem = n.premises
-    keep = tuple(range(len(prem)))
-    swap = tuple(reversed(keep))
-
-    def plen(k: int, side: str) -> int:
-        s = prem[k].conclusion
-        return len(s.left if side == "l" else s.right)
-
-    r = n.rule
-    if r == "id":
-        return "id", {"a": sf(P["a"])}, keep
-    if r == "refl":
-        return "neq_refl", {"t": st(P["t"])}, keep
-    if r == "neq_refl":
-        return "refl", {"t": st(P["t"])}, keep
-    if r == "member":
-        return "dual_member_refuted", {"domain": P["domain"],
-                                       "term": st(P["term"]),
-                                       "dual": inv.name}, keep
-    if r == "dual_member_refuted":
-        return "member", {"domain": P["domain"], "term": st(P["term"])}, keep
-    if r == "dual_exclusion":
-        return "dual_em", dict(P), keep
-    if r == "dual_em":
-        return "dual_exclusion", dict(P), keep
-    if r == "focus":
-        return "dual_focus", {"domain": P["domain"], "var": P["var"],
-                              "dual": inv.name}, keep
-    if r == "dual_focus":
-        return "focus", {"domain": P["domain"], "var": P["var"]}, keep
-    if r == "d_axiom":
-        return "d_axiom", {"domain": P["domain"], "dual": P["dual"],
-                           "z": P["y"], "y": P["z"], "hole": P["hole"],
-                           "body": sf(P["body"])}, keep
-    if r == "and_l1":
-        return "or_r2", {"pos": plen(0, "l") - 1 - P["pos"],
-                         "other": sf(P["other"])}, keep
-    if r == "and_l2":
-        return "or_r1", {"pos": plen(0, "l") - 1 - P["pos"],
-                         "other": sf(P["other"])}, keep
-    if r == "or_r1":
-        return "and_l2", {"pos": plen(0, "r") - 1 - P["pos"],
-                          "other": sf(P["other"])}, keep
-    if r == "or_r2":
-        return "and_l1", {"pos": plen(0, "r") - 1 - P["pos"],
-                          "other": sf(P["other"])}, keep
-    if r == "times_l":
-        return "par_r", {"pos": plen(0, "l") - 2 - P["pos"]}, keep
-    if r == "par_r":
-        return "times_l", {"pos": plen(0, "r") - 2 - P["pos"]}, keep
-    if r == "imp_r":
-        return "excl_l", {}, keep
-    if r == "excl_l":
-        return "imp_r", {}, keep
-    if r in ("forall_f", "exists_f_vsym"):
-        # forall_f-shaped: membership on the left, principal on the right
-        sd = _self_dual(P, inv)
-        mate = ("forall_f_vsym" if sd else "exists_f") if r == "forall_f" \
-            else ("exists_f" if sd else "forall_f_vsym")
-        dual = "neq" if P.get("as_eq") else inv.name
-        return mate, {"var": P["var"], "domain": P["domain"], "dual": dual,
-                      "dpos": plen(0, "l") - 1 - P["mpos"],
-                      "qpos": plen(0, "r") - 1 - P["qpos"]}, keep
-    if r in ("exists_f", "forall_f_vsym"):
-        # exists_f-shaped: principal on the left, dual membership on the right
-        sd = _self_dual(P, inv)
-        mate = ("exists_f_vsym" if sd else "forall_f") if r == "exists_f" \
-            else ("forall_f" if sd else "exists_f_vsym")
-        out = {"var": P["var"], "domain": P["domain"],
-               "mpos": plen(0, "r") - 1 - P["dpos"],
-               "qpos": plen(0, "l") - 1 - P["qpos"]}
-        if P["dual"] == "neq":
+    if n.rule in _VSYM_TWIN and P["domain"] in inv.self_dual_domains:
+        mate = _VSYM_TWIN[n.rule]
+    out = {}
+    for name, kind in table.items():
+        to = _RENAME.get(name, name)
+        if isinstance(kind, tuple):
+            where, side, width = kind
+            s = n.conclusion if where == CONCL else n.premises[where].conclusion
+            out[to] = len(s.left if side == "l" else s.right) - width - P[name]
+        elif kind == FORMULA:
+            out[to] = symmetrize_formula(P[name], inv)
+        elif kind == TERM:
+            out[to] = inv.swap_term(P[name])
+        elif kind == COPY:
+            out[to] = P[name]
+        elif kind == DUAL:
+            out["dual"] = inv.name
+        elif kind == AS_EQ:
+            out["dual"] = "neq" if P.get("as_eq") else inv.name
+        elif kind == NEQ and P["dual"] == "neq":
             out["as_eq"] = True
-        return mate, out, keep
-    if r == "weak_l":
-        return "weak_r", {"pos": plen(0, "l") - P["pos"],
-                          "formula": sf(P["formula"])}, keep
-    if r == "weak_r":
-        return "weak_l", {"pos": plen(0, "r") - P["pos"],
-                          "formula": sf(P["formula"])}, keep
-    if r == "contract_l":
-        m = plen(0, "l")
-        return "contract_r", {"i": m - 1 - P["j"], "j": m - 1 - P["i"]}, keep
-    if r == "contract_r":
-        m = plen(0, "r")
-        return "contract_l", {"i": m - 1 - P["j"], "j": m - 1 - P["i"]}, keep
-    if r == "expand_l":
-        return "expand_r", {"pos": plen(0, "l") - 1 - P["pos"]}, keep
-    if r == "expand_r":
-        return "expand_l", {"pos": plen(0, "r") - 1 - P["pos"]}, keep
-    if r == "subst":
-        return "subst", {"var": P["var"], "term": st(P["term"]),
-                         "domain": P["domain"]}, keep
-    if r == "eq_left":
-        return "neq_right", {"pos": len(n.conclusion.left) - 1 - P["pos"],
-                             "s": st(P["s"]), "t": st(P["t"])}, keep
-    if r == "neq_right":
-        return "eq_left", {"pos": len(n.conclusion.right) - 1 - P["pos"],
-                           "s": st(P["s"]), "t": st(P["t"])}, keep
-    if r == "eq_left_elim":
-        return "neq_right_elim", {"pos": plen(0, "l") - 1 - P["pos"]}, keep
-    if r == "neq_right_elim":
-        return "eq_left_elim", {"pos": plen(0, "r") - 1 - P["pos"]}, keep
-    if r == "conv_pair_elim":
-        return "conv_pair_elim_l", {"qpos": plen(0, "r") - 1 - P["qpos"]}, keep
-    if r == "conv_pair_elim_l":
-        return "conv_pair_elim", {"qpos": plen(0, "l") - 1 - P["qpos"]}, keep
-    if r == "conv_pair_intro":
-        return "conv_pair_intro_l", {"qpos": plen(0, "r") - 1 - P["qpos"],
-                                     "relpos": plen(0, "l") - 1 - P["relpos"]}, keep
-    if r == "conv_pair_intro_l":
-        return "conv_pair_intro", {"qpos": plen(0, "l") - 1 - P["qpos"],
-                                   "relpos": plen(0, "r") - 1 - P["relpos"]}, keep
-    if r in ("join_intro", "join_elim"):
-        return r + "_l", {"qpos": plen(0, "r") - 1 - P["qpos"]}, keep
-    if r in ("join_intro_l", "join_elim_l"):
-        return r[:-2], {"qpos": plen(0, "l") - 1 - P["qpos"]}, keep
-    if r == "and_r":
-        return "or_l", {"pos": plen(0, "r") - 1 - P["pos"]}, swap
-    if r == "or_l":
-        return "and_r", {"pos": plen(0, "l") - 1 - P["pos"]}, swap
-    if r == "times_r":
-        return "par_l", {"pos": plen(0, "r") + plen(1, "r") - 2 - P["pos"],
-                         "apos": plen(1, "r") - 1 - P["bpos"],
-                         "bpos": plen(0, "r") - 1 - P["apos"]}, swap
-    if r == "par_l":
-        return "times_r", {"pos": plen(0, "l") + plen(1, "l") - 2 - P["pos"],
-                           "apos": plen(1, "l") - 1 - P["bpos"],
-                           "bpos": plen(0, "l") - 1 - P["apos"]}, swap
-    if r == "imp_l":
-        g = plen(0, "l") + plen(1, "l") - 1
-        return "excl_r", {"pos": g - P["pos"]}, swap
-    if r == "excl_r":
-        d = plen(0, "r") - 1 + plen(1, "r")
-        return "imp_l", {"pos": d - P["pos"]}, swap
-    if r in ("forall_r", "exists_r_vsym"):
-        # forall_r-shaped: membership premise first, principal on the left
-        sd = _self_dual(P, inv)
-        mate = ("forall_r_vsym" if sd else "exists_r") if r == "forall_r" \
-            else ("exists_r" if sd else "forall_r_vsym")
-        g = plen(0, "l") + plen(1, "l") - 1
-        dual = "neq" if P.get("as_eq") else inv.name
-        return mate, {"pos": g - P["pos"], "term": st(P["term"]),
-                      "var": P["var"], "domain": P["domain"],
-                      "body": sf(P["body"]), "dual": dual}, swap
-    if r in ("exists_r", "forall_r_vsym"):
-        # exists_r-shaped: instance premise first, principal on the right
-        sd = _self_dual(P, inv)
-        mate = ("exists_r_vsym" if sd else "forall_r") if r == "exists_r" \
-            else ("forall_r" if sd else "exists_r_vsym")
-        d = plen(0, "r") - 1 + plen(1, "r")
-        out = {"pos": d - P["pos"], "term": st(P["term"]), "var": P["var"],
-               "domain": P["domain"], "body": sf(P["body"])}
-        if P["dual"] == "neq":
-            out["as_eq"] = True
-        return mate, out, swap
-    if r == "cut":
-        return "cut", {"rpos": plen(1, "l") - 1 - P["lpos"],
-                       "lpos": plen(0, "r") - 1 - P["rpos"]}, swap
-    if r == "parallel_forall":
-        raise KernelError(
-            "symmetrize the expanded form of parallel quantifier steps")
-    raise KernelError(f"no symmetric mate for rule {r}")
-
-
-def _self_dual(params: dict, inv: LiteralInvolution) -> bool:
-    return params["domain"] in inv.self_dual_domains
+    order = tuple(range(len(n.premises)))
+    return mate, out, order[::-1] if swap else order
 
 
 # --------------------------------------------------------------------------
@@ -502,7 +457,7 @@ def build_exists_to_forall(ctx: RuleContext, dom: str, x: Var,
 
 
 def build_refl_proof(u) -> ProofNode:
-    return mk("refl", {"t": u})
+    return mk("refl", {"t": u}, conclusion=Sequent((), (Single(Eq(u, u)),)))
 
 
 def collapse_config(registry: Registry, name: str) -> CalculusConfig:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domains import Registry
+from .domains import Registry, RegistryError
 from .dualities import IDENTITY_INV, symmetrize_formula
 from .formulas import (
     And, Atom, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
@@ -52,9 +52,16 @@ class CalculusConfig:
     def check_licenses(self, registry) -> None:
         """Both licenses on one domain prove it is a singleton, so outside
         collapse-demo mode the overlap is only allowed where that is
-        already true: extensional singletons."""
+        already true: extensional singletons.  Substitution on a virtual
+        singleton needs collapse-demo mode on its own, as the registry
+        already demands of the domain's record."""
         if self.collapse_demo:
             return
+        for name in sorted(self.substitution_domains):
+            if name in registry and registry.get(name).virtual_singleton:
+                raise ValueError(
+                    f"substitution on the virtual singleton {name} needs "
+                    f"collapse-demo mode")
         licensed = {d for d, _ in self.d_axiom_domains}
         for name in sorted(licensed & self.substitution_domains):
             if name in registry and registry.get(name).is_singleton:
@@ -215,7 +222,13 @@ def validate_rule(name: str, params: dict, premises, claimed, ctx) -> Sequent:
     arity, fn = RULES[name]
     _need(len(premises) == arity, "ArityMismatch",
           f"{name} expects {arity} premises, got {len(premises)}")
-    conclusion = fn(params, tuple(premises), claimed, ctx)
+    try:
+        conclusion = fn(params, tuple(premises), claimed, ctx)
+    except KeyError as e:
+        raise RuleError("MissingParameter",
+                        f"{name} needs the parameter {e.args[0]}") from None
+    except RegistryError as e:
+        raise RuleError("UnknownDomain", f"{name}: {e}") from None
     if claimed is not None:
         _need(sequent_equal(conclusion, claimed), "ConclusionMismatch",
               f"{name}: claimed conclusion differs from the reconstructed one")

@@ -133,3 +133,50 @@ def test_json_reports_deterministic(ext_script, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["schema"] == 1
+
+
+@pytest.mark.parametrize("domain", ["Ddown", "Dup", "Dplus", "Dminus", "D", "V"])
+def test_guard_standard_domains(domain, capsys):
+    rc = main(["guard", domain])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[0] == "consistent"
+
+
+def test_check_reports_missing_parameter(tmp_path, capsys):
+    bad = tmp_path / "bare.blq"
+    bad.write_text("proof p : p |- p\n  id\n")
+    rc = main(["check", str(bad)])
+    assert rc == 1
+    assert capsys.readouterr().out.strip() == "p: FAIL"
+
+
+SUBST_ON_VIRTUAL = """\
+domain V = { v1@1/2, v2@1/2 } virtual duality d
+license subst V
+proof s : A(v1@1/2) |- A(v1@1/2)
+subst var=z term=v1@1/2 domain=V
+  id a={A(z)}
+"""
+
+
+def test_check_rejects_substitution_on_virtual_singleton(tmp_path, capsys):
+    path = tmp_path / "subst_v.blq"
+    path.write_text(SUBST_ON_VIRTUAL)
+    assert main(["check", str(path)]) == 2
+    assert "collapse-demo" in capsys.readouterr().err
+    demo = tmp_path / "subst_v_demo.blq"
+    demo.write_text("flags collapse_demo\n" + SUBST_ON_VIRTUAL)
+    assert main(["check", str(demo)]) == 0
+
+
+def test_commands_reject_flags_they_ignore(ext_script, capsys):
+    for argv in (["search", ext_script, "--name", "detach", "--expect-proof"],
+                 ["corpus", "--cut"], ["qstate", "q.json", "--subst", "D"],
+                 ["bell", "--phase", "plus", "--correlation", "identical",
+                  "--left-contexts"],
+                 ["dual", ext_script, "--name", "detach", "--duality", "top",
+                  "--weakening"],
+                 ["guard", "V", "--d-axiom", "V:d"]):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -253,3 +253,39 @@ def test_focus_lemma_small_domains():
     for n in (1, 2, 3):
         for pred in ("G", "H"):
             _focus_interderivable(n, pred)
+
+
+def test_missing_parameter_is_a_failure(config, registry):
+    rep = check_proof(mk("id", {}), config, registry)
+    assert not rep.ok
+    assert rep.failures[0].reason.startswith("MissingParameter")
+    no_other = mk("and_l1", {"pos": 0}, mk("id", {"a": p}))
+    rep = check_proof(no_other, config, registry)
+    assert rep.failures[0].path == ()
+    assert rep.failures[0].reason.startswith("MissingParameter")
+
+
+def test_unknown_domain_is_a_failure(config, registry):
+    rep = check_proof(mk("member", {"domain": "Nowhere", "term": t1}),
+                      config, registry)
+    assert not rep.ok
+    assert rep.failures[0].reason.startswith("UnknownDomain")
+
+
+def test_substitution_license_on_virtual_singleton(registry):
+    cfg = CalculusConfig(True, True, True, True,
+                         substitution_domains=frozenset({"V"}))
+    node = mk("subst", {"var": z, "term": Outcome("v1", Fraction(1, 2)),
+                        "domain": "V"}, mk("id", {"a": A(z)}))
+    with pytest.raises(ValueError):
+        check_proof(node, cfg, registry)
+    demo = CalculusConfig(True, True, True, True,
+                          substitution_domains=frozenset({"V"}),
+                          collapse_demo=True)
+    assert check_proof(node, demo, registry).ok
+
+
+def test_malformed_d_axiom_reports_without_raising(config, registry):
+    rep = check_proof(mk("d_axiom", {"domain": "V"}), config, registry)
+    assert rep.failures[0].reason.startswith("MissingParameter")
+    assert rep.stats["d_axiom_pairs"] == {}

@@ -1,16 +1,21 @@
 """The proof-level symmetry transformation: soundness and involutivity."""
 import random
+from fractions import Fraction
 
 import pytest
 
 from symlog.corpus import positive_proofs
-from symlog.dualities import IDENTITY_INV, symmetrize_sequent
-from symlog.formulas import Atom, sequent_equal
-from symlog.kernel import (
-    NotSymmetricConfig, annotate, check_proof, mk, proof_equal,
-    symmetrize_proof,
+from symlog.dualities import (
+    IDENTITY_INV, LiteralInvolution, symmetrize_sequent,
 )
-from symlog.rules import CalculusConfig
+from symlog.formulas import (
+    Atom, Eq, Member, Neq, Outcome, Sequent, Single, Var, sequent_equal,
+)
+from symlog.kernel import (
+    _MATES, KernelError, NotSymmetricConfig, ProofNode, _sym_node, annotate,
+    check_proof, mk, proof_equal, symmetrize_proof,
+)
+from symlog.rules import RULES, CalculusConfig
 
 from genlib import proof_context, random_proof
 
@@ -63,3 +68,94 @@ def test_random_proofs_symmetrize():
                              symmetrize_sequent(proof.conclusion, IDENTITY_INV))
         back = symmetrize_proof(out, IDENTITY_INV, cfg, reg)
         assert proof_equal(back, proof), k
+
+
+# --------------------------------------------------------------------------
+# coverage: every rule in the catalogue has a mate
+
+x, y, z = Var("x"), Var("y"), Var("z")
+t1 = Outcome("t1", Fraction(1, 2))
+v1 = Outcome("v1", Fraction(1, 2))
+
+# one value for every parameter any rule reads; positions are arbitrary
+# because the mirror only has to invert itself
+_ANY_PARAMS = {
+    "a": p, "other": q, "formula": q, "body": p, "t": y, "s": y, "term": y,
+    "var": z, "hole": x, "y": y, "z": z, "domain": "V", "dual": "d",
+    "as_eq": False, "pos": 0, "qpos": 1, "mpos": 0, "dpos": 2, "apos": 1,
+    "bpos": 2, "lpos": 0, "rpos": 1, "relpos": 2, "i": 0, "j": 1,
+}
+_THREE = Sequent((Single(p),) * 3, (Single(q),) * 3)
+
+
+def _dummy(rule: str) -> ProofNode:
+    arity = RULES[rule][0]
+    prem = ProofNode("id", {"a": p}, (), _THREE)
+    return ProofNode(rule, dict(_ANY_PARAMS), (prem,) * arity, _THREE)
+
+
+@pytest.mark.parametrize("self_dual", [frozenset(), frozenset({"V"})])
+def test_every_rule_has_an_involutive_mate(self_dual):
+    inv = LiteralInvolution("d", self_dual_domains=self_dual)
+    for rule in RULES:
+        node = _dummy(rule)
+        if rule == "parallel_forall":
+            with pytest.raises(KernelError):
+                _sym_node(node, inv)
+            continue
+        once = _sym_node(node, inv)
+        assert once.rule in RULES, rule
+        twice = _sym_node(once, inv)
+        assert twice.rule == rule, (rule, once.rule, twice.rule)
+        thrice = _sym_node(twice, inv)
+        assert thrice.rule == once.rule and thrice.params == once.params, rule
+
+
+def _round_trip(proof, inv, cfg, reg):
+    out = symmetrize_proof(proof, inv, cfg, reg)
+    rep = check_proof(out, cfg, reg)
+    assert rep.ok, rep.failures[:1]
+    back = symmetrize_proof(out, inv, cfg, reg)
+    assert proof_equal(back, annotate(proof, cfg, reg))
+    return out
+
+
+def test_eq_left_elim_symmetrizes(config, registry):
+    inner = mk("weak_l", {"pos": 1, "formula": p}, mk("id", {"a": Eq(z, t1)}))
+    out = _round_trip(mk("eq_left_elim", {"pos": 0}, inner),
+                      IDENTITY_INV, config, registry)
+    assert out.rule == "neq_right_elim"
+
+
+def test_neq_right_elim_symmetrizes(config, registry):
+    inner = mk("weak_r", {"pos": 0, "formula": q}, mk("id", {"a": Neq(z, t1)}))
+    out = _round_trip(mk("neq_right_elim", {"pos": 1}, inner),
+                      IDENTITY_INV, config, registry)
+    assert out.rule == "eq_left_elim"
+
+
+@pytest.mark.parametrize("self_dual,mate", [(frozenset(), "forall_f_vsym"),
+                                            (frozenset({"V"}), "exists_f")])
+def test_exists_f_vsym_symmetrizes(config, registry, self_dual, mate):
+    inv = LiteralInvolution("d", self_dual_domains=self_dual)
+    node = mk("exists_f_vsym", {"var": z, "domain": "V", "mpos": 0, "qpos": 0},
+              mk("id", {"a": Member(z, "V")}))
+    assert _round_trip(node, inv, config, registry).rule == mate
+
+
+@pytest.mark.parametrize("self_dual,mate", [(frozenset(), "forall_r_vsym"),
+                                            (frozenset({"V"}), "exists_r")])
+def test_exists_r_vsym_symmetrizes(config, registry, self_dual, mate):
+    inv = LiteralInvolution("d", self_dual_domains=self_dual)
+    body = Atom("A", None, (x,))
+    node = mk("exists_r_vsym", {"pos": 0, "term": v1, "var": x, "domain": "V",
+                                "body": body},
+              mk("member", {"domain": "V", "term": v1}),
+              mk("id", {"a": Atom("A", None, (v1,))}))
+    assert _round_trip(node, inv, config, registry).rule == mate
+
+
+def test_mate_table_covers_the_catalogue():
+    assert set(_MATES) == set(RULES) - {"parallel_forall"}
+    for rule, (mate, _swap, _params) in _MATES.items():
+        assert _MATES[mate][0] == rule
