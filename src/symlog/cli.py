@@ -12,10 +12,10 @@ Commands::
     symlog guard DOMAIN [--collapse-demo]
 
 Exit codes: 0 on a successful run, 1 on a failed check or an unproved
-search goal, 2 on usage or parse errors.  Diagnostics go to stderr,
-reports to stdout.  Context-liberalization flags are never assumed: they
-come from the script's ``flags`` line or, for check, sym and search, the
-command line, or stay off.
+search goal, 2 on usage or parse errors, 3 on an internal error.
+Diagnostics go to stderr, reports to stdout.  Context-liberalization flags
+are never assumed: they come from the script's ``flags`` line or, for
+check, sym and search, the command line, or stay off.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .dualities import (
     IDENTITY_INV, LiteralInvolution, PERP_INV, TOP_INV, UnclassifiedLiteral,
     apply_duality,
 )
-from .formulas import CorrPair, Sequent, Single
+from .formulas import map_sequent
 from .kernel import (
     KernelError, check_proof, proof_to_json, symmetrize_proof,
 )
@@ -187,14 +187,7 @@ def _cmd_dual(args) -> int:
         _err(f"no sequent named {args.name!r}")
         return 2
 
-    def on_slot(slot):
-        if isinstance(slot, Single):
-            return Single(apply_duality(slot.formula, args.duality))
-        return CorrPair(apply_duality(slot.a, args.duality), slot.tag,
-                        apply_duality(slot.b, args.duality))
-
-    out = Sequent(tuple(on_slot(s) for s in target.left),
-                  tuple(on_slot(s) for s in target.right))
+    out = map_sequent(target, lambda f: apply_duality(f, args.duality))
     _emit(args, {"schema": 1, "sequent": print_sequent(out)},
           print_sequent(out))
     return 0
@@ -305,6 +298,9 @@ def main(argv=None) -> int:
             OSError, json.JSONDecodeError) as e:
         _err(str(e))
         return 2
+    except Exception as e:
+        _err(f"internal error: {type(e).__name__}: {e}")
+        return 3
 
 
 if __name__ == "__main__":

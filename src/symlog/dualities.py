@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .formulas import (
-    And, Atom, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
-    IndexRel, Join, Member, Neq, Or, Outcome, Par, SHARP_LABELS, Sequent,
-    Single, Slot, Times,
+    And, Atom, DualMember, Eq, Excl, Exists, Forall, Formula, Imp, IndexRel,
+    Join, Member, Neq, Or, Outcome, Par, SHARP_LABELS, Sequent, Slot, Times,
+    rebuild_slot, slot_formulas,
 )
 
 __all__ = [
@@ -91,7 +91,14 @@ _MATE_OF.update({b: a for a, b in _MATE_OF.items()})
 
 
 def symmetrize_formula(f: Formula, inv: LiteralInvolution) -> Formula:
-    s = lambda g: symmetrize_formula(g, inv)
+    sh = f.shape
+    if sh.subs:
+        if sh.binds and f.domain in inv.self_dual_domains:
+            mate = type(f)
+        else:
+            mate = _MATE_OF.get(type(f), type(f))
+        return sh.rebuild(f, [symmetrize_formula(g, inv)
+                              for g in reversed(sh.children(f))], cls=mate)
     if isinstance(f, Atom):
         return Atom(f.pred, f.index, tuple(inv.swap_term(t) for t in f.args))
     if isinstance(f, Member):
@@ -103,27 +110,14 @@ def symmetrize_formula(f: Formula, inv: LiteralInvolution) -> Formula:
         if f.dual == inv.name:
             return Member(f.term, f.domain)
         return f  # a foreign tag is outside this involution's swap
-    if isinstance(f, (Eq, Neq)):
-        return _MATE_OF[type(f)](f.lhs, f.rhs)
     if isinstance(f, IndexRel):
         return IndexRel(f.j, f.tag, f.i)
-    if isinstance(f, Join):
-        return Join(f.tag, s(f.b), s(f.a))
-    if isinstance(f, (Forall, Exists)):
-        self_dual = f.domain in inv.self_dual_domains
-        ctor = type(f) if self_dual else _MATE_OF[type(f)]
-        return ctor(f.var, f.domain, s(f.body))
-    mate = _MATE_OF.get(type(f))
-    if mate is not None:
-        return mate(s(f.b), s(f.a))
-    raise TypeError(f"not a formula: {f!r}")
+    return sh.rebuild(f, (), cls=_MATE_OF[type(f)])
 
 
 def symmetrize_slot(slot: Slot, inv: LiteralInvolution) -> Slot:
-    if isinstance(slot, Single):
-        return Single(symmetrize_formula(slot.formula, inv))
-    return CorrPair(symmetrize_formula(slot.b, inv), slot.tag,
-                    symmetrize_formula(slot.a, inv))
+    return rebuild_slot(slot, [symmetrize_formula(g, inv)
+                               for g in reversed(slot_formulas(slot))])
 
 
 def symmetrize_sequent(s: Sequent, inv: LiteralInvolution) -> Sequent:

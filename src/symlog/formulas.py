@@ -9,8 +9,9 @@ explicit tolerance before anything reaches this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from operator import attrgetter, is_
 from typing import Iterator, Optional, Union
 
 __all__ = [
@@ -22,6 +23,8 @@ __all__ = [
     "Single", "CorrPair", "Slot", "Sequent",
     "free_vars", "substitute", "replace_var", "formula_equal",
     "index_set", "formula_index", "reindex", "subformulas", "seq",
+    "Shape", "shadows",
+    "slot_formulas", "rebuild_slot", "map_sequent", "slots_match",
 ]
 
 
@@ -139,11 +142,83 @@ def tag_from_short(s: str) -> CorrelationTag:
 # formulas
 
 class Formula:
-    """Base class; all constructors are frozen dataclasses below."""
+    """Base class; all constructors are frozen dataclasses below, each
+    carrying its :class:`Shape` as the class attribute ``shape``."""
 
     __slots__ = ()
 
 
+class Shape:
+    """How walks see one formula constructor; declare it as the class's
+    decorator, ``@Shape(subs=..., terms=..., binds=...)``.
+
+    ``subs`` names the subformula fields in operand order.  ``terms`` names
+    the fields holding one term each, or is the name of the one field that
+    holds a tuple of terms.  A constructor has subformulas or terms, never
+    both, so a walk treats the first kind as inner nodes and the second as
+    leaves.  A binder binds its ``var`` field over its subformulas.  Every
+    other field is data, which a walk compares or carries over unchanged.
+
+    ``children(f)`` and ``terms(f)`` read an instance's subformulas and
+    terms as tuples; ``data(f)`` reads its data, and is None when the
+    constructor has none.  ``rebuild`` is the way back.
+    """
+
+    def __init__(self, subs: tuple = (), terms=(), binds: bool = False):
+        if subs and terms:
+            raise TypeError("a formula has subformulas or terms, not both")
+        self.subs, self.binds = subs, binds
+        self._packed = isinstance(terms, str)
+        self._term_names = (terms,) if self._packed else terms
+        self.children = _tuple_getter(subs)
+        self.terms = attrgetter(terms) if self._packed else _tuple_getter(terms)
+
+    def __call__(self, cls):
+        names = tuple(fl.name for fl in fields(cls))
+        walked = self.subs + self._term_names + (("var",) if self.binds else ())
+        if not set(walked) <= set(names):
+            raise TypeError(f"{cls.__name__}: its shape names a missing field")
+        data = tuple(n for n in names if n not in walked)
+        self.data = attrgetter(*data) if data else None
+        self._fields = attrgetter(*names)
+        self._subs_at = tuple(map(names.index, self.subs))
+        self._terms_at = tuple(map(names.index, self._term_names))
+        self._only_subs = self._subs_at == tuple(range(len(names)))
+        cls.shape = self
+        return cls
+
+    def rebuild(self, f, kids, terms=None, cls=None):
+        """``f`` with the subformulas ``kids`` and, when given, the terms
+        ``terms``; every other field is kept, and ``f`` itself comes back
+        when every new part is the old one.  ``cls`` builds a constructor
+        of the same shape in place of ``f``'s own, such as its mate."""
+        if cls is None:
+            if all(map(is_, kids, self.children(f))) and (
+                    terms is None or all(map(is_, terms, self.terms(f)))):
+                return f
+            cls = type(f)
+        if self._only_subs:
+            return cls(*kids)
+        args = list(self._fields(f))
+        for at, g in zip(self._subs_at, kids):
+            args[at] = g
+        if terms is not None:
+            for at, u in zip(self._terms_at,
+                             (tuple(terms),) if self._packed else terms):
+                args[at] = u
+        return cls(*args)
+
+
+def _tuple_getter(names: tuple):
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(names[0])
+        return lambda f: (get(f),)
+    return lambda f: ()
+
+
+@Shape(terms="args")
 @dataclass(frozen=True)
 class Atom(Formula):
     pred: str
@@ -154,12 +229,14 @@ class Atom(Formula):
         object.__setattr__(self, "args", tuple(self.args))
 
 
+@Shape(terms=("term",))
 @dataclass(frozen=True)
 class Member(Formula):
     term: Term
     domain: str
 
 
+@Shape(terms=("term",))
 @dataclass(frozen=True)
 class DualMember(Formula):
     """Membership seen through a duality: the dual proposition of ``t in D``."""
@@ -169,18 +246,21 @@ class DualMember(Formula):
     dual: str
 
 
+@Shape(terms=("lhs", "rhs"))
 @dataclass(frozen=True)
 class Eq(Formula):
     lhs: Term
     rhs: Term
 
 
+@Shape(terms=("lhs", "rhs"))
 @dataclass(frozen=True)
 class Neq(Formula):
     lhs: Term
     rhs: Term
 
 
+@Shape()
 @dataclass(frozen=True)
 class IndexRel(Formula):
     """Correlation between two formula indexes (``i ~f j``)."""
@@ -190,18 +270,21 @@ class IndexRel(Formula):
     j: Index
 
 
+@Shape(subs=("a", "b"))
 @dataclass(frozen=True)
 class And(Formula):
     a: Formula
     b: Formula
 
 
+@Shape(subs=("a", "b"))
 @dataclass(frozen=True)
 class Or(Formula):
     a: Formula
     b: Formula
 
 
+@Shape(subs=("a", "b"))
 @dataclass(frozen=True)
 class Times(Formula):
     """Multiplicative conjunction."""
@@ -210,6 +293,7 @@ class Times(Formula):
     b: Formula
 
 
+@Shape(subs=("a", "b"))
 @dataclass(frozen=True)
 class Par(Formula):
     """Multiplicative disjunction (the comma on the right of a sequent)."""
@@ -218,12 +302,14 @@ class Par(Formula):
     b: Formula
 
 
+@Shape(subs=("a", "b"))
 @dataclass(frozen=True)
 class Imp(Formula):
     a: Formula
     b: Formula
 
 
+@Shape(subs=("a", "b"))
 @dataclass(frozen=True)
 class Excl(Formula):
     """Exclusion, the mirror connective of implication (``b excludes a``)."""
@@ -232,6 +318,7 @@ class Excl(Formula):
     b: Formula
 
 
+@Shape(subs=("body",), binds=True)
 @dataclass(frozen=True)
 class Forall(Formula):
     var: Var
@@ -239,6 +326,7 @@ class Forall(Formula):
     body: Formula
 
 
+@Shape(subs=("body",), binds=True)
 @dataclass(frozen=True)
 class Exists(Formula):
     var: Var
@@ -246,6 +334,7 @@ class Exists(Formula):
     body: Formula
 
 
+@Shape(subs=("a", "b"))
 @dataclass(frozen=True)
 class Join(Formula):
     """Correlation connective: a pair of formulas correlated through a tag.
@@ -262,9 +351,6 @@ class Join(Formula):
         ia, ib = formula_index(self.a), formula_index(self.b)
         if ia is not None and ib is not None and ia == ib:
             raise ValueError("join operands must carry distinct indexes")
-
-
-_BINARY = {And: "&", Or: r"\/", Times: "(x)", Par: "*", Imp: "->", Excl: "<-"}
 
 
 # --------------------------------------------------------------------------
@@ -316,37 +402,56 @@ def slot_formulas(s: Slot) -> tuple:
     return (s.a, s.b)
 
 
+def rebuild_slot(s: Slot, fs) -> Slot:
+    """A slot of the same kind (and tag) as ``s`` holding the formulas ``fs``."""
+    if isinstance(s, Single):
+        return Single(fs[0])
+    return CorrPair(fs[0], s.tag, fs[1])
+
+
+def map_sequent(s: Sequent, fn) -> Sequent:
+    """Apply ``fn`` to every formula of every slot, keeping the layout."""
+
+    def on_slot(sl: Slot) -> Slot:
+        return rebuild_slot(sl, [fn(g) for g in slot_formulas(sl)])
+
+    return Sequent(tuple(map(on_slot, s.left)), tuple(map(on_slot, s.right)))
+
+
+def slots_match(a: Slot, b: Slot, same) -> bool:
+    """Slots of one kind and tag whose formulas agree pairwise by ``same``."""
+    if isinstance(a, Single):
+        return isinstance(b, Single) and same(a.formula, b.formula)
+    return (isinstance(b, CorrPair) and a.tag == b.tag
+            and same(a.a, b.a) and same(a.b, b.b))
+
+
 # --------------------------------------------------------------------------
-# traversal, free variables
+# walking a formula through its shape
+
+def shadows(binder: Var, s: Term, t: Term) -> bool:
+    """The binder rule of swapping ``s`` and ``t``: below a binder of
+    either, neither occurs free and a swap could bring in a variable the
+    binder captures, so the swap stops there."""
+    return binder == s or binder == t
+
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     yield f
-    if isinstance(f, (And, Or, Times, Par, Imp, Excl)):
-        yield from subformulas(f.a)
-        yield from subformulas(f.b)
-    elif isinstance(f, Join):
-        yield from subformulas(f.a)
-        yield from subformulas(f.b)
-    elif isinstance(f, (Forall, Exists)):
-        yield from subformulas(f.body)
+    for g in f.shape.children(f):
+        yield from subformulas(g)
 
 
 def free_vars(f: Formula) -> frozenset:
     """Variables with a free occurrence.  Indexes are not first-order
     variables and do not count."""
-    if isinstance(f, Atom):
-        return frozenset(t for t in f.args if isinstance(t, Var))
-    if isinstance(f, (Member, DualMember)):
-        return frozenset([f.term]) if isinstance(f.term, Var) else frozenset()
-    if isinstance(f, (Eq, Neq)):
-        return frozenset(t for t in (f.lhs, f.rhs) if isinstance(t, Var))
-    if isinstance(f, IndexRel):
-        return frozenset()
-    if isinstance(f, (And, Or, Times, Par, Imp, Excl, Join)):
-        return free_vars(f.a) | free_vars(f.b)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    sh = f.shape
+    if not sh.subs:
+        return frozenset([t for t in sh.terms(f) if isinstance(t, Var)])
+    out = frozenset()
+    for g in sh.children(f):
+        out |= free_vars(g)
+    return out - {f.var} if sh.binds else out
 
 
 def sequent_free_vars(s: Sequent) -> frozenset:
@@ -369,49 +474,26 @@ def _fresh_name(base: str, avoid) -> str:
     return name
 
 
-def _term_vars(t: Term) -> frozenset:
-    return frozenset([t]) if isinstance(t, Var) else frozenset()
-
-
 def replace_var(f: Formula, x: Var, t: Term) -> Formula:
     """Capture-avoiding replacement of free ``x`` by an arbitrary term.
 
     Internal workhorse: the public :func:`substitute` restricts the
     replacement term to closed terms.
     """
-
-    def on_term(u: Term) -> Term:
-        return t if u == x else u
-
-    if isinstance(f, Atom):
-        return Atom(f.pred, f.index, tuple(on_term(a) for a in f.args))
-    if isinstance(f, Member):
-        return Member(on_term(f.term), f.domain)
-    if isinstance(f, DualMember):
-        return DualMember(on_term(f.term), f.domain, f.dual)
-    if isinstance(f, Eq):
-        return Eq(on_term(f.lhs), on_term(f.rhs))
-    if isinstance(f, Neq):
-        return Neq(on_term(f.lhs), on_term(f.rhs))
-    if isinstance(f, IndexRel):
-        return f
-    if isinstance(f, (And, Or, Times, Par, Imp, Excl)):
-        return type(f)(replace_var(f.a, x, t), replace_var(f.b, x, t))
-    if isinstance(f, Join):
-        return Join(f.tag, replace_var(f.a, x, t), replace_var(f.b, x, t))
-    if isinstance(f, (Forall, Exists)):
+    sh = f.shape
+    if not sh.subs:
+        return sh.rebuild(f, (), [t if u == x else u for u in sh.terms(f)])
+    if sh.binds:
         if f.var == x:
             return f  # bound occurrence shadows the substitution
-        if f.var in _term_vars(t):
+        if f.var == t:
             # rename the binder away from the incoming variable
-            avoid = {v.name for v in free_vars(f.body)} | {f.var.name, x.name}
-            if isinstance(t, Var):
-                avoid.add(t.name)
-            nv = Var(_fresh_name(f.var.name, avoid))
-            body = replace_var(f.body, f.var, nv)
-            return type(f)(nv, f.domain, replace_var(body, x, t))
-        return type(f)(f.var, f.domain, replace_var(f.body, x, t))
-    raise TypeError(f"not a formula: {f!r}")
+            kids = sh.children(f)
+            avoid = {v.name for g in kids for v in free_vars(g)}
+            nv = Var(_fresh_name(f.var.name, avoid | {f.var.name, x.name}))
+            kids = [replace_var(replace_var(g, f.var, nv), x, t) for g in kids]
+            return replace(f, var=nv, **dict(zip(sh.subs, kids)))
+    return sh.rebuild(f, [replace_var(g, x, t) for g in sh.children(f)])
 
 
 def substitute(f: Formula, x: Var, t: Term) -> Formula:
@@ -422,13 +504,7 @@ def substitute(f: Formula, x: Var, t: Term) -> Formula:
 
 
 def substitute_sequent(s: Sequent, x: Var, t: Term) -> Sequent:
-    def on_slot(sl: Slot) -> Slot:
-        if isinstance(sl, Single):
-            return Single(replace_var(sl.formula, x, t))
-        return CorrPair(replace_var(sl.a, x, t), sl.tag, replace_var(sl.b, x, t))
-
-    return Sequent(tuple(on_slot(sl) for sl in s.left),
-                   tuple(on_slot(sl) for sl in s.right))
+    return map_sequent(s, lambda f: replace_var(f, x, t))
 
 
 # --------------------------------------------------------------------------
@@ -437,43 +513,29 @@ def substitute_sequent(s: Sequent, x: Var, t: Term) -> Sequent:
 def _alpha(f: Formula, g: Formula, env_f: dict, env_g: dict, depth: int) -> bool:
     if type(f) is not type(g):
         return False
-
-    def term_eq(u: Term, v: Term) -> bool:
+    sh = f.shape
+    if sh.data is not None and sh.data(f) != sh.data(g):
+        return False
+    if sh.subs:
+        if sh.binds:
+            env_f = {**env_f, f.var.name: depth}
+            env_g = {**env_g, g.var.name: depth}
+            depth += 1
+        for a, b in zip(sh.children(f), sh.children(g)):
+            if not _alpha(a, b, env_f, env_g, depth):
+                return False
+        return True
+    tf, tg = sh.terms(f), sh.terms(g)
+    if len(tf) != len(tg):
+        return False
+    for u, v in zip(tf, tg):
         if isinstance(u, Var) and isinstance(v, Var):
             du, dv = env_f.get(u.name), env_g.get(v.name)
-            if du is None and dv is None:
-                return u == v
-            return du == dv
-        return u == v
-
-    if isinstance(f, Atom):
-        return (f.pred == g.pred and f.index == g.index
-                and len(f.args) == len(g.args)
-                and all(term_eq(a, b) for a, b in zip(f.args, g.args)))
-    if isinstance(f, Member):
-        return f.domain == g.domain and term_eq(f.term, g.term)
-    if isinstance(f, DualMember):
-        return (f.domain == g.domain and f.dual == g.dual
-                and term_eq(f.term, g.term))
-    if isinstance(f, (Eq, Neq)):
-        return term_eq(f.lhs, g.lhs) and term_eq(f.rhs, g.rhs)
-    if isinstance(f, IndexRel):
-        return f == g
-    if isinstance(f, Join):
-        return (f.tag == g.tag and _alpha(f.a, g.a, env_f, env_g, depth)
-                and _alpha(f.b, g.b, env_f, env_g, depth))
-    if isinstance(f, (And, Or, Times, Par, Imp, Excl)):
-        return (_alpha(f.a, g.a, env_f, env_g, depth)
-                and _alpha(f.b, g.b, env_f, env_g, depth))
-    if isinstance(f, (Forall, Exists)):
-        if f.domain != g.domain:
+            if du != dv or (du is None and u != v):
+                return False
+        elif u != v:
             return False
-        ef = dict(env_f)
-        eg = dict(env_g)
-        ef[f.var.name] = depth
-        eg[g.var.name] = depth
-        return _alpha(f.body, g.body, ef, eg, depth + 1)
-    raise TypeError(f"not a formula: {f!r}")
+    return True
 
 
 def formula_equal(f: Formula, g: Formula) -> bool:
@@ -482,18 +544,13 @@ def formula_equal(f: Formula, g: Formula) -> bool:
 
 
 def slot_equal(a: Slot, b: Slot) -> bool:
-    if isinstance(a, Single) and isinstance(b, Single):
-        return formula_equal(a.formula, b.formula)
-    if isinstance(a, CorrPair) and isinstance(b, CorrPair):
-        return (a.tag == b.tag and formula_equal(a.a, b.a)
-                and formula_equal(a.b, b.b))
-    return False
+    return slots_match(a, b, formula_equal)
 
 
 def sequent_equal(s: Sequent, t: Sequent) -> bool:
     return (len(s.left) == len(t.left) and len(s.right) == len(t.right)
-            and all(slot_equal(a, b) for a, b in zip(s.left, t.left))
-            and all(slot_equal(a, b) for a, b in zip(s.right, t.right)))
+            and all(map(slot_equal, s.left, t.left))
+            and all(map(slot_equal, s.right, t.right)))
 
 
 # --------------------------------------------------------------------------
@@ -503,14 +560,11 @@ def index_set(f: Formula) -> frozenset:
     """Indexes of all atoms below ``f``.  Compounds derive their indexes
     from their atoms; no constructor introduces or erases one."""
     if isinstance(f, Atom):
-        return frozenset([f.index]) if f.index is not None else frozenset()
-    if isinstance(f, (Member, DualMember, Eq, Neq, IndexRel)):
-        return frozenset()
-    if isinstance(f, (And, Or, Times, Par, Imp, Excl, Join)):
-        return index_set(f.a) | index_set(f.b)
-    if isinstance(f, (Forall, Exists)):
-        return index_set(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+        return frozenset() if f.index is None else frozenset([f.index])
+    out = frozenset()
+    for g in f.shape.children(f):
+        out |= index_set(g)
+    return out
 
 
 def formula_index(f: Formula) -> Optional[Index]:
@@ -525,12 +579,5 @@ def reindex(f: Formula, old: Index, new: Index) -> Formula:
     """Rename atom index ``old`` to ``new`` throughout."""
     if isinstance(f, Atom):
         return Atom(f.pred, new, f.args) if f.index == old else f
-    if isinstance(f, (Member, DualMember, Eq, Neq, IndexRel)):
-        return f
-    if isinstance(f, (And, Or, Times, Par, Imp, Excl)):
-        return type(f)(reindex(f.a, old, new), reindex(f.b, old, new))
-    if isinstance(f, Join):
-        return Join(f.tag, reindex(f.a, old, new), reindex(f.b, old, new))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, f.domain, reindex(f.body, old, new))
-    raise TypeError(f"not a formula: {f!r}")
+    sh = f.shape
+    return sh.rebuild(f, [reindex(g, old, new) for g in sh.children(f)])

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from .domains import Registry, RegistryError
 from .dualities import IDENTITY_INV, symmetrize_formula
 from .formulas import (
-    And, Atom, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
+    And, Const, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
     IndexRel, Join, Member, Neq, Or, Outcome, Par, Sequent, Single, Slot,
     Term, Times, Var, formula_equal, formula_index, free_vars, reindex,
-    replace_var, sequent_equal, slot_equal, substitute_sequent,
+    replace_var, sequent_equal, shadows, slot_equal, slot_formulas,
+    slots_match, substitute_sequent,
 )
 
 __all__ = ["CalculusConfig", "RuleContext", "RuleError", "RULES",
@@ -104,12 +105,6 @@ def _fml(slot: Slot, what: str = "slot") -> Formula:
     return slot.formula
 
 
-def _slot_fv(slot: Slot) -> frozenset:
-    if isinstance(slot, Single):
-        return free_vars(slot.formula)
-    return free_vars(slot.a) | free_vars(slot.b)
-
-
 def _at(slots: tuple, pos, what: str) -> Slot:
     _need(isinstance(pos, int) and 0 <= pos < len(slots), "SlotMismatch",
           f"{what}: position {pos} out of range for {len(slots)} slots")
@@ -131,21 +126,11 @@ def _inserted(slots: tuple, pos, slot: Slot) -> tuple:
 
 
 def _var_fresh_for(z: Var, slots) -> bool:
-    return all(z not in _slot_fv(s) for s in slots)
+    return all(z not in free_vars(f) for s in slots for f in slot_formulas(s))
 
 
 # --------------------------------------------------------------------------
 # occurrence-level replacement check for the equality rules
-
-def _term_swap_ok(a: Term, b: Term, s: Term, t: Term, s_ok: bool, t_ok: bool) -> bool:
-    if a == b:
-        return True
-    if s_ok and a == s and b == t:
-        return True
-    if t_ok and a == t and b == s:
-        return True
-    return False
-
 
 def _replaceable(f: Formula, g: Formula, s: Term, t: Term,
                  s_ok: bool = True, t_ok: bool = True) -> bool:
@@ -153,46 +138,29 @@ def _replaceable(f: Formula, g: Formula, s: Term, t: Term,
     ``s`` and ``t`` (each occurrence independently, either direction)."""
     if type(f) is not type(g):
         return False
-    ok = lambda a, b: _term_swap_ok(a, b, s, t, s_ok, t_ok)
-    if isinstance(f, Atom):
-        return (f.pred == g.pred and f.index == g.index
-                and len(f.args) == len(g.args)
-                and all(ok(a, b) for a, b in zip(f.args, g.args)))
-    if isinstance(f, Member):
-        return f.domain == g.domain and ok(f.term, g.term)
-    if isinstance(f, DualMember):
-        return (f.domain == g.domain and f.dual == g.dual
-                and ok(f.term, g.term))
-    if isinstance(f, (Eq, Neq)):
-        return ok(f.lhs, g.lhs) and ok(f.rhs, g.rhs)
-    if isinstance(f, IndexRel):
-        return f == g
-    if isinstance(f, (And, Or, Times, Par, Imp, Excl)):
-        return (_replaceable(f.a, g.a, s, t, s_ok, t_ok)
-                and _replaceable(f.b, g.b, s, t, s_ok, t_ok))
-    if isinstance(f, Join):
-        return (f.tag == g.tag
-                and _replaceable(f.a, g.a, s, t, s_ok, t_ok)
-                and _replaceable(f.b, g.b, s, t, s_ok, t_ok))
-    if isinstance(f, (Forall, Exists)):
-        if f.var != g.var or f.domain != g.domain:
-            # replacement never renames binders
+    sh = f.shape
+    if sh.data is not None and sh.data(f) != sh.data(g):
+        return False
+    tf, tg = sh.terms(f), sh.terms(g)
+    if len(tf) != len(tg):
+        return False
+    for a, b in zip(tf, tg):
+        if not (a == b or s_ok and a == s and b == t
+                or t_ok and a == t and b == s):
             return False
-        # shadowing: occurrences of a bound name are not free, and a swap
-        # may not introduce a variable the binder would capture
-        if f.var == s or f.var == t:
+    if sh.binds:
+        if f.var != g.var:
+            return False  # replacement never renames binders
+        if shadows(f.var, s, t):
             s_ok = t_ok = False
-        return _replaceable(f.body, g.body, s, t, s_ok, t_ok)
-    return False
+    for a, b in zip(sh.children(f), sh.children(g)):
+        if not _replaceable(a, b, s, t, s_ok, t_ok):
+            return False
+    return True
 
 
 def _slot_replaceable(a: Slot, b: Slot, s: Term, t: Term) -> bool:
-    if isinstance(a, Single) and isinstance(b, Single):
-        return _replaceable(a.formula, b.formula, s, t)
-    if isinstance(a, CorrPair) and isinstance(b, CorrPair):
-        return (a.tag == b.tag and _replaceable(a.a, b.a, s, t)
-                and _replaceable(a.b, b.b, s, t))
-    return False
+    return slots_match(a, b, lambda f, g: _replaceable(f, g, s, t))
 
 
 # --------------------------------------------------------------------------
@@ -200,6 +168,21 @@ def _slot_replaceable(a: Slot, b: Slot, s: Term, t: Term) -> bool:
 
 RULES: dict = {}
 MACRO_RULES: set = set()
+
+# the kind of value each rule parameter takes; the script parser reads
+# parameter text by it
+_PARAM_KIND = {
+    "pos": "int", "mpos": "int", "qpos": "int", "dpos": "int",
+    "relpos": "int", "i": "int", "j": "int", "lpos": "int", "rpos": "int",
+    "apos": "int", "bpos": "int",
+    "as_eq": "bool",
+    "a": "formula", "other": "formula", "formula": "formula", "body": "formula",
+    "t": "term", "s": "term", "term": "term",
+    "var": "term", "z": "term", "y": "term", "hole": "term",
+    "domain": "str", "dual": "str",
+}
+_KIND_TYPE = {"int": int, "bool": bool, "formula": Formula,
+              "term": (Var, Const, Outcome), "str": str}
 
 
 def _rule(name: str, arity: int, macro: bool = False):
@@ -222,6 +205,12 @@ def validate_rule(name: str, params: dict, premises, claimed, ctx) -> Sequent:
     arity, fn = RULES[name]
     _need(len(premises) == arity, "ArityMismatch",
           f"{name} expects {arity} premises, got {len(premises)}")
+    for key, value in params.items():
+        kind = _PARAM_KIND.get(key)
+        if kind is not None and (not isinstance(value, _KIND_TYPE[kind])
+                                 or kind == "int" and isinstance(value, bool)):
+            raise RuleError("BadParameter",
+                            f"{name}: {key} must be a {kind}, got {value!r}")
     try:
         conclusion = fn(params, tuple(premises), claimed, ctx)
     except KeyError as e:
@@ -675,7 +664,7 @@ def _join_license(ctx: RuleContext, s: Sequent, a: Formula, b: Formula) -> None:
         return dom in ctx.registry and ctx.registry.get(dom).virtual_singleton
 
     for slot in s.left + s.right:
-        for f in (slot.formula,) if isinstance(slot, Single) else (slot.a, slot.b):
+        for f in slot_formulas(slot):
             if isinstance(f, (Member, DualMember)) and virtual(f.domain):
                 return
     if all(isinstance(f, (Forall, Exists)) and virtual(f.domain)

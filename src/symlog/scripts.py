@@ -28,10 +28,11 @@ from .domains import DomainRecord, Registry
 from .formulas import (
     And, Atom, Const, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula,
     IConst, IVar, Imp, Index, IndexRel, Join, Member, Neq, Or, Outcome, Par,
-    Sequent, Single, Slot, Term, Times, Var, tag_from_short,
+    Sequent, Single, Slot, Term, Times, Var, free_vars, slot_formulas,
+    subformulas, tag_from_short,
 )
 from .kernel import ProofNode
-from .rules import CalculusConfig
+from .rules import _PARAM_KIND, CalculusConfig
 
 __all__ = [
     "ParseError", "Script", "parse_script", "print_script",
@@ -97,6 +98,7 @@ class _Stream:
         self.toks = toks
         self.i = 0
         self.consts = consts or set()
+        self.open = 0  # formulas being parsed, one inside the next
 
     def peek(self, ahead: int = 0) -> Tok:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -187,51 +189,65 @@ def _parse_index(s: _Stream) -> Index:
 # --------------------------------------------------------------------------
 # formulas
 
-_LEVELS = ("arrow", "join", "or", "and", "par", "times")
-
 _OP_LEVEL = {Imp: 0, Excl: 0, Join: 1, Or: 2, And: 3, Par: 4, Times: 5}
-_OP_TEXT = {Imp: "->", Excl: "<-", Or: "\\/", And: "&", Par: "*", Times: "(x)"}
+_OP_TOKEN = {"->": Imp, "<-": Excl, "join_i": Join, "join_o": Join,
+             "\\/": Or, "&": And, "*": Par, "(x)": Times}
+_OP_TEXT = {ctor: text for text, ctor in _OP_TOKEN.items() if ctor is not Join}
+
+# The deepest formula the parser builds.  A connective, a quantifier and a
+# pair of parentheses each add one level.  Formula walks and the
+# dataclasses' own hash, == and repr recurse once or more per level, so the
+# bound keeps every parsed formula well inside Python's recursion limit.
+MAX_NESTING = 200
 
 
-def _parse_formula(s: _Stream, level: int = 0) -> Formula:
-    if level >= len(_LEVELS):
-        return _parse_primary(s)
-    lhs = _parse_formula(s, level + 1)
-    name = _LEVELS[level]
-    t = s.peek()
-    if name == "arrow":
-        if t.text in ("->", "<-"):
-            s.next()
-            ctor = Imp if t.text == "->" else Excl
-            return ctor(lhs, _parse_formula(s, level + 1))
-    elif name == "join":
-        if t.text in ("join_i", "join_o"):
-            s.next()
-            return Join(tag_from_short(t.text[-1]), lhs,
-                        _parse_formula(s, level + 1))
-    elif name == "or" and t.text == "\\/":
-        s.next()
-        return Or(lhs, _parse_formula(s, level + 1))
-    elif name == "and" and t.text == "&":
-        s.next()
-        return And(lhs, _parse_formula(s, level + 1))
-    elif name == "par" and t.text == "*":
-        s.next()
-        return Par(lhs, _parse_formula(s, level + 1))
-    elif name == "times" and (t.text == "(" and s.peek(1).text == "x"
-                              and s.peek(2).text == ")"):
-        s.next()
-        s.next()
-        s.next()
-        return Times(lhs, _parse_formula(s, level + 1))
-    return lhs
+def _too_deep(t: Tok) -> ParseError:
+    return ParseError(t.line, t.col,
+                      f"a formula nested at most {MAX_NESTING} levels deep",
+                      t.text)
 
 
-def _parse_primary(s: _Stream) -> Formula:
+def _operator(s: _Stream, level: int):
+    """Consume the binary operator of precedence ``level`` at the cursor,
+    if there is one, and return what builds its formula from the operands."""
+    text = s.peek().text
+    if text == "(" and s.peek(1).text == "x" and s.peek(2).text == ")":
+        text = "(x)"
+    ctor = _OP_TOKEN.get(text)
+    if ctor is None or _OP_LEVEL[ctor] != level:
+        return None
+    for _ in range(3 if text == "(x)" else 1):
+        s.next()
+    if ctor is Join:
+        return lambda a, b: Join(tag_from_short(text[-1]), a, b)
+    return ctor
+
+
+def _parse_formula(s: _Stream, level: int = 0) -> tuple:
+    """Parse a formula whose operators bind at ``level`` or tighter, and
+    return it with its nesting depth.  Each operator level takes at most
+    one operator: the operators do not associate."""
+    start = s.peek()
+    s.open += 1
+    if s.open > MAX_NESTING:
+        raise _too_deep(start)
+    f, depth = _parse_primary(s)
+    for lv in range(_OP_LEVEL[Times], level - 1, -1):
+        ctor = _operator(s, lv)
+        if ctor is not None:
+            rhs, rdepth = _parse_formula(s, lv + 1)
+            f, depth = ctor(f, rhs), max(depth, rdepth) + 1
+    if depth > MAX_NESTING:
+        raise _too_deep(start)
+    s.open -= 1
+    return f, depth
+
+
+def _parse_primary(s: _Stream) -> tuple:
     t = s.peek()
     if t.text == "(":
         s.next()
-        inner = _parse_formula(s, 0)
+        inner, depth = _parse_formula(s, 0)
         s.eat(")")
         if s.at("^"):
             s.next()
@@ -239,23 +255,23 @@ def _parse_primary(s: _Stream) -> Formula:
             if not isinstance(inner, Member):
                 raise ParseError(t.line, t.col,
                                  "a membership inside (...)^dual", "formula")
-            return DualMember(inner.term, inner.domain, dual)
-        return inner
+            inner = DualMember(inner.term, inner.domain, dual)
+        return inner, depth + 1
     if t.text in ("forall", "exists"):
         s.next()
         v = Var(s.ident("a bound variable"))
         s.eat("in")
         dom = s.ident("a domain name")
         s.eat(".")
-        body = _parse_formula(s, 0)
-        return (Forall if t.text == "forall" else Exists)(v, dom, body)
+        body, depth = _parse_formula(s, 0)
+        return (Forall if t.text == "forall" else Exists)(v, dom, body), depth + 1
     if t.kind == "num":
         i = _parse_index(s)
         op = s.next()
         if op.text not in ("~i", "~o"):
             raise ParseError(op.line, op.col, "~i or ~o", op.text)
         j = _parse_index(s)
-        return IndexRel(i, tag_from_short(op.text[-1]), j)
+        return IndexRel(i, tag_from_short(op.text[-1]), j), 1
     if t.kind != "ident":
         raise ParseError(t.line, t.col, "a formula", t.text)
     # identifier: atom, membership, equality, or an index relation over IVar
@@ -263,19 +279,19 @@ def _parse_primary(s: _Stream) -> Formula:
         i = _parse_index(s)
         op = s.next()
         j = _parse_index(s)
-        return IndexRel(i, tag_from_short(op.text[-1]), j)
+        return IndexRel(i, tag_from_short(op.text[-1]), j), 1
     start = s.i
     term = _parse_term(s)
     nxt = s.peek()
     if nxt.text == "in":
         s.next()
-        return Member(term, s.ident("a domain name"))
+        return Member(term, s.ident("a domain name")), 1
     if nxt.text == "=":
         s.next()
-        return Eq(term, _parse_term(s))
+        return Eq(term, _parse_term(s)), 1
     if nxt.text == "/=":
         s.next()
-        return Neq(term, _parse_term(s))
+        return Neq(term, _parse_term(s)), 1
     # plain atom: re-read as predicate with optional index and arguments
     s.i = start
     pred = s.ident("a predicate")
@@ -294,12 +310,12 @@ def _parse_primary(s: _Stream) -> Formula:
             items.append(_parse_term(s))
         s.eat(")")
         args = tuple(items)
-    return Atom(pred, index, args)
+    return Atom(pred, index, args), 1
 
 
 def parse_formula(text: str, consts: Optional[set] = None) -> Formula:
     s = _Stream(_lex(text), consts)
-    f = _parse_formula(s, 0)
+    f, _ = _parse_formula(s, 0)
     s.expect_end()
     return f
 
@@ -347,10 +363,10 @@ def _parse_slots(s: _Stream, stop: str) -> tuple:
     if s.at(stop) or s.done():
         return tuple(slots)
     while True:
-        a = _parse_formula(s, 0)
+        a, _ = _parse_formula(s, 0)
         if s.peek().text in (",_i", ",_o"):
             tag = tag_from_short(s.next().text[-1])
-            b = _parse_formula(s, 0)
+            b, _ = _parse_formula(s, 0)
             slots.append(CorrPair(a, tag, b))
         else:
             slots.append(Single(a))
@@ -392,18 +408,6 @@ def print_sequent(s: Sequent) -> str:
 
 # --------------------------------------------------------------------------
 # rule parameters
-
-_PARAM_KIND = {
-    "pos": "int", "mpos": "int", "qpos": "int", "dpos": "int",
-    "relpos": "int", "i": "int", "j": "int", "lpos": "int", "rpos": "int",
-    "apos": "int", "bpos": "int",
-    "as_eq": "bool",
-    "a": "formula", "other": "formula", "formula": "formula", "body": "formula",
-    "t": "term", "s": "term", "term": "term",
-    "var": "term", "z": "term", "y": "term", "hole": "term",
-    "domain": "str", "dual": "str",
-}
-
 
 def print_param(v) -> str:
     if isinstance(v, bool):
@@ -668,16 +672,14 @@ def _check_unique(name: str, known: set, lineno: int) -> None:
 
 
 def _domain_refs(f: Formula):
-    from .formulas import subformulas
     for g in subformulas(f):
         if isinstance(g, (Member, DualMember, Forall, Exists)):
             yield g.domain
 
 
 def _formula_vars(f: Formula):
-    from .formulas import free_vars, subformulas
     for g in subformulas(f):
-        if isinstance(g, (Forall, Exists)):
+        if g.shape.binds:
             yield g.var
     yield from free_vars(f)
 
@@ -690,8 +692,7 @@ def _validate_refs(sc: Script) -> None:
 
     def check_sequent(s: Sequent, where: str) -> None:
         for slot in s.left + s.right:
-            fs = (slot.formula,) if isinstance(slot, Single) else (slot.a, slot.b)
-            for f in fs:
+            for f in slot_formulas(slot):
                 for dom in _domain_refs(f):
                     if dom not in declared:
                         raise ParseError(0, 0, f"a declared domain ({where})",

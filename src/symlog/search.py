@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .formulas import (
-    And, Atom, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
+    And, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
     IndexRel, Join, Member, Neq, Or, Par, Sequent, Single, Slot, Term, Times,
-    Var, formula_equal, replace_var, sequent_free_vars, slot_equal,
+    Var, formula_equal, formula_index, map_sequent, replace_var,
+    sequent_free_vars, shadows, slot_equal, slot_formulas,
 )
 from .kernel import ProofNode
 from .rules import CalculusConfig, RuleContext, RuleError, validate_rule
@@ -249,7 +250,7 @@ class _Engine:
     def _right_moves(self, goal: Sequent) -> Iterator:
         for pos, slot in enumerate(goal.right):
             if isinstance(slot, CorrPair):
-                ia, ib = _indexes(slot)
+                ia, ib = map(formula_index, slot_formulas(slot))
                 if ia is not None and ib is not None:
                     rel = IndexRel(ia, slot.tag, ib)
                     prem = Sequent(goal.left + (Single(rel),),
@@ -479,11 +480,6 @@ def _drop_l(goal: Sequent, pos: int) -> tuple:
     return goal.left[:pos] + goal.left[pos + 1:]
 
 
-def _indexes(slot: CorrPair):
-    from .formulas import formula_index
-    return formula_index(slot.a), formula_index(slot.b)
-
-
 def _pick_var(f, goal: Sequent) -> Var:
     used = sequent_free_vars(goal)
     if f.var not in used:
@@ -502,62 +498,34 @@ def _fresh_var(base: str, used) -> Var:
 
 
 def _term_in_formula(f: Formula, t: Term) -> bool:
-    if isinstance(f, Atom):
-        return t in f.args
-    if isinstance(f, (Member, DualMember)):
-        return f.term == t
-    if isinstance(f, (Eq, Neq)):
-        return t in (f.lhs, f.rhs)
-    if isinstance(f, (And, Or, Times, Par, Imp, Excl, Join)):
-        return _term_in_formula(f.a, t) or _term_in_formula(f.b, t)
-    if isinstance(f, (Forall, Exists)):
-        return _term_in_formula(f.body, t)
+    sh = f.shape
+    if t in sh.terms(f):
+        return True
+    for g in sh.children(f):
+        if _term_in_formula(g, t):
+            return True
     return False
 
 
 def _term_in_sequent(s: Sequent, t: Term) -> bool:
     for slot in s.left + s.right:
-        fs = (slot.formula,) if isinstance(slot, Single) else (slot.a, slot.b)
-        if any(_term_in_formula(f, t) for f in fs):
-            return True
+        for f in slot_formulas(slot):
+            if _term_in_formula(f, t):
+                return True
     return False
 
 
 def _swap_term_formula(f: Formula, old: Term, new: Term) -> Formula:
-    sw = lambda u: new if u == old else u
-    if isinstance(f, Atom):
-        return Atom(f.pred, f.index, tuple(sw(a) for a in f.args))
-    if isinstance(f, Member):
-        return Member(sw(f.term), f.domain)
-    if isinstance(f, DualMember):
-        return DualMember(sw(f.term), f.domain, f.dual)
-    if isinstance(f, Eq):
-        return Eq(sw(f.lhs), sw(f.rhs))
-    if isinstance(f, Neq):
-        return Neq(sw(f.lhs), sw(f.rhs))
-    if isinstance(f, IndexRel):
+    sh = f.shape
+    if not sh.subs:
+        return sh.rebuild(f, (), [new if u == old else u for u in sh.terms(f)])
+    if sh.binds and shadows(f.var, old, new):
         return f
-    if isinstance(f, (And, Or, Times, Par, Imp, Excl)):
-        return type(f)(_swap_term_formula(f.a, old, new),
-                       _swap_term_formula(f.b, old, new))
-    if isinstance(f, Join):
-        return Join(f.tag, _swap_term_formula(f.a, old, new),
-                    _swap_term_formula(f.b, old, new))
-    if isinstance(f, (Forall, Exists)):
-        if f.var in (old, new):
-            return f
-        return type(f)(f.var, f.domain, _swap_term_formula(f.body, old, new))
-    return f
+    return sh.rebuild(f, [_swap_term_formula(g, old, new) for g in sh.children(f)])
 
 
 def _swap_term_sequent(s: Sequent, old: Term, new: Term) -> Sequent:
-    def on(slot: Slot) -> Slot:
-        if isinstance(slot, Single):
-            return Single(_swap_term_formula(slot.formula, old, new))
-        return CorrPair(_swap_term_formula(slot.a, old, new), slot.tag,
-                        _swap_term_formula(slot.b, old, new))
-
-    return Sequent(tuple(on(x) for x in s.left), tuple(on(x) for x in s.right))
+    return map_sequent(s, lambda f: _swap_term_formula(f, old, new))
 
 
 def _replacement_premises(rest: Sequent, s: Term, t: Term):

@@ -180,3 +180,55 @@ def test_commands_reject_flags_they_ignore(ext_script, capsys):
                  ["guard", "V", "--d-axiom", "V:d"]):
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_check_reports_wrong_parameter_kind(tmp_path, capsys):
+    bad = tmp_path / "kind.blq"
+    bad.write_text("proof p : p, p |- p\ncontract_l i=x j=1\n  id a={p}\n")
+    rc = main(["check", str(bad)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out.strip() == "p: FAIL"
+    assert err == ""
+
+
+def _nested_and(depth: int) -> str:
+    text = "p"
+    for _ in range(depth):
+        text = f"({text} & p)"
+    return text
+
+
+@pytest.mark.parametrize("formula", [_nested_and(1200),
+                                     "(" * 2000 + "p" + ")" * 2000])
+def test_search_rejects_deep_nesting(tmp_path, capsys, formula):
+    path = tmp_path / "deep.blq"
+    path.write_text(f"sequent deep : {formula} |- p\n")
+    rc = main(["search", str(path), "--name", "deep", "--depth", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1
+    assert "nested at most" in err
+
+
+def test_check_accepts_nesting_at_the_limit(tmp_path, capsys):
+    from symlog.scripts import MAX_NESTING
+    deep = "forall x in D . " * (MAX_NESTING - 1) + "p"
+    path = tmp_path / "limit.blq"
+    path.write_text(f"domain D = {{ t@1 }}\nproof p : {deep} |- {deep}\n"
+                    f"id a={{{deep}}}\n")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "p: ok"
+    path.write_text(f"domain D = {{ t@1 }}\nsequent s : exists y in D . {deep} |-\n")
+    assert main(["check", str(path)]) == 2
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    import symlog.cli as cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "corpus", boom)
+    assert main(["corpus"]) == 3
+    assert capsys.readouterr().err == "symlog: internal error: RuntimeError: boom\n"

@@ -289,3 +289,13 @@ def test_malformed_d_axiom_reports_without_raising(config, registry):
     rep = check_proof(mk("d_axiom", {"domain": "V"}), config, registry)
     assert rep.failures[0].reason.startswith("MissingParameter")
     assert rep.stats["d_axiom_pairs"] == {}
+
+
+def test_wrong_parameter_kind_is_a_failure(config, registry):
+    rep = check_proof(mk("id", {"a": "p"}), config, registry)
+    assert not rep.ok
+    assert rep.failures[0].reason.startswith("BadParameter")
+    for params in ({"i": True, "j": 1}, {"i": "x", "j": 1}):
+        node = mk("contract_l", params, mk("id", {"a": p}))
+        assert check_proof(node, config, registry).failures[0].reason \
+            .startswith("BadParameter")

@@ -1,0 +1,186 @@
+"""Every formula walk on one hand-built sample of each constructor, and a
+digest pinning the walks' outputs on random formulas."""
+import dataclasses
+import hashlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from symlog.dualities import (
+    IDENTITY_INV, PERP_INV, TOP_INV, LiteralInvolution, symmetrize_formula,
+)
+from symlog.formulas import (
+    And, Atom, DualMember, Eq, Excl, Exists, Forall, Formula, IConst,
+    IDENTICAL, Imp, IndexRel, Join, Member, Neq, OPPOSITE, Or, Outcome, Par,
+    Times, Var, formula_equal, free_vars, index_set, reindex, replace_var,
+    subformulas,
+)
+from symlog.rules import _replaceable
+from symlog.search import _swap_term_formula, _term_in_formula
+
+from genlib import random_formula
+
+z, y, w = Var("z"), Var("y"), Var("w")
+up, down = Outcome("up", Fraction(1)), Outcome("down", Fraction(1))
+i1, i2, i3 = IConst(1), IConst(2), IConst(3)
+A1 = Atom("A", i1, (z,))
+B2 = Atom("B", i2, (up,))
+
+
+def C(a, b):
+    return Atom("C", None, (a, b))
+
+
+# Each row: a sample, then the expected results of the walks on it:
+# children, terms, free_vars, replace_var(z -> y), index_set,
+# reindex(1 -> 3), symmetrize under identity, z occurs, up occurs,
+# swap(z, up), and replaceable(f, g, z, up) for each listed g.
+ROWS = [
+    (Atom("A", i1, (z, up)), (), (z, up), {z}, Atom("A", i1, (y, up)), {i1},
+     Atom("A", i3, (z, up)), Atom("A", i1, (z, up)), True, True,
+     Atom("A", i1, (up, up)),
+     {Atom("A", i1, (up, z)): True, Atom("A", i1, (up, up)): True,
+      Atom("A", i1, (y, up)): False, Atom("A", i2, (z, up)): False}),
+    (Member(z, "D"), (), (z,), {z}, Member(y, "D"), set(), Member(z, "D"),
+     DualMember(z, "D", "identity"), True, False, Member(up, "D"),
+     {Member(up, "D"): True, Member(z, "V"): False}),
+    (DualMember(z, "D", "d"), (), (z,), {z}, DualMember(y, "D", "d"), set(),
+     DualMember(z, "D", "d"), DualMember(z, "D", "d"), True, False,
+     DualMember(up, "D", "d"),
+     {DualMember(up, "D", "d"): True, DualMember(up, "D", "e"): False}),
+    (Eq(z, up), (), (z, up), {z}, Eq(y, up), set(), Eq(z, up), Neq(z, up),
+     True, True, Eq(up, up), {Eq(up, z): True, Neq(z, up): False}),
+    (Neq(z, up), (), (z, up), {z}, Neq(y, up), set(), Neq(z, up), Eq(z, up),
+     True, True, Neq(up, up), {Neq(z, z): True, Neq(up, up): True}),
+    (IndexRel(i1, OPPOSITE, i2), (), (), set(), IndexRel(i1, OPPOSITE, i2),
+     set(), IndexRel(i1, OPPOSITE, i2), IndexRel(i2, OPPOSITE, i1), False,
+     False, IndexRel(i1, OPPOSITE, i2),
+     {IndexRel(i1, OPPOSITE, i2): True, IndexRel(i1, IDENTICAL, i2): False}),
+    (Join(IDENTICAL, A1, B2), (A1, B2), (), {z},
+     Join(IDENTICAL, Atom("A", i1, (y,)), B2), {i1, i2},
+     Join(IDENTICAL, Atom("A", i3, (z,)), B2), Join(IDENTICAL, B2, A1),
+     True, True, Join(IDENTICAL, Atom("A", i1, (up,)), B2),
+     {Join(IDENTICAL, Atom("A", i1, (up,)), B2): True,
+      Join(OPPOSITE, A1, B2): False}),
+    (Forall(y, "D", C(y, z)), (C(y, z),), (), {z},
+     Forall(Var("y1"), "D", C(Var("y1"), y)), set(), Forall(y, "D", C(y, z)),
+     Exists(y, "D", C(y, z)), True, False, Forall(y, "D", C(y, up)),
+     {Forall(y, "D", C(y, up)): True, Forall(w, "D", C(w, up)): False,
+      Forall(y, "V", C(y, up)): False}),
+    (Exists(z, "D", C(z, w)), (C(z, w),), (), {w}, Exists(z, "D", C(z, w)),
+     set(), Exists(z, "D", C(z, w)), Forall(z, "D", C(z, w)), True, False,
+     Exists(z, "D", C(z, w)),
+     {Exists(z, "D", C(z, w)): True, Exists(z, "D", C(up, w)): False}),
+]
+for ctor, mate in ((And, Or), (Or, And), (Times, Par), (Par, Times),
+                   (Imp, Excl), (Excl, Imp)):
+    ROWS.append(
+        (ctor(A1, B2), (A1, B2), (), {z}, ctor(Atom("A", i1, (y,)), B2),
+         {i1, i2}, ctor(Atom("A", i3, (z,)), B2), mate(B2, A1), True, True,
+         ctor(Atom("A", i1, (up,)), B2),
+         {ctor(Atom("A", i1, (up,)), B2): True,
+          ctor(Atom("A", i1, (up,)), Atom("B", i2, (up,))): True,
+          mate(A1, B2): False, ctor(A1, Atom("B", i2, (y,))): False}))
+
+
+def test_rows_cover_every_constructor():
+    assert {type(row[0]) for row in ROWS} == set(Formula.__subclasses__())
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: type(row[0]).__name__)
+def test_walks_on_each_constructor(row):
+    (f, kids, terms, fv, replaced, indexes, reindexed, sym, has_z, has_up,
+     swapped, replaceable) = row
+    assert f.shape.children(f) == kids
+    assert f.shape.terms(f) == terms
+    assert f.shape.rebuild(f, kids) == f
+    assert list(subformulas(f)) == [f, *kids]
+    assert free_vars(f) == fv
+    assert replace_var(f, z, y) == replaced
+    assert index_set(f) == indexes
+    assert reindex(f, i1, i3) == reindexed
+    assert symmetrize_formula(f, IDENTITY_INV) == sym
+    assert symmetrize_formula(sym, IDENTITY_INV) == f
+    assert (_term_in_formula(f, z), _term_in_formula(f, up)) == (has_z, has_up)
+    assert _swap_term_formula(f, z, up) == swapped
+    assert formula_equal(f, f) and formula_equal(f, swapped) == (f == swapped)
+    for g, want in replaceable.items():
+        assert _replaceable(f, g, z, up) is want
+
+
+def test_binders_rename_and_shadow():
+    f = Forall(y, "D", C(y, z))
+    assert replace_var(f, y, up) == f
+    assert formula_equal(f, Forall(w, "D", C(w, z)))
+    assert not formula_equal(f, Forall(z, "D", C(z, z)))
+    assert _swap_term_formula(f, y, up) == f
+    assert not _replaceable(f, Forall(y, "D", C(up, z)), y, up)
+    assert _replaceable(f, f, y, up)
+    self_dual = LiteralInvolution("top", self_dual_domains={"D"})
+    assert symmetrize_formula(f, self_dual) == f
+
+
+def test_join_reindex_keeps_distinct_indexes():
+    with pytest.raises(ValueError):
+        reindex(Join(IDENTICAL, A1, B2), i1, i2)
+
+
+# --------------------------------------------------------------------------
+# golden digest
+
+VARS = tuple(Var(n) for n in ("z", "y", "w", "v"))
+TERMS = VARS + (Outcome("t1", Fraction(1, 2)), Outcome("t2", Fraction(1, 2)),
+                down, up)
+INVS = (IDENTITY_INV, PERP_INV, TOP_INV, LiteralInvolution("d"))
+
+# sha256 of the outputs below as the per-constructor isinstance walks gave
+# them, before every walk moved onto the declared formula shapes
+WALK_DIGEST = "2819881e60bb886e733a543c19ceda439066b2085477e819117eed835f455be6"
+
+
+def _walk_digest(n: int = 2000, seed: int = 3) -> str:
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+
+    def put(tag, value):
+        h.update(f"{tag}:{value!r}\n".encode())
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError as e:
+            return type(e).__name__
+
+    prev = random_formula(rng, 2)
+    for _ in range(n):
+        f = random_formula(rng, rng.randrange(1, 6),
+                           rng.choice(("identity", "perp", "top", "d")))
+        s, t = rng.sample(TERMS, 2)
+        x, x2 = rng.sample(VARS, 2)
+        put("subformulas", list(subformulas(f)))
+        put("free_vars", sorted(map(repr, free_vars(f))))
+        put("index_set", sorted(map(repr, index_set(f))))
+        put("reindex", [outcome(reindex, f, IConst(i), IConst(3 - i))
+                        for i in (1, 2)])
+        put("replace_var", [replace_var(f, x, u) for u in (x2, s, t)])
+        put("symmetrize", [symmetrize_formula(f, inv) for inv in INVS])
+        put("term_in", [_term_in_formula(f, u) for u in TERMS])
+        swapped = [_swap_term_formula(f, s, t), _swap_term_formula(f, t, s)]
+        if hasattr(f, "a"):
+            swapped.append(dataclasses.replace(
+                f, a=_swap_term_formula(f.a, s, t)))
+        put("swap", swapped)
+        put("alpha", [formula_equal(f, g) for g in [f, prev] + swapped]
+            + [formula_equal(Forall(x, "D", f),
+                             Forall(x2, "D", replace_var(f, x, x2)))])
+        put("replaceable",
+            [_replaceable(a, b, s, t, *oks)
+             for a, b in [(f, g) for g in swapped + [prev]] + [(swapped[0], f)]
+             for oks in ((True, True), (True, False), (False, True))])
+        prev = f
+    return h.hexdigest()
+
+
+def test_walk_digest_unchanged():
+    assert _walk_digest() == WALK_DIGEST
