@@ -10,12 +10,17 @@ Operators, loosest binding first::
     *             multiplicative disjunction
     (x)           multiplicative conjunction
 
+No binary operator associates: a chain of two needs parentheses, as in
+``(p & q) & r`` or ``p -> (q -> r)``; ``p & q & r`` is a parse error that
+says so.
+
 Atoms are ``name``, ``name_1(args)``; membership is ``t in D`` and its
 dual ``(t in D)^d``; equality ``s = t`` and ``s /= t``; index relations
 ``1 ~i 2``.  Outcome terms pair a label with an exact rational: ``up@1/2``.
 Sequent slots are comma-separated; a correlated pair is written with an
 indexed comma: ``A_1(z) ,_i A_2(z)``.  Proof trees nest premises by
-two-space indentation.
+two-space indentation.  Formulas and proofs nest at most ``MAX_NESTING``
+levels deep.
 """
 from __future__ import annotations
 
@@ -194,10 +199,12 @@ _OP_TOKEN = {"->": Imp, "<-": Excl, "join_i": Join, "join_o": Join,
              "\\/": Or, "&": And, "*": Par, "(x)": Times}
 _OP_TEXT = {ctor: text for text, ctor in _OP_TOKEN.items() if ctor is not Join}
 
-# The deepest formula the parser builds.  A connective, a quantifier and a
-# pair of parentheses each add one level.  Formula walks and the
-# dataclasses' own hash, == and repr recurse once or more per level, so the
-# bound keeps every parsed formula well inside Python's recursion limit.
+# The deepest formula, and the tallest proof, the parser builds.  A
+# connective, a quantifier and a pair of parentheses each add one formula
+# level; each proof node on a root-to-leaf path adds one proof level.
+# Formula walks, the dataclasses' own hash, == and repr, and the proof
+# parser and checker recurse once or more per level, so the bound keeps
+# every parsed formula and proof well inside Python's recursion limit.
 MAX_NESTING = 200
 
 
@@ -207,12 +214,18 @@ def _too_deep(t: Tok) -> ParseError:
                       t.text)
 
 
+def _operator_text(s: _Stream) -> str:
+    """The binary operator at the cursor, or '' when there is none."""
+    text = s.peek().text
+    if text == "(" and s.peek(1).text == "x" and s.peek(2).text == ")":
+        return "(x)"
+    return text if text in _OP_TOKEN else ""
+
+
 def _operator(s: _Stream, level: int):
     """Consume the binary operator of precedence ``level`` at the cursor,
     if there is one, and return what builds its formula from the operands."""
-    text = s.peek().text
-    if text == "(" and s.peek(1).text == "x" and s.peek(2).text == ")":
-        text = "(x)"
+    text = _operator_text(s)
     ctor = _OP_TOKEN.get(text)
     if ctor is None or _OP_LEVEL[ctor] != level:
         return None
@@ -223,10 +236,13 @@ def _operator(s: _Stream, level: int):
     return ctor
 
 
-def _parse_formula(s: _Stream, level: int = 0) -> tuple:
+def _parse_formula(s: _Stream, level: int = 0, last: bool = True) -> tuple:
     """Parse a formula whose operators bind at ``level`` or tighter, and
     return it with its nesting depth.  Each operator level takes at most
-    one operator: the operators do not associate."""
+    one operator: the operators do not associate, and an operator left over
+    at level 0 is an error.  ``last`` is False only for a quantifier body,
+    which an operator may follow: ``forall x in D . p & q & r`` reads
+    ``(forall x in D . p & q) & r``."""
     start = s.peek()
     s.open += 1
     if s.open > MAX_NESTING:
@@ -237,6 +253,10 @@ def _parse_formula(s: _Stream, level: int = 0) -> tuple:
         if ctor is not None:
             rhs, rdepth = _parse_formula(s, lv + 1)
             f, depth = ctor(f, rhs), max(depth, rdepth) + 1
+    if level == 0 and last and _operator_text(s):
+        t = s.peek()
+        raise ParseError(t.line, t.col, "parentheses around a chain of binary "
+                         "operators, which do not associate", t.text)
     if depth > MAX_NESTING:
         raise _too_deep(start)
     s.open -= 1
@@ -263,7 +283,7 @@ def _parse_primary(s: _Stream) -> tuple:
         s.eat("in")
         dom = s.ident("a domain name")
         s.eat(".")
-        body, depth = _parse_formula(s, 0)
+        body, depth = _parse_formula(s, 0, last=False)
         return (Forall if t.text == "forall" else Exists)(v, dom, body), depth + 1
     if t.kind == "num":
         i = _parse_index(s)
@@ -499,6 +519,10 @@ def parse_proof_block(lines: list, start: int, indent: int,
         if depth > child_indent:
             raise ParseError(i + 1, depth + 1,
                              f"indentation {child_indent}", line.strip()[:10])
+        if child_indent // 2 >= MAX_NESTING:
+            raise ParseError(i + 1, depth + 1,
+                             f"a proof nested at most {MAX_NESTING} levels deep",
+                             line.strip()[:10])
         child, i = parse_proof_block(lines, i, child_indent, consts)
         premises.append(child)
     return ProofNode(node.rule, node.params, tuple(premises),

@@ -10,6 +10,18 @@ longest root-to-leaf path.  Given a configuration and a goal the result
 is deterministic: moves are enumerated axioms-first, then by principal
 slot left-to-right (right side before left), with term candidates in
 registry order.
+
+Two memo tables span one search: goals proved, each with its proof's
+height, and goals that failed, each with the largest budget they failed
+under.  A proved entry answers only when its height is at most the budget
+left, so a returned proof is never taller than the reported depth.  The
+tables are keyed on small ints, not on the goal's text: the engine numbers
+each formula object the first time it sees it (one structural lookup,
+then one lookup by ``id``; it keeps every numbered object alive, so the
+ids stay valid), a ``Single`` slot keys as its formula's number and a
+``CorrPair`` as (number, tag, number).  Move generation reuses the goal's
+formula objects, so most lookups hit by ``id``.  A two-premise move with
+a context split builds its second premise only once the first is proved.
 """
 from __future__ import annotations
 
@@ -61,9 +73,9 @@ def search_proof(goal: Sequent, cfg: CalculusConfig, registry,
     engine = _Engine(RuleContext(cfg, registry))
     for d in range(1, depth + 1):
         engine.bound_hit = False
-        node = engine.prove(goal, d)
-        if node is not None:
-            return SearchOutcome(node, d, False)
+        got = engine.prove(goal, d)
+        if got is not None:
+            return SearchOutcome(got[0], d, False)
     return SearchOutcome(None, depth, engine.bound_hit)
 
 
@@ -72,14 +84,46 @@ class _Engine:
         self.ctx = ctx
         self.reg = ctx.registry
         self.cfg = ctx.cfg
-        self.proved: dict = {}
-        self.failed: dict = {}
+        self.proved: dict = {}  # goal key -> (proof, height)
+        self.failed: dict = {}  # goal key -> (budget, bound hit)
         self.bound_hit = False
+        self._number: dict = {}  # formula -> its canonical int
+        self._by_id: dict = {}   # id(formula object) -> its canonical int
+        self._seen: list = []    # every object in _by_id, kept alive
+        self._subst_entries = [
+            (dom, t) for dom in sorted(self.cfg.substitution_domains)
+            if dom in self.reg for t in self.reg.get(dom).entries]
 
-    def prove(self, goal: Sequent, budget: int) -> Optional[ProofNode]:
-        key = repr(goal)
+    def _fkey(self, f: Formula) -> int:
+        n = self._by_id.get(id(f))
+        if n is None:
+            n = self._number.setdefault(f, len(self._number))
+            self._by_id[id(f)] = n
+            self._seen.append(f)
+        return n
+
+    def _slot_key(self, slot: Slot):
+        if type(slot) is Single:
+            return self._fkey(slot.formula)
+        return self._fkey(slot.a), slot.tag.kind, self._fkey(slot.b)
+
+    def _key(self, goal: Sequent) -> tuple:
+        """The memo key of ``goal``: two goals get equal keys exactly when
+        they are equal sequents."""
+        by_id = self._by_id
+        try:  # the common case: Single slots whose formulas are numbered
+            return (tuple([by_id[id(s.formula)] for s in goal.left]),
+                    tuple([by_id[id(s.formula)] for s in goal.right]))
+        except (KeyError, AttributeError):
+            return (tuple(map(self._slot_key, goal.left)),
+                    tuple(map(self._slot_key, goal.right)))
+
+    def prove(self, goal: Sequent, budget: int) -> Optional[tuple]:
+        """A proof of ``goal`` at most ``budget`` nodes tall, as the pair
+        (proof, height), or None."""
+        key = self._key(goal)
         hit = self.proved.get(key)
-        if hit is not None:
+        if hit is not None and hit[1] <= budget:
             return hit
         rec = self.failed.get(key)
         if rec is not None and rec[0] >= budget:
@@ -93,17 +137,21 @@ class _Engine:
         self.bound_hit = False
         for rule, params, subgoals in self._moves(goal):
             prems = []
+            height = 0
             for sub in subgoals:
-                node = self.prove(sub, budget - 1)
-                if node is None:
+                if callable(sub):  # a second premise, built only now
+                    sub = sub()
+                got = self.prove(sub, budget - 1)
+                if got is None:
                     break
-                prems.append(node)
+                prems.append(got[0])
+                height = max(height, got[1])
             else:
                 node = self._apply(rule, params, prems, goal)
                 if node is not None:
-                    self.proved[key] = node
+                    got = self.proved[key] = (node, height + 1)
                     self.bound_hit = outer_hit or self.bound_hit
-                    return node
+                    return got
         local_hit = self.bound_hit
         self.bound_hit = outer_hit or local_hit
         if rec is None or rec[0] < budget:
@@ -277,7 +325,8 @@ class _Engine:
                 for k in range(len(goal.left) + 1):
                     for j in range(len(rest) + 1):
                         p1 = Sequent(goal.left[:k], (Single(f.a),) + rest[:j])
-                        p2 = Sequent(goal.left[k:], (Single(f.b),) + rest[j:])
+                        p2 = lambda k=k, j=j: Sequent(
+                            goal.left[k:], (Single(f.b),) + rest[j:])
                         yield ("times_r", {"pos": pos, "apos": 0, "bpos": 0},
                                (p1, p2))
             elif isinstance(f, Imp) and pos == 0:
@@ -289,7 +338,8 @@ class _Engine:
                 for k in range(len(goal.left) + 1):
                     for j in range(len(rest) + 1):
                         q1 = Sequent(goal.left[:k], rest[:j] + (Single(f.a),))
-                        q2 = Sequent(goal.left[k:] + (Single(f.b),), rest[j:])
+                        q2 = lambda k=k, j=j: Sequent(
+                            goal.left[k:] + (Single(f.b),), rest[j:])
                         yield ("excl_r", {"pos": pos}, (q1, q2))
             elif isinstance(f, Forall):
                 z = _pick_var(f, goal)
@@ -316,8 +366,8 @@ class _Engine:
                             for j in range(len(rest) + 1):
                                 q1 = Sequent(goal.left[:k],
                                              rest[:j] + (Single(inst),))
-                                q2 = Sequent(goal.left[k:] + (Single(dual),),
-                                             rest[j:])
+                                q2 = lambda k=k, j=j, dual=dual: Sequent(
+                                    goal.left[k:] + (Single(dual),), rest[j:])
                                 yield ("exists_r",
                                        {"pos": pos, "term": t, "dual": d,
                                         "var": f.var, "domain": f.domain,
@@ -356,7 +406,8 @@ class _Engine:
                 for k in range(len(rest) + 1):
                     for j in range(len(goal.right) + 1):
                         p1 = Sequent((Single(f.a),) + rest[:k], goal.right[:j])
-                        p2 = Sequent((Single(f.b),) + rest[k:], goal.right[j:])
+                        p2 = lambda k=k, j=j: Sequent(
+                            (Single(f.b),) + rest[k:], goal.right[j:])
                         yield ("par_l", {"pos": pos, "apos": 0, "bpos": 0},
                                (p1, p2))
             elif isinstance(f, Imp):
@@ -364,7 +415,8 @@ class _Engine:
                 for k in range(len(rest) + 1):
                     for j in range(len(goal.right) + 1):
                         p1 = Sequent(rest[:k], (Single(f.a),) + goal.right[:j])
-                        p2 = Sequent((Single(f.b),) + rest[k:], goal.right[j:])
+                        p2 = lambda k=k, j=j: Sequent(
+                            (Single(f.b),) + rest[k:], goal.right[j:])
                         yield ("imp_l", {"pos": pos}, (p1, p2))
             elif isinstance(f, Excl) and pos == len(goal.left) - 1:
                 prem = Sequent(goal.left[:-1] + (Single(f.a),),
@@ -389,8 +441,8 @@ class _Engine:
                             p1 = Sequent(rest[:k],
                                          (Single(Member(t, f.domain)),)
                                          + goal.right[:j])
-                            p2 = Sequent((Single(inst),) + rest[k:],
-                                         goal.right[j:])
+                            p2 = lambda k=k, j=j, inst=inst: Sequent(
+                                (Single(inst),) + rest[k:], goal.right[j:])
                             yield ("forall_r",
                                    {"pos": pos, "term": t, "var": f.var,
                                     "domain": f.domain, "body": f.body},
@@ -424,12 +476,13 @@ class _Engine:
     # -- generalization and weakening --------------------------------------------
 
     def _subst_moves(self, goal: Sequent) -> Iterator:
-        for dom in sorted(self.cfg.substitution_domains):
-            if dom not in self.reg:
-                continue
-            for t in self.reg.get(dom).entries:
-                if not _term_in_sequent(goal, t):
-                    continue
+        if not self._subst_entries:
+            return
+        terms = _sequent_terms(goal)
+        if not terms:
+            return
+        for dom, t in self._subst_entries:
+            if t in terms:
                 z = _fresh_var("z", sequent_free_vars(goal))
                 prem = _swap_term_sequent(goal, t, z)
                 yield ("subst", {"var": z, "term": t, "domain": dom}, (prem,))
@@ -497,22 +550,21 @@ def _fresh_var(base: str, used) -> Var:
     return Var(f"{base}{k}")
 
 
-def _term_in_formula(f: Formula, t: Term) -> bool:
+def _add_terms(f: Formula, out: set) -> set:
+    """Add every term occurring in ``f`` to ``out``, and return it."""
     sh = f.shape
-    if t in sh.terms(f):
-        return True
+    out.update(sh.terms(f))
     for g in sh.children(f):
-        if _term_in_formula(g, t):
-            return True
-    return False
+        _add_terms(g, out)
+    return out
 
 
-def _term_in_sequent(s: Sequent, t: Term) -> bool:
+def _sequent_terms(s: Sequent) -> set:
+    out: set = set()
     for slot in s.left + s.right:
         for f in slot_formulas(slot):
-            if _term_in_formula(f, t):
-                return True
-    return False
+            _add_terms(f, out)
+    return out
 
 
 def _swap_term_formula(f: Formula, old: Term, new: Term) -> Formula:

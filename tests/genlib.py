@@ -9,7 +9,7 @@ from symlog.domains import Registry, standard_registry
 from symlog.formulas import (
     And, Atom, DualMember, Eq, Excl, Exists, Forall, Formula, IConst,
     IDENTICAL, Imp, IndexRel, Join, Member, Neq, OPPOSITE, Or, Outcome, Par,
-    Single, Times, Var,
+    Sequent, Single, Times, Var,
 )
 from symlog.kernel import ProofNode, annotate, mk
 from symlog.qubits import Qubit
@@ -59,6 +59,19 @@ def random_formula(rng: random.Random, depth: int = 4,
     v = rng.choice(_VARS)
     ctor = Forall if kind == 7 else Exists
     return ctor(v, rng.choice(_DOMAINS), sub())
+
+
+_CONNECTIVES = (And, Or, Times, Par, Imp, Excl)
+_PQR = tuple(Atom(c, None, ()) for c in "pqr")
+
+
+def random_goal(rng: random.Random) -> Sequent:
+    """A small propositional search goal: three one-connective formulas
+    over p, q and r on the left, one on the right (the shape of the
+    benchmark's random search goals)."""
+    def one():
+        return rng.choice(_CONNECTIVES)(rng.choice(_PQR), rng.choice(_PQR))
+    return Sequent(tuple(Single(one()) for _ in range(3)), (Single(one()),))
 
 
 def random_qubit(rng: random.Random) -> Qubit:

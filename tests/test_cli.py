@@ -223,6 +223,27 @@ def test_check_accepts_nesting_at_the_limit(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
 
 
+def _weakening_chain(n: int) -> str:
+    """A script with one proof n + 1 nodes tall: n weak_l steps over id."""
+    steps = "".join("  " * k + "weak_l pos=0 formula={q}\n" for k in range(n))
+    return (f"flags weakening\nproof p : {'q, ' * n}p |- p\n{steps}"
+            f"{'  ' * n}id a={{p}}\n")
+
+
+def test_check_bounds_proof_nesting(tmp_path, capsys):
+    from symlog.scripts import MAX_NESTING
+    path = tmp_path / "tall.blq"
+    path.write_text(_weakening_chain(MAX_NESTING - 1))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "p: ok"
+    for n in (MAX_NESTING, 1500):
+        path.write_text(_weakening_chain(n))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"a proof nested at most {MAX_NESTING} levels deep" in err
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     import symlog.cli as cli
 

@@ -50,6 +50,28 @@ def test_parse_errors_positioned():
         parse_term("@3")
 
 
+@pytest.mark.parametrize("text, col, op", [
+    ("p & q & r", 7, "&"), ("p -> q -> r", 8, "->"),
+    ("p -> q \\/ r \\/ s", 13, "\\/"), ("(p * q * r)", 8, "*"),
+    ("p join_i q join_o r", 12, "join_o")])
+def test_chained_operators_need_parentheses(text, col, op):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert (err.value.col, err.value.found) == (col, op)
+    assert "do not associate" in str(err.value)
+    assert "parentheses" in str(err.value)
+    with pytest.raises(ParseError, match="do not associate"):
+        parse_sequent(f"{text}, p |- q")
+
+
+def test_parenthesized_chains_parse():
+    assert parse_formula("(p & q) & r") == parse_formula("(p & q) & (r)")
+    assert print_formula(parse_formula("p -> (q -> r)")) == "p -> (q -> r)"
+    # a quantifier body ends at an operator its binder cannot take
+    f = parse_formula("forall x in D . p & q & r")
+    assert print_formula(f) == "(forall x in D . p & q) & r"
+
+
 def test_scripts_reject_variable_outcome_name_clash():
     text = ("domain D = { t1@1/2, t2@1/2 } focused\n"
             "sequent s : A(t1), t1 in D |- A(t1)\n")

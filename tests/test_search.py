@@ -1,13 +1,21 @@
 """Bounded backward search: positives, negatives, determinism, depths."""
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symlog.formulas import (
-    And, Atom, Eq, Exists, Forall, Imp, Member, Or, Outcome, Var, seq,
+    And, Atom, Eq, Excl, Exists, Forall, Imp, Member, Or, Outcome, Par,
+    Times, Var, seq,
 )
 from symlog.kernel import check_proof, proof_equal
+from symlog.rules import CalculusConfig
 from symlog.search import search_proof
+
+from genlib import proof_context, random_goal
 
 z, x = Var("z"), Var("x")
 p, q = Atom("p", None, ()), Atom("q", None, ())
@@ -89,3 +97,71 @@ def test_no_proof_of_the_absurd(config, registry):
     for goal in (seq([], []), seq([], [p]), seq([q], [])):
         out = search_proof(goal, config, registry, depth=8)
         assert not out.found
+
+
+def _height(node) -> int:
+    return 1 + max((_height(prem) for prem in node.premises), default=0)
+
+
+_ATOMS = st.sampled_from([p, q, Atom("r", None, ())])
+_FORMULAS = st.one_of(_ATOMS, st.builds(
+    lambda ctor, a, b: ctor(a, b),
+    st.sampled_from([And, Or, Times, Par, Imp, Excl]), _ATOMS, _ATOMS))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(left=st.lists(_FORMULAS, max_size=3),
+       right=st.lists(_FORMULAS, min_size=1, max_size=2),
+       depth=st.integers(1, 6))
+def test_depth_contract(left, right, depth):
+    """A returned proof checks, and is never taller than the depth the
+    search reports, which never exceeds the depth asked for."""
+    config, registry = proof_context()
+    out = search_proof(seq(left, right), config, registry, depth=depth)
+    if out.found:
+        assert check_proof(out.proof, config, registry).ok
+        assert _height(out.proof) <= out.depth <= depth
+    else:
+        assert out.depth == depth
+
+
+def _p(i):
+    return Atom(f"p{i}", None, ())
+
+
+def _parity_goals(config) -> list:
+    """(goal, depth, config): the benchmark's search ladder without its
+    costliest goal, chain6, then 1,000 random depth-6 goals."""
+    v1, v2 = Outcome("v1", Fraction(1, 2)), Outcome("v2", Fraction(1, 2))
+    no_subst = CalculusConfig(True, True, True, True,
+                              d_axiom_domains=frozenset({("V", "d")}))
+    no_dax = CalculusConfig(True, True, True, True,
+                            substitution_domains=frozenset({"V"}),
+                            collapse_demo=True)
+    goals = [(seq([Imp(_p(i), _p(i + 1)) for i in range(k)] + [_p(0)],
+                  [_p(k)]), k + 3, config) for k in (3, 4, 5)]
+    goals += [(seq([And(_p(i), _p(i + 1)) for i in range(n)], [_p(11)]),
+               7, config) for n in (3, 4, 5)]
+    goals += [(seq([And(A(dn), A(up))], [Forall(x, "Dplus", A(x))]), 8, config),
+              (seq([], [Eq(v2, v1)]), 8, no_subst),
+              (seq([], [Eq(v2, v1)]), 8, no_dax),
+              (seq([Imp(p, q), q], [p]), 8, config)]
+    rng = random.Random(0)
+    goals += [(random_goal(rng), 6, config) for _ in range(1000)]
+    return goals
+
+
+# sha256 over the outcomes of _parity_goals, computed with the search
+# engine before its memo was keyed on formula numbers, when it still keyed
+# on repr(goal) but already checked a proved entry's height.
+_PARITY_DIGEST = (
+    "e697550daccc28fb455ad710f17efafbb36d1310102fe2f1e1243b6e7b05a0b8")
+
+
+def test_search_digest_unchanged(config, registry):
+    h = hashlib.sha256()
+    for goal, depth, cfg in _parity_goals(config):
+        out = search_proof(goal, cfg, registry, depth=depth)
+        h.update(json.dumps(out.to_json(), sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == _PARITY_DIGEST

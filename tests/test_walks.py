@@ -17,7 +17,7 @@ from symlog.formulas import (
     subformulas,
 )
 from symlog.rules import _replaceable
-from symlog.search import _swap_term_formula, _term_in_formula
+from symlog.search import _add_terms, _swap_term_formula
 
 from genlib import random_formula
 
@@ -102,7 +102,8 @@ def test_walks_on_each_constructor(row):
     assert reindex(f, i1, i3) == reindexed
     assert symmetrize_formula(f, IDENTITY_INV) == sym
     assert symmetrize_formula(sym, IDENTITY_INV) == f
-    assert (_term_in_formula(f, z), _term_in_formula(f, up)) == (has_z, has_up)
+    terms = _add_terms(f, set())
+    assert (z in terms, up in terms) == (has_z, has_up)
     assert _swap_term_formula(f, z, up) == swapped
     assert formula_equal(f, f) and formula_equal(f, swapped) == (f == swapped)
     for g, want in replaceable.items():
@@ -165,7 +166,8 @@ def _walk_digest(n: int = 2000, seed: int = 3) -> str:
                         for i in (1, 2)])
         put("replace_var", [replace_var(f, x, u) for u in (x2, s, t)])
         put("symmetrize", [symmetrize_formula(f, inv) for inv in INVS])
-        put("term_in", [_term_in_formula(f, u) for u in TERMS])
+        terms = _add_terms(f, set())
+        put("term_in", [u in terms for u in TERMS])
         swapped = [_swap_term_formula(f, s, t), _swap_term_formula(f, t, s)]
         if hasattr(f, "a"):
             swapped.append(dataclasses.replace(
