@@ -28,7 +28,7 @@ from .kernel import (
     mk, proof_equal, symmetrize_proof,
 )
 from .search import SearchOutcome, search_proof
-from .correlation import ConversionStep, convert, distribute_forall, join_step
+from .correlation import distribute_forall
 from .qubits import (
     BellState, GateTag, NonDyadicProbability, Qubit, apply_gate, bell_formula,
     collapse, duality_correspondence, inner_product, measurement_domain,

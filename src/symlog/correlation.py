@@ -1,10 +1,9 @@
-"""The indexed comma: second-order conversion, the correlation connective's
-definitory steps, and the parallel distribution of the universal
-quantifier over correlated pairs.
+"""The parallel distribution of the universal quantifier over correlated
+pairs.
 
-Conversion trades a correlated pair of right-hand formulas for a single
-formula plus an index relation on the left; it degenerates to plain
-idempotent contraction when the two slot formulas coincide.  The
+The indexed comma, second-order conversion and the correlation
+connective are rules of the trusted catalogue (``conv_pair_*`` and
+``join_*`` in ``rules.py``); this module builds proofs from them.  The
 distribution equality holds over virtual singletons only: the forward
 proof runs through conversion and quantifier formation, and the converse
 is the symmetric image of the forward proof for the swapped pair, relying
@@ -12,136 +11,22 @@ on the direction-insensitivity of quantifiers over such domains.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .domains import Registry
 from .dualities import LiteralInvolution
 from .formulas import (
-    CorrPair, CorrelationTag, Formula, IndexRel, Join, Member, Sequent,
-    Single, Slot, Var, formula_equal, formula_index, free_vars, reindex,
-    replace_var,
+    CorrelationTag, Formula, Join, Member, Var, formula_equal, formula_index,
+    free_vars, fresh_var, reindex, replace_var,
 )
 from .kernel import ProofNode, annotate, mk, symmetrize_proof
 from .rules import CalculusConfig, RuleError
 
-__all__ = ["ConversionStep", "convert", "join_step", "distribute_forall"]
+__all__ = ["distribute_forall"]
 
-
-@dataclass(frozen=True)
-class ConversionStep:
-    """One second-order conversion: ``to_relation`` replaces the pair at
-    ``slot`` by its first component and appends the index relation on the
-    left; ``to_comma`` is the exact inverse.  ``introduced`` is None for
-    the degenerate idempotency case (two identical slot formulas)."""
-
-    direction: str  # "to_relation" | "to_comma"
-    slot: int
-    introduced: Optional[IndexRel] = None
-
-    def __post_init__(self):
-        if self.direction not in ("to_relation", "to_comma"):
-            raise ValueError(f"unknown direction: {self.direction}")
-
-
-def _pair_relation(slot: CorrPair) -> Optional[IndexRel]:
-    i, j = formula_index(slot.a), formula_index(slot.b)
-    if i is None or j is None:
-        return None
-    return IndexRel(i, slot.tag, j)
-
-
-def convert(s: Sequent, step: ConversionStep) -> Sequent:
-    """Apply one second-order conversion to a sequent."""
-    if step.direction == "to_relation":
-        if not (0 <= step.slot < len(s.right)):
-            raise RuleError("SlotMismatch", f"no right slot {step.slot}")
-        slot = s.right[step.slot]
-        if isinstance(slot, CorrPair):
-            rel = _pair_relation(slot)
-            if rel is None:
-                if not formula_equal(slot.a, slot.b):
-                    raise RuleError("SlotMismatch",
-                                    "unindexed pair components must coincide")
-                return Sequent(s.left, s.right[:step.slot]
-                               + (Single(slot.a),) + s.right[step.slot + 1:])
-            if step.introduced is not None and step.introduced != rel:
-                raise RuleError("SlotMismatch",
-                                f"the pair introduces {rel}, not {step.introduced}")
-            if not formula_equal(slot.b, reindex(slot.a, rel.i, rel.j)):
-                raise RuleError("SlotMismatch",
-                                "pair components must agree up to their index")
-            return Sequent(s.left + (Single(rel),),
-                           s.right[:step.slot] + (Single(slot.a),)
-                           + s.right[step.slot + 1:])
-        # plain idempotency: two adjacent identical slots collapse
-        if (step.slot + 1 < len(s.right)
-                and isinstance(slot, Single)
-                and s.right[step.slot + 1] == slot):
-            return Sequent(s.left,
-                           s.right[:step.slot + 1] + s.right[step.slot + 2:])
-        raise RuleError("SlotMismatch",
-                        f"right slot {step.slot} is not convertible")
-    # to_comma
-    if not (0 <= step.slot < len(s.right)) \
-            or not isinstance(s.right[step.slot], Single):
-        raise RuleError("SlotMismatch", f"no single right slot {step.slot}")
-    a = s.right[step.slot].formula
-    if step.introduced is None:
-        return Sequent(s.left, s.right[:step.slot + 1]
-                       + (Single(a),) + s.right[step.slot + 1:])
-    rel = step.introduced
-    try:
-        relpos = s.left.index(Single(rel))
-    except ValueError:
-        raise RuleError("SlotMismatch",
-                        f"the relation {rel} is not in the left context") from None
-    if formula_index(a) != rel.i:
-        raise RuleError("SlotMismatch",
-                        "the target formula must carry the relation's first index")
-    pair = CorrPair(a, rel.tag, reindex(a, rel.i, rel.j))
-    return Sequent(s.left[:relpos] + s.left[relpos + 1:],
-                   s.right[:step.slot] + (pair,) + s.right[step.slot + 1:])
-
-
-def join_step(s: Sequent, pos: int, direction: str,
-              registry: Registry) -> Sequent:
-    """The correlation connective's definitory step at a right slot.
-
-    ``intro`` turns a correlated pair into the connective; ``elim`` undoes
-    it.  A virtual-singleton membership must stand in the left context.
-    """
-    ok = any(isinstance(sl, Single) and isinstance(sl.formula, Member)
-             and sl.formula.domain in registry
-             and registry.get(sl.formula.domain).virtual_singleton
-             for sl in s.left)
-    if not ok:
-        raise RuleError("NotVirtualSingleton",
-                        "the step needs a virtual-singleton membership on the left")
-    if not (0 <= pos < len(s.right)):
-        raise RuleError("SlotMismatch", f"no right slot {pos}")
-    slot = s.right[pos]
-    if direction == "intro":
-        if not isinstance(slot, CorrPair):
-            raise RuleError("SlotMismatch", "intro expects a correlated pair")
-        new: Slot = Single(Join(slot.tag, slot.a, slot.b))
-    elif direction == "elim":
-        if not (isinstance(slot, Single) and isinstance(slot.formula, Join)):
-            raise RuleError("SlotMismatch", "elim expects a join formula")
-        f = slot.formula
-        new = CorrPair(f.a, f.tag, f.b)
-    else:
-        raise ValueError(f"unknown direction: {direction}")
-    return Sequent(s.left, s.right[:pos] + (new,) + s.right[pos + 1:])
-
-
-# --------------------------------------------------------------------------
-# the distribution equality over virtual singletons
 
 def _build_forward(dom: str, a1: Formula, a2: Formula, tag: CorrelationTag,
                    var: Var, cfg: CalculusConfig,
                    registry: Registry) -> ProofNode:
-    z = _fresh(var, a1, a2)
+    z = fresh_var("z", free_vars(a1) | free_vars(a2) | {var})
     a1z, a2z = replace_var(a1, var, z), replace_var(a2, var, z)
     inst = Join(tag, a1z, a2z)
     f1 = mk("id", {"a": Member(z, dom)})
@@ -154,16 +39,6 @@ def _build_forward(dom: str, a1: Formula, a2: Formula, tag: CorrelationTag,
     f7 = mk("conv_pair_intro", {"qpos": 0, "relpos": 1}, f6)
     f8 = mk("join_intro", {"qpos": 0}, f7)
     return annotate(f8, cfg, registry)
-
-
-def _fresh(var: Var, a1: Formula, a2: Formula) -> Var:
-    used = {v.name for v in free_vars(a1) | free_vars(a2)} | {var.name}
-    name = "z"
-    k = 0
-    while name in used:
-        name = f"z{k}"
-        k += 1
-    return Var(name)
 
 
 def distribute_forall(dom: str, a1: Formula, a2: Formula, tag: CorrelationTag,

@@ -21,7 +21,7 @@ __all__ = [
     "Formula", "Atom", "Member", "DualMember", "Eq", "Neq", "IndexRel",
     "And", "Or", "Times", "Par", "Imp", "Excl", "Forall", "Exists", "Join",
     "Single", "CorrPair", "Slot", "Sequent",
-    "free_vars", "substitute", "replace_var", "formula_equal",
+    "free_vars", "fresh_var", "substitute", "replace_var", "formula_equal",
     "index_set", "formula_index", "reindex", "subformulas", "seq",
     "Shape", "shadows",
     "slot_formulas", "rebuild_slot", "map_sequent", "slots_match",
@@ -379,8 +379,10 @@ class Sequent:
     right: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "left", tuple(self.left))
-        object.__setattr__(self, "right", tuple(self.right))
+        if type(self.left) is not tuple:
+            object.__setattr__(self, "left", tuple(self.left))
+        if type(self.right) is not tuple:
+            object.__setattr__(self, "right", tuple(self.right))
 
 
 def seq(left, right) -> Sequent:
@@ -460,6 +462,18 @@ def sequent_free_vars(s: Sequent) -> frozenset:
         for f in slot_formulas(slot):
             out |= free_vars(f)
     return out
+
+
+def fresh_var(base: str, used) -> Var:
+    """``base`` itself if no variable in ``used`` has that name, else the
+    first of ``base0``, ``base1``, ... that none has."""
+    names = {v.name for v in used}
+    if base not in names:
+        return Var(base)
+    k = 0
+    while f"{base}{k}" in names:
+        k += 1
+    return Var(f"{base}{k}")
 
 
 # --------------------------------------------------------------------------

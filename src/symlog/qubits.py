@@ -37,6 +37,7 @@ PROB_TOL = 1e-9
 DENOMINATOR_BOUND = 10 ** 6
 
 _TAU = 2 * math.pi
+_STANDARD = standard_registry()  # the named measurement domains
 
 
 class NonDyadicProbability(Exception):
@@ -161,23 +162,16 @@ def measurement_domain(q: Qubit) -> DomainRecord:
     """
     pa = _rationalize(q.alpha ** 2)
     pb = 1 - pa
-    half = Fraction(1, 2)
     if pb == 0:
-        return DomainRecord("Ddown", (Outcome("down", Fraction(1)),),
-                            focused=True, duality="neq",
-                            substitution_allowed=True)
+        return _STANDARD.get("Ddown")
     if pa == 0:
-        return DomainRecord("Dup", (Outcome("up", Fraction(1)),),
-                            focused=True, duality="neq",
-                            substitution_allowed=True)
-    entries = (Outcome("down", pa), Outcome("up", pb))
-    if pa == half:
+        return _STANDARD.get("Dup")
+    if pa == Fraction(1, 2):
         if abs(q.phi) < PROB_TOL or abs(q.phi - _TAU) < PROB_TOL:
-            return DomainRecord("Dplus", entries, focused=False,
-                                virtual_singleton=True, duality="top")
+            return _STANDARD.get("Dplus")
         if abs(q.phi - math.pi) < PROB_TOL:
-            return DomainRecord("Dminus", entries, focused=False,
-                                virtual_singleton=True, duality="top")
+            return _STANDARD.get("Dminus")
+    entries = (Outcome("down", pa), Outcome("up", pb))
     name = f"Dq{pa.numerator}x{pa.denominator}"
     return DomainRecord(name, entries, focused=False)
 

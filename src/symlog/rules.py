@@ -626,11 +626,9 @@ def _r_conv_pair_intro(params, premises, claimed, ctx):
     _need(isinstance(rel, IndexRel), "SlotMismatch",
           f"left slot {relpos} is not an index relation")
     a = _fml(_at(p.right, qpos, "conv_pair_intro principal"))
-    _need(formula_index(a) == rel.i, "SideConditionViolated",
-          "the principal formula must carry the relation's first index")
-    b = reindex(a, rel.i, rel.j)
-    return Sequent(_without(p.left, relpos),
-                   _replaced(p.right, qpos, CorrPair(a, rel.tag, b)))
+    pair = CorrPair(a, rel.tag, reindex(a, rel.i, rel.j))
+    _pair_components(pair, "conv_pair_intro")
+    return Sequent(_without(p.left, relpos), _replaced(p.right, qpos, pair))
 
 
 @_rule("conv_pair_elim_l", 1)
@@ -649,11 +647,9 @@ def _r_conv_pair_intro_l(params, premises, claimed, ctx):
     _need(isinstance(rel, IndexRel), "SlotMismatch",
           f"right slot {relpos} is not an index relation")
     a = _fml(_at(p.left, qpos, "conv_pair_intro_l principal"))
-    _need(formula_index(a) == rel.j, "SideConditionViolated",
-          "the principal formula must carry the relation's second index")
-    b = reindex(a, rel.j, rel.i)
-    return Sequent(_replaced(p.left, qpos, CorrPair(b, rel.tag, a)),
-                   _without(p.right, relpos))
+    pair = CorrPair(reindex(a, rel.j, rel.i), rel.tag, a)
+    _pair_components(pair, "conv_pair_intro_l")
+    return Sequent(_replaced(p.left, qpos, pair), _without(p.right, relpos))
 
 
 # --------------------------------------------------------------------------

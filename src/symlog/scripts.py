@@ -143,9 +143,6 @@ class _Stream:
             raise ParseError(t.line, t.col, "end of input", t.text)
 
 
-_KEYWORDS = {"in", "forall", "exists", "join_i", "join_o", "true", "false"}
-
-
 # --------------------------------------------------------------------------
 # terms
 

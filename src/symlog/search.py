@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 from .formulas import (
     And, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
     IndexRel, Join, Member, Neq, Or, Par, Sequent, Single, Slot, Term, Times,
-    Var, formula_equal, formula_index, map_sequent, replace_var,
+    Var, formula_equal, formula_index, fresh_var, map_sequent, replace_var,
     sequent_free_vars, shadows, slot_equal, slot_formulas,
 )
 from .kernel import ProofNode
@@ -167,10 +167,6 @@ class _Engine:
             return None
         return ProofNode(rule, params, tuple(prems), concl)
 
-    def _axiom(self, rule: str, params: dict, goal: Sequent):
-        if self._apply(rule, params, [], goal) is not None:
-            yield rule, params, ()
-
     # -- move enumeration ----------------------------------------------------
 
     def _moves(self, goal: Sequent) -> Iterator:
@@ -184,34 +180,31 @@ class _Engine:
         nl, nr = len(goal.left), len(goal.right)
         if nl == 1 and nr == 1 and isinstance(goal.left[0], Single) \
                 and slot_equal(goal.left[0], goal.right[0]):
-            yield from self._axiom("id", {"a": goal.left[0].formula}, goal)
+            yield "id", {"a": goal.left[0].formula}, ()
         if nl == 0 and nr == 1 and isinstance(goal.right[0], Single):
             f = goal.right[0].formula
             if isinstance(f, Eq) and f.lhs == f.rhs:
-                yield from self._axiom("refl", {"t": f.lhs}, goal)
+                yield "refl", {"t": f.lhs}, ()
             if isinstance(f, Member):
-                yield from self._axiom(
-                    "member", {"domain": f.domain, "term": f.term}, goal)
+                yield "member", {"domain": f.domain, "term": f.term}, ()
         if nl == 1 and nr == 0 and isinstance(goal.left[0], Single):
             f = goal.left[0].formula
             if isinstance(f, Neq) and f.lhs == f.rhs:
-                yield from self._axiom("neq_refl", {"t": f.lhs}, goal)
+                yield "neq_refl", {"t": f.lhs}, ()
             for dom, t, d in self._dual_member_candidates(f):
-                yield from self._axiom(
-                    "dual_member_refuted",
-                    {"domain": dom, "term": t, "dual": d}, goal)
+                yield ("dual_member_refuted",
+                       {"domain": dom, "term": t, "dual": d}, ())
         if nl == 2 and nr == 0:
-            yield from self._exclusion_like(goal, "dual_exclusion", goal.left[0])
+            yield from self._exclusion_like("dual_exclusion", goal.left[0])
         if nl == 0 and nr == 2:
-            yield from self._exclusion_like(goal, "dual_em", goal.right[0])
+            yield from self._exclusion_like("dual_em", goal.right[0])
         if nl == 1 and nr == 1 and isinstance(goal.left[0], Single):
             f = goal.left[0].formula
             if isinstance(f, Member) and isinstance(f.term, Var) \
                     and f.domain in self.reg:
                 rec = self.reg.get(f.domain)
                 if rec.focused and rec.entries:
-                    yield from self._axiom(
-                        "focus", {"domain": f.domain, "var": f.term}, goal)
+                    yield "focus", {"domain": f.domain, "var": f.term}, ()
         yield from self._d_axiom_moves(goal)
 
     def _dual_member_candidates(self, f: Formula):
@@ -229,15 +222,14 @@ class _Engine:
                 if rec.is_singleton and rec.entries[0] == f.rhs:
                     yield dom, f.lhs, "neq"
 
-    def _exclusion_like(self, goal: Sequent, rule: str, first: Slot):
+    def _exclusion_like(self, rule: str, first: Slot):
         if not isinstance(first, Single):
             return
         f = first.formula
         if not (isinstance(f, Member) and isinstance(f.term, Var)):
             return
         for d in self._tags_for(f.domain):
-            yield from self._axiom(
-                rule, {"domain": f.domain, "var": f.term, "dual": d}, goal)
+            yield rule, {"domain": f.domain, "var": f.term, "dual": d}, ()
 
     def _tags_for(self, dom: str) -> list:
         tags = []
@@ -279,12 +271,11 @@ class _Engine:
                 continue
             if not isinstance(y, Var) or y == z:
                 continue
-            hole = _fresh_var("h", sequent_free_vars(goal))
+            hole = fresh_var("h", sequent_free_vars(goal))
             body = replace_var(a_z, z, hole)
             if formula_equal(replace_var(body, hole, y), a_y):
-                yield from self._axiom(
-                    "d_axiom", {"domain": dom, "dual": d, "z": z, "y": y,
-                                "hole": hole, "body": body}, goal)
+                yield ("d_axiom", {"domain": dom, "dual": d, "z": z, "y": y,
+                                   "hole": hole, "body": body}, ())
 
     def _dual_term(self, dual: Formula, dom: str, d: str):
         if isinstance(dual, DualMember) and dual.domain == dom and dual.dual == d:
@@ -483,7 +474,7 @@ class _Engine:
             return
         for dom, t in self._subst_entries:
             if t in terms:
-                z = _fresh_var("z", sequent_free_vars(goal))
+                z = fresh_var("z", sequent_free_vars(goal))
                 prem = _swap_term_sequent(goal, t, z)
                 yield ("subst", {"var": z, "term": t, "domain": dom}, (prem,))
 
@@ -537,17 +528,7 @@ def _pick_var(f, goal: Sequent) -> Var:
     used = sequent_free_vars(goal)
     if f.var not in used:
         return f.var
-    return _fresh_var(f.var.name, used)
-
-
-def _fresh_var(base: str, used) -> Var:
-    names = {v.name for v in used}
-    if base not in names:
-        return Var(base)
-    k = 0
-    while f"{base}{k}" in names:
-        k += 1
-    return Var(f"{base}{k}")
+    return fresh_var(f.var.name, used)
 
 
 def _add_terms(f: Formula, out: set) -> set:

@@ -151,6 +151,28 @@ def test_check_reports_missing_parameter(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "p: FAIL"
 
 
+SELF_RELATION = """\
+domain Dplus = { down@1/2, up@1/2 } virtual duality top
+flags left_contexts right_contexts weakening cut
+proof p : A_1(z), z in Dplus |- q
+cut lpos=0 rpos=0
+  join_intro qpos=0
+    conv_pair_intro qpos=0 relpos=2
+      weak_l formula={1 ~i 1} pos=2
+        weak_l formula={z in Dplus} pos=1
+          id a={A_1(z)}
+  id a={q}
+"""
+
+
+def test_check_rejects_self_relation_pair(tmp_path, capsys):
+    bad = tmp_path / "self.blq"
+    bad.write_text(SELF_RELATION)
+    rc = main(["check", str(bad)])
+    assert rc == 1
+    assert capsys.readouterr().out.strip() == "p: FAIL"
+
+
 SUBST_ON_VIRTUAL = """\
 domain V = { v1@1/2, v2@1/2 } virtual duality d
 license subst V

@@ -1,21 +1,41 @@
-"""Second-order conversion, the correlation connective, the distribution."""
+"""Second-order conversion and the correlation connective through the rule
+catalogue, and the distribution equality."""
 import random
 
 import pytest
 
-from symlog.correlation import ConversionStep, convert, distribute_forall, join_step
+from symlog.correlation import distribute_forall
 from symlog.formulas import (
     Atom, CorrPair, IConst, IDENTICAL, IndexRel, Join, Member, OPPOSITE,
     Sequent, Single, Var, index_set, reindex, seq,
 )
 from symlog.kernel import check_proof
-from symlog.rules import RuleError
+from symlog.rules import RuleContext, RuleError, validate_rule
 
 from genlib import proof_context, random_formula
 
 z, x = Var("z"), Var("x")
 a1, a2 = Atom("A", IConst(1), (z,)), Atom("A", IConst(2), (z,))
 G = Atom("G", None, ())
+REL = IndexRel(IConst(1), IDENTICAL, IConst(2))
+
+
+@pytest.fixture
+def ctx(config, registry):
+    return RuleContext(config, registry)
+
+
+def step(rule, s, ctx, **params):
+    return validate_rule(rule, params, [s], None, ctx)
+
+
+def to_relation(s, ctx, qpos=0):
+    return step("conv_pair_elim", s, ctx, qpos=qpos)
+
+
+def to_comma(t, ctx, rel, qpos=0):
+    return step("conv_pair_intro", t, ctx, qpos=qpos,
+                relpos=t.left.index(Single(rel)))
 
 
 def pair_seq():
@@ -23,35 +43,35 @@ def pair_seq():
                    (CorrPair(a1, IDENTICAL, a2),))
 
 
-def test_convert_to_relation():
-    out = convert(pair_seq(), ConversionStep("to_relation", 0))
-    assert out.left[-1] == Single(IndexRel(IConst(1), IDENTICAL, IConst(2)))
+def test_convert_to_relation(ctx):
+    out = to_relation(pair_seq(), ctx)
+    assert out.left[-1] == Single(REL)
     assert out.right == (Single(a1),)
 
 
-def test_convert_round_trip_exact_inverse():
+def test_convert_round_trip_exact_inverse(ctx):
     s = pair_seq()
-    rel = IndexRel(IConst(1), IDENTICAL, IConst(2))
-    there = convert(s, ConversionStep("to_relation", 0, rel))
-    back = convert(there, ConversionStep("to_comma", 0, rel))
+    there = to_relation(s, ctx)
+    assert there.left[-1] == Single(REL)
+    back = to_comma(there, ctx, REL)
     assert back == s
 
 
-def test_convert_idempotency_degenerate():
+def test_convert_idempotency_degenerate(ctx):
     s = seq([Atom("A", None, (z,))], [Atom("A", None, (z,)),
                                       Atom("A", None, (z,))])
-    out = convert(s, ConversionStep("to_relation", 0))
+    out = step("contract_r", s, ctx, i=0, j=1)
     assert out == seq([Atom("A", None, (z,))], [Atom("A", None, (z,))])
-    again = convert(out, ConversionStep("to_comma", 0))
+    again = step("expand_r", out, ctx, pos=0)
     assert again == s
 
 
-def test_convert_slot_mismatch():
+def test_convert_slot_mismatch(ctx):
     with pytest.raises(RuleError):
-        convert(seq([], [G]), ConversionStep("to_relation", 0))
+        to_relation(seq([], [G]), ctx)
 
 
-def test_convert_random_round_trips():
+def test_convert_random_round_trips(ctx):
     rng = random.Random(11)
     count = 0
     while count < 200:
@@ -62,22 +82,22 @@ def test_convert_random_round_trips():
         count += 1
         pair = CorrPair(base, IDENTICAL, reindex(base, IConst(1), IConst(2)))
         s = Sequent((Single(Member(z, "V")),), (pair,))
-        rel = IndexRel(IConst(1), IDENTICAL, IConst(2))
-        there = convert(s, ConversionStep("to_relation", 0, rel))
-        assert convert(there, ConversionStep("to_comma", 0, rel)) == s
+        there = to_relation(s, ctx)
+        assert there.left[-1] == Single(REL)
+        assert to_comma(there, ctx, REL) == s
 
 
-def test_join_step_intro_and_elim(registry):
+def test_join_intro_and_elim(ctx):
     s = pair_seq()
-    joined = join_step(s, 0, "intro", registry)
+    joined = step("join_intro", s, ctx, qpos=0)
     assert joined.right[0] == Single(Join(IDENTICAL, a1, a2))
-    assert join_step(joined, 0, "elim", registry) == s
+    assert step("join_elim", joined, ctx, qpos=0) == s
 
 
-def test_join_step_needs_virtual_singleton(registry):
+def test_join_needs_virtual_singleton(ctx):
     s = Sequent((Single(Member(z, "Ddown")),), (CorrPair(a1, IDENTICAL, a2),))
     with pytest.raises(RuleError) as err:
-        join_step(s, 0, "intro", registry)
+        step("join_intro", s, ctx, qpos=0)
     assert err.value.code == "NotVirtualSingleton"
 
 
@@ -99,10 +119,9 @@ def test_distribution_rejects_focused_domain():
     assert err.value.code == "NotVirtualSingleton"
 
 
-def test_index_conservation_through_convert():
-    s = pair_seq()
-    rel = IndexRel(IConst(1), IDENTICAL, IConst(2))
-    there = convert(s, ConversionStep("to_relation", 0, rel))
+def test_index_conservation_through_conversion(ctx):
+    there = to_relation(pair_seq(), ctx)
+    assert there.left[-1] == Single(REL)
 
     def indexes(seqt):
         out = []

@@ -5,8 +5,8 @@ import pytest
 
 from symlog.domains import standard_registry
 from symlog.formulas import (
-    And, Atom, Eq, IConst, IDENTICAL, Join, Member, Outcome, Var, seq,
-    sequent_equal,
+    And, Atom, Eq, IConst, IDENTICAL, IndexRel, Join, Member, Outcome, Var,
+    seq, sequent_equal,
 )
 from symlog.kernel import (
     annotate, build_collapse_proof, build_exists_to_forall, check_proof,
@@ -166,6 +166,24 @@ def test_join_license(config, registry):
                    mk("id", {"a": jn}))
     rep = check_proof(mk("join_elim", {"qpos": 0}, bad_inner), config, registry)
     assert "NotVirtualSingleton" in rep.failures[0].reason
+
+
+def test_conv_pair_intro_rejects_self_relation(config, registry):
+    a1 = Atom("A", IConst(1), (z,))
+    self_rel = IndexRel(IConst(1), IDENTICAL, IConst(1))
+    context = mk("weak_l", {"pos": 1, "formula": Member(z, "Dplus")},
+                 mk("id", {"a": a1}))
+    right = mk("join_intro", {"qpos": 0},
+               mk("conv_pair_intro", {"qpos": 0, "relpos": 2},
+                  mk("weak_l", {"pos": 2, "formula": self_rel}, context)))
+    left = mk("join_intro_l", {"qpos": 0},
+              mk("conv_pair_intro_l", {"qpos": 0, "relpos": 0},
+                 mk("weak_r", {"pos": 0, "formula": self_rel}, context)))
+    for node in (right, left):
+        rep = check_proof(node, config, registry)
+        assert not rep.ok
+        assert rep.failures[0].path == (0,)
+        assert rep.failures[0].reason.startswith("SideConditionViolated")
 
 
 def test_failure_paths_locate_nodes(config, registry):
