@@ -20,16 +20,14 @@ check, sym and search, the command line, or stay off.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
 
 from .corpus import run_corpus
 from .domains import RegistryError, standard_registry
-from .dualities import (
-    IDENTITY_INV, LiteralInvolution, PERP_INV, TOP_INV, UnclassifiedLiteral,
-    apply_duality,
-)
+from .dualities import UnclassifiedLiteral, apply_duality, named_involution
 from .formulas import map_sequent
 from .kernel import (
     KernelError, check_proof, proof_to_json, symmetrize_proof,
@@ -45,9 +43,6 @@ from .scripts import (
     print_sequent,
 )
 from .search import DEFAULT_MAX_DEPTH, search_proof
-
-_INVS = {"identity": IDENTITY_INV, "perp": PERP_INV, "top": TOP_INV}
-
 
 def _err(msg: str) -> None:
     print(f"symlog: {msg}", file=sys.stderr)
@@ -170,10 +165,8 @@ def _cmd_sym(args) -> int:
     if args.name not in sc.proofs:
         _err(f"no proof named {args.name!r}")
         return 2
-    inv = _INVS.get(args.involution)
-    if inv is None:
-        inv = LiteralInvolution(args.involution)
-    sym = symmetrize_proof(sc.proofs[args.name], inv, cfg, reg)
+    sym = symmetrize_proof(sc.proofs[args.name],
+                           named_involution(args.involution), cfg, reg)
     rep = check_proof(sym, cfg, reg)
     _emit(args, {"schema": 1, "ok": rep.ok, "proof": proof_to_json(sym)},
           print_proof(sym))
@@ -239,8 +232,7 @@ def _cmd_qstate(args) -> int:
         data = json.load(fh)
     q = Qubit.from_amplitudes([
         complex(data["alpha"]),
-        complex(data["beta"]) * complex(
-            __import__("cmath").exp(1j * float(data.get("phi", 0.0)))),
+        complex(data["beta"]) * cmath.exp(1j * float(data.get("phi", 0.0))),
     ])
     reg = standard_registry()
     rec = measurement_domain(q)

@@ -1,11 +1,16 @@
 """The regression corpus: every stock derivation of the calculus, with its
 expected outcome, runnable as a single battery.
 
-Items either prove their sequents (hand-built trees validated by the
-checker), report a bounded-search failure at a recorded depth, or
-demonstrate the licensing collapse.  The corpus doubles as living
-documentation: ``export_corpus`` writes each item as a script file plus a
-JSON manifest of expectations.
+The corpus is its shipped files.  ``corpus_data/manifest.json`` lists each
+item's id, title and expectation; an item that holds proofs also names its
+``.blq`` script, the proofs in it, and the involution their symmetric
+images are taken under (``involution`` plus the ``self_dual`` domains, or
+``involutions`` per proof).  This module is the runner: it parses each
+script once per run, checks every proof, and adds the claims an item makes
+beyond its proofs (a round trip, a table, fixed points, a macro expansion).
+C4, C8, C16 and C17 are bounded searches and the licensing collapse, and
+C18 symmetrizes every shipped proof.  ``export_corpus`` writes the scripts
+back out in printed form, together with the manifest.
 """
 from __future__ import annotations
 
@@ -17,17 +22,18 @@ from typing import Callable
 
 from .correlation import distribute_forall
 from .domains import Registry, standard_registry
-from .dualities import IDENTITY_INV, LiteralInvolution, apply_duality
+from .dualities import apply_duality, named_involution, symmetrize_sequent
 from .formulas import (
-    And, Atom, Eq, Forall, Formula, IConst, IDENTICAL, Imp, IndexRel, Join,
-    Member, Neq, OPPOSITE, Outcome, Par, Var, seq, sequent_equal,
+    And, Atom, Eq, Forall, Formula, IConst, IDENTICAL, Imp, Join, Member,
+    OPPOSITE, Outcome, Var, seq, sequent_equal,
 )
 from .kernel import (
-    ProofNode, annotate, build_exists_to_forall, check_proof,
-    collapse_config, expand_derived, mk, proof_equal, symmetrize_proof,
+    annotate, check_proof, collapse_config, expand_derived, mk, proof_equal,
+    symmetrize_proof,
 )
 from .qubits import BellState, bell_formula
-from .rules import CalculusConfig, RuleContext
+from .rules import CalculusConfig
+from .scripts import parse_script, print_script
 from .search import search_proof
 
 __all__ = [
@@ -36,28 +42,14 @@ __all__ = [
 ]
 
 NEGATIVE_DEPTH = 8
+_DATA_DIR = Path(__file__).resolve().parent / "corpus_data"
 
-_x, _y, _z = Var("x"), Var("y"), Var("z")
-_t1, _t2 = Outcome("t1", Fraction(1, 2)), Outcome("t2", Fraction(1, 2))
-_down, _up = Outcome("down", Fraction(1, 2)), Outcome("up", Fraction(1, 2))
-_sdown, _sup = Outcome("down", Fraction(1)), Outcome("up", Fraction(1))
-_v1, _v2 = Outcome("v1", Fraction(1, 2)), Outcome("v2", Fraction(1, 2))
+_x, _z = Var("x"), Var("z")
+_half = Fraction(1, 2)
 
 
-def _A(t) -> Formula:
-    return Atom("A", None, (t,))
-
-
-def _B(t) -> Formula:
-    return Atom("B", None, (t,))
-
-
-def _A1(t) -> Formula:
-    return Atom("A", IConst(1), (t,))
-
-
-def _A2(t) -> Formula:
-    return Atom("A", IConst(2), (t,))
+def _A(t, index=None) -> Formula:
+    return Atom("A", index, (t,))
 
 
 def corpus_registry(collapse_demo: bool = False) -> Registry:
@@ -91,534 +83,220 @@ class CorpusItem:
 
 
 # --------------------------------------------------------------------------
-# proof builders
+# loading the shipped scripts
 
-def _ctx():
-    reg = corpus_registry()
-    return corpus_config(), reg
-
-
-def _membership_equivalence(dom: str, dual: str) -> list:
-    """Both directions of: the existential equality formula and the
-    membership predicate entail each other."""
-    cfg, reg = _ctx()
-    n1 = mk("dual_em", {"domain": dom, "var": _z, "dual": dual})
-    n2 = mk("eq_left", {"pos": 0, "s": _z, "t": _y}, n1,
-            conclusion=seq([Eq(_z, _y)],
-                           [Member(_z, dom),
-                            reg.dual_membership(_y, dom, dual)]))
-    n3 = mk("exists_f", {"var": _y, "domain": dom, "dual": dual,
-                         "dpos": 1, "qpos": 0}, n2)
-    m1 = mk("refl", {"t": _z})
-    m2 = mk("dual_exclusion", {"domain": dom, "var": _z, "dual": dual})
-    m3 = mk("exists_r", {"pos": 0, "term": _z, "dual": dual, "var": _x,
-                         "domain": dom, "body": Eq(_z, _x)}, m1, m2)
-    return [("exists_eq_entails_member", annotate(n3, cfg, reg)),
-            ("member_entails_exists_eq", annotate(m3, cfg, reg))]
+def _manifest() -> dict:
+    text = (_DATA_DIR / "manifest.json").read_text(encoding="utf-8")
+    return json.loads(text)
 
 
-def _entries_disjunction(dom: str, entries) -> list:
-    """The entry-equality disjunction entails membership, for any domain."""
-    cfg, reg = _ctx()
-
-    def branch(t):
-        n1 = mk("id", {"a": Member(t, dom)})
-        n2 = mk("eq_left", {"pos": 1, "s": _z, "t": t}, n1,
-                conclusion=seq([Member(t, dom), Eq(_z, t)], [Member(_z, dom)]))
-        n3 = mk("member", {"domain": dom, "term": t})
-        return mk("cut", {"rpos": 0, "lpos": 0}, n3, n2)
-
-    p = mk("or_l", {"pos": 0}, branch(entries[0]), branch(entries[1]))
-    return [(f"disjunction_entails_member_{dom}", annotate(p, cfg, reg))]
-
-
-def _instantiation(t) -> ProofNode:
-    """forall over the focused two-entry domain entails the instance at t."""
-    cfg, reg = _ctx()
-    p1 = mk("id", {"a": Member(_z, "D")})
-    p2 = mk("id", {"a": _A(_z)})
-    p3 = mk("forall_r", {"pos": 0, "term": _z, "var": _x, "domain": "D",
-                         "body": _A(_x)}, p1, p2)
-    p4 = mk("subst", {"var": _z, "term": t, "domain": "D"}, p3)
-    p5 = mk("member", {"domain": "D", "term": t})
-    return annotate(mk("cut", {"rpos": 0, "lpos": 1}, p5, p4), *_ctx())
-
-
-def _exists_intro(t) -> ProofNode:
-    """The instance at an entry t entails the existential."""
-    cfg, reg = _ctx()
-    q1 = mk("id", {"a": _A(t)})
-    q2 = mk("dual_member_refuted", {"domain": "D", "term": t, "dual": "d"})
-    q3 = mk("exists_r", {"pos": 0, "term": t, "dual": "d", "var": _x,
-                         "domain": "D", "body": _A(_x)}, q1, q2)
-    return annotate(q3, cfg, reg)
-
-
-def _focus_lemma() -> list:
-    """The focused-domain lemma: a hypothesis entails the quantified body
-    exactly when it entails every entry instance; both passes shown on a
-    concrete hypothesis."""
-    cfg, reg = _ctx()
-    gamma = And(_A(_t1), _A(_t2))
-
-    def gamma_entails(t, selector):
-        inner = mk("id", {"a": _A(t)})
-        return mk(selector, {"pos": 0, "other": _A(_t2 if t == _t1 else _t1)},
-                  inner)
-
-    def branch(t, selector):
-        base = gamma_entails(t, selector)  # gamma-ish |- A(t)
-        n = mk("eq_left", {"pos": 1, "s": _z, "t": t}, base,
-               conclusion=seq([gamma, Eq(_z, t)], [_A(_z)]))
-        return n
-
-    d1 = mk("or_l", {"pos": 1}, branch(_t1, "and_l1"), branch(_t2, "and_l2"))
-    focus = mk("focus", {"domain": "D", "var": _z})
-    lemma_fwd = mk("cut", {"rpos": 0, "lpos": 1}, focus, d1)
-    out = [("hypothesis_to_open_instance", annotate(lemma_fwd, cfg, reg))]
-    # and back down to the closed instances
-    for t, name in ((_t1, "t1"), (_t2, "t2")):
-        s1 = mk("subst", {"var": _z, "term": t, "domain": "D"}, lemma_fwd)
-        s2 = mk("member", {"domain": "D", "term": t})
-        s3 = mk("cut", {"rpos": 0, "lpos": 1}, s2, s1)
-        out.append((f"open_instance_to_{name}", annotate(s3, cfg, reg)))
+def _load(manifest: dict) -> dict:
+    """Parse each script the manifest names: item id -> a list of
+    (proof name, proof, involution) in manifest order."""
+    out = {}
+    for entry in manifest["items"]:
+        if "file" not in entry:
+            continue
+        text = (_DATA_DIR / entry["file"]).read_text(encoding="utf-8")
+        sc = parse_script(text)
+        invs = (entry.get("involutions")
+                or dict.fromkeys(entry["proofs"], entry["involution"]))
+        self_dual = entry.get("self_dual", ())
+        out[entry["id"]] = [
+            (name, sc.proofs[name], named_involution(invs[name], self_dual))
+            for name in entry["proofs"]]
     return out
 
 
-def _universal_package() -> list:
-    """Instantiation at both entries, the conjunction form, the disjunctive
-    existential introduction, and the universal-existential bridge."""
-    cfg, reg = _ctx()
-    out = []
-    for t, name in ((_t1, "t1"), (_t2, "t2")):
-        out.append((f"forall_instance_{name}", _instantiation(t)))
-    conj = mk("and_r", {"pos": 0}, _instantiation(_t1), _instantiation(_t2))
-    out.append(("forall_to_conjunction", annotate(conj, cfg, reg)))
-    disj = mk("or_l", {"pos": 0}, _exists_intro(_t1), _exists_intro(_t2))
-    out.append(("disjunction_to_exists", annotate(disj, cfg, reg)))
-    bridge = mk("cut", {"rpos": 0, "lpos": 0}, _instantiation(_t1),
-                _exists_intro(_t1))
-    out.append(("forall_to_exists", annotate(bridge, cfg, reg)))
-    return out
+def _flat(loaded: dict) -> list:
+    return [(item_id, name, proof, inv)
+            for item_id, proofs in loaded.items()
+            for name, proof, inv in proofs]
 
 
-def _singleton_equivalences(dom: str, u: Outcome) -> list:
-    """For an extensional singleton: the instance, the universal, and the
-    existential forms are interderivable; the quantifier bridge has a
-    cut-free derivation through the equality form of its own schema."""
-    cfg, reg = _ctx()
-    out = []
-    # A(u) |- forall
-    n1 = mk("id", {"a": _A(u)})
-    n2 = mk("eq_left", {"pos": 1, "s": _z, "t": u}, n1,
-            conclusion=seq([_A(u), Eq(_z, u)], [_A(_z)]))
-    n3 = mk("forall_f", {"var": _z, "domain": dom, "mpos": 1, "qpos": 0,
-                         "as_eq": True}, n2)
-    out.append((f"instance_to_forall_{dom}", annotate(n3, cfg, reg)))
-    # forall |- A(u)
-    m1 = mk("member", {"domain": dom, "term": u})
-    m2 = mk("id", {"a": _A(u)})
-    m3 = mk("forall_r", {"pos": 0, "term": u, "var": _x, "domain": dom,
-                         "body": _A(_x)}, m1, m2)
-    out.append((f"forall_to_instance_{dom}", annotate(m3, cfg, reg)))
-    # A(u) |- exists
-    e1 = mk("id", {"a": _A(u)})
-    e2 = mk("neq_refl", {"t": u})
-    e3 = mk("exists_r", {"pos": 0, "term": u, "dual": "neq", "var": _x,
-                         "domain": dom, "body": _A(_x)}, e1, e2)
-    out.append((f"instance_to_exists_{dom}", annotate(e3, cfg, reg)))
-    # exists |- A(u)
-    f1 = mk("id", {"a": _A(u)})
-    f2 = mk("neq_right", {"pos": 1, "s": _y, "t": u}, f1,
-            conclusion=seq([_A(_y)], [_A(u), Neq(_y, u)]))
-    f3 = mk("exists_f", {"var": _y, "domain": dom, "dual": "neq",
-                         "dpos": 1, "qpos": 0}, f2)
-    out.append((f"exists_to_instance_{dom}", annotate(f3, cfg, reg)))
-    # exists |- forall, cut-free via the equality schema
-    g1 = mk("id", {"a": _A(u)})
-    g2 = mk("neq_right", {"pos": 1, "s": _y, "t": u}, g1,
-            conclusion=seq([_A(_y)], [_A(u), Neq(_y, u)]))
-    g3 = mk("eq_left", {"pos": 0, "s": _z, "t": u}, g2,
-            conclusion=seq([Eq(_z, u), _A(_y)], [_A(_z), Neq(_y, u)]))
-    g4 = mk("forall_f", {"var": _z, "domain": dom, "mpos": 0, "qpos": 0,
-                         "as_eq": True}, g3)
-    g5 = mk("exists_f", {"var": _y, "domain": dom, "dual": "neq",
-                         "dpos": 1, "qpos": 0}, g4)
-    out.append((f"exists_to_forall_cutfree_{dom}", annotate(g5, cfg, reg)))
-    return out
-
-
-def _d_axiom_bridge(dom: str) -> list:
-    cfg, reg = _ctx()
-    p = build_exists_to_forall(RuleContext(cfg, reg), dom, _x, _A(_x))
-    return [(f"exists_to_forall_{dom}", annotate(p, cfg, reg))]
-
-
-def _par_distribution(dom: str) -> list:
-    """Both directions of distributing the multiplicative disjunction of
-    two one-variable formulas over the quantifier on a virtual singleton."""
-    cfg, reg = _ctx()
-    a2par = mk("par_l", {"pos": 0, "apos": 0, "bpos": 0},
-               mk("id", {"a": _A(_z)}), mk("id", {"a": _B(_z)}))
-    a3 = mk("forall_r", {"pos": 0, "term": _z, "var": _x, "domain": dom,
-                         "body": Par(_A(_x), _B(_x))},
-            mk("id", {"a": Member(_z, dom)}), a2par)
-    a4 = mk("d_axiom", {"domain": dom, "dual": "top", "z": _y, "y": _z,
-                        "hole": _x, "body": _A(_x)})
-    a5 = mk("cut", {"rpos": 0, "lpos": 1}, a3, a4)
-    other = "Dminus" if dom == "Dplus" else "Dplus"
-    a6 = mk("dual_exclusion", {"domain": other, "var": _z, "dual": "top"})
-    a7 = mk("cut", {"rpos": 1, "lpos": 0}, a5, a6)
-    a8 = mk("contract_l", {"i": 2, "j": 3}, a7)
-    a9 = mk("forall_f", {"var": _y, "domain": dom, "mpos": 0, "qpos": 0}, a8)
-    a10 = mk("forall_f", {"var": _z, "domain": dom, "mpos": 1, "qpos": 1}, a9)
-    a11 = mk("par_r", {"pos": 0}, a10)
-    fwd = annotate(a11, cfg, reg)
-    w = reg.witness(dom)
-    p1 = mk("forall_r", {"pos": 0, "term": w, "var": _x, "domain": dom,
-                         "body": _A(_x)},
-            mk("id", {"a": Member(w, dom)}), mk("id", {"a": _A(w)}))
-    p2 = mk("forall_r", {"pos": 0, "term": w, "var": _x, "domain": dom,
-                         "body": _B(_x)},
-            mk("member", {"domain": dom, "term": w}), mk("id", {"a": _B(w)}))
-    p3 = mk("par_l", {"pos": 0, "apos": 0, "bpos": 0}, p1, p2)
-    p4 = mk("par_r", {"pos": 0}, p3)
-    p5 = mk("forall_f", {"var": w, "domain": dom, "mpos": 1, "qpos": 0}, p4)
-    conv = annotate(p5, cfg, reg)
-    return [(f"par_distribution_forward_{dom}", fwd),
-            (f"par_distribution_converse_{dom}", conv)]
-
-
-def _idempotency() -> list:
-    cfg, reg = _ctx()
-    a = _A(_z)
-    chain = mk("contract_r", {"i": 0, "j": 1},
-               mk("expand_r", {"pos": 0}, mk("id", {"a": a})))
-    p1 = mk("contract_r", {"i": 0, "j": 1},
-            mk("par_l", {"pos": 0, "apos": 0, "bpos": 0},
-               mk("id", {"a": a}), mk("id", {"a": a})))
-    p2 = mk("par_r", {"pos": 0}, mk("expand_r", {"pos": 0}, mk("id", {"a": a})))
-    return [("duplicate_then_contract", annotate(chain, cfg, reg)),
-            ("par_idempotent_down", annotate(p1, cfg, reg)),
-            ("par_idempotent_up", annotate(p2, cfg, reg))]
-
-
-def _conversion_roundtrip() -> list:
-    cfg, reg = _ctx()
-    rel = IndexRel(IConst(1), IDENTICAL, IConst(2))
-    w1 = mk("id", {"a": _A1(_z)})
-    w2 = mk("weak_l", {"pos": 1, "formula": Member(_z, "Dplus")}, w1)
-    w3 = mk("weak_l", {"pos": 2, "formula": rel}, w2)
-    w4 = mk("conv_pair_intro", {"qpos": 0, "relpos": 2}, w3)
-    w5 = mk("conv_pair_elim", {"qpos": 0}, w4)
-    p = annotate(w5, cfg, reg)
-    roundtrip = sequent_equal(p.conclusion, p.premises[0].premises[0].conclusion)
-    if not roundtrip:
-        raise AssertionError("conversion round trip lost the sequent")
-    return [("conversion_roundtrip", p)]
-
-
-def _parallel_rule(dom: str, tag) -> list:
-    """The macro form of the parallel quantifier rule over a correlated
-    pair, exercised from the definitory prefix."""
-    cfg, reg = _ctx()
-    a1z, a2z = _A1(_z), _A2(_z)
-    f1 = mk("id", {"a": Member(_z, dom)})
-    f2 = mk("id", {"a": Join(tag, a1z, a2z)})
-    f3 = mk("forall_r", {"pos": 0, "term": _z, "var": _x, "domain": dom,
-                         "body": Join(tag, _A1(_x), _A2(_x))}, f1, f2)
-    f4 = mk("join_elim", {"qpos": 0}, f3)
-    pf = mk("parallel_forall", {"var": _z, "domain": dom, "mpos": 1,
-                                "qpos": 0}, f4)
-    expanded = expand_derived(pf, cfg, reg)
-    return [(f"parallel_forall_{dom}", annotate(pf, cfg, reg)),
-            (f"parallel_forall_expanded_{dom}", expanded)]
-
-
-def _join_distribution(dom: str, tag) -> list:
-    cfg, reg = _ctx()
-    fwd, conv = distribute_forall(dom, _A1(_x), _A2(_x), tag, cfg, reg)
-    short = tag.short
-    return [(f"join_distribution_forward_{dom}_{short}", fwd),
-            (f"join_distribution_converse_{dom}_{short}", conv)]
-
-
-def _top_axiom_instances() -> list:
-    cfg, reg = _ctx()
-    out = []
-    for dom in ("Dplus", "Dminus"):
-        p = mk("d_axiom", {"domain": dom, "dual": "top", "z": _z, "y": _y,
-                           "hole": _x, "body": _A(_x)})
-        out.append((f"phase_axiom_{dom}", annotate(p, cfg, reg)))
-    return out
+def positive_proofs() -> list:
+    """Every proof of the shipped corpus scripts with the involution its
+    symmetric image is taken under: (item, name, proof, involution)."""
+    return _flat(_load(_manifest()))
 
 
 # --------------------------------------------------------------------------
-# item runners
+# item runners: (the item's proofs, every loaded item) -> (ok, detail)
 
-def _proves(item_id: str, title: str, builder: Callable[[], list]) -> CorpusItem:
-    def run() -> CorpusResult:
-        cfg, reg = _ctx()
-        try:
-            proofs = builder()
-        except Exception as e:  # construction failure is a corpus failure
-            return CorpusResult(item_id, title, "proves", False, f"build: {e}")
-        bad = []
-        for name, p in proofs:
-            rep = check_proof(p, cfg, reg)
-            if not rep.ok:
-                bad.append(f"{name}: {rep.failures[0].reason}")
-        detail = f"{len(proofs)} proofs"
-        return CorpusResult(item_id, title, "proves", not bad,
-                            detail if not bad else "; ".join(bad))
-
-    return CorpusItem(item_id, title, "proves", run)
+def _failures(proofs: list) -> list:
+    cfg, reg = corpus_config(), corpus_registry()
+    bad = []
+    for name, p, _inv in proofs:
+        rep = check_proof(p, cfg, reg)
+        if not rep.ok:
+            bad.append(f"{name}: {rep.failures[0].reason}")
+    return bad
 
 
-def _item_c4() -> CorpusItem:
-    def run() -> CorpusResult:
-        cfg, reg = _ctx()
-        fa = Forall(_x, "D", _A(_x))
-        pos = search_proof(seq([And(_A(_t1), _A(_t2))], [fa]), cfg, reg,
-                           depth=6)
-        fplus = Forall(_x, "Dplus", _A(_x))
-        neg = search_proof(seq([And(_A(_down), _A(_up))], [fplus]), cfg, reg,
-                           depth=NEGATIVE_DEPTH)
-        ok = pos.found and pos.depth <= 6 and not neg.found
-        detail = (f"focused proved at depth {pos.depth}; "
-                  f"unfocused {neg.status} at depth {NEGATIVE_DEPTH}")
-        return CorpusResult("C4", "focus characterization, both directions",
-                            "proves", ok, detail)
-
-    return CorpusItem("C4", "focus characterization, both directions",
-                      "proves", run)
+def _verdict(bad: list, detail: str) -> tuple:
+    return not bad, "; ".join(bad) or detail
 
 
-def _item_c8() -> CorpusItem:
-    def run() -> CorpusResult:
-        reg = corpus_registry(collapse_demo=True)
-        status, proofs = reg.consistency_guard("V")
-        if status != "collapse" or len(proofs) != 2:
-            return CorpusResult("C8", "license collapse on V", "collapses",
-                                False, f"guard said {status}")
-        cfg = collapse_config(reg, "V")
-        ok = all(check_proof(p, cfg, reg).ok for p in proofs)
-        ok = ok and all(len(p.conclusion.left) == 0
-                        and len(p.conclusion.right) == 1 for p in proofs)
-        # with either license missing no equality is derivable at the bound
-        plain = corpus_registry()
-        goal = seq([], [Eq(_v2, _v1)])
-        no_subst = CalculusConfig(True, True, True, True,
-                                  d_axiom_domains=frozenset({("V", "d")}))
-        no_dax = CalculusConfig(True, True, True, True,
-                                substitution_domains=frozenset({"V"}),
-                                collapse_demo=True)
-        n1 = search_proof(goal, no_subst, plain, depth=NEGATIVE_DEPTH)
-        n2 = search_proof(goal, no_dax, plain, depth=NEGATIVE_DEPTH)
-        ok = ok and not n1.found and not n2.found
-        return CorpusResult("C8", "license collapse on V", "collapses", ok,
-                            f"2 collapse proofs checked; negatives {n1.status}/"
-                            f"{n2.status} at depth {NEGATIVE_DEPTH}")
-
-    return CorpusItem("C8", "license collapse on V", "collapses", run)
+def _proves(own: list, loaded: dict) -> tuple:
+    return _verdict(_failures(own), f"{len(own)} proofs")
 
 
-def _item_c13() -> CorpusItem:
-    def run() -> CorpusResult:
-        cfg, reg = _ctx()
-        ok = True
-        details = []
-        fa_down = Forall(_x, "Ddown", _A(_x))
-        if apply_duality(fa_down, "perp") != Forall(_x, "Dup", _A(_x)):
-            ok, details = False, ["sharp table failed"]
-        if apply_duality(apply_duality(fa_down, "perp"), "perp") != fa_down:
-            ok = False
-            details.append("sharp duality not involutive")
-        try:
-            proofs = _singleton_equivalences("Dup", _sup)
-            for name, p in proofs:
-                if not check_proof(p, cfg, reg).ok:
-                    ok = False
-                    details.append(name)
-        except Exception as e:
-            ok, details = False, [str(e)]
-        return CorpusResult("C13", "sharp duality is negation-compatible",
-                            "proves", ok,
-                            "; ".join(details) or "table + dual-domain bridge")
-
-    return CorpusItem("C13", "sharp duality is negation-compatible",
-                      "proves", run)
+def _c4(own: list, loaded: dict) -> tuple:
+    cfg, reg = corpus_config(), corpus_registry()
+    t1, t2 = Outcome("t1", _half), Outcome("t2", _half)
+    down, up = Outcome("down", _half), Outcome("up", _half)
+    pos = search_proof(seq([And(_A(t1), _A(t2))], [Forall(_x, "D", _A(_x))]),
+                       cfg, reg, depth=6)
+    neg = search_proof(seq([And(_A(down), _A(up))],
+                           [Forall(_x, "Dplus", _A(_x))]),
+                       cfg, reg, depth=NEGATIVE_DEPTH)
+    return (pos.found and pos.depth <= 6 and not neg.found,
+            f"focused proved at depth {pos.depth}; "
+            f"unfocused {neg.status} at depth {NEGATIVE_DEPTH}")
 
 
-def _item_c15() -> CorpusItem:
-    def run() -> CorpusResult:
-        cfg, reg = _ctx()
-        ok = True
-        details = []
-        for phase in ("plus", "minus"):
-            for tag in (IDENTICAL, OPPOSITE):
-                b = bell_formula(BellState(phase, tag))
-                if apply_duality(b, "perp") != b:
-                    ok = False
-                    details.append(f"{phase}/{tag.kind} not a perp fixed point")
-                dom = "Dplus" if phase == "plus" else "Dminus"
-                try:
-                    fwd, conv = distribute_forall(dom, _A1(_x), _A2(_x), tag,
-                                                  cfg, reg)
-                    for p in (fwd, conv):
-                        if not check_proof(p, cfg, reg).ok:
-                            ok = False
-                            details.append(f"{phase}/{tag.kind} distribution")
-                except Exception as e:
-                    ok = False
-                    details.append(str(e))
-        return CorpusResult("C15", "correlated pair states and their dualities",
-                            "proves", ok, "; ".join(details) or "4 states")
-
-    return CorpusItem("C15", "correlated pair states and their dualities",
-                      "proves", run)
+def _c8(own: list, loaded: dict) -> tuple:
+    reg = corpus_registry(collapse_demo=True)
+    status, proofs = reg.consistency_guard("V")
+    if status != "collapse" or len(proofs) != 2:
+        return False, f"guard said {status}"
+    cfg = collapse_config(reg, "V")
+    ok = all(check_proof(p, cfg, reg).ok for p in proofs)
+    ok = ok and all(len(p.conclusion.left) == 0
+                    and len(p.conclusion.right) == 1 for p in proofs)
+    # with either license missing no equality is derivable at the bound
+    plain = corpus_registry()
+    goal = seq([], [Eq(Outcome("v2", _half), Outcome("v1", _half))])
+    no_subst = CalculusConfig(True, True, True, True,
+                              d_axiom_domains=frozenset({("V", "d")}))
+    no_dax = CalculusConfig(True, True, True, True,
+                            substitution_domains=frozenset({"V"}),
+                            collapse_demo=True)
+    n1 = search_proof(goal, no_subst, plain, depth=NEGATIVE_DEPTH)
+    n2 = search_proof(goal, no_dax, plain, depth=NEGATIVE_DEPTH)
+    ok = ok and not n1.found and not n2.found
+    return ok, (f"2 collapse proofs checked; negatives {n1.status}/"
+                f"{n2.status} at depth {NEGATIVE_DEPTH}")
 
 
-def _item_c16() -> CorpusItem:
-    def run() -> CorpusResult:
-        cfg, reg = _ctx()
-        p, q = Atom("p", None, ()), Atom("q", None, ())
-        out = search_proof(seq([Imp(p, q), q], [p]), cfg, reg,
-                           depth=NEGATIVE_DEPTH)
-        ok = not out.found
-        return CorpusResult("C16", "implication is not reversible",
-                            f"not-found-at-depth({NEGATIVE_DEPTH})", ok,
-                            out.status)
-
-    return CorpusItem("C16", "implication is not reversible",
-                      f"not-found-at-depth({NEGATIVE_DEPTH})", run)
+def _c11(own: list, loaded: dict) -> tuple:
+    bad = _failures(own)
+    p = own[0][1]
+    if not sequent_equal(p.conclusion, p.premises[0].premises[0].conclusion):
+        bad.append("conversion round trip lost the sequent")
+    return _verdict(bad, f"{len(own)} proofs")
 
 
-def _item_c17() -> CorpusItem:
-    def run() -> CorpusResult:
-        reg = corpus_registry()
-        cfg = CalculusConfig(right_contexts=True)
-        p, q = Atom("p", None, ()), Atom("q", None, ())
-        out = search_proof(seq([Imp(p, q), p], [q]), cfg, reg, depth=4)
-        return CorpusResult("C17", "detachment under right contexts",
-                            "proves", out.found,
-                            f"{out.status} at depth {out.depth}")
+def _c12(own: list, loaded: dict) -> tuple:
+    """The macro form of the parallel quantifier rule has no symmetric mate,
+    so no script holds it: build it here, and require that it expands to
+    the shipped ``parallel_forall_expanded_Dplus``."""
+    cfg, reg = corpus_config(), corpus_registry()
+    a1, a2 = IConst(1), IConst(2)
+    macro = mk("parallel_forall", {"var": _z, "domain": "Dplus", "mpos": 1,
+                                   "qpos": 0},
+               mk("join_elim", {"qpos": 0},
+                  mk("forall_r", {"pos": 0, "term": _z, "var": _x,
+                                  "domain": "Dplus",
+                                  "body": Join(IDENTICAL, _A(_x, a1),
+                                               _A(_x, a2))},
+                     mk("id", {"a": Member(_z, "Dplus")}),
+                     mk("id", {"a": Join(IDENTICAL, _A(_z, a1),
+                                         _A(_z, a2))}))))
+    bad = _failures([("parallel_forall_Dplus", macro, None)] + own)
+    shipped = {name: p for name, p, _inv in own}
+    if not bad and not proof_equal(expand_derived(macro, cfg, reg),
+                                   shipped["parallel_forall_expanded_Dplus"]):
+        bad.append("parallel_forall_Dplus: expansion differs from "
+                   "parallel_forall_expanded_Dplus")
+    return _verdict(bad, f"{len(own) + 1} proofs")
 
-    return CorpusItem("C17", "detachment under right contexts", "proves", run)
+
+def _c13(own: list, loaded: dict) -> tuple:
+    bad = []
+    fa_down = Forall(_x, "Ddown", _A(_x))
+    if apply_duality(fa_down, "perp") != Forall(_x, "Dup", _A(_x)):
+        bad.append("sharp table failed")
+    if apply_duality(apply_duality(fa_down, "perp"), "perp") != fa_down:
+        bad.append("sharp duality not involutive")
+    return _verdict(bad + _failures(own), "table + dual-domain bridge")
 
 
-def _item_c18() -> CorpusItem:
-    def run() -> CorpusResult:
-        cfg, reg = _ctx()
-        bad = []
-        total = 0
-        for item_id, name, proof, inv in positive_proofs():
-            total += 1
-            try:
-                sym = symmetrize_proof(proof, inv, cfg, reg)
-            except Exception as e:
-                bad.append(f"{item_id}/{name}: {e}")
-                continue
-            rep = check_proof(sym, cfg, reg)
-            if not rep.ok:
-                bad.append(f"{item_id}/{name}: {rep.failures[0].reason}")
-                continue
-            from .dualities import symmetrize_sequent
-            want = symmetrize_sequent(proof.conclusion, inv)
-            if not sequent_equal(sym.conclusion, want):
-                bad.append(f"{item_id}/{name}: wrong symmetric conclusion")
-                continue
-            back = symmetrize_proof(sym, inv, cfg, reg)
-            if not proof_equal(back, annotate(proof, cfg, reg)):
-                bad.append(f"{item_id}/{name}: double transform changed the proof")
-        return CorpusResult("C18", "symmetry transformation round trip",
-                            "proves", not bad,
-                            f"{total} proofs" if not bad else "; ".join(bad[:3]))
+def _c15(own: list, loaded: dict) -> tuple:
+    cfg, reg = corpus_config(), corpus_registry()
+    bad = _failures(own)
+    for phase, dom in (("plus", "Dplus"), ("minus", "Dminus")):
+        for tag in (IDENTICAL, OPPOSITE):
+            b = bell_formula(BellState(phase, tag))
+            if apply_duality(b, "perp") != b:
+                bad.append(f"{phase}/{tag.kind} not a perp fixed point")
+            pair = distribute_forall(dom, _A(_x, IConst(1)), _A(_x, IConst(2)),
+                                     tag, cfg, reg)
+            if not all(check_proof(p, cfg, reg).ok for p in pair):
+                bad.append(f"{phase}/{tag.kind} distribution")
+    return _verdict(bad, "4 states")
 
-    return CorpusItem("C18", "symmetry transformation round trip", "proves",
-                      run)
+
+def _c16(own: list, loaded: dict) -> tuple:
+    p, q = Atom("p", None, ()), Atom("q", None, ())
+    out = search_proof(seq([Imp(p, q), q], [p]), corpus_config(),
+                       corpus_registry(), depth=NEGATIVE_DEPTH)
+    return not out.found, out.status
+
+
+def _c17(own: list, loaded: dict) -> tuple:
+    p, q = Atom("p", None, ()), Atom("q", None, ())
+    out = search_proof(seq([Imp(p, q), p], [q]),
+                       CalculusConfig(right_contexts=True), corpus_registry(),
+                       depth=4)
+    return out.found, f"{out.status} at depth {out.depth}"
+
+
+def _c18(own: list, loaded: dict) -> tuple:
+    cfg, reg = corpus_config(), corpus_registry()
+    bad = []
+    proofs = _flat(loaded)
+    for item_id, name, proof, inv in proofs:
+        sym = symmetrize_proof(proof, inv, cfg, reg)
+        rep = check_proof(sym, cfg, reg)
+        if not rep.ok:
+            bad.append(f"{item_id}/{name}: {rep.failures[0].reason}")
+        elif not sequent_equal(sym.conclusion,
+                               symmetrize_sequent(proof.conclusion, inv)):
+            bad.append(f"{item_id}/{name}: wrong symmetric conclusion")
+        elif not proof_equal(symmetrize_proof(sym, inv, cfg, reg),
+                             annotate(proof, cfg, reg)):
+            bad.append(f"{item_id}/{name}: double transform changed the proof")
+    return not bad, "; ".join(bad[:3]) or f"{len(proofs)} proofs"
+
+
+_RUNNERS = {"C4": _c4, "C8": _c8, "C11": _c11, "C12": _c12, "C13": _c13,
+            "C15": _c15, "C16": _c16, "C17": _c17, "C18": _c18}
 
 
 # --------------------------------------------------------------------------
 # the corpus
 
-def _tag_inv(name: str) -> LiteralInvolution:
-    return LiteralInvolution(name)
+def _item(entry: dict, loaded: dict) -> CorpusItem:
+    item_id, title = entry["id"], entry["title"]
+    runner = _RUNNERS.get(item_id, _proves)
 
+    def run() -> CorpusResult:
+        try:
+            ok, detail = runner(loaded.get(item_id, []), loaded)
+        except Exception as e:  # a runner that breaks is a corpus failure
+            ok, detail = False, f"{type(e).__name__}: {e}"
+        return CorpusResult(item_id, title, entry["expectation"], ok, detail)
 
-def _top_inv(reg: Registry, self_dual: bool = True) -> LiteralInvolution:
-    return LiteralInvolution(
-        "top", domain_table=dict(reg.duality_tables["top"]),
-        self_dual_domains=frozenset({"Dplus", "Dminus"}) if self_dual
-        else frozenset())
-
-
-def positive_proofs() -> list:
-    """Every hand-built positive corpus proof with the involution its
-    symmetric image is taken under: (item, name, proof, involution)."""
-    cfg, reg = _ctx()
-    d_inv = _tag_inv("d")
-    neq_like = IDENTITY_INV
-    top_inv = _top_inv(reg)
-    out = []
-
-    def add(item_id, pairs, inv):
-        for name, p in pairs:
-            out.append((item_id, name, p, inv))
-
-    add("C1", _membership_equivalence("D", "d"), d_inv)
-    add("C2", _entries_disjunction("D", (_t1, _t2)), d_inv)
-    add("C2", _entries_disjunction("Dplus", (_down, _up)), d_inv)
-    add("C3", _focus_lemma(), d_inv)
-    add("C5", _universal_package(), d_inv)
-    add("C6", _singleton_equivalences("Ddown", _sdown), neq_like)
-    add("C7", _d_axiom_bridge("V"), d_inv)
-    add("C7", _d_axiom_bridge("Dplus"), _top_inv(reg, self_dual=False))
-    add("C9", _par_distribution("Dplus"), top_inv)
-    add("C10", _idempotency(), neq_like)
-    add("C11", _conversion_roundtrip(), top_inv)
-    add("C12", [p for p in _parallel_rule("Dplus", IDENTICAL)
-                if "expanded" in p[0]], top_inv)
-    add("C12", _join_distribution("Dplus", IDENTICAL), top_inv)
-    add("C13", _singleton_equivalences("Dup", _sup), neq_like)
-    add("C14", _top_axiom_instances(), top_inv)
-    add("C15", _join_distribution("Dminus", OPPOSITE), top_inv)
-    return out
+    return CorpusItem(item_id, title, entry["expectation"], run)
 
 
 def build_items() -> list:
-    items = [
-        _proves("C1", "membership and the existential equality coincide",
-                lambda: _membership_equivalence("D", "d")),
-        _proves("C2", "entry disjunction entails membership, any domain",
-                lambda: (_entries_disjunction("D", (_t1, _t2))
-                         + _entries_disjunction("Dplus", (_down, _up)))),
-        _proves("C3", "focused-domain lemma, both passes", _focus_lemma),
-        _item_c4(),
-        _proves("C5", "universal instantiation and the quantifier bridge",
-                _universal_package),
-        _proves("C6", "extensional singleton equivalences",
-                lambda: _singleton_equivalences("Ddown", _sdown)),
-        _proves("C7", "licensed schemas collapse the quantifier direction",
-                lambda: _d_axiom_bridge("V") + _d_axiom_bridge("Dplus")),
-        _item_c8(),
-        _proves("C9", "multiplicative distribution over a virtual singleton",
-                lambda: _par_distribution("Dplus")),
-        _proves("C10", "idempotency of the right comma", _idempotency),
-        _proves("C11", "second-order conversion round trip",
-                _conversion_roundtrip),
-        _proves("C12", "parallel quantifier rule and its distribution",
-                lambda: (_parallel_rule("Dplus", IDENTICAL)
-                         + _join_distribution("Dplus", IDENTICAL))),
-        _item_c13(),
-        _proves("C14", "phase-duality axiom instances",
-                _top_axiom_instances),
-        _item_c15(),
-        _item_c16(),
-        _item_c17(),
-        _item_c18(),
-    ]
-    return items
+    """Every corpus item in manifest order.  The scripts are parsed once
+    here, and the items, C18 included, share the parsed proofs."""
+    manifest = _manifest()
+    loaded = _load(manifest)
+    return [_item(entry, loaded) for entry in manifest["items"]]
 
 
 def run_corpus() -> list:
@@ -626,55 +304,17 @@ def run_corpus() -> list:
     return [item.run() for item in build_items()]
 
 
-# --------------------------------------------------------------------------
-# script export
-
-_PRELUDE = """\
-domain Ddown = { down@1 } focused duality neq subst
-domain Dup = { up@1 } focused duality neq subst
-domain Dplus = { down@1/2, up@1/2 } virtual duality top
-domain Dminus = { down@1/2, up@1/2 } virtual duality top
-domain D = { t1@1/2, t2@1/2 } focused subst
-domain V = { v1@1/2, v2@1/2 } virtual duality d
-dualtable perp { Ddown <-> Dup, Dplus <-> Dplus, Dminus <-> Dminus }
-dualtable top { Dplus <-> Dminus, Ddown <-> Ddown, Dup <-> Dup }
-flags left_contexts right_contexts weakening cut
-license subst D
-license subst Ddown
-license subst Dup
-license daxiom Dplus top
-license daxiom Dminus top
-license daxiom V d
-license daxiom Ddown neq
-license daxiom Dup neq
-"""
-
-
 def export_corpus(directory) -> dict:
-    """Write each corpus item's positive proofs as a script file, plus a
-    manifest of every item's expectation.  Returns the manifest."""
-    from .scripts import print_proof, print_sequent
-
+    """Write each shipped corpus script in printed form, plus the manifest
+    of every item's expectation.  Returns the manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    by_item: dict = {}
-    for item_id, name, proof, _inv in positive_proofs():
-        by_item.setdefault(item_id, []).append((name, proof))
-    manifest = {"schema": 1, "items": []}
-    for item in build_items():
-        entry = {"id": item.id, "title": item.title,
-                 "expectation": item.expectation}
-        proofs = by_item.get(item.id)
-        if proofs:
-            lines = [_PRELUDE]
-            for name, proof in proofs:
-                lines.append(f"proof {name} : {print_sequent(proof.conclusion)}")
-                lines.append(print_proof(proof))
-            fname = f"{item.id.lower()}.blq"
-            (directory / fname).write_text("\n".join(lines) + "\n")
-            entry["file"] = fname
-            entry["proofs"] = [name for name, _ in proofs]
-        manifest["items"].append(entry)
+    manifest = _manifest()
+    for entry in manifest["items"]:
+        if "file" in entry:
+            text = (_DATA_DIR / entry["file"]).read_text(encoding="utf-8")
+            (directory / entry["file"]).write_text(
+                print_script(parse_script(text)))
     (directory / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

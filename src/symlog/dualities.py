@@ -20,7 +20,7 @@ logical structure, and is partial outside that dictionary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .formulas import (
     And, Atom, DualMember, Eq, Excl, Exists, Forall, Formula, Imp, IndexRel,
@@ -30,6 +30,7 @@ from .formulas import (
 
 __all__ = [
     "LiteralInvolution", "IDENTITY_INV", "PERP_INV", "TOP_INV",
+    "named_involution",
     "symmetrize_formula", "symmetrize_slot", "symmetrize_sequent",
     "apply_duality", "UnclassifiedLiteral",
     "SHARP_LABELS", "PHASE_DOMAINS",
@@ -83,6 +84,16 @@ PERP_INV = LiteralInvolution("perp", label_swap=dict(SHARP_LABELS),
 TOP_INV = LiteralInvolution("top", domain_table={**PHASE_DOMAINS,
                                                  "Ddown": "Ddown",
                                                  "Dup": "Dup"})
+_NAMED = {inv.name: inv for inv in (IDENTITY_INV, PERP_INV, TOP_INV)}
+
+
+def named_involution(name: str, self_dual_domains=()) -> LiteralInvolution:
+    """``identity``, ``perp`` or ``top``, or else a bare duality tag with
+    empty tables, quantifying self-dually over ``self_dual_domains``."""
+    inv = _NAMED.get(name) or LiteralInvolution(name)
+    if self_dual_domains:
+        inv = replace(inv, self_dual_domains=frozenset(self_dual_domains))
+    return inv
 
 
 # each constructor's mate under the symmetry map

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .domains import DomainRecord, Registry, standard_registry
 from .dualities import apply_duality
 from .formulas import (
@@ -62,9 +60,8 @@ class Qubit:
                            0.0 if self.beta <= NORM_TOL else self.phi % _TAU)
 
     @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta * cmath.exp(1j * self.phi)],
-                        dtype=complex)
+    def amplitudes(self) -> tuple:
+        return (complex(self.alpha), self.beta * cmath.exp(1j * self.phi))
 
     @staticmethod
     def from_amplitudes(v) -> "Qubit":
@@ -93,8 +90,8 @@ KET_MINUS = Qubit(1 / math.sqrt(2), 1 / math.sqrt(2), math.pi)
 BASIS_STATES = {"down": KET_DOWN, "up": KET_UP,
                 "plus": KET_PLUS, "minus": KET_MINUS}
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_X = ((0j, 1 + 0j), (1 + 0j, 0j))
+_Z = ((1 + 0j, 0j), (0j, -1 + 0j))
 
 
 @dataclass(frozen=True)
@@ -106,8 +103,9 @@ class GateTag:
             raise ValueError(f"unknown gate: {self.name}")
 
     @property
-    def matrix(self) -> np.ndarray:
-        return _X.copy() if self.name == "X" else _Z.copy()
+    def matrix(self) -> tuple:
+        """The gate as a 2x2 tuple of rows."""
+        return _X if self.name == "X" else _Z
 
 
 X_GATE = GateTag("X")
@@ -137,7 +135,9 @@ def distinguishable(q: Qubit, r: Qubit) -> bool:
 
 
 def apply_gate(g: GateTag, q: Qubit) -> Qubit:
-    return Qubit.from_amplitudes(g.matrix @ q.amplitudes)
+    (a, b), (c, d) = g.matrix
+    u, v = q.amplitudes
+    return Qubit.from_amplitudes((a * u + b * v, c * u + d * v))
 
 
 # --------------------------------------------------------------------------

@@ -61,10 +61,16 @@ class ParseError(Exception):
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t]+)
+  | (?P<nl>\n)
   | (?P<sym>join_[io]|\|-|<->|->|<-|,_i|,_o|~i|~o|/=|\\/|[(){}.,=&*^@:/_])
   | (?P<num>\d+)
   | (?P<ident>[A-Za-z][A-Za-z0-9']*)
+  | (?P<bad>.)
 """, re.VERBOSE)
+
+# The parser looks at most two tokens past the cursor, and stops at the
+# first ``end`` it consumes, so three sentinels let ``peek`` index directly.
+_SENTINELS = 3
 
 
 @dataclass(frozen=True)
@@ -77,24 +83,21 @@ class Tok:
 
 def _lex(text: str, line: int = 1) -> list:
     toks = []
-    i = 0
-    cur_line = line
     line_start = 0
-    while i < len(text):
-        if text[i] == "\n":
-            cur_line += 1
-            i += 1
-            line_start = i
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
             continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(cur_line, i - line_start + 1, "a token", text[i])
-        i = m.end()
-        if m.lastgroup == "ws":
+        if kind == "nl":
+            line += 1
+            line_start = m.end()
             continue
-        toks.append(Tok(m.lastgroup, m.group(), cur_line,
-                        m.start() - line_start + 1))
-    toks.append(Tok("end", "<end>", cur_line, len(text) - line_start + 1))
+        if kind == "bad":
+            raise ParseError(line, m.start() - line_start + 1, "a token",
+                             m.group())
+        toks.append(Tok(kind, m.group(), line, m.start() - line_start + 1))
+    toks.extend([Tok("end", "<end>", line, len(text) - line_start + 1)]
+                * _SENTINELS)
     return toks
 
 
@@ -106,7 +109,7 @@ class _Stream:
         self.open = 0  # formulas being parsed, one inside the next
 
     def peek(self, ahead: int = 0) -> Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
 
     def next(self) -> Tok:
         t = self.peek()
@@ -146,19 +149,30 @@ class _Stream:
 # --------------------------------------------------------------------------
 # terms
 
-def _parse_rational(s: _Stream) -> Fraction:
+def _parse_probability(s: _Stream) -> Fraction:
+    """An outcome's probability: a rational in (0, 1]."""
+    start = s.i
     num = s.number()
+    den = 1
     if s.at("/"):
         s.next()
-        return Fraction(num, s.number())
-    return Fraction(num)
+        t = s.peek()
+        den = s.number()
+        if den == 0:
+            raise ParseError(t.line, t.col, "a non-zero denominator", t.text)
+    p = Fraction(num, den)
+    if not 0 < p <= 1:
+        t = s.toks[start]
+        raise ParseError(t.line, t.col, "a probability in (0, 1]",
+                         "".join(tok.text for tok in s.toks[start:s.i]))
+    return p
 
 
 def _parse_term(s: _Stream) -> Term:
     name = s.ident("a term")
     if s.at("@"):
         s.next()
-        return Outcome(name, _parse_rational(s))
+        return Outcome(name, _parse_probability(s))
     if name in s.consts:
         return Const(name)
     return Var(name)
@@ -572,7 +586,7 @@ def _parse_domain_decl(s: _Stream) -> DomainRecord:
         while True:
             label = s.ident("an outcome label")
             s.eat("@")
-            entries.append(Outcome(label, _parse_rational(s)))
+            entries.append(Outcome(label, _parse_probability(s)))
             if s.at(","):
                 s.next()
                 continue

@@ -1,6 +1,7 @@
 """End-to-end runs of every command."""
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -275,3 +276,22 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "corpus", boom)
     assert main(["corpus"]) == 3
     assert capsys.readouterr().err == "symlog: internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("text, expected, found", [
+    ("domain D = { a@1/0 }\n", "a non-zero denominator", "0"),
+    ("domain D = { a@1/2, b@3/2 }\n", "a probability in (0, 1]", "3/2"),
+    ("domain D = { a@1 }\nsequent s : A(a@0) |- A(a@1)\n",
+     "a probability in (0, 1]", "0"),
+    ("sequent s : A(a@2/0) |- A(a@1)\n", "a non-zero denominator", "0"),
+], ids=["domain-zero-denominator", "domain-above-one", "term-zero",
+        "term-zero-denominator"])
+def test_check_rejects_bad_probability(tmp_path, capsys, text, expected,
+                                       found):
+    path = tmp_path / "prob.blq"
+    path.write_text(text)
+    rc = main(["check", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert re.fullmatch(rf"symlog: \d+:\d+: expected {re.escape(expected)}, "
+                        rf"found '{re.escape(found)}'\n", err), err

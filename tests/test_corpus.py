@@ -1,10 +1,13 @@
 """The regression corpus: all items green, exports checkable."""
+import hashlib
 import json
 import time
 from pathlib import Path
 
-from symlog.corpus import build_items, positive_proofs, run_corpus
-from symlog.kernel import check_proof
+from symlog.corpus import (
+    build_items, corpus_config, corpus_registry, positive_proofs, run_corpus,
+)
+from symlog.kernel import check_proof, proof_to_json, symmetrize_proof
 from symlog.scripts import parse_script
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "src/symlog/corpus_data"
@@ -80,3 +83,37 @@ def test_check_report_json_shape():
     assert rep["schema"] == 1 and rep["ok"] is True
     assert set(rep["stats"]) == {"nodes", "rules", "subst_domains",
                                  "d_axiom_pairs"}
+
+
+# sha256 over positive_proofs(), computed when every corpus proof was still
+# built in Python: each proof, its symmetric image, and the name and tables
+# of the involution it is symmetrized under.
+_POSITIVE_DIGEST = ("e63d091aa08fb68d4b92d938a95198978d2cf60a"
+                    "3a2c7081dbc75f4a0efff687")
+
+
+def test_positive_proofs_digest_unchanged():
+    cfg, reg = corpus_config(), corpus_registry()
+    h = hashlib.sha256()
+    for item, name, proof, inv in positive_proofs():
+        sym = symmetrize_proof(proof, inv, cfg, reg)
+        entry = [item, name, proof_to_json(proof), proof_to_json(sym),
+                 inv.name, sorted(inv.label_swap.items()),
+                 sorted(inv.domain_table.items()),
+                 sorted(inv.self_dual_domains)]
+        h.update(json.dumps(entry, sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == _POSITIVE_DIGEST
+
+
+def test_shipped_scripts_declare_the_corpus_context():
+    """Each script repeats the corpus's domains, tables and licences in its
+    prelude; they must stay equal to corpus_config()/corpus_registry()."""
+    cfg, reg = corpus_config(), corpus_registry()
+    want = {n: reg.get(n) for n in reg.names()}
+    for path in sorted(CORPUS_DIR.glob("*.blq")):
+        sc = parse_script(path.read_text())
+        assert sc.config() == cfg, path.name
+        got = sc.registry()
+        assert {n: got.get(n) for n in got.names()} == want, path.name
+        assert got.duality_tables == reg.duality_tables, path.name

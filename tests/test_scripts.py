@@ -122,6 +122,8 @@ def test_corpus_scripts_round_trip(tmp_path):
 
 
 def test_shipped_corpus_matches_export(tmp_path):
+    """Every shipped script is a fixed point of print_script(parse_script())
+    and the shipped manifest is the one export writes."""
     export_corpus(tmp_path)
     for path in sorted(tmp_path.iterdir()):
         shipped = CORPUS_DIR / path.name
