@@ -44,6 +44,7 @@ from .scripts import (
 )
 from .search import DEFAULT_MAX_DEPTH, search_proof
 
+
 def _err(msg: str) -> None:
     print(f"symlog: {msg}", file=sys.stderr)
 
