@@ -12,7 +12,8 @@ Commands::
     symlog guard DOMAIN [--collapse-demo]
 
 Exit codes: 0 on a successful run, 1 on a failed check or an unproved
-search goal, 2 on usage or parse errors, 3 on an internal error.
+search goal, 2 on usage or parse errors, 3 on an internal error (any
+other exception, a ValueError raised while checking or searching too).
 Diagnostics go to stderr, reports to stdout.  Context-liberalization flags
 are never assumed: they come from the script's ``flags`` line or, for
 check, sym and search, the command line, or stay off.
@@ -27,7 +28,9 @@ import sys
 
 from .corpus import run_corpus
 from .domains import RegistryError, standard_registry
-from .dualities import UnclassifiedLiteral, apply_duality, named_involution
+from .dualities import (
+    UnclassifiedLiteral, UnknownDuality, apply_duality, named_involution,
+)
 from .formulas import map_sequent
 from .kernel import (
     KernelError, check_proof, proof_to_json, symmetrize_proof,
@@ -42,7 +45,11 @@ from .scripts import (
     ParseError, Script, parse_script, print_formula, print_proof,
     print_sequent,
 )
-from .search import DEFAULT_MAX_DEPTH, search_proof
+from .search import DEFAULT_MAX_DEPTH, DepthLimitError, search_proof
+
+
+class UsageError(Exception):
+    """A command line, environment or input file the command cannot use."""
 
 
 def _err(msg: str) -> None:
@@ -54,16 +61,18 @@ def _load_script(path: str) -> Script:
         return parse_script(fh.read())
 
 
-def _merge_config(sc: Script, args) -> CalculusConfig:
+def _merge_config(sc: Script, args, reg) -> CalculusConfig:
+    """The script's configuration widened by the command line, with its
+    licences checked against ``reg``."""
     base = sc.config()
     subst = set(base.substitution_domains) | set(args.subst or [])
     dax = set(base.d_axiom_domains)
     for spec in args.d_axiom or []:
         dom, _, dual = spec.partition(":")
         if not dual:
-            raise ValueError(f"--d-axiom wants DOMAIN:DUALITY, got {spec!r}")
+            raise UsageError(f"--d-axiom wants DOMAIN:DUALITY, got {spec!r}")
         dax.add((dom, dual))
-    return CalculusConfig(
+    cfg = CalculusConfig(
         left_contexts=base.left_contexts or args.left_contexts,
         right_contexts=base.right_contexts or args.right_contexts,
         weakening=base.weakening or args.weakening,
@@ -71,6 +80,11 @@ def _merge_config(sc: Script, args) -> CalculusConfig:
         substitution_domains=frozenset(subst),
         d_axiom_domains=frozenset(dax),
         collapse_demo=base.collapse_demo or args.collapse_demo)
+    try:
+        cfg.check_licenses(reg)
+    except ValueError as e:  # the only error check_licenses raises
+        raise UsageError(str(e)) from None
+    return cfg
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -146,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args) -> int:
     sc = _load_script(args.file)
     reg = sc.registry()
-    cfg = _merge_config(sc, args)
+    cfg = _merge_config(sc, args, reg)
     results = {}
     ok = True
     for name, proof in sc.proofs.items():
@@ -162,7 +176,7 @@ def _cmd_check(args) -> int:
 def _cmd_sym(args) -> int:
     sc = _load_script(args.file)
     reg = sc.registry()
-    cfg = _merge_config(sc, args)
+    cfg = _merge_config(sc, args, reg)
     if args.name not in sc.proofs:
         _err(f"no proof named {args.name!r}")
         return 2
@@ -189,15 +203,19 @@ def _cmd_dual(args) -> int:
 
 def _depth_default() -> int:
     env = os.environ.get("SYMLOG_DEPTH")
-    if env is not None:
+    if env is None:
+        return DEFAULT_MAX_DEPTH
+    try:
         return int(env)
-    return DEFAULT_MAX_DEPTH
+    except ValueError:
+        raise UsageError(f"SYMLOG_DEPTH wants a whole number, got {env!r}") \
+            from None
 
 
 def _cmd_search(args) -> int:
     sc = _load_script(args.file)
     reg = sc.registry()
-    cfg = _merge_config(sc, args)
+    cfg = _merge_config(sc, args, reg)
     goal = sc.sequents.get(args.name)
     if goal is None:
         _err(f"no sequent named {args.name!r}")
@@ -231,10 +249,14 @@ def _cmd_corpus(args) -> int:
 def _cmd_qstate(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    q = Qubit.from_amplitudes([
-        complex(data["alpha"]),
-        complex(data["beta"]) * cmath.exp(1j * float(data.get("phi", 0.0))),
-    ])
+    try:
+        q = Qubit.from_amplitudes([
+            complex(data["alpha"]),
+            complex(data["beta"]) * cmath.exp(1j * float(data.get("phi", 0.0))),
+        ])
+    except (KeyError, TypeError, ValueError) as e:
+        raise UsageError(f"{args.file}: not a qubit state: "
+                         f"{type(e).__name__}: {e}") from None
     reg = standard_registry()
     rec = measurement_domain(q)
     state = state_formula(q, reg)
@@ -286,9 +308,10 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, RegistryError, RuleError, KernelError,
-            NonDyadicProbability, UnclassifiedLiteral, ValueError,
-            OSError, json.JSONDecodeError) as e:
+    except (ParseError, RegistryError, RuleError, KernelError, UsageError,
+            NonDyadicProbability, UnclassifiedLiteral, UnknownDuality,
+            DepthLimitError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as e:
         _err(str(e))
         return 2
     except Exception as e:

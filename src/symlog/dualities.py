@@ -32,7 +32,7 @@ __all__ = [
     "LiteralInvolution", "IDENTITY_INV", "PERP_INV", "TOP_INV",
     "named_involution",
     "symmetrize_formula", "symmetrize_slot", "symmetrize_sequent",
-    "apply_duality", "UnclassifiedLiteral",
+    "apply_duality", "UnclassifiedLiteral", "UnknownDuality",
     "SHARP_LABELS", "PHASE_DOMAINS",
 ]
 
@@ -146,6 +146,11 @@ class UnclassifiedLiteral(Exception):
     """Raised when a formula falls outside the qubit dictionary."""
 
 
+class UnknownDuality(ValueError):
+    """Raised when ``apply_duality`` is asked for a duality other than
+    ``perp`` or ``top``."""
+
+
 def _is_sharp_atom(f: Formula) -> bool:
     return (isinstance(f, Atom) and len(f.args) == 1
             and isinstance(f.args[0], Outcome)
@@ -165,7 +170,7 @@ def apply_duality(f: Formula, name: str) -> Formula:
     """
     inv = {"perp": PERP_INV, "top": TOP_INV}.get(name)
     if inv is None:
-        raise ValueError(f"unknown duality: {name!r}")
+        raise UnknownDuality(f"unknown duality: {name!r}")
     if _is_sharp_atom(f):
         return Atom(f.pred, f.index, (inv.swap_term(f.args[0]),))
     if isinstance(f, And) and _is_sharp_atom(f.a) and _is_sharp_atom(f.b):

@@ -68,6 +68,10 @@ _TOKEN_RE = re.compile(r"""
   | (?P<bad>.)
 """, re.VERBOSE)
 
+# The longest number the parser reads; Python's int() refuses a few
+# thousand digits, and no probability or index needs more than this.
+_MAX_DIGITS = 100
+
 # The parser looks at most two tokens past the cursor, and stops at the
 # first ``end`` it consumes, so three sentinels let ``peek`` index directly.
 _SENTINELS = 3
@@ -81,9 +85,11 @@ class Tok:
     col: int
 
 
-def _lex(text: str, line: int = 1) -> list:
+def _lex(text: str, line: int = 1, col: int = 1) -> list:
+    """The tokens of ``text``, whose first character sits at ``line`` and
+    ``col`` of its file, and three ``end`` sentinels."""
     toks = []
-    line_start = 0
+    line_start = 1 - col  # a column is m.start() - line_start + 1
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "ws":
@@ -135,6 +141,9 @@ class _Stream:
         t = self.peek()
         if t.kind != "num":
             raise ParseError(t.line, t.col, "a number", t.text)
+        if len(t.text) > _MAX_DIGITS:
+            raise ParseError(t.line, t.col,
+                             f"a number of at most {_MAX_DIGITS} digits", t.text)
         return int(self.next().text)
 
     def done(self) -> bool:
@@ -178,8 +187,9 @@ def _parse_term(s: _Stream) -> Term:
     return Var(name)
 
 
-def parse_term(text: str, consts: Optional[set] = None) -> Term:
-    s = _Stream(_lex(text), consts)
+def parse_term(text: str, consts: Optional[set] = None, line: int = 1,
+               col: int = 1) -> Term:
+    s = _Stream(_lex(text, line, col), consts)
     t = _parse_term(s)
     s.expect_end()
     return t
@@ -198,7 +208,11 @@ def _print_index(i: Index) -> str:
 def _parse_index(s: _Stream) -> Index:
     t = s.peek()
     if t.kind == "num":
-        return IConst(s.number())
+        try:
+            return IConst(s.number())
+        except ValueError:  # IConst's range check
+            raise ParseError(t.line, t.col, "an index constant from 1 to 9",
+                             t.text) from None
     return IVar(s.ident("an index"))
 
 
@@ -262,8 +276,13 @@ def _parse_formula(s: _Stream, level: int = 0, last: bool = True) -> tuple:
     for lv in range(_OP_LEVEL[Times], level - 1, -1):
         ctor = _operator(s, lv)
         if ctor is not None:
+            op = s.toks[s.i - 1]
             rhs, rdepth = _parse_formula(s, lv + 1)
-            f, depth = ctor(f, rhs), max(depth, rdepth) + 1
+            try:
+                f, depth = ctor(f, rhs), max(depth, rdepth) + 1
+            except ValueError:  # Join's distinct-index check
+                raise ParseError(op.line, op.col, "join operands with "
+                                 "distinct indexes", op.text) from None
     if level == 0 and last and _operator_text(s):
         t = s.peek()
         raise ParseError(t.line, t.col, "parentheses around a chain of binary "
@@ -344,8 +363,9 @@ def _parse_primary(s: _Stream) -> tuple:
     return Atom(pred, index, args), 1
 
 
-def parse_formula(text: str, consts: Optional[set] = None) -> Formula:
-    s = _Stream(_lex(text), consts)
+def parse_formula(text: str, consts: Optional[set] = None, line: int = 1,
+                  col: int = 1) -> Formula:
+    s = _Stream(_lex(text, line, col), consts)
     f, _ = _parse_formula(s, 0)
     s.expect_end()
     return f
@@ -407,8 +427,9 @@ def _parse_slots(s: _Stream, stop: str) -> tuple:
         return tuple(slots)
 
 
-def parse_sequent(text: str, consts: Optional[set] = None) -> Sequent:
-    s = _Stream(_lex(text), consts)
+def parse_sequent(text: str, consts: Optional[set] = None, line: int = 1,
+                  col: int = 1) -> Sequent:
+    s = _Stream(_lex(text, line, col), consts)
     seqt = _parse_sequent(s)
     s.expect_end()
     return seqt
@@ -453,23 +474,30 @@ def print_param(v) -> str:
 
 
 def parse_param(text: str, key: Optional[str] = None,
-                consts: Optional[set] = None):
+                consts: Optional[set] = None, line: int = 1, col: int = 1):
+    """A rule parameter's value; ``line`` and ``col`` place ``text`` in its
+    file."""
+    col += len(text) - len(text.lstrip())
     text = text.strip()
     if text.startswith("{"):
         if not text.endswith("}"):
-            raise ParseError(1, 1, "a closing brace", text[-1:])
-        return parse_formula(text[1:-1], consts)
+            raise ParseError(line, col + len(text) - 1, "a closing brace",
+                             text[-1:])
+        return parse_formula(text[1:-1], consts, line, col + 1)
     if text == "true":
         return True
     if text == "false":
         return False
     if re.fullmatch(r"\d+", text):
+        if len(text) > _MAX_DIGITS:
+            raise ParseError(line, col, f"a number of at most {_MAX_DIGITS} "
+                             f"digits", text)
         return int(text)
     kind = _PARAM_KIND.get(key or "", None)
     if kind == "str":
         return text
     if kind == "term":
-        return parse_term(text, consts)
+        return parse_term(text, consts, line, col)
     # unknown key: identifiers default to strings, terms need the key table
     return text
 
@@ -495,20 +523,18 @@ _PARAM_TOKEN_RE = re.compile(r"(\w+)=(\{[^}]*\}|[^\s]+)")
 
 
 def _parse_proof_line(text: str, lineno: int, consts: set) -> ProofNode:
-    if ":" in text:
-        head, _, tail = text.partition(":")
-        conclusion = parse_sequent(tail.strip(), consts)
-    else:
-        head, conclusion = text, None
-    bits = head.strip().split(None, 1)
+    """One proof line, ``text`` being the whole line of the file."""
+    head, colon, tail = text.partition(":")
+    conclusion = parse_sequent(tail, consts, lineno, len(head) + 2) \
+        if colon else None
+    bits = head.split(None, 1)
     if not bits:
         raise ParseError(lineno, 1, "a rule name", "")
     rule = bits[0]
     params = {}
-    if len(bits) > 1:
-        for m in _PARAM_TOKEN_RE.finditer(bits[1]):
-            key, raw = m.group(1), m.group(2)
-            params[key] = parse_param(raw, key, consts)
+    for m in _PARAM_TOKEN_RE.finditer(head, head.index(rule) + len(rule)):
+        key, raw = m.group(1), m.group(2)
+        params[key] = parse_param(raw, key, consts, lineno, m.start(2) + 1)
     return ProofNode(rule, params, (), conclusion)
 
 
@@ -516,7 +542,7 @@ def parse_proof_block(lines: list, start: int, indent: int,
                       consts: set) -> tuple:
     """Parse a proof tree from indented lines, returning (node, next_line)."""
     text = lines[start]
-    node = _parse_proof_line(text.strip(), start + 1, consts)
+    node = _parse_proof_line(text, start + 1, consts)
     premises = []
     i = start + 1
     child_indent = indent + 2
@@ -632,13 +658,15 @@ def parse_script(text: str) -> Script:
             raise ParseError(i + 1, 1, "a top-level declaration", line[:12])
         word = line.split(None, 1)[0]
         if word == "domain":
-            s = _Stream(_lex(line[len("domain"):], i + 1), sc.consts)
+            s = _Stream(_lex(line[len("domain"):], i + 1, len("domain") + 1),
+                        sc.consts)
             rec = _parse_domain_decl(s)
             s.expect_end()
             _check_unique(rec.name, known, i)
             sc.domains.append(rec)
         elif word == "dualtable":
-            s = _Stream(_lex(line[len("dualtable"):], i + 1))
+            s = _Stream(_lex(line[len("dualtable"):], i + 1,
+                             len("dualtable") + 1))
             name = s.ident("a duality name")
             s.eat("{")
             table = {}
@@ -673,13 +701,13 @@ def parse_script(text: str) -> Script:
         elif word == "const":
             sc.consts.update(line.split()[1:])
         elif word == "sequent":
-            name, body = _named_header(line, "sequent", i)
+            name, body, col = _named_header(line, "sequent", i)
             _check_unique(name, known, i)
-            sc.sequents[name] = parse_sequent(body, sc.consts)
+            sc.sequents[name] = parse_sequent(body, sc.consts, i + 1, col)
         elif word == "proof":
-            name, body = _named_header(line, "proof", i)
+            name, body, col = _named_header(line, "proof", i)
             _check_unique(name, known, i)
-            root_concl = parse_sequent(body, sc.consts)
+            root_concl = parse_sequent(body, sc.consts, i + 1, col)
             node, i2 = parse_proof_block(lines, i + 1, 0, sc.consts)
             sc.proofs[name] = ProofNode(node.rule, node.params, node.premises,
                                         node.conclusion or root_concl)
@@ -693,11 +721,12 @@ def parse_script(text: str) -> Script:
 
 
 def _named_header(line: str, keyword: str, lineno: int) -> tuple:
+    """(name, body, column of the body) of a ``keyword NAME : body`` line."""
     head, sep, body = line.partition(":")
     bits = head.split()
     if not sep or len(bits) != 2 or bits[0] != keyword:
         raise ParseError(lineno + 1, 1, f"{keyword} NAME : <sequent>", line[:20])
-    return bits[1], body.strip()
+    return bits[1], body, len(head) + 2
 
 
 def _check_unique(name: str, known: set, lineno: int) -> None:

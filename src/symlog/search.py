@@ -12,9 +12,19 @@ slot left-to-right (right side before left), with term candidates in
 registry order.
 
 Two memo tables span one search: goals proved, each with its proof's
-height, and goals that failed, each with the largest budget they failed
-under.  A proved entry answers only when its height is at most the budget
-left, so a returned proof is never taller than the reported depth.  The
+height, and goals that failed, each with the budget it failed under and
+whether it hit the bound.  A proved entry answers only when its height is
+at most the budget left, so a returned proof is never taller than the
+reported depth.  A failure that hit the bound answers budgets up to its
+own; one that did not is final and answers every budget.  Such a goal
+failed each move for a reason no budget changes (a premise that failed
+finally, or a rule that rejected proved premises), so by induction it has
+no proof in the search fragment, and searching it again would record no
+proof and hit no bound.  ``_fails`` holds this rule for ``prove`` and for
+the moves: the context-splitting and weakening moves slice each first
+premise's key out of the goal's, and build no premise that the memo
+already fails.  At budget 1 only the axiom moves, which come first, can
+succeed, so a goal stops enumerating once a premise has hit the bound.  The
 tables are keyed on small ints, not on the goal's text: the engine numbers
 each formula object the first time it sees it (one structural lookup,
 then one lookup by ``id``; it keeps every numbered object alive, so the
@@ -37,9 +47,14 @@ from .formulas import (
 from .kernel import ProofNode
 from .rules import CalculusConfig, RuleContext, RuleError, validate_rule
 
-__all__ = ["SearchOutcome", "search_proof", "DEFAULT_MAX_DEPTH"]
+__all__ = ["SearchOutcome", "search_proof", "DEFAULT_MAX_DEPTH",
+           "DepthLimitError"]
 
 DEFAULT_MAX_DEPTH = 8
+
+
+class DepthLimitError(ValueError):
+    """A search asked for a depth above its configured maximum."""
 
 
 @dataclass
@@ -68,8 +83,8 @@ def search_proof(goal: Sequent, cfg: CalculusConfig, registry,
                  depth: int = DEFAULT_MAX_DEPTH,
                  max_depth: int = DEFAULT_MAX_DEPTH) -> SearchOutcome:
     if depth > max_depth:
-        raise ValueError(f"depth {depth} exceeds the configured maximum "
-                         f"{max_depth}")
+        raise DepthLimitError(f"depth {depth} exceeds the configured "
+                              f"maximum {max_depth}")
     engine = _Engine(RuleContext(cfg, registry))
     for d in range(1, depth + 1):
         engine.bound_hit = False
@@ -90,6 +105,7 @@ class _Engine:
         self._number: dict = {}  # formula -> its canonical int
         self._by_id: dict = {}   # id(formula object) -> its canonical int
         self._seen: list = []    # every object in _by_id, kept alive
+        self._terms: list = []   # formula number -> the terms in it
         self._subst_entries = [
             (dom, t) for dom in sorted(self.cfg.substitution_domains)
             if dom in self.reg for t in self.reg.get(dom).entries]
@@ -98,6 +114,8 @@ class _Engine:
         n = self._by_id.get(id(f))
         if n is None:
             n = self._number.setdefault(f, len(self._number))
+            if n == len(self._terms):
+                self._terms.append(_add_terms(f, set()))
             self._by_id[id(f)] = n
             self._seen.append(f)
         return n
@@ -118,6 +136,21 @@ class _Engine:
             return (tuple(map(self._slot_key, goal.left)),
                     tuple(map(self._slot_key, goal.right)))
 
+    def _fails(self, key: tuple, budget: int) -> bool:
+        """Whether ``prove`` returns None for the goal keyed ``key`` at
+        ``budget`` without searching it; records a bound hit as it would."""
+        hit = self.proved.get(key)
+        if hit is not None and hit[1] <= budget:
+            return False
+        rec = self.failed.get(key)
+        if rec is not None and (rec[0] >= budget or not rec[1]):
+            self.bound_hit = self.bound_hit or rec[1]
+            return True
+        if budget <= 0:
+            self.bound_hit = True
+            return True
+        return False
+
     def prove(self, goal: Sequent, budget: int) -> Optional[tuple]:
         """A proof of ``goal`` at most ``budget`` nodes tall, as the pair
         (proof, height), or None."""
@@ -125,17 +158,13 @@ class _Engine:
         hit = self.proved.get(key)
         if hit is not None and hit[1] <= budget:
             return hit
-        rec = self.failed.get(key)
-        if rec is not None and rec[0] >= budget:
-            if rec[1]:
-                self.bound_hit = True
-            return None
-        if budget <= 0:
-            self.bound_hit = True
+        if self._fails(key, budget):
             return None
         outer_hit = self.bound_hit
         self.bound_hit = False
-        for rule, params, subgoals in self._moves(goal):
+        for rule, params, subgoals in self._moves(goal, key, budget - 1):
+            if budget == 1 and self.bound_hit:
+                break  # only the axiom moves, which come first, can succeed
             prems = []
             height = 0
             for sub in subgoals:
@@ -154,8 +183,7 @@ class _Engine:
                     return got
         local_hit = self.bound_hit
         self.bound_hit = outer_hit or local_hit
-        if rec is None or rec[0] < budget:
-            self.failed[key] = (budget, local_hit)
+        self.failed[key] = (budget, local_hit)
         return None
 
     def _apply(self, rule: str, params: dict, prems: list,
@@ -169,12 +197,24 @@ class _Engine:
 
     # -- move enumeration ----------------------------------------------------
 
-    def _moves(self, goal: Sequent) -> Iterator:
+    def _moves(self, goal: Sequent, key: tuple, sub: int) -> Iterator:
+        """The moves on ``goal``, keyed ``key``; premises get budget ``sub``."""
         yield from self._axiom_moves(goal)
-        yield from self._right_moves(goal)
-        yield from self._left_moves(goal)
-        yield from self._subst_moves(goal)
-        yield from self._weakening_moves(goal)
+        yield from self._right_moves(goal, key, sub)
+        yield from self._left_moves(goal, key, sub)
+        yield from self._subst_moves(goal, key)
+        yield from self._weakening_moves(goal, key, sub)
+
+    def _cuts(self, lk: tuple, rk: tuple, sub: int, lpre=(), rpre=(),
+              rpost=()) -> Iterator:
+        """The cuts (k, j) of the contexts keyed ``lk`` and ``rk`` whose
+        first premise, keyed (lpre + lk[:k], rpre + rk[:j] + rpost), is not
+        answered by the memo at budget ``sub``."""
+        for k in range(len(lk) + 1):
+            left = lpre + lk[:k]
+            for j in range(len(rk) + 1):
+                if not self._fails((left, rpre + rk[:j] + rpost), sub):
+                    yield k, j
 
     def _axiom_moves(self, goal: Sequent) -> Iterator:
         nl, nr = len(goal.left), len(goal.right)
@@ -286,7 +326,8 @@ class _Engine:
 
     # -- principal moves, right side -------------------------------------------
 
-    def _right_moves(self, goal: Sequent) -> Iterator:
+    def _right_moves(self, goal: Sequent, key: tuple, sub: int) -> Iterator:
+        lk, rk = key
         for pos, slot in enumerate(goal.right):
             if isinstance(slot, CorrPair):
                 ia, ib = map(formula_index, slot_formulas(slot))
@@ -313,25 +354,25 @@ class _Engine:
                 yield ("par_r", {"pos": pos}, (prem,))
             elif isinstance(f, Times):
                 rest = _drop_r(goal, pos)
-                for k in range(len(goal.left) + 1):
-                    for j in range(len(rest) + 1):
-                        p1 = Sequent(goal.left[:k], (Single(f.a),) + rest[:j])
-                        p2 = lambda k=k, j=j: Sequent(
-                            goal.left[k:], (Single(f.b),) + rest[j:])
-                        yield ("times_r", {"pos": pos, "apos": 0, "bpos": 0},
-                               (p1, p2))
+                for k, j in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
+                                       rpre=(self._fkey(f.a),)):
+                    p1 = Sequent(goal.left[:k], (Single(f.a),) + rest[:j])
+                    p2 = lambda k=k, j=j: Sequent(
+                        goal.left[k:], (Single(f.b),) + rest[j:])
+                    yield ("times_r", {"pos": pos, "apos": 0, "bpos": 0},
+                           (p1, p2))
             elif isinstance(f, Imp) and pos == 0:
                 prem = Sequent(goal.left + (Single(f.a),),
                                (Single(f.b),) + goal.right[1:])
                 yield ("imp_r", {}, (prem,))
             elif isinstance(f, Excl):
                 rest = _drop_r(goal, pos)
-                for k in range(len(goal.left) + 1):
-                    for j in range(len(rest) + 1):
-                        q1 = Sequent(goal.left[:k], rest[:j] + (Single(f.a),))
-                        q2 = lambda k=k, j=j: Sequent(
-                            goal.left[k:] + (Single(f.b),), rest[j:])
-                        yield ("excl_r", {"pos": pos}, (q1, q2))
+                for k, j in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
+                                       rpost=(self._fkey(f.a),)):
+                    q1 = Sequent(goal.left[:k], rest[:j] + (Single(f.a),))
+                    q2 = lambda k=k, j=j: Sequent(
+                        goal.left[k:] + (Single(f.b),), rest[j:])
+                    yield ("excl_r", {"pos": pos}, (q1, q2))
             elif isinstance(f, Forall):
                 z = _pick_var(f, goal)
                 inst = replace_var(f.body, f.var, z)
@@ -353,16 +394,16 @@ class _Engine:
                     inst = replace_var(f.body, f.var, t)
                     for d in self._tags_for(f.domain):
                         dual = self.reg.dual_membership(t, f.domain, d)
-                        for k in range(len(goal.left) + 1):
-                            for j in range(len(rest) + 1):
-                                q1 = Sequent(goal.left[:k],
-                                             rest[:j] + (Single(inst),))
-                                q2 = lambda k=k, j=j, dual=dual: Sequent(
-                                    goal.left[k:] + (Single(dual),), rest[j:])
-                                yield ("exists_r",
-                                       {"pos": pos, "term": t, "dual": d,
-                                        "var": f.var, "domain": f.domain,
-                                        "body": f.body}, (q1, q2))
+                        for k, j in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
+                                               rpost=(self._fkey(inst),)):
+                            q1 = Sequent(goal.left[:k],
+                                         rest[:j] + (Single(inst),))
+                            q2 = lambda k=k, j=j, dual=dual: Sequent(
+                                goal.left[k:] + (Single(dual),), rest[j:])
+                            yield ("exists_r",
+                                   {"pos": pos, "term": t, "dual": d,
+                                    "var": f.var, "domain": f.domain,
+                                    "body": f.body}, (q1, q2))
             elif isinstance(f, Join):
                 prem = Sequent(goal.left,
                                _set_slot_r(goal, pos, CorrPair(f.a, f.tag, f.b)))
@@ -375,7 +416,8 @@ class _Engine:
 
     # -- principal moves, left side --------------------------------------------
 
-    def _left_moves(self, goal: Sequent) -> Iterator:
+    def _left_moves(self, goal: Sequent, key: tuple, sub: int) -> Iterator:
+        lk, rk = key
         for pos, slot in enumerate(goal.left):
             if isinstance(slot, CorrPair):
                 continue
@@ -394,21 +436,21 @@ class _Engine:
                 yield ("times_l", {"pos": pos}, (prem,))
             elif isinstance(f, Par):
                 rest = _drop_l(goal, pos)
-                for k in range(len(rest) + 1):
-                    for j in range(len(goal.right) + 1):
-                        p1 = Sequent((Single(f.a),) + rest[:k], goal.right[:j])
-                        p2 = lambda k=k, j=j: Sequent(
-                            (Single(f.b),) + rest[k:], goal.right[j:])
-                        yield ("par_l", {"pos": pos, "apos": 0, "bpos": 0},
-                               (p1, p2))
+                for k, j in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
+                                       lpre=(self._fkey(f.a),)):
+                    p1 = Sequent((Single(f.a),) + rest[:k], goal.right[:j])
+                    p2 = lambda k=k, j=j: Sequent(
+                        (Single(f.b),) + rest[k:], goal.right[j:])
+                    yield ("par_l", {"pos": pos, "apos": 0, "bpos": 0},
+                           (p1, p2))
             elif isinstance(f, Imp):
                 rest = _drop_l(goal, pos)
-                for k in range(len(rest) + 1):
-                    for j in range(len(goal.right) + 1):
-                        p1 = Sequent(rest[:k], (Single(f.a),) + goal.right[:j])
-                        p2 = lambda k=k, j=j: Sequent(
-                            (Single(f.b),) + rest[k:], goal.right[j:])
-                        yield ("imp_l", {"pos": pos}, (p1, p2))
+                for k, j in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
+                                       rpre=(self._fkey(f.a),)):
+                    p1 = Sequent(rest[:k], (Single(f.a),) + goal.right[:j])
+                    p2 = lambda k=k, j=j: Sequent(
+                        (Single(f.b),) + rest[k:], goal.right[j:])
+                    yield ("imp_l", {"pos": pos}, (p1, p2))
             elif isinstance(f, Excl) and pos == len(goal.left) - 1:
                 prem = Sequent(goal.left[:-1] + (Single(f.a),),
                                (Single(f.b),) + goal.right)
@@ -427,25 +469,23 @@ class _Engine:
                 rest = _drop_l(goal, pos)
                 for t in self._witnesses(f.domain, goal):
                     inst = replace_var(f.body, f.var, t)
-                    for k in range(len(rest) + 1):
-                        for j in range(len(goal.right) + 1):
-                            p1 = Sequent(rest[:k],
-                                         (Single(Member(t, f.domain)),)
-                                         + goal.right[:j])
-                            p2 = lambda k=k, j=j, inst=inst: Sequent(
-                                (Single(inst),) + rest[k:], goal.right[j:])
-                            yield ("forall_r",
-                                   {"pos": pos, "term": t, "var": f.var,
-                                    "domain": f.domain, "body": f.body},
-                                   (p1, p2))
+                    memb = Member(t, f.domain)
+                    for k, j in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
+                                           rpre=(self._fkey(memb),)):
+                        p1 = Sequent(rest[:k], (Single(memb),) + goal.right[:j])
+                        p2 = lambda k=k, j=j, inst=inst: Sequent(
+                            (Single(inst),) + rest[k:], goal.right[j:])
+                        yield ("forall_r",
+                               {"pos": pos, "term": t, "var": f.var,
+                                "domain": f.domain, "body": f.body}, (p1, p2))
             elif isinstance(f, Member) and isinstance(f.term, Var) \
                     and f.domain in self.reg:
                 rec = self.reg.get(f.domain)
                 if rec.focused and rec.entries:
                     disj = self.reg.focus_disjunction(f.domain, f.term)
                     axiom = Sequent((slot,), (Single(disj),))
-                    sub = _set_l(goal, pos, disj)
-                    yield ("cut", {"rpos": 0, "lpos": pos}, (axiom, sub))
+                    prem = _set_l(goal, pos, disj)
+                    yield ("cut", {"rpos": 0, "lpos": pos}, (axiom, prem))
             elif isinstance(f, Eq):
                 rest = Sequent(_drop_l(goal, pos), goal.right)
                 for prem in _replacement_premises(rest, f.lhs, f.rhs):
@@ -466,10 +506,12 @@ class _Engine:
 
     # -- generalization and weakening --------------------------------------------
 
-    def _subst_moves(self, goal: Sequent) -> Iterator:
+    def _subst_moves(self, goal: Sequent, key: tuple) -> Iterator:
         if not self._subst_entries:
             return
-        terms = _sequent_terms(goal)
+        ts = self._terms
+        terms = set().union(*[ts[n] if type(n) is int else ts[n[0]] | ts[n[2]]
+                              for n in key[0] + key[1]])
         if not terms:
             return
         for dom, t in self._subst_entries:
@@ -478,15 +520,19 @@ class _Engine:
                 prem = _swap_term_sequent(goal, t, z)
                 yield ("subst", {"var": z, "term": t, "domain": dom}, (prem,))
 
-    def _weakening_moves(self, goal: Sequent) -> Iterator:
+    def _weakening_moves(self, goal: Sequent, key: tuple,
+                         sub: int) -> Iterator:
         if not self.cfg.weakening:
             return
+        lk, rk = key
         for pos, slot in enumerate(goal.left):
-            if isinstance(slot, Single):
+            if isinstance(slot, Single) \
+                    and not self._fails((lk[:pos] + lk[pos + 1:], rk), sub):
                 prem = Sequent(_drop_l(goal, pos), goal.right)
                 yield ("weak_l", {"pos": pos, "formula": slot.formula}, (prem,))
         for pos, slot in enumerate(goal.right):
-            if isinstance(slot, Single):
+            if isinstance(slot, Single) \
+                    and not self._fails((lk, rk[:pos] + rk[pos + 1:]), sub):
                 prem = Sequent(goal.left, _drop_r(goal, pos))
                 yield ("weak_r", {"pos": pos, "formula": slot.formula}, (prem,))
 
@@ -537,14 +583,6 @@ def _add_terms(f: Formula, out: set) -> set:
     out.update(sh.terms(f))
     for g in sh.children(f):
         _add_terms(g, out)
-    return out
-
-
-def _sequent_terms(s: Sequent) -> set:
-    out: set = set()
-    for slot in s.left + s.right:
-        for f in slot_formulas(slot):
-            _add_terms(f, out)
     return out
 
 

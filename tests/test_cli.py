@@ -295,3 +295,64 @@ def test_check_rejects_bad_probability(tmp_path, capsys, text, expected,
     assert rc == 2
     assert re.fullmatch(rf"symlog: \d+:\d+: expected {re.escape(expected)}, "
                         rf"found '{re.escape(found)}'\n", err), err
+
+
+OVERLAP = """\
+domain D = { t1@1/2, t2@1/2 } focused
+flags weakening
+license subst D
+license daxiom D d
+sequent s : z in D |- z in D
+proof pr : z in D |- z in D
+id a={z in D} : z in D |- z in D
+"""
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["search", "{ext}", "--name", "detach", "--d-axiom", "V"], None,
+     "--d-axiom wants DOMAIN:DUALITY"),
+    (["search", "{ext}", "--name", "detach", "--depth", "9",
+      "--max-depth", "8"], None, "exceeds the configured maximum"),
+    (["search", "{ext}", "--name", "detach"], "deep", "SYMLOG_DEPTH"),
+    (["check", "{overlap}"], None, "needs collapse-demo mode"),
+    (["sym", "{overlap}", "--name", "pr"], None, "needs collapse-demo mode"),
+    (["search", "{overlap}", "--name", "s"], None, "needs collapse-demo mode"),
+    (["check", "{binary}"], None, "codec can't decode"),
+    (["qstate", "{zero}"], None, "zero vector"),
+    (["qstate", "{no_beta}"], None, "beta"),
+], ids=["d-axiom-spec", "depth-above-maximum", "depth-from-environment",
+        "check-license-overlap", "sym-license-overlap",
+        "search-license-overlap", "not-utf8", "zero-qubit", "qubit-field"])
+def test_usage_errors_exit_two(ext_script, tmp_path, monkeypatch, capsys,
+                               argv, env, message):
+    files = {"ext": ext_script, "overlap": tmp_path / "overlap.blq",
+             "binary": tmp_path / "binary.blq", "zero": tmp_path / "zero.json",
+             "no_beta": tmp_path / "no_beta.json"}
+    files["overlap"].write_text(OVERLAP)
+    files["binary"].write_bytes(b"sequent s : p |- \xff\n")
+    files["zero"].write_text('{"alpha": 0, "beta": 0}')
+    files["no_beta"].write_text('{"alpha": 1}')
+    if env is not None:
+        monkeypatch.setenv("SYMLOG_DEPTH", env)
+    assert main([a.format(**files) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "search"])
+def test_value_error_while_working_exits_three(ext_script, monkeypatch,
+                                               capsys, command):
+    """A ValueError from checking or searching is a fault of the program,
+    not of its input."""
+    import symlog.cli as cli
+
+    def boom(*args, **kwargs):
+        raise ValueError("join operands must carry distinct indexes")
+
+    monkeypatch.setattr(cli, f"{command}_proof", boom)
+    argv = (["check", str(CORPUS_DIR / "c1.blq")] if command == "check"
+            else ["search", ext_script, "--name", "detach"])
+    assert main(argv) == 3
+    assert capsys.readouterr().err == ("symlog: internal error: ValueError: "
+                                       "join operands must carry distinct "
+                                       "indexes\n")

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symlog.dualities import (
-    IDENTITY_INV, LiteralInvolution, UnclassifiedLiteral, apply_duality,
+    IDENTITY_INV, LiteralInvolution, UnclassifiedLiteral, UnknownDuality,
+    apply_duality,
     symmetrize_formula, symmetrize_sequent,
 )
 from symlog.formulas import (
@@ -100,6 +101,8 @@ def test_apply_duality_is_partial():
         apply_duality(Forall(x, "D", A(x)), "perp")
     with pytest.raises(UnclassifiedLiteral):
         apply_duality(Member(z, "Dplus"), "top")
+    with pytest.raises(UnknownDuality):
+        apply_duality(Member(z, "Dplus"), "perpp")
 
 
 def test_dualities_commute_on_the_eight_literals():

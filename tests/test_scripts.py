@@ -50,6 +50,28 @@ def test_parse_errors_positioned():
         parse_term("@3")
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("domain D = { a@1/0 }\n", 1, 18),
+    ("dualtable perp { Ddown <-> }\n", 1, 28),
+    ("domain D = { a@1 }\n\nsequent s : p & q & r |- p\n", 3, 19),
+    ("\nproof pr : p |- p $\nid a={p} : p |- p\n", 2, 19),
+    ("proof pr : p |- p\nid a={p $} : p |- p\n", 2, 9),
+    ("proof pr : |- z = z\nrefl t=@ : |- z = z\n", 2, 8),
+    ("proof pr : p |- p\nid a={p} : p |- p $\n", 2, 19),
+    ("proof pr : p |- p\nid a={p} : p |- p\n  id a={q} : q |- q &\n", 3, 22),
+    ("sequent s : A_1(z) join_i A_1(z) |- p\n", 1, 20),
+    ("sequent s : A_0(z) |- p\n", 1, 15),
+], ids=["domain", "dualtable", "sequent-header", "proof-header",
+        "proof-formula-param", "proof-term-param", "proof-conclusion",
+        "premise-conclusion", "join-same-index", "index-out-of-range"])
+def test_parse_errors_carry_file_positions(text, line, col):
+    """A position counts lines and columns from the start of the script,
+    wherever in a declaration, header or proof line the error sits."""
+    with pytest.raises(ParseError) as err:
+        parse_script(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 @pytest.mark.parametrize("text, col, op", [
     ("p & q & r", 7, "&"), ("p -> q -> r", 8, "->"),
     ("p -> q \\/ r \\/ s", 13, "\\/"), ("(p * q * r)", 8, "*"),

@@ -165,3 +165,18 @@ def test_search_digest_unchanged(config, registry):
         h.update(json.dumps(out.to_json(), sort_keys=True).encode())
         h.update(b"\n")
     assert h.hexdigest() == _PARITY_DIGEST
+
+
+# sha256 over chain6's outcome, computed before the search answered a
+# premise from its memo key: the parity digest leaves chain6 out for its
+# cost, yet chain6 is where the memo does most of its work.
+_CHAIN6_DIGEST = (
+    "307e8e2cc92390a597e95cbce2b25fcea1497f454d28e5add8046e0c2b509f21")
+
+
+def test_chain6_outcome_unchanged(config, registry):
+    goal = seq([Imp(_p(i), _p(i + 1)) for i in range(6)] + [_p(0)], [_p(6)])
+    out = search_proof(goal, config, registry, depth=9, max_depth=9)
+    digest = hashlib.sha256(
+        json.dumps(out.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == _CHAIN6_DIGEST
