@@ -250,11 +250,12 @@ def _cmd_qstate(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        q = Qubit.from_amplitudes([
-            complex(data["alpha"]),
-            complex(data["beta"]) * cmath.exp(1j * float(data.get("phi", 0.0))),
-        ])
-    except (KeyError, TypeError, ValueError) as e:
+        amps = [complex(data["alpha"]), complex(data["beta"])]
+        amps[1] *= cmath.exp(1j * float(data.get("phi", 0.0)))
+        if not all(map(cmath.isfinite, amps)):
+            raise ValueError("amplitudes must be finite")
+        q = Qubit.from_amplitudes(amps)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise UsageError(f"{args.file}: not a qubit state: "
                          f"{type(e).__name__}: {e}") from None
     reg = standard_registry()

@@ -142,8 +142,8 @@ class _Stream:
         if t.kind != "num":
             raise ParseError(t.line, t.col, "a number", t.text)
         if len(t.text) > _MAX_DIGITS:
-            raise ParseError(t.line, t.col,
-                             f"a number of at most {_MAX_DIGITS} digits", t.text)
+            raise ParseError(t.line, t.col, f"a number of at most "
+                             f"{_MAX_DIGITS} digits", t.text)
         return int(self.next().text)
 
     def done(self) -> bool:

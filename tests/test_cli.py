@@ -320,18 +320,25 @@ id a={z in D} : z in D |- z in D
     (["check", "{binary}"], None, "codec can't decode"),
     (["qstate", "{zero}"], None, "zero vector"),
     (["qstate", "{no_beta}"], None, "beta"),
+    (["qstate", "{nan_phase}"], None, "amplitudes must be finite"),
+    (["qstate", "{huge}"], None, "not a qubit state"),
 ], ids=["d-axiom-spec", "depth-above-maximum", "depth-from-environment",
         "check-license-overlap", "sym-license-overlap",
-        "search-license-overlap", "not-utf8", "zero-qubit", "qubit-field"])
+        "search-license-overlap", "not-utf8", "zero-qubit", "qubit-field",
+        "nan-phase", "huge-amplitude"])
 def test_usage_errors_exit_two(ext_script, tmp_path, monkeypatch, capsys,
                                argv, env, message):
     files = {"ext": ext_script, "overlap": tmp_path / "overlap.blq",
              "binary": tmp_path / "binary.blq", "zero": tmp_path / "zero.json",
-             "no_beta": tmp_path / "no_beta.json"}
+             "no_beta": tmp_path / "no_beta.json",
+             "nan_phase": tmp_path / "nan_phase.json",
+             "huge": tmp_path / "huge.json"}
     files["overlap"].write_text(OVERLAP)
     files["binary"].write_bytes(b"sequent s : p |- \xff\n")
     files["zero"].write_text('{"alpha": 0, "beta": 0}')
     files["no_beta"].write_text('{"alpha": 1}')
+    files["nan_phase"].write_text('{"alpha": 1, "beta": 1, "phi": NaN}')
+    files["huge"].write_text('{"alpha": 1, "beta": 1e308}')
     if env is not None:
         monkeypatch.setenv("SYMLOG_DEPTH", env)
     assert main([a.format(**files) for a in argv]) == 2
