@@ -1,0 +1,156 @@
+"""The rule catalogue: a digest of what ``validate_rule`` answers.
+
+The digest pins, for a seeded set of calls that reaches every rule, the
+conclusion each call reconstructs or the ``RuleError`` it raises.  A
+refactor of ``rules.py`` that keeps the digest keeps every rule's answer.
+"""
+import dataclasses
+import hashlib
+import random
+from fractions import Fraction
+
+from symlog.corpus import positive_proofs
+from symlog.dualities import IDENTITY_INV, LiteralInvolution
+from symlog.formulas import (
+    Atom, Eq, IConst, IDENTICAL, Join, Member, Neq, Outcome, Sequent, Var,
+)
+from symlog.kernel import annotate, mk, symmetrize_proof
+from symlog.rules import RULES, RuleContext, RuleError, validate_rule
+
+from genlib import proof_context, random_proof
+
+_FLAGS = ("left_contexts", "right_contexts", "weakening", "cut")
+# bit k of a mask switches _FLAGS[k] on; 15 is the proofs' own setting
+_FLAG_MASKS = (0, 1, 2, 4, 8, 7)
+
+# rules whose premises and conclusion are each other's with the sides
+# swapped; any other rule is fed its own premises swapped
+_SIDE_TWINS = (
+    ("and_l1", "or_r1"), ("and_l2", "or_r2"), ("times_l", "par_r"),
+    ("weak_l", "weak_r"), ("contract_l", "contract_r"),
+    ("expand_l", "expand_r"), ("eq_left", "neq_right"),
+    ("eq_left_elim", "neq_right_elim"), ("join_intro", "join_intro_l"),
+    ("join_elim", "join_elim_l"), ("and_r", "or_l"), ("times_r", "par_l"),
+)
+_TWIN = dict(_SIDE_TWINS + tuple((b, a) for a, b in _SIDE_TWINS))
+_CLAIMING = {"eq_left", "neq_right"}  # the rules that need a conclusion
+
+x, y, z = Var("x"), Var("y"), Var("z")
+t1 = Outcome("t1", Fraction(1, 2))
+v1 = Outcome("v1", Fraction(1, 2))
+
+
+def _flip(s: Sequent) -> Sequent:
+    return Sequent(s.right, s.left)
+
+
+def _nodes(proof):
+    todo = [proof]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(node.premises)
+
+
+def _hand_built(cfg, reg) -> list:
+    """Proofs that accept the rules random proofs never accept."""
+    A = lambda t: Atom("A", None, (t,))
+    p, q = Atom("p", None, ()), Atom("q", None, ())
+    proofs = [
+        mk("eq_left_elim", {"pos": 0}, mk("weak_l", {"pos": 1, "formula": p},
+                                          mk("id", {"a": Eq(z, t1)}))),
+        mk("neq_right_elim", {"pos": 1},
+           mk("weak_r", {"pos": 0, "formula": q}, mk("id", {"a": Neq(z, y)}))),
+        mk("exists_f_vsym", {"var": z, "domain": "V", "mpos": 0, "qpos": 0},
+           mk("id", {"a": Member(z, "V")})),
+        mk("exists_r_vsym", {"pos": 0, "term": v1, "var": x, "domain": "V",
+                             "body": A(x)},
+           mk("member", {"domain": "V", "term": v1}), mk("id", {"a": A(v1)})),
+        mk("imp_l", {"pos": 0}, mk("id", {"a": p}), mk("id", {"a": q})),
+    ]
+    out = []
+    for proof in proofs:
+        for self_dual in (frozenset(), frozenset({"V"})):
+            inv = LiteralInvolution("d", self_dual_domains=self_dual)
+            out.append(annotate(proof, cfg, reg))
+            out.append(symmetrize_proof(proof, inv, cfg, reg))
+    # parallel_forall has no mate: it is symmetrized in its expanded form
+    pair = Join(IDENTICAL, Atom("A", IConst(1), (x,)), Atom("A", IConst(2), (x,)))
+    at_z = Join(IDENTICAL, Atom("A", IConst(1), (z,)), Atom("A", IConst(2), (z,)))
+    pairs = mk("join_elim", {"qpos": 0}, mk(
+        "forall_r", {"pos": 0, "term": z, "var": x, "domain": "Dplus",
+                     "body": pair},
+        mk("id", {"a": Member(z, "Dplus")}), mk("id", {"a": at_z})))
+    out.append(annotate(mk("parallel_forall", {"var": z, "domain": "Dplus",
+                                               "mpos": 1, "qpos": 0}, pairs),
+                        cfg, reg))
+    return out
+
+
+def _proofs(cfg, reg, seed: int, count: int) -> list:
+    """The corpus proofs, ``count`` random proofs and the hand-built ones,
+    each with its symmetric image, every node annotated."""
+    corpus = [(proof, inv) for _i, _n, proof, inv in positive_proofs()]
+    rng = random.Random(seed)
+    corpus += [(random_proof(rng, cfg, reg), IDENTITY_INV)
+               for _ in range(count)]
+    out = []
+    for proof, inv in corpus:
+        out.append(annotate(proof, cfg, reg))
+        out.append(symmetrize_proof(proof, inv, cfg, reg))
+    return out + _hand_built(cfg, reg)
+
+
+def rule_calls(seed: int = 8, count: int = 60):
+    """Seeded ``validate_rule`` calls: (rule, params, premises, claimed,
+    context).  Each proof node gives its own call, its premises swapped side
+    for side and fed to its twin, each position shifted by -1, +1 and +2,
+    each parameter left out, and its own call under other flags."""
+    cfg, reg = proof_context()
+    ctx = RuleContext(cfg, reg)
+    flagged = [RuleContext(dataclasses.replace(cfg, **{
+        f: bool(mask >> k & 1) for k, f in enumerate(_FLAGS)}), reg)
+        for mask in _FLAG_MASKS]
+    for node in (n for proof in _proofs(cfg, reg, seed, count)
+                 for n in _nodes(proof)):
+        rule, params, claimed = node.rule, node.params, node.conclusion
+        prems = [q.conclusion for q in node.premises]
+        keep = claimed if rule in _CLAIMING else None
+        yield rule, params, prems, claimed, ctx
+        yield (_TWIN.get(rule, rule), params, [_flip(s) for s in prems],
+               _flip(keep) if keep else None, ctx)
+        for key, value in params.items():
+            if type(value) is int:
+                for d in (-1, 1, 2):
+                    yield rule, {**params, key: value + d}, prems, keep, ctx
+            rest = {k: v for k, v in params.items() if k != key}
+            yield rule, rest, prems, keep, ctx
+        for other in flagged:
+            yield rule, params, prems, keep, other
+
+
+def rule_outcome(rule, params, prems, claimed, ctx) -> tuple:
+    """(accepted, the conclusion's repr or the RuleError text)."""
+    try:
+        return True, repr(validate_rule(rule, params, prems, claimed, ctx))
+    except RuleError as e:
+        return False, str(e)
+
+
+# sha256 over rule_calls()'s outcomes, one "rule<TAB>outcome" line each,
+# computed before the side-mirrored rules were written once
+_OUTCOMES_DIGEST = ("5c1eceaff817d9838ec1b103d4d652b6"
+                    "47558b56eaa91033cceb55606f271752")
+
+
+def test_rule_outcomes_digest_unchanged():
+    h = hashlib.sha256()
+    called, accepted = set(), set()
+    for call in rule_calls():
+        ok, out = rule_outcome(*call)
+        called.add(call[0])
+        if ok:
+            accepted.add(call[0])
+        h.update(f"{call[0]}\t{out}\n".encode())
+    assert called == accepted == set(RULES)
+    assert h.hexdigest() == _OUTCOMES_DIGEST
