@@ -12,10 +12,20 @@ Context discipline: the base forms carry exactly the contexts shown in
 their reconstruction; anything beyond that is gated by the configuration
 flags (left/right context liberalization, weakening, cut) or by the
 substitution / d-axiom licenses.
+
+Side-mirrored rules are written once.  Where rules differ only in the side
+of the turnstile they read and build (``and_l1`` and ``or_r1``, ``weak_l``
+and ``weak_r``, ...), one validator serves the group and is registered once
+per rule by stacked ``@_rule`` lines.  Each line binds the rule's ``name``,
+its ``side`` ("left" or "right") and whatever else differs, such as the
+constructor ``make``.  The validator reads a side only through the
+``Sequent`` field the side names, and builds a sequent only through
+``_on``, so it never tests which side it serves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .domains import Registry, RegistryError
 from .dualities import IDENTITY_INV, symmetrize_formula
@@ -96,6 +106,12 @@ def _flag(ctx: RuleContext, flag: str, cond: bool, what: str) -> None:
                         f"{what} requires {flag} liberalization")
 
 
+def _extra(ctx: RuleContext, side: str, cond: bool) -> None:
+    """Extra context on ``side`` needs that side's liberalization."""
+    if cond:
+        _flag(ctx, side + "_contexts", True, f"extra {side} context")
+
+
 # --------------------------------------------------------------------------
 # slot helpers
 
@@ -123,6 +139,14 @@ def _inserted(slots: tuple, pos, slot: Slot) -> tuple:
     _need(isinstance(pos, int) and 0 <= pos <= len(slots), "SlotMismatch",
           f"insert position {pos} out of range")
     return slots[:pos] + (slot,) + slots[pos:]
+
+
+_OTHER = {"left": "right", "right": "left"}
+
+
+def _on(side: str, slots: tuple, rest: tuple) -> Sequent:
+    """The sequent with ``slots`` on ``side`` and ``rest`` on the other."""
+    return Sequent(slots, rest) if side == "left" else Sequent(rest, slots)
 
 
 def _var_fresh_for(z: Var, slots) -> bool:
@@ -185,9 +209,11 @@ _KIND_TYPE = {"int": int, "bool": bool, "formula": Formula,
               "term": (Var, Const, Outcome), "str": str}
 
 
-def _rule(name: str, arity: int, macro: bool = False):
+def _rule(name: str, arity: int, macro: bool = False, **bound):
+    """Register ``fn`` as rule ``name``.  With ``bound`` keywords (a
+    side-mirrored group), ``fn`` also receives ``name`` and those keywords."""
     def wrap(fn):
-        RULES[name] = (arity, fn)
+        RULES[name] = (arity, partial(fn, name=name, **bound) if bound else fn)
         if macro:
             MACRO_RULES.add(name)
         return fn
@@ -327,56 +353,29 @@ def _r_d_axiom(params, premises, claimed, ctx):
 # --------------------------------------------------------------------------
 # one-premise propositional rules
 
-@_rule("and_l1", 1)
-def _r_and_l1(params, premises, claimed, ctx):
+@_rule("and_l1", 1, side="left", make=And)
+@_rule("and_l2", 1, side="left", make=lambda b, other: And(other, b))
+@_rule("or_r1", 1, side="right", make=Or)
+@_rule("or_r2", 1, side="right", make=lambda b, other: Or(other, b))
+def _r_additive_one(params, premises, claimed, ctx, *, name, side, make):
     p, pos, other = premises[0], params["pos"], params["other"]
-    a = _fml(_at(p.left, pos, "and_l1"))
-    _flag(ctx, "left_contexts", len(p.left) > 1, "extra left context")
-    return Sequent(_replaced(p.left, pos, Single(And(a, other))), p.right)
+    slots = getattr(p, side)
+    a = _fml(_at(slots, pos, name))
+    _extra(ctx, side, len(slots) > 1)
+    return _on(side, _replaced(slots, pos, Single(make(a, other))),
+               getattr(p, _OTHER[side]))
 
 
-@_rule("and_l2", 1)
-def _r_and_l2(params, premises, claimed, ctx):
-    p, pos, other = premises[0], params["pos"], params["other"]
-    b = _fml(_at(p.left, pos, "and_l2"))
-    _flag(ctx, "left_contexts", len(p.left) > 1, "extra left context")
-    return Sequent(_replaced(p.left, pos, Single(And(other, b))), p.right)
-
-
-@_rule("or_r1", 1)
-def _r_or_r1(params, premises, claimed, ctx):
-    p, pos, other = premises[0], params["pos"], params["other"]
-    a = _fml(_at(p.right, pos, "or_r1"))
-    _flag(ctx, "right_contexts", len(p.right) > 1, "extra right context")
-    return Sequent(p.left, _replaced(p.right, pos, Single(Or(a, other))))
-
-
-@_rule("or_r2", 1)
-def _r_or_r2(params, premises, claimed, ctx):
-    p, pos, other = premises[0], params["pos"], params["other"]
-    b = _fml(_at(p.right, pos, "or_r2"))
-    _flag(ctx, "right_contexts", len(p.right) > 1, "extra right context")
-    return Sequent(p.left, _replaced(p.right, pos, Single(Or(other, b))))
-
-
-@_rule("times_l", 1)
-def _r_times_l(params, premises, claimed, ctx):
+@_rule("times_l", 1, side="left", make=Times)
+@_rule("par_r", 1, side="right", make=Par)
+def _r_multiplicative_one(params, premises, claimed, ctx, *, name, side, make):
     p, pos = premises[0], params["pos"]
-    a = _fml(_at(p.left, pos, "times_l"))
-    b = _fml(_at(p.left, pos + 1, "times_l"))
-    _flag(ctx, "left_contexts", len(p.left) > 2, "extra left context")
-    left = p.left[:pos] + (Single(Times(a, b)),) + p.left[pos + 2:]
-    return Sequent(left, p.right)
-
-
-@_rule("par_r", 1)
-def _r_par_r(params, premises, claimed, ctx):
-    p, pos = premises[0], params["pos"]
-    a = _fml(_at(p.right, pos, "par_r"))
-    b = _fml(_at(p.right, pos + 1, "par_r"))
-    _flag(ctx, "right_contexts", len(p.right) > 2, "extra right context")
-    right = p.right[:pos] + (Single(Par(a, b)),) + p.right[pos + 2:]
-    return Sequent(p.left, right)
+    slots = getattr(p, side)
+    a = _fml(_at(slots, pos, name))
+    b = _fml(_at(slots, pos + 1, name))
+    _extra(ctx, side, len(slots) > 2)
+    return _on(side, slots[:pos] + (Single(make(a, b)),) + slots[pos + 2:],
+               getattr(p, _OTHER[side]))
 
 
 @_rule("imp_r", 1)
@@ -386,7 +385,7 @@ def _r_imp_r(params, premises, claimed, ctx):
           "imp_r needs the antecedent last on the left, succedent first on the right")
     a = _fml(p.left[-1], "imp_r antecedent")
     b = _fml(p.right[0], "imp_r succedent")
-    _flag(ctx, "right_contexts", len(p.right) > 1, "extra right context")
+    _extra(ctx, "right", len(p.right) > 1)
     return Sequent(p.left[:-1], (Single(Imp(a, b)),) + p.right[1:])
 
 
@@ -397,22 +396,23 @@ def _r_excl_l(params, premises, claimed, ctx):
           "excl_l needs its components adjacent to the turnstile")
     b = _fml(p.left[-1], "excl_l kept side")
     a = _fml(p.right[0], "excl_l excluded side")
-    _flag(ctx, "left_contexts", len(p.left) > 1, "extra left context")
+    _extra(ctx, "left", len(p.left) > 1)
     return Sequent(p.left[:-1] + (Single(Excl(b, a)),), p.right[1:])
 
 
 # --------------------------------------------------------------------------
 # quantifier formation rules
 
-def _membership_slot_matches(slot: Slot, z: Var, dom: str, as_eq: bool,
-                             ctx) -> bool:
-    f = _fml(slot, "quantifier membership")
-    if as_eq:
-        rec = ctx.registry.get(dom)
-        _need(rec.is_singleton, "SideConditionViolated",
-              "the equality form of membership needs an extensional singleton")
-        return f == Eq(z, rec.entries[0])
-    return f == Member(z, dom)
+def _membership(t: Term, dom: str, as_eq: bool, ctx) -> Formula:
+    """The membership of ``t`` in ``dom`` the universal rules expect:
+    ``t in dom``, or with ``as_eq`` its equality form over an extensional
+    singleton."""
+    if not as_eq:
+        return Member(t, dom)
+    rec = ctx.registry.get(dom)
+    _need(rec.is_singleton, "SideConditionViolated",
+          "the equality form of membership needs an extensional singleton")
+    return Eq(t, rec.entries[0])
 
 
 @_rule("forall_f", 1)
@@ -422,14 +422,14 @@ def _r_forall_f(params, premises, claimed, ctx):
     mpos, qpos = params["mpos"], params["qpos"]
     as_eq = params.get("as_eq", False)
     slot = _at(p.left, mpos, "forall_f membership")
-    _need(_membership_slot_matches(slot, z, dom, as_eq, ctx),
-          "SideConditionViolated",
+    _need(_fml(slot, "quantifier membership")
+          == _membership(z, dom, as_eq, ctx), "SideConditionViolated",
           f"left slot {mpos} is not the membership of {z} in {dom}")
     body = _fml(_at(p.right, qpos, "forall_f principal"))
     rest = _without(p.left, mpos) + _without(p.right, qpos)
     _need(_var_fresh_for(z, rest), "SideConditionViolated",
           f"{z} occurs free outside the principal formula")
-    _flag(ctx, "right_contexts", len(p.right) > 1, "extra right context")
+    _extra(ctx, "right", len(p.right) > 1)
     return Sequent(_without(p.left, mpos),
                    _replaced(p.right, qpos, Single(Forall(z, dom, body))))
 
@@ -447,7 +447,7 @@ def _r_exists_f(params, premises, claimed, ctx):
     rest = _without(p.left, qpos) + _without(p.right, dpos)
     _need(_var_fresh_for(z, rest), "SideConditionViolated",
           f"{z} occurs free outside the principal formula")
-    _flag(ctx, "left_contexts", len(p.left) > 1, "extra left context")
+    _extra(ctx, "left", len(p.left) > 1)
     return Sequent(_replaced(p.left, qpos, Single(Exists(z, dom, body))),
                    _without(p.right, dpos))
 
@@ -455,52 +455,34 @@ def _r_exists_f(params, premises, claimed, ctx):
 # --------------------------------------------------------------------------
 # structural rules
 
-@_rule("weak_l", 1)
-def _r_weak_l(params, premises, claimed, ctx):
+@_rule("weak_l", 1, side="left")
+@_rule("weak_r", 1, side="right")
+def _r_weak(params, premises, claimed, ctx, *, name, side):
     _flag(ctx, "weakening", True, "weakening")
     p = premises[0]
-    return Sequent(_inserted(p.left, params["pos"], Single(params["formula"])),
-                   p.right)
+    return _on(side, _inserted(getattr(p, side), params["pos"],
+                               Single(params["formula"])),
+               getattr(p, _OTHER[side]))
 
 
-@_rule("weak_r", 1)
-def _r_weak_r(params, premises, claimed, ctx):
-    _flag(ctx, "weakening", True, "weakening")
-    p = premises[0]
-    return Sequent(p.left,
-                   _inserted(p.right, params["pos"], Single(params["formula"])))
-
-
-@_rule("contract_l", 1)
-def _r_contract_l(params, premises, claimed, ctx):
+@_rule("contract_l", 1, side="left")
+@_rule("contract_r", 1, side="right")
+def _r_contract(params, premises, claimed, ctx, *, name, side):
     p, i, j = premises[0], params["i"], params["j"]
-    _need(0 <= i < j < len(p.left), "SlotMismatch", "contract_l positions")
-    _need(slot_equal(p.left[i], p.left[j]), "SideConditionViolated",
+    slots = getattr(p, side)
+    _need(0 <= i < j < len(slots), "SlotMismatch", f"{name} positions")
+    _need(slot_equal(slots[i], slots[j]), "SideConditionViolated",
           "contracted slots must be equal")
-    return Sequent(_without(p.left, j), p.right)
+    return _on(side, _without(slots, j), getattr(p, _OTHER[side]))
 
 
-@_rule("contract_r", 1)
-def _r_contract_r(params, premises, claimed, ctx):
-    p, i, j = premises[0], params["i"], params["j"]
-    _need(0 <= i < j < len(p.right), "SlotMismatch", "contract_r positions")
-    _need(slot_equal(p.right[i], p.right[j]), "SideConditionViolated",
-          "contracted slots must be equal")
-    return Sequent(p.left, _without(p.right, j))
-
-
-@_rule("expand_l", 1)
-def _r_expand_l(params, premises, claimed, ctx):
+@_rule("expand_l", 1, side="left")
+@_rule("expand_r", 1, side="right")
+def _r_expand(params, premises, claimed, ctx, *, name, side):
     p, pos = premises[0], params["pos"]
-    slot = _at(p.left, pos, "expand_l")
-    return Sequent(_inserted(p.left, pos + 1, slot), p.right)
-
-
-@_rule("expand_r", 1)
-def _r_expand_r(params, premises, claimed, ctx):
-    p, pos = premises[0], params["pos"]
-    slot = _at(p.right, pos, "expand_r")
-    return Sequent(p.left, _inserted(p.right, pos + 1, slot))
+    slots = getattr(p, side)
+    return _on(side, _inserted(slots, pos + 1, _at(slots, pos, name)),
+               getattr(p, _OTHER[side]))
 
 
 @_rule("subst", 1)
@@ -520,43 +502,24 @@ def _r_subst(params, premises, claimed, ctx):
 # --------------------------------------------------------------------------
 # equality rules
 
-@_rule("eq_left", 1)
-def _r_eq_left(params, premises, claimed, ctx):
+@_rule("eq_left", 1, side="left", make=Eq, noun="equation", op="=")
+@_rule("neq_right", 1, side="right", make=Neq, noun="disequation", op="!=")
+def _r_replacement(params, premises, claimed, ctx, *, name, side, make, noun,
+                   op):
     _need(claimed is not None, "ConclusionMismatch",
-          "eq_left carries free replacement choices; a conclusion is required")
+          f"{name} carries free replacement choices; a conclusion is required")
     p, pos, s, t = premises[0], params["pos"], params["s"], params["t"]
-    got = _fml(_at(claimed.left, pos, "eq_left equation"))
-    _need(got == Eq(s, t), "SlotMismatch",
-          f"conclusion slot {pos} is not the equation {s} = {t}")
-    rest = _without(claimed.left, pos)
-    _need(len(rest) == len(p.left) and len(claimed.right) == len(p.right),
-          "SlotMismatch", "eq_left changes no slot counts")
-    for a, b in zip(p.left, rest):
-        _need(_slot_replaceable(a, b, s, t), "SideConditionViolated",
-              "a left slot is not a replacement instance")
-    for a, b in zip(p.right, claimed.right):
-        _need(_slot_replaceable(a, b, s, t), "SideConditionViolated",
-              "a right slot is not a replacement instance")
-    return claimed
-
-
-@_rule("neq_right", 1)
-def _r_neq_right(params, premises, claimed, ctx):
-    _need(claimed is not None, "ConclusionMismatch",
-          "neq_right carries free replacement choices; a conclusion is required")
-    p, pos, s, t = premises[0], params["pos"], params["s"], params["t"]
-    got = _fml(_at(claimed.right, pos, "neq_right disequation"))
-    _need(got == Neq(s, t), "SlotMismatch",
-          f"conclusion slot {pos} is not the disequation {s} != {t}")
-    rest = _without(claimed.right, pos)
-    _need(len(rest) == len(p.right) and len(claimed.left) == len(p.left),
-          "SlotMismatch", "neq_right changes no slot counts")
-    for a, b in zip(p.left, claimed.left):
-        _need(_slot_replaceable(a, b, s, t), "SideConditionViolated",
-              "a left slot is not a replacement instance")
-    for a, b in zip(p.right, rest):
-        _need(_slot_replaceable(a, b, s, t), "SideConditionViolated",
-              "a right slot is not a replacement instance")
+    slots = getattr(claimed, side)
+    got = _fml(_at(slots, pos, f"{name} {noun}"))
+    _need(got == make(s, t), "SlotMismatch",
+          f"conclusion slot {pos} is not the {noun} {s} {op} {t}")
+    rest = _on(side, _without(slots, pos), getattr(claimed, _OTHER[side]))
+    _need(len(rest.left) == len(p.left) and len(rest.right) == len(p.right),
+          "SlotMismatch", f"{name} changes no slot counts")
+    for where in ("left", "right"):
+        for a, b in zip(getattr(p, where), getattr(rest, where)):
+            _need(_slot_replaceable(a, b, s, t), "SideConditionViolated",
+                  f"a {where} slot is not a replacement instance")
     return claimed
 
 
@@ -572,27 +535,17 @@ def _elim_gate(ctx: RuleContext, t: Term) -> None:
                     f"substitution license covering it")
 
 
-@_rule("eq_left_elim", 1)
-def _r_eq_left_elim(params, premises, claimed, ctx):
+@_rule("eq_left_elim", 1, side="left", make=Eq, noun="an equation")
+@_rule("neq_right_elim", 1, side="right", make=Neq, noun="a disequation")
+def _r_elimination(params, premises, claimed, ctx, *, name, side, make, noun):
     p, pos = premises[0], params["pos"]
-    f = _fml(_at(p.left, pos, "eq_left_elim"))
-    _need(isinstance(f, Eq) and isinstance(f.lhs, Var), "SlotMismatch",
-          f"left slot {pos} must be an equation with a variable on the left")
+    slots = getattr(p, side)
+    f = _fml(_at(slots, pos, name))
+    _need(isinstance(f, make) and isinstance(f.lhs, Var), "SlotMismatch",
+          f"{side} slot {pos} must be {noun} with a variable on the left")
     z, t = f.lhs, f.rhs
     _elim_gate(ctx, t)
-    stripped = Sequent(_without(p.left, pos), p.right)
-    return substitute_sequent(stripped, z, t) if z != t else stripped
-
-
-@_rule("neq_right_elim", 1)
-def _r_neq_right_elim(params, premises, claimed, ctx):
-    p, pos = premises[0], params["pos"]
-    f = _fml(_at(p.right, pos, "neq_right_elim"))
-    _need(isinstance(f, Neq) and isinstance(f.lhs, Var), "SlotMismatch",
-          f"right slot {pos} must be a disequation with a variable on the left")
-    z, t = f.lhs, f.rhs
-    _elim_gate(ctx, t)
-    stripped = Sequent(p.left, _without(p.right, pos))
+    stripped = _on(side, _without(slots, pos), getattr(p, _OTHER[side]))
     return substitute_sequent(stripped, z, t) if z != t else stripped
 
 
@@ -671,103 +624,65 @@ def _join_license(ctx: RuleContext, s: Sequent, a: Formula, b: Formula) -> None:
                     "in context or as quantification domain")
 
 
-@_rule("join_intro", 1)
-def _r_join_intro(params, premises, claimed, ctx):
+@_rule("join_intro", 1, side="right")
+@_rule("join_intro_l", 1, side="left")
+def _r_join_intro(params, premises, claimed, ctx, *, name, side):
     p, qpos = premises[0], params["qpos"]
-    slot = _at(p.right, qpos, "join_intro")
+    slots = getattr(p, side)
+    slot = _at(slots, qpos, name)
     _need(isinstance(slot, CorrPair), "SlotMismatch",
-          "join_intro expects a correlated pair")
+          f"{name} expects a correlated pair")
     _join_license(ctx, p, slot.a, slot.b)
-    return Sequent(p.left,
-                   _replaced(p.right, qpos, Single(Join(slot.tag, slot.a, slot.b))))
+    join = Single(Join(slot.tag, slot.a, slot.b))
+    return _on(side, _replaced(slots, qpos, join), getattr(p, _OTHER[side]))
 
 
-@_rule("join_elim", 1)
-def _r_join_elim(params, premises, claimed, ctx):
+@_rule("join_elim", 1, side="right")
+@_rule("join_elim_l", 1, side="left")
+def _r_join_elim(params, premises, claimed, ctx, *, name, side):
     p, qpos = premises[0], params["qpos"]
-    f = _fml(_at(p.right, qpos, "join_elim"))
-    _need(isinstance(f, Join), "SlotMismatch", "join_elim expects a join formula")
+    slots = getattr(p, side)
+    f = _fml(_at(slots, qpos, name))
+    _need(isinstance(f, Join), "SlotMismatch", f"{name} expects a join formula")
     _join_license(ctx, p, f.a, f.b)
-    return Sequent(p.left, _replaced(p.right, qpos, CorrPair(f.a, f.tag, f.b)))
-
-
-@_rule("join_intro_l", 1)
-def _r_join_intro_l(params, premises, claimed, ctx):
-    p, qpos = premises[0], params["qpos"]
-    slot = _at(p.left, qpos, "join_intro_l")
-    _need(isinstance(slot, CorrPair), "SlotMismatch",
-          "join_intro_l expects a correlated pair")
-    _join_license(ctx, p, slot.a, slot.b)
-    return Sequent(_replaced(p.left, qpos, Single(Join(slot.tag, slot.a, slot.b))),
-                   p.right)
-
-
-@_rule("join_elim_l", 1)
-def _r_join_elim_l(params, premises, claimed, ctx):
-    p, qpos = premises[0], params["qpos"]
-    f = _fml(_at(p.left, qpos, "join_elim_l"))
-    _need(isinstance(f, Join), "SlotMismatch", "join_elim_l expects a join formula")
-    _join_license(ctx, p, f.a, f.b)
-    return Sequent(_replaced(p.left, qpos, CorrPair(f.a, f.tag, f.b)), p.right)
+    return _on(side, _replaced(slots, qpos, CorrPair(f.a, f.tag, f.b)),
+               getattr(p, _OTHER[side]))
 
 
 # --------------------------------------------------------------------------
 # two-premise rules
 
-@_rule("and_r", 2)
-def _r_and_r(params, premises, claimed, ctx):
+@_rule("and_r", 2, side="right", make=And)
+@_rule("or_l", 2, side="left", make=Or)
+def _r_additive_two(params, premises, claimed, ctx, *, name, side, make):
     p1, p2, pos = premises[0], premises[1], params["pos"]
-    a = _fml(_at(p1.right, pos, "and_r first component"))
-    b = _fml(_at(p2.right, pos, "and_r second component"))
+    s1, s2, far = getattr(p1, side), getattr(p2, side), _OTHER[side]
+    a = _fml(_at(s1, pos, f"{name} first component"))
+    b = _fml(_at(s2, pos, f"{name} second component"))
     _need(len(p1.left) == len(p2.left) and len(p1.right) == len(p2.right),
-          "SlotMismatch", "and_r premises must share their contexts")
-    _need(all(slot_equal(x, y) for x, y in zip(p1.left, p2.left)),
-          "SlotMismatch", "and_r premises must share the left context")
+          "SlotMismatch", f"{name} premises must share their contexts")
+    _need(all(slot_equal(x, y) for x, y in zip(getattr(p1, far),
+                                               getattr(p2, far))),
+          "SlotMismatch", f"{name} premises must share the {far} context")
     _need(all(k == pos or slot_equal(x, y)
-              for k, (x, y) in enumerate(zip(p1.right, p2.right))),
-          "SlotMismatch", "and_r premises must share the right context")
-    _flag(ctx, "right_contexts", len(p1.right) > 1, "extra right context")
-    return Sequent(p1.left, _replaced(p1.right, pos, Single(And(a, b))))
+              for k, (x, y) in enumerate(zip(s1, s2))),
+          "SlotMismatch", f"{name} premises must share the {side} context")
+    _extra(ctx, side, len(s1) > 1)
+    return _on(side, _replaced(s1, pos, Single(make(a, b))), getattr(p1, far))
 
 
-@_rule("or_l", 2)
-def _r_or_l(params, premises, claimed, ctx):
-    p1, p2, pos = premises[0], premises[1], params["pos"]
-    a = _fml(_at(p1.left, pos, "or_l first component"))
-    b = _fml(_at(p2.left, pos, "or_l second component"))
-    _need(len(p1.left) == len(p2.left) and len(p1.right) == len(p2.right),
-          "SlotMismatch", "or_l premises must share their contexts")
-    _need(all(slot_equal(x, y) for x, y in zip(p1.right, p2.right)),
-          "SlotMismatch", "or_l premises must share the right context")
-    _need(all(k == pos or slot_equal(x, y)
-              for k, (x, y) in enumerate(zip(p1.left, p2.left))),
-          "SlotMismatch", "or_l premises must share the left context")
-    _flag(ctx, "left_contexts", len(p1.left) > 1, "extra left context")
-    return Sequent(_replaced(p1.left, pos, Single(Or(a, b))), p1.right)
-
-
-@_rule("times_r", 2)
-def _r_times_r(params, premises, claimed, ctx):
+@_rule("times_r", 2, side="right", make=Times)
+@_rule("par_l", 2, side="left", make=Par)
+def _r_multiplicative_two(params, premises, claimed, ctx, *, name, side, make):
     p1, p2 = premises
     pos, apos, bpos = params["pos"], params["apos"], params["bpos"]
-    a = _fml(_at(p1.right, apos, "times_r first component"))
-    b = _fml(_at(p2.right, bpos, "times_r second component"))
-    d1, d2 = _without(p1.right, apos), _without(p2.right, bpos)
-    _flag(ctx, "right_contexts", bool(d1) or bool(d2), "extra right context")
-    return Sequent(p1.left + p2.left,
-                   _inserted(d1 + d2, pos, Single(Times(a, b))))
-
-
-@_rule("par_l", 2)
-def _r_par_l(params, premises, claimed, ctx):
-    p1, p2 = premises
-    pos, apos, bpos = params["pos"], params["apos"], params["bpos"]
-    a = _fml(_at(p1.left, apos, "par_l first component"))
-    b = _fml(_at(p2.left, bpos, "par_l second component"))
-    g1, g2 = _without(p1.left, apos), _without(p2.left, bpos)
-    _flag(ctx, "left_contexts", bool(g1) or bool(g2), "extra left context")
-    return Sequent(_inserted(g1 + g2, pos, Single(Par(a, b))),
-                   p1.right + p2.right)
+    s1, s2, far = getattr(p1, side), getattr(p2, side), _OTHER[side]
+    a = _fml(_at(s1, apos, f"{name} first component"))
+    b = _fml(_at(s2, bpos, f"{name} second component"))
+    d1, d2 = _without(s1, apos), _without(s2, bpos)
+    _extra(ctx, side, bool(d1) or bool(d2))
+    return _on(side, _inserted(d1 + d2, pos, Single(make(a, b))),
+               getattr(p1, far) + getattr(p2, far))
 
 
 @_rule("imp_l", 2)
@@ -777,8 +692,8 @@ def _r_imp_l(params, premises, claimed, ctx):
           "imp_l premise shapes")
     a = _fml(p1.right[0], "imp_l antecedent")
     b = _fml(p2.left[0], "imp_l succedent")
-    _flag(ctx, "right_contexts", len(p1.right) > 1, "extra right context")
-    _flag(ctx, "left_contexts", len(p2.left) > 1, "extra left context")
+    _extra(ctx, "right", len(p1.right) > 1)
+    _extra(ctx, "left", len(p2.left) > 1)
     return Sequent(_inserted(p1.left + p2.left[1:], pos, Single(Imp(a, b))),
                    p1.right[1:] + p2.right)
 
@@ -790,8 +705,8 @@ def _r_excl_r(params, premises, claimed, ctx):
           "excl_r premise shapes")
     b = _fml(p1.right[-1], "excl_r kept side")
     a = _fml(p2.left[-1], "excl_r excluded side")
-    _flag(ctx, "left_contexts", len(p2.left) > 1, "extra left context")
-    _flag(ctx, "right_contexts", len(p1.right) > 1, "extra right context")
+    _extra(ctx, "left", len(p2.left) > 1)
+    _extra(ctx, "right", len(p1.right) > 1)
     return Sequent(p1.left + p2.left[:-1],
                    _inserted(p1.right[:-1] + p2.right, pos, Single(Excl(b, a))))
 
@@ -804,20 +719,14 @@ def _r_forall_r(params, premises, claimed, ctx):
     _need(len(p1.right) >= 1 and len(p2.left) >= 1, "SlotMismatch",
           "forall_r premise shapes")
     memb = _fml(p1.right[0], "forall_r membership")
-    if params.get("as_eq", False):
-        rec = ctx.registry.get(dom)
-        _need(rec.is_singleton, "SideConditionViolated",
-              "the equality form of membership needs an extensional singleton")
-        want: Formula = Eq(t, rec.entries[0])
-    else:
-        want = Member(t, dom)
-    _need(memb == want, "SideConditionViolated",
+    _need(memb == _membership(t, dom, params.get("as_eq", False), ctx),
+          "SideConditionViolated",
           f"first premise must conclude the membership of {t} in {dom}")
     inst = _fml(p2.left[0], "forall_r instance")
     _need(formula_equal(inst, replace_var(body, z, t)), "SideConditionViolated",
           "second premise must assume the instantiated body")
-    _flag(ctx, "right_contexts", len(p1.right) > 1, "extra right context")
-    _flag(ctx, "left_contexts", len(p2.left) > 1, "extra left context")
+    _extra(ctx, "right", len(p1.right) > 1)
+    _extra(ctx, "left", len(p2.left) > 1)
     return Sequent(_inserted(p1.left + p2.left[1:], pos,
                              Single(Forall(z, dom, body))),
                    p1.right[1:] + p2.right)
@@ -837,8 +746,8 @@ def _r_exists_r(params, premises, claimed, ctx):
     _need(dual == ctx.registry.dual_membership(t, dom, d),
           "SideConditionViolated",
           f"second premise must refute the dual membership of {t} in {dom}")
-    _flag(ctx, "right_contexts", len(p1.right) > 1, "extra right context")
-    _flag(ctx, "left_contexts", len(p2.left) > 1, "extra left context")
+    _extra(ctx, "right", len(p1.right) > 1)
+    _extra(ctx, "left", len(p2.left) > 1)
     return Sequent(p1.left + p2.left[:-1],
                    _inserted(p1.right[:-1] + p2.right, pos,
                              Single(Exists(z, dom, body))))
@@ -896,41 +805,21 @@ def _r_parallel_forall(params, premises, claimed, ctx):
     return Sequent(_without(p.left, mpos), _replaced(p.right, qpos, pair))
 
 
-@_rule("forall_f_vsym", 1, macro=True)
-def _r_forall_f_vsym(params, premises, claimed, ctx):
+# Each symmetric quantifier step is its base rule with the principal
+# quantifier swapped: ``base`` is the rule, ``key`` the parameter that
+# places its principal formula on ``side``, ``make`` the new quantifier.
+@_rule("forall_f_vsym", 1, True, base=_r_exists_f, side="left", key="qpos",
+       make=Forall)
+@_rule("exists_f_vsym", 1, True, base=_r_forall_f, side="right", key="qpos",
+       make=Exists)
+@_rule("forall_r_vsym", 2, True, base=_r_exists_r, side="right", key="pos",
+       make=Forall)
+@_rule("exists_r_vsym", 2, True, base=_r_forall_r, side="left", key="pos",
+       make=Exists)
+def _r_vsym(params, premises, claimed, ctx, *, name, base, side, key, make):
     _vsym_eligible(ctx, params["domain"])
-    out = _r_exists_f(params, premises, claimed and None, ctx)
-    f = out.left[params["qpos"]].formula
-    return Sequent(_replaced(out.left, params["qpos"],
-                             Single(Forall(f.var, f.domain, f.body))),
-                   out.right)
-
-
-@_rule("exists_f_vsym", 1, macro=True)
-def _r_exists_f_vsym(params, premises, claimed, ctx):
-    _vsym_eligible(ctx, params["domain"])
-    out = _r_forall_f(params, premises, claimed and None, ctx)
-    f = out.right[params["qpos"]].formula
-    return Sequent(out.left,
-                   _replaced(out.right, params["qpos"],
-                             Single(Exists(f.var, f.domain, f.body))))
-
-
-@_rule("forall_r_vsym", 2, macro=True)
-def _r_forall_r_vsym(params, premises, claimed, ctx):
-    _vsym_eligible(ctx, params["domain"])
-    out = _r_exists_r(params, premises, claimed and None, ctx)
-    f = out.right[params["pos"]].formula
-    return Sequent(out.left,
-                   _replaced(out.right, params["pos"],
-                             Single(Forall(f.var, f.domain, f.body))))
-
-
-@_rule("exists_r_vsym", 2, macro=True)
-def _r_exists_r_vsym(params, premises, claimed, ctx):
-    _vsym_eligible(ctx, params["domain"])
-    out = _r_forall_r(params, premises, claimed and None, ctx)
-    f = out.left[params["pos"]].formula
-    return Sequent(_replaced(out.left, params["pos"],
-                             Single(Exists(f.var, f.domain, f.body))),
-                   out.right)
+    out = base(params, premises, claimed and None, ctx)
+    slots, pos = getattr(out, side), params[key]
+    f = slots[pos].formula
+    return _on(side, _replaced(slots, pos, Single(make(f.var, f.domain, f.body))),
+               getattr(out, _OTHER[side]))
