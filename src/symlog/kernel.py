@@ -91,46 +91,45 @@ class CheckReport:
         }
 
 
-def _collect_stats(p: ProofNode, stats: dict) -> None:
-    stats["nodes"] += 1
-    stats["rules"][p.rule] += 1
-    if p.rule in ("subst", "eq_left_elim", "neq_right_elim"):
-        dom = p.params.get("domain")
-        if dom is not None:
-            stats["subst_domains"][dom] += 1
-    if p.rule == "d_axiom" and {"domain", "dual"} <= p.params.keys():
-        stats["d_axiom_pairs"][f"{p.params['domain']}:{p.params['dual']}"] += 1
-    for q in p.premises:
-        _collect_stats(q, stats)
+def _path(trail) -> tuple:
+    path = []
+    while trail:  # a trail is (premise index, the parent's trail)
+        k, trail = trail
+        path.append(k)
+    return tuple(reversed(path))
 
 
 def check_proof(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> CheckReport:
-    """Validate every node of a proof tree; never raises on bad proofs."""
+    """Validate every node of a proof tree; never raises on bad proofs.
+    The walk keeps its own stack, so a proof of any height checks."""
     cfg.check_licenses(registry)
     ctx = RuleContext(cfg, registry)
     failures: list = []
-
-    def go(node: ProofNode, path: tuple) -> Optional[Sequent]:
-        concls = []
-        for k, prem in enumerate(node.premises):
-            concls.append(go(prem, path + (k,)))
-        if any(c is None for c in concls):
-            return None
+    rules, subst, dax = Counter(), Counter(), Counter()
+    order, todo, done = [], [(p, None)], []
+    while todo:  # pre-order, last premise first
+        node, trail = todo.pop()
+        order.append((node, trail))
+        todo.extend((q, (k, trail)) for k, q in enumerate(node.premises))
+    for node, trail in reversed(order):  # each node after its premises
+        P, n, concl = node.params, len(node.premises), None
+        rules[node.rule] += 1
+        if node.rule in ("subst", "eq_left_elim", "neq_right_elim") \
+                and P.get("domain") is not None:
+            subst[P["domain"]] += 1
+        if node.rule == "d_axiom" and {"domain", "dual"} <= P.keys():
+            dax[f"{P['domain']}:{P['dual']}"] += 1
+        concls = done[len(done) - n:]  # the premises' conclusions, in order
+        del done[len(done) - n:]
         try:
-            return validate_rule(node.rule, node.params, concls,
-                                 node.conclusion, ctx)
+            if all(c is not None for c in concls):
+                concl = validate_rule(node.rule, P, concls, node.conclusion, ctx)
         except RuleError as e:
-            failures.append(CheckFailure(path, node.rule, str(e)))
-            return None
-
-    go(p, ())
-    stats = {"nodes": 0, "rules": Counter(), "subst_domains": Counter(),
-             "d_axiom_pairs": Counter()}
-    _collect_stats(p, stats)
-    stats = {"nodes": stats["nodes"],
-             "rules": dict(sorted(stats["rules"].items())),
-             "subst_domains": dict(sorted(stats["subst_domains"].items())),
-             "d_axiom_pairs": dict(sorted(stats["d_axiom_pairs"].items()))}
+            failures.append(CheckFailure(_path(trail), node.rule, str(e)))
+        done.append(concl)
+    stats = {"nodes": len(order), "rules": dict(sorted(rules.items())),
+             "subst_domains": dict(sorted(subst.items())),
+             "d_axiom_pairs": dict(sorted(dax.items()))}
     return CheckReport(ok=not failures, failures=failures, stats=stats)
 
 

@@ -317,3 +317,25 @@ def test_wrong_parameter_kind_is_a_failure(config, registry):
         node = mk("contract_l", params, mk("id", {"a": p}))
         assert check_proof(node, config, registry).failures[0].reason \
             .startswith("BadParameter")
+
+
+def _weakening_chain(leaf, n: int):
+    node = leaf
+    for _ in range(n):
+        node = mk("weak_l", {"pos": 0, "formula": p}, node)
+    return node
+
+
+def test_check_proof_takes_deep_proofs(config, registry):
+    rep = check_proof(_weakening_chain(mk("id", {"a": q}), 3000),
+                      config, registry)
+    assert rep.ok
+    assert rep.stats["nodes"] == 3001
+    assert rep.stats["rules"] == {"id": 1, "weak_l": 3000}
+
+
+def test_check_proof_reports_a_bad_leaf_of_a_deep_proof(config, registry):
+    bad = mk("member", {"domain": "D", "term": Outcome("nope", 1)})
+    rep = check_proof(_weakening_chain(bad, 3000), config, registry)
+    assert not rep.ok
+    assert [(f.path, f.rule) for f in rep.failures] == [((0,) * 3000, "member")]
