@@ -647,6 +647,7 @@ def parse_script(text: str) -> Script:
     sc = Script()
     lines = text.splitlines()
     known: set = set()
+    placed: list = []  # (owner's name, sequent, line, column) for _validate_refs
     i = 0
     while i < len(lines):
         raw = lines[i]
@@ -704,6 +705,7 @@ def parse_script(text: str) -> Script:
             name, body, col = _named_header(line, "sequent", i)
             _check_unique(name, known, i)
             sc.sequents[name] = parse_sequent(body, sc.consts, i + 1, col)
+            placed.append((name, sc.sequents[name], i + 1, _sequent_col(line)))
         elif word == "proof":
             name, body, col = _named_header(line, "proof", i)
             _check_unique(name, known, i)
@@ -711,12 +713,21 @@ def parse_script(text: str) -> Script:
             node, i2 = parse_proof_block(lines, i + 1, 0, sc.consts)
             sc.proofs[name] = ProofNode(node.rule, node.params, node.premises,
                                         node.conclusion or root_concl)
+            if node.conclusion is None:
+                placed.append((name, root_concl, i + 1, _sequent_col(line)))
+            todo = [node]
+            for k in range(i + 1, i2):  # one node per line, in pre-order
+                n = todo.pop()
+                todo.extend(reversed(n.premises))
+                if n.conclusion is not None:
+                    placed.append((name, n.conclusion, k + 1,
+                                   _sequent_col(lines[k])))
             i = i2
             continue
         else:
             raise ParseError(i + 1, 1, "a declaration keyword", word)
         i += 1
-    _validate_refs(sc)
+    _validate_refs(sc, placed)
     return sc
 
 
@@ -727,6 +738,12 @@ def _named_header(line: str, keyword: str, lineno: int) -> tuple:
     if not sep or len(bits) != 2 or bits[0] != keyword:
         raise ParseError(lineno + 1, 1, f"{keyword} NAME : <sequent>", line[:20])
     return bits[1], body, len(head) + 2
+
+
+def _sequent_col(line: str) -> int:
+    """The column where the sequent after the first colon of ``line`` starts."""
+    head, _, body = line.partition(":")
+    return len(head) + 2 + len(body) - len(body.lstrip())
 
 
 def _check_unique(name: str, known: set, lineno: int) -> None:
@@ -748,34 +765,27 @@ def _formula_vars(f: Formula):
     yield from free_vars(f)
 
 
-def _validate_refs(sc: Script) -> None:
+def _validate_refs(sc: Script, placed: list) -> None:
+    """Check the domains and variable names of each sequent ``placed`` holds
+    once the whole script is read, since a domain may be declared below its
+    first use; an error is reported where its sequent starts."""
     declared = {rec.name for rec in sc.domains}
     taken = set(sc.consts)
     for rec in sc.domains:
         taken.update(e.label for e in rec.entries)
-
-    def check_sequent(s: Sequent, where: str) -> None:
+    for where, s, line, col in placed:
         for slot in s.left + s.right:
             for f in slot_formulas(slot):
                 for dom in _domain_refs(f):
                     if dom not in declared:
-                        raise ParseError(0, 0, f"a declared domain ({where})",
-                                         dom)
+                        raise ParseError(line, col,
+                                         f"a declared domain ({where})", dom)
                 for v in _formula_vars(f):
                     if v.name in taken:
                         raise ParseError(
-                            0, 0, f"a variable name distinct from constants "
-                                  f"and outcome labels ({where})", v.name)
-
-    for name, s in sc.sequents.items():
-        check_sequent(s, name)
-    for name, p in sc.proofs.items():
-        def walk(n: ProofNode) -> None:
-            if n.conclusion is not None:
-                check_sequent(n.conclusion, name)
-            for q in n.premises:
-                walk(q)
-        walk(p)
+                            line, col, f"a variable name distinct from "
+                                       f"constants and outcome labels ({where})",
+                            v.name)
 
 
 def print_script(sc: Script) -> str:

@@ -107,6 +107,21 @@ def test_scripts_reject_undeclared_domain():
         parse_script("sequent s : z in Nowhere |- z in Nowhere\n")
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("sequent s : z in Nowhere |- z in Nowhere\n", 1, 13),
+    ("proof pr : p |- p\nid a={p} : p |- p\n  id a={q} : z in Nowhere |- q\n",
+     3, 14),
+    ("domain D = { t1@1/2 }\nproof pr :  A(t1) |- A(t1)\nid a={A(t1)}\n",
+     2, 13),
+], ids=["sequent", "proof-line", "proof-header"])
+def test_reference_errors_carry_the_sequents_position(text, line, col):
+    """An undeclared domain or a clashing variable name is reported where
+    the sequent that holds it starts."""
+    with pytest.raises(ParseError) as err:
+        parse_script(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_scripts_reject_duplicate_names():
     text = "sequent s : p |- p\nsequent s : q |- q\n"
     with pytest.raises(ParseError):
