@@ -100,8 +100,8 @@ def _need(cond: bool, code: str, message: str) -> None:
         raise RuleError(code, message)
 
 
-def _flag(ctx: RuleContext, flag: str, cond: bool, what: str) -> None:
-    if cond and not getattr(ctx.cfg, flag):
+def _flag(ctx: RuleContext, flag: str, what: str) -> None:
+    if not getattr(ctx.cfg, flag):
         raise RuleError("ContextNotLicensed",
                         f"{what} requires {flag} liberalization")
 
@@ -109,7 +109,7 @@ def _flag(ctx: RuleContext, flag: str, cond: bool, what: str) -> None:
 def _extra(ctx: RuleContext, side: str, cond: bool) -> None:
     """Extra context on ``side`` needs that side's liberalization."""
     if cond:
-        _flag(ctx, side + "_contexts", True, f"extra {side} context")
+        _flag(ctx, side + "_contexts", f"extra {side} context")
 
 
 # --------------------------------------------------------------------------
@@ -458,7 +458,7 @@ def _r_exists_f(params, premises, claimed, ctx):
 @_rule("weak_l", 1, side="left")
 @_rule("weak_r", 1, side="right")
 def _r_weak(params, premises, claimed, ctx, *, name, side):
-    _flag(ctx, "weakening", True, "weakening")
+    _flag(ctx, "weakening", "weakening")
     p = premises[0]
     return _on(side, _inserted(getattr(p, side), params["pos"],
                                Single(params["formula"])),
@@ -755,7 +755,7 @@ def _r_exists_r(params, premises, claimed, ctx):
 
 @_rule("cut", 2)
 def _r_cut(params, premises, claimed, ctx):
-    _flag(ctx, "cut", True, "cut")
+    _flag(ctx, "cut", "cut")
     p1, p2 = premises
     rpos, lpos = params["rpos"], params["lpos"]
     c1 = _at(p1.right, rpos, "cut formula (right premise side)")
