@@ -144,9 +144,9 @@ def _inserted(slots: tuple, pos, slot: Slot) -> tuple:
 _OTHER = {"left": "right", "right": "left"}
 
 
-def _on(side: str, slots: tuple, rest: tuple) -> Sequent:
-    """The sequent with ``slots`` on ``side`` and ``rest`` on the other."""
-    return Sequent(slots, rest) if side == "left" else Sequent(rest, slots)
+def _on(s: Sequent, side: str, slots: tuple) -> Sequent:
+    """``s`` with ``slots`` in place of its ``side``."""
+    return Sequent(slots, s.right) if side == "left" else Sequent(s.left, slots)
 
 
 def _var_fresh_for(z: Var, slots) -> bool:
@@ -362,8 +362,7 @@ def _r_additive_one(params, premises, claimed, ctx, *, name, side, make):
     slots = getattr(p, side)
     a = _fml(_at(slots, pos, name))
     _extra(ctx, side, len(slots) > 1)
-    return _on(side, _replaced(slots, pos, Single(make(a, other))),
-               getattr(p, _OTHER[side]))
+    return _on(p, side, _replaced(slots, pos, Single(make(a, other))))
 
 
 @_rule("times_l", 1, side="left", make=Times)
@@ -374,8 +373,7 @@ def _r_multiplicative_one(params, premises, claimed, ctx, *, name, side, make):
     a = _fml(_at(slots, pos, name))
     b = _fml(_at(slots, pos + 1, name))
     _extra(ctx, side, len(slots) > 2)
-    return _on(side, slots[:pos] + (Single(make(a, b)),) + slots[pos + 2:],
-               getattr(p, _OTHER[side]))
+    return _on(p, side, slots[:pos] + (Single(make(a, b)),) + slots[pos + 2:])
 
 
 @_rule("imp_r", 1)
@@ -460,9 +458,8 @@ def _r_exists_f(params, premises, claimed, ctx):
 def _r_weak(params, premises, claimed, ctx, *, name, side):
     _flag(ctx, "weakening", "weakening")
     p = premises[0]
-    return _on(side, _inserted(getattr(p, side), params["pos"],
-                               Single(params["formula"])),
-               getattr(p, _OTHER[side]))
+    return _on(p, side, _inserted(getattr(p, side), params["pos"],
+                                  Single(params["formula"])))
 
 
 @_rule("contract_l", 1, side="left")
@@ -473,7 +470,7 @@ def _r_contract(params, premises, claimed, ctx, *, name, side):
     _need(0 <= i < j < len(slots), "SlotMismatch", f"{name} positions")
     _need(slot_equal(slots[i], slots[j]), "SideConditionViolated",
           "contracted slots must be equal")
-    return _on(side, _without(slots, j), getattr(p, _OTHER[side]))
+    return _on(p, side, _without(slots, j))
 
 
 @_rule("expand_l", 1, side="left")
@@ -481,8 +478,7 @@ def _r_contract(params, premises, claimed, ctx, *, name, side):
 def _r_expand(params, premises, claimed, ctx, *, name, side):
     p, pos = premises[0], params["pos"]
     slots = getattr(p, side)
-    return _on(side, _inserted(slots, pos + 1, _at(slots, pos, name)),
-               getattr(p, _OTHER[side]))
+    return _on(p, side, _inserted(slots, pos + 1, _at(slots, pos, name)))
 
 
 @_rule("subst", 1)
@@ -513,7 +509,7 @@ def _r_replacement(params, premises, claimed, ctx, *, name, side, make, noun,
     got = _fml(_at(slots, pos, f"{name} {noun}"))
     _need(got == make(s, t), "SlotMismatch",
           f"conclusion slot {pos} is not the {noun} {s} {op} {t}")
-    rest = _on(side, _without(slots, pos), getattr(claimed, _OTHER[side]))
+    rest = _on(claimed, side, _without(slots, pos))
     _need(len(rest.left) == len(p.left) and len(rest.right) == len(p.right),
           "SlotMismatch", f"{name} changes no slot counts")
     for where in ("left", "right"):
@@ -545,7 +541,7 @@ def _r_elimination(params, premises, claimed, ctx, *, name, side, make, noun):
           f"{side} slot {pos} must be {noun} with a variable on the left")
     z, t = f.lhs, f.rhs
     _elim_gate(ctx, t)
-    stripped = _on(side, _without(slots, pos), getattr(p, _OTHER[side]))
+    stripped = _on(p, side, _without(slots, pos))
     return substitute_sequent(stripped, z, t) if z != t else stripped
 
 
@@ -634,7 +630,7 @@ def _r_join_intro(params, premises, claimed, ctx, *, name, side):
           f"{name} expects a correlated pair")
     _join_license(ctx, p, slot.a, slot.b)
     join = Single(Join(slot.tag, slot.a, slot.b))
-    return _on(side, _replaced(slots, qpos, join), getattr(p, _OTHER[side]))
+    return _on(p, side, _replaced(slots, qpos, join))
 
 
 @_rule("join_elim", 1, side="right")
@@ -645,8 +641,7 @@ def _r_join_elim(params, premises, claimed, ctx, *, name, side):
     f = _fml(_at(slots, qpos, name))
     _need(isinstance(f, Join), "SlotMismatch", f"{name} expects a join formula")
     _join_license(ctx, p, f.a, f.b)
-    return _on(side, _replaced(slots, qpos, CorrPair(f.a, f.tag, f.b)),
-               getattr(p, _OTHER[side]))
+    return _on(p, side, _replaced(slots, qpos, CorrPair(f.a, f.tag, f.b)))
 
 
 # --------------------------------------------------------------------------
@@ -668,7 +663,7 @@ def _r_additive_two(params, premises, claimed, ctx, *, name, side, make):
               for k, (x, y) in enumerate(zip(s1, s2))),
           "SlotMismatch", f"{name} premises must share the {side} context")
     _extra(ctx, side, len(s1) > 1)
-    return _on(side, _replaced(s1, pos, Single(make(a, b))), getattr(p1, far))
+    return _on(p1, side, _replaced(s1, pos, Single(make(a, b))))
 
 
 @_rule("times_r", 2, side="right", make=Times)
@@ -676,13 +671,13 @@ def _r_additive_two(params, premises, claimed, ctx, *, name, side, make):
 def _r_multiplicative_two(params, premises, claimed, ctx, *, name, side, make):
     p1, p2 = premises
     pos, apos, bpos = params["pos"], params["apos"], params["bpos"]
-    s1, s2, far = getattr(p1, side), getattr(p2, side), _OTHER[side]
+    s1, s2 = getattr(p1, side), getattr(p2, side)
     a = _fml(_at(s1, apos, f"{name} first component"))
     b = _fml(_at(s2, bpos, f"{name} second component"))
     d1, d2 = _without(s1, apos), _without(s2, bpos)
     _extra(ctx, side, bool(d1) or bool(d2))
-    return _on(side, _inserted(d1 + d2, pos, Single(make(a, b))),
-               getattr(p1, far) + getattr(p2, far))
+    both = Sequent(p1.left + p2.left, p1.right + p2.right)
+    return _on(both, side, _inserted(d1 + d2, pos, Single(make(a, b))))
 
 
 @_rule("imp_l", 2)
@@ -821,5 +816,5 @@ def _r_vsym(params, premises, claimed, ctx, *, name, base, side, key, make):
     out = base(params, premises, claimed and None, ctx)
     slots, pos = getattr(out, side), params[key]
     f = slots[pos].formula
-    return _on(side, _replaced(slots, pos, Single(make(f.var, f.domain, f.body))),
-               getattr(out, _OTHER[side]))
+    swapped = Single(make(f.var, f.domain, f.body))
+    return _on(out, side, _replaced(slots, pos, swapped))
