@@ -110,7 +110,8 @@ def check_proof(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> CheckR
     while todo:  # pre-order, last premise first
         node, trail = todo.pop()
         order.append((node, trail))
-        todo.extend((q, (k, trail)) for k, q in enumerate(node.premises))
+        for k, q in enumerate(node.premises):
+            todo.append((q, (k, trail)))
     for node, trail in reversed(order):  # each node after its premises
         P, n, concl = node.params, len(node.premises), None
         rules[node.rule] += 1
@@ -122,7 +123,7 @@ def check_proof(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> CheckR
         concls = done[len(done) - n:]  # the premises' conclusions, in order
         del done[len(done) - n:]
         try:
-            if all(c is not None for c in concls):
+            if None not in concls:
                 concl = validate_rule(node.rule, P, concls, node.conclusion, ctx)
         except RuleError as e:
             failures.append(CheckFailure(_path(trail), node.rule, str(e)))

@@ -16,16 +16,18 @@ substitution / d-axiom licenses.
 Side-mirrored rules are written once.  Where rules differ only in the side
 of the turnstile they read and build (``and_l1`` and ``or_r1``, ``weak_l``
 and ``weak_r``, ...), one validator serves the group and is registered once
-per rule by stacked ``@_rule`` lines.  Each line binds the rule's ``name``,
-its ``side`` ("left" or "right") and whatever else differs, such as the
-constructor ``make``.  The validator reads a side only through the
-``Sequent`` field the side names, and builds a sequent only through
+per rule by stacked ``@_rule`` lines.  Each line gives the rule's ``side``
+("left" or "right") and whatever else differs, such as the constructor
+``make``; the validator receives them, with the rule's ``name``, as the
+record ``rule`` before the usual arguments.  It reads a side only through
+the ``Sequent`` field ``rule.side`` names and builds a sequent only through
 ``_on``, so it never tests which side it serves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 
 from .domains import Registry, RegistryError
 from .dualities import IDENTITY_INV, symmetrize_formula
@@ -141,9 +143,6 @@ def _inserted(slots: tuple, pos, slot: Slot) -> tuple:
     return slots[:pos] + (slot,) + slots[pos:]
 
 
-_OTHER = {"left": "right", "right": "left"}
-
-
 def _on(s: Sequent, side: str, slots: tuple) -> Sequent:
     """``s`` with ``slots`` in place of its ``side``."""
     return Sequent(slots, s.right) if side == "left" else Sequent(s.left, slots)
@@ -211,9 +210,11 @@ _KIND_TYPE = {"int": int, "bool": bool, "formula": Formula,
 
 def _rule(name: str, arity: int, macro: bool = False, **bound):
     """Register ``fn`` as rule ``name``.  With ``bound`` keywords (a
-    side-mirrored group), ``fn`` also receives ``name`` and those keywords."""
+    side-mirrored group), ``fn`` takes first a record of the rule's ``name``
+    and those keywords."""
     def wrap(fn):
-        RULES[name] = (arity, partial(fn, name=name, **bound) if bound else fn)
+        rule = SimpleNamespace(name=name, **bound)
+        RULES[name] = (arity, partial(fn, rule) if bound else fn)
         if macro:
             MACRO_RULES.add(name)
         return fn
@@ -357,23 +358,24 @@ def _r_d_axiom(params, premises, claimed, ctx):
 @_rule("and_l2", 1, side="left", make=lambda b, other: And(other, b))
 @_rule("or_r1", 1, side="right", make=Or)
 @_rule("or_r2", 1, side="right", make=lambda b, other: Or(other, b))
-def _r_additive_one(params, premises, claimed, ctx, *, name, side, make):
+def _r_additive_one(rule, params, premises, claimed, ctx):
     p, pos, other = premises[0], params["pos"], params["other"]
-    slots = getattr(p, side)
-    a = _fml(_at(slots, pos, name))
-    _extra(ctx, side, len(slots) > 1)
-    return _on(p, side, _replaced(slots, pos, Single(make(a, other))))
+    slots = getattr(p, rule.side)
+    a = _fml(_at(slots, pos, rule.name))
+    _extra(ctx, rule.side, len(slots) > 1)
+    return _on(p, rule.side, _replaced(slots, pos, Single(rule.make(a, other))))
 
 
 @_rule("times_l", 1, side="left", make=Times)
 @_rule("par_r", 1, side="right", make=Par)
-def _r_multiplicative_one(params, premises, claimed, ctx, *, name, side, make):
+def _r_multiplicative_one(rule, params, premises, claimed, ctx):
     p, pos = premises[0], params["pos"]
-    slots = getattr(p, side)
-    a = _fml(_at(slots, pos, name))
-    b = _fml(_at(slots, pos + 1, name))
-    _extra(ctx, side, len(slots) > 2)
-    return _on(p, side, slots[:pos] + (Single(make(a, b)),) + slots[pos + 2:])
+    slots = getattr(p, rule.side)
+    a = _fml(_at(slots, pos, rule.name))
+    b = _fml(_at(slots, pos + 1, rule.name))
+    _extra(ctx, rule.side, len(slots) > 2)
+    pair = Single(rule.make(a, b))
+    return _on(p, rule.side, slots[:pos] + (pair,) + slots[pos + 2:])
 
 
 @_rule("imp_r", 1)
@@ -455,30 +457,31 @@ def _r_exists_f(params, premises, claimed, ctx):
 
 @_rule("weak_l", 1, side="left")
 @_rule("weak_r", 1, side="right")
-def _r_weak(params, premises, claimed, ctx, *, name, side):
+def _r_weak(rule, params, premises, claimed, ctx):
     _flag(ctx, "weakening", "weakening")
     p = premises[0]
-    return _on(p, side, _inserted(getattr(p, side), params["pos"],
+    return _on(p, rule.side, _inserted(getattr(p, rule.side), params["pos"],
                                   Single(params["formula"])))
 
 
 @_rule("contract_l", 1, side="left")
 @_rule("contract_r", 1, side="right")
-def _r_contract(params, premises, claimed, ctx, *, name, side):
+def _r_contract(rule, params, premises, claimed, ctx):
     p, i, j = premises[0], params["i"], params["j"]
-    slots = getattr(p, side)
-    _need(0 <= i < j < len(slots), "SlotMismatch", f"{name} positions")
+    slots = getattr(p, rule.side)
+    _need(0 <= i < j < len(slots), "SlotMismatch", f"{rule.name} positions")
     _need(slot_equal(slots[i], slots[j]), "SideConditionViolated",
           "contracted slots must be equal")
-    return _on(p, side, _without(slots, j))
+    return _on(p, rule.side, _without(slots, j))
 
 
 @_rule("expand_l", 1, side="left")
 @_rule("expand_r", 1, side="right")
-def _r_expand(params, premises, claimed, ctx, *, name, side):
+def _r_expand(rule, params, premises, claimed, ctx):
     p, pos = premises[0], params["pos"]
-    slots = getattr(p, side)
-    return _on(p, side, _inserted(slots, pos + 1, _at(slots, pos, name)))
+    slots = getattr(p, rule.side)
+    copy = _at(slots, pos, rule.name)
+    return _on(p, rule.side, _inserted(slots, pos + 1, copy))
 
 
 @_rule("subst", 1)
@@ -500,18 +503,17 @@ def _r_subst(params, premises, claimed, ctx):
 
 @_rule("eq_left", 1, side="left", make=Eq, noun="equation", op="=")
 @_rule("neq_right", 1, side="right", make=Neq, noun="disequation", op="!=")
-def _r_replacement(params, premises, claimed, ctx, *, name, side, make, noun,
-                   op):
-    _need(claimed is not None, "ConclusionMismatch",
-          f"{name} carries free replacement choices; a conclusion is required")
+def _r_replacement(rule, params, premises, claimed, ctx):
+    _need(claimed is not None, "ConclusionMismatch", f"{rule.name} carries "
+          "free replacement choices; a conclusion is required")
     p, pos, s, t = premises[0], params["pos"], params["s"], params["t"]
-    slots = getattr(claimed, side)
-    got = _fml(_at(slots, pos, f"{name} {noun}"))
-    _need(got == make(s, t), "SlotMismatch",
-          f"conclusion slot {pos} is not the {noun} {s} {op} {t}")
-    rest = _on(claimed, side, _without(slots, pos))
+    slots = getattr(claimed, rule.side)
+    got = _fml(_at(slots, pos, f"{rule.name} {rule.noun}"))
+    _need(got == rule.make(s, t), "SlotMismatch",
+          f"conclusion slot {pos} is not the {rule.noun} {s} {rule.op} {t}")
+    rest = _on(claimed, rule.side, _without(slots, pos))
     _need(len(rest.left) == len(p.left) and len(rest.right) == len(p.right),
-          "SlotMismatch", f"{name} changes no slot counts")
+          "SlotMismatch", f"{rule.name} changes no slot counts")
     for where in ("left", "right"):
         for a, b in zip(getattr(p, where), getattr(rest, where)):
             _need(_slot_replaceable(a, b, s, t), "SideConditionViolated",
@@ -533,15 +535,16 @@ def _elim_gate(ctx: RuleContext, t: Term) -> None:
 
 @_rule("eq_left_elim", 1, side="left", make=Eq, noun="an equation")
 @_rule("neq_right_elim", 1, side="right", make=Neq, noun="a disequation")
-def _r_elimination(params, premises, claimed, ctx, *, name, side, make, noun):
+def _r_elimination(rule, params, premises, claimed, ctx):
     p, pos = premises[0], params["pos"]
-    slots = getattr(p, side)
-    f = _fml(_at(slots, pos, name))
-    _need(isinstance(f, make) and isinstance(f.lhs, Var), "SlotMismatch",
-          f"{side} slot {pos} must be {noun} with a variable on the left")
+    slots = getattr(p, rule.side)
+    f = _fml(_at(slots, pos, rule.name))
+    _need(isinstance(f, rule.make) and isinstance(f.lhs, Var), "SlotMismatch",
+          f"{rule.side} slot {pos} must be {rule.noun} with a variable on "
+          "the left")
     z, t = f.lhs, f.rhs
     _elim_gate(ctx, t)
-    stripped = _on(p, side, _without(slots, pos))
+    stripped = _on(p, rule.side, _without(slots, pos))
     return substitute_sequent(stripped, z, t) if z != t else stripped
 
 
@@ -622,62 +625,65 @@ def _join_license(ctx: RuleContext, s: Sequent, a: Formula, b: Formula) -> None:
 
 @_rule("join_intro", 1, side="right")
 @_rule("join_intro_l", 1, side="left")
-def _r_join_intro(params, premises, claimed, ctx, *, name, side):
+def _r_join_intro(rule, params, premises, claimed, ctx):
     p, qpos = premises[0], params["qpos"]
-    slots = getattr(p, side)
-    slot = _at(slots, qpos, name)
+    slots = getattr(p, rule.side)
+    slot = _at(slots, qpos, rule.name)
     _need(isinstance(slot, CorrPair), "SlotMismatch",
-          f"{name} expects a correlated pair")
+          f"{rule.name} expects a correlated pair")
     _join_license(ctx, p, slot.a, slot.b)
     join = Single(Join(slot.tag, slot.a, slot.b))
-    return _on(p, side, _replaced(slots, qpos, join))
+    return _on(p, rule.side, _replaced(slots, qpos, join))
 
 
 @_rule("join_elim", 1, side="right")
 @_rule("join_elim_l", 1, side="left")
-def _r_join_elim(params, premises, claimed, ctx, *, name, side):
+def _r_join_elim(rule, params, premises, claimed, ctx):
     p, qpos = premises[0], params["qpos"]
-    slots = getattr(p, side)
-    f = _fml(_at(slots, qpos, name))
-    _need(isinstance(f, Join), "SlotMismatch", f"{name} expects a join formula")
+    slots = getattr(p, rule.side)
+    f = _fml(_at(slots, qpos, rule.name))
+    _need(isinstance(f, Join), "SlotMismatch",
+          f"{rule.name} expects a join formula")
     _join_license(ctx, p, f.a, f.b)
-    return _on(p, side, _replaced(slots, qpos, CorrPair(f.a, f.tag, f.b)))
+    return _on(p, rule.side, _replaced(slots, qpos, CorrPair(f.a, f.tag, f.b)))
 
 
 # --------------------------------------------------------------------------
 # two-premise rules
 
-@_rule("and_r", 2, side="right", make=And)
-@_rule("or_l", 2, side="left", make=Or)
-def _r_additive_two(params, premises, claimed, ctx, *, name, side, make):
+@_rule("and_r", 2, side="right", far="left", make=And)
+@_rule("or_l", 2, side="left", far="right", make=Or)
+def _r_additive_two(rule, params, premises, claimed, ctx):
     p1, p2, pos = premises[0], premises[1], params["pos"]
-    s1, s2, far = getattr(p1, side), getattr(p2, side), _OTHER[side]
-    a = _fml(_at(s1, pos, f"{name} first component"))
-    b = _fml(_at(s2, pos, f"{name} second component"))
+    s1, s2, far = getattr(p1, rule.side), getattr(p2, rule.side), rule.far
+    a = _fml(_at(s1, pos, f"{rule.name} first component"))
+    b = _fml(_at(s2, pos, f"{rule.name} second component"))
     _need(len(p1.left) == len(p2.left) and len(p1.right) == len(p2.right),
-          "SlotMismatch", f"{name} premises must share their contexts")
+          "SlotMismatch", f"{rule.name} premises must share their contexts")
     _need(all(slot_equal(x, y) for x, y in zip(getattr(p1, far),
                                                getattr(p2, far))),
-          "SlotMismatch", f"{name} premises must share the {far} context")
+          "SlotMismatch", f"{rule.name} premises must share the {far} context")
     _need(all(k == pos or slot_equal(x, y)
               for k, (x, y) in enumerate(zip(s1, s2))),
-          "SlotMismatch", f"{name} premises must share the {side} context")
-    _extra(ctx, side, len(s1) > 1)
-    return _on(p1, side, _replaced(s1, pos, Single(make(a, b))))
+          "SlotMismatch",
+          f"{rule.name} premises must share the {rule.side} context")
+    _extra(ctx, rule.side, len(s1) > 1)
+    return _on(p1, rule.side, _replaced(s1, pos, Single(rule.make(a, b))))
 
 
 @_rule("times_r", 2, side="right", make=Times)
 @_rule("par_l", 2, side="left", make=Par)
-def _r_multiplicative_two(params, premises, claimed, ctx, *, name, side, make):
+def _r_multiplicative_two(rule, params, premises, claimed, ctx):
     p1, p2 = premises
     pos, apos, bpos = params["pos"], params["apos"], params["bpos"]
-    s1, s2 = getattr(p1, side), getattr(p2, side)
-    a = _fml(_at(s1, apos, f"{name} first component"))
-    b = _fml(_at(s2, bpos, f"{name} second component"))
+    s1, s2 = getattr(p1, rule.side), getattr(p2, rule.side)
+    a = _fml(_at(s1, apos, f"{rule.name} first component"))
+    b = _fml(_at(s2, bpos, f"{rule.name} second component"))
     d1, d2 = _without(s1, apos), _without(s2, bpos)
-    _extra(ctx, side, bool(d1) or bool(d2))
+    _extra(ctx, rule.side, bool(d1) or bool(d2))
     both = Sequent(p1.left + p2.left, p1.right + p2.right)
-    return _on(both, side, _inserted(d1 + d2, pos, Single(make(a, b))))
+    principal = Single(rule.make(a, b))
+    return _on(both, rule.side, _inserted(d1 + d2, pos, principal))
 
 
 @_rule("imp_l", 2)
@@ -811,10 +817,10 @@ def _r_parallel_forall(params, premises, claimed, ctx):
        make=Forall)
 @_rule("exists_r_vsym", 2, True, base=_r_forall_r, side="left", key="pos",
        make=Exists)
-def _r_vsym(params, premises, claimed, ctx, *, name, base, side, key, make):
+def _r_vsym(rule, params, premises, claimed, ctx):
     _vsym_eligible(ctx, params["domain"])
-    out = base(params, premises, claimed and None, ctx)
-    slots, pos = getattr(out, side), params[key]
+    out = rule.base(params, premises, claimed and None, ctx)
+    slots, pos = getattr(out, rule.side), params[rule.key]
     f = slots[pos].formula
-    swapped = Single(make(f.var, f.domain, f.body))
-    return _on(out, side, _replaced(slots, pos, swapped))
+    swapped = Single(rule.make(f.var, f.domain, f.body))
+    return _on(out, rule.side, _replaced(slots, pos, swapped))
