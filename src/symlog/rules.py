@@ -809,14 +809,14 @@ def _r_parallel_forall(params, premises, claimed, ctx):
 # Each symmetric quantifier step is its base rule with the principal
 # quantifier swapped: ``base`` is the rule, ``key`` the parameter that
 # places its principal formula on ``side``, ``make`` the new quantifier.
-@_rule("forall_f_vsym", 1, True, base=_r_exists_f, side="left", key="qpos",
-       make=Forall)
-@_rule("exists_f_vsym", 1, True, base=_r_forall_f, side="right", key="qpos",
-       make=Exists)
-@_rule("forall_r_vsym", 2, True, base=_r_exists_r, side="right", key="pos",
-       make=Forall)
-@_rule("exists_r_vsym", 2, True, base=_r_forall_r, side="left", key="pos",
-       make=Exists)
+@_rule("forall_f_vsym", 1, macro=True, base=_r_exists_f, side="left",
+       key="qpos", make=Forall)
+@_rule("exists_f_vsym", 1, macro=True, base=_r_forall_f, side="right",
+       key="qpos", make=Exists)
+@_rule("forall_r_vsym", 2, macro=True, base=_r_exists_r, side="right",
+       key="pos", make=Forall)
+@_rule("exists_r_vsym", 2, macro=True, base=_r_forall_r, side="left",
+       key="pos", make=Exists)
 def _r_vsym(rule, params, premises, claimed, ctx):
     _vsym_eligible(ctx, params["domain"])
     out = rule.base(params, premises, claimed and None, ctx)
