@@ -6,7 +6,10 @@ with the claimed conclusion when one is present.  The symmetry theorem is
 implemented as a proof transformation: each rule is replaced by its mate,
 premise order is reversed, and slot positions are mirrored, so that the
 transformed tree proves the symmetric sequent and passes the checker
-unchanged.
+unchanged.  Checking, annotation, symmetrization, macro expansion and
+JSON output are one fold over the tree (``_fold``), each node after its
+premises; comparing and printing read one pre-order walk (``_preorder``).
+Both keep their own stack, so a proof of any height works.
 """
 from __future__ import annotations
 
@@ -56,11 +59,21 @@ def mk(rule: str, params: Optional[dict] = None, *premises: ProofNode,
     return ProofNode(rule, dict(params or {}), tuple(premises), conclusion)
 
 
+def _preorder(p: ProofNode, depth: int = 0):
+    """Each node with its depth (``p``'s being ``depth``), in pre-order."""
+    todo = [(p, depth)]
+    while todo:
+        node, d = todo.pop()
+        yield node, d
+        todo.extend((q, d + 1) for q in reversed(node.premises))
+
+
 def proof_equal(a: ProofNode, b: ProofNode) -> bool:
-    return (a.rule == b.rule and a.params == b.params
-            and a.conclusion == b.conclusion
-            and len(a.premises) == len(b.premises)
-            and all(proof_equal(x, y) for x, y in zip(a.premises, b.premises)))
+    # equal arities node for node fix the shape, so the walks end together
+    return all(x.rule == y.rule and x.params == y.params
+               and x.conclusion == y.conclusion
+               and len(x.premises) == len(y.premises)
+               for (x, _), (y, _) in zip(_preorder(a), _preorder(b)))
 
 
 # --------------------------------------------------------------------------
@@ -91,6 +104,22 @@ class CheckReport:
         }
 
 
+def _fold(p: ProofNode, visit):
+    """Call ``visit(node, its premises' results in order, trail)`` on each
+    node after its premises and return the root's result (see _path for
+    trails).  The walk keeps its own stack, so a proof of any height folds."""
+    order, todo, done = [], [(p, None)], []
+    while todo:  # pre-order, last premise first
+        node, trail = todo.pop()
+        order.append((node, trail))
+        for k, q in enumerate(node.premises):
+            todo.append((q, (k, trail)))
+    for node, trail in reversed(order):  # each node after its premises
+        k = len(done) - len(node.premises)
+        done[k:] = [visit(node, done[k:], trail)]
+    return done[0]
+
+
 def _path(trail) -> tuple:
     path = []
     while trail:  # a trail is (premise index, the parent's trail)
@@ -100,35 +129,28 @@ def _path(trail) -> tuple:
 
 
 def check_proof(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> CheckReport:
-    """Validate every node of a proof tree; never raises on bad proofs.
-    The walk keeps its own stack, so a proof of any height checks."""
+    """Validate every node of a proof tree; never raises on bad proofs."""
     cfg.check_licenses(registry)
     ctx = RuleContext(cfg, registry)
     failures: list = []
     rules, subst, dax = Counter(), Counter(), Counter()
-    order, todo, done = [], [(p, None)], []
-    while todo:  # pre-order, last premise first
-        node, trail = todo.pop()
-        order.append((node, trail))
-        for k, q in enumerate(node.premises):
-            todo.append((q, (k, trail)))
-    for node, trail in reversed(order):  # each node after its premises
-        P, n, concl = node.params, len(node.premises), None
+
+    def visit(node, concls, trail):
+        P = node.params
         rules[node.rule] += 1
         if node.rule in ("subst", "eq_left_elim", "neq_right_elim") \
-                and P.get("domain") is not None:
+                and isinstance(P.get("domain"), str):
             subst[P["domain"]] += 1
         if node.rule == "d_axiom" and {"domain", "dual"} <= P.keys():
             dax[f"{P['domain']}:{P['dual']}"] += 1
-        concls = done[len(done) - n:]  # the premises' conclusions, in order
-        del done[len(done) - n:]
         try:
             if None not in concls:
-                concl = validate_rule(node.rule, P, concls, node.conclusion, ctx)
+                return validate_rule(node.rule, P, concls, node.conclusion, ctx)
         except RuleError as e:
             failures.append(CheckFailure(_path(trail), node.rule, str(e)))
-        done.append(concl)
-    stats = {"nodes": len(order), "rules": dict(sorted(rules.items())),
+
+    _fold(p, visit)
+    stats = {"nodes": sum(rules.values()), "rules": dict(sorted(rules.items())),
              "subst_domains": dict(sorted(subst.items())),
              "d_axiom_pairs": dict(sorted(dax.items()))}
     return CheckReport(ok=not failures, failures=failures, stats=stats)
@@ -137,15 +159,10 @@ def check_proof(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> CheckR
 def annotate(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> ProofNode:
     """Fill in every node's conclusion, raising on the first bad node."""
     ctx = RuleContext(cfg, registry)
-
-    def go(node: ProofNode) -> ProofNode:
-        prems = tuple(go(q) for q in node.premises)
-        concl = validate_rule(node.rule, node.params,
-                              [q.conclusion for q in prems],
-                              node.conclusion, ctx)
-        return ProofNode(node.rule, dict(node.params), prems, concl)
-
-    return go(p)
+    return _fold(p, lambda node, prems, _: ProofNode(
+        node.rule, dict(node.params), tuple(prems),
+        validate_rule(node.rule, node.params, [q.conclusion for q in prems],
+                      node.conclusion, ctx)))
 
 
 # --------------------------------------------------------------------------
@@ -154,12 +171,12 @@ def annotate(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> ProofNode
 
 def proof_to_json(p: ProofNode) -> dict:
     from .scripts import print_param, print_sequent
-    return {
-        "rule": p.rule,
-        "params": {k: print_param(v) for k, v in p.params.items()},
-        "conclusion": print_sequent(p.conclusion) if p.conclusion else None,
-        "premises": [proof_to_json(q) for q in p.premises],
-    }
+    return _fold(p, lambda n, prems, _: {
+        "rule": n.rule,
+        "params": {k: print_param(v) for k, v in n.params.items()},
+        "conclusion": print_sequent(n.conclusion) if n.conclusion else None,
+        "premises": prems,
+    })
 
 
 def proof_from_json(obj: dict) -> ProofNode:
@@ -286,19 +303,16 @@ def symmetrize_proof(p: ProofNode, inv: LiteralInvolution,
     if cfg.left_contexts != cfg.right_contexts:
         raise NotSymmetricConfig(
             "proof symmetrization needs matching left/right context flags")
-    node = annotate(p, cfg, registry)
-    return _sym_node(node, inv)
+    return _sym_node(annotate(p, cfg, registry), inv)
 
 
 def _sym_node(n: ProofNode, inv: LiteralInvolution) -> ProofNode:
-    name, params, order = _mate(n, inv)
-    prems = tuple(_sym_node(n.premises[k], inv) for k in order)
-    return ProofNode(name, params, prems, symmetrize_sequent(n.conclusion, inv))
+    return _fold(n, lambda node, prems, _: _mate(node, prems, inv))
 
 
-def _mate(n: ProofNode, inv: LiteralInvolution):
-    """Apply the mate table to one annotated node: the mate's name, its
-    parameters and the order of its premises."""
+def _mate(n: ProofNode, prems: list, inv: LiteralInvolution) -> ProofNode:
+    """Apply the mate table to one annotated node whose premises' mates are
+    ``prems``."""
     entry = _MATES.get(n.rule)
     if entry is None:
         hint = "; symmetrize its expanded form" if n.rule in MACRO_RULES else ""
@@ -326,79 +340,8 @@ def _mate(n: ProofNode, inv: LiteralInvolution):
             out["dual"] = "neq" if P.get("as_eq") else inv.name
         elif kind == NEQ and P["dual"] == "neq":
             out["as_eq"] = True
-    order = tuple(range(len(n.premises)))
-    return mate, out, order[::-1] if swap else order
-
-
-# --------------------------------------------------------------------------
-# macro expansion
-
-def expand_derived(p: ProofNode, cfg: CalculusConfig,
-                   registry: Registry) -> ProofNode:
-    """Rewrite derived (macro) rule applications into base-rule trees.
-
-    The result has the same conclusion and passes the checker.
-    """
-    node = annotate(p, cfg, registry)
-    ctx = RuleContext(cfg, registry)
-
-    def go(n: ProofNode) -> ProofNode:
-        prems = tuple(go(q) for q in n.premises)
-        n = ProofNode(n.rule, dict(n.params), prems, n.conclusion)
-        if n.rule not in MACRO_RULES:
-            return n
-        return _expand_one(n, ctx)
-
-    return annotate(go(node), cfg, registry)
-
-
-def _expand_one(n: ProofNode, ctx: RuleContext) -> ProofNode:
-    P = n.params
-    reg = ctx.registry
-    if n.rule == "parallel_forall":
-        prem = n.premises[0]
-        nleft = len(prem.conclusion.left)
-        e1 = mk("conv_pair_elim", {"qpos": P["qpos"]}, prem)
-        e2 = mk("forall_f", {"var": P["var"], "domain": P["domain"],
-                             "mpos": P["mpos"], "qpos": P["qpos"]}, e1)
-        return mk("conv_pair_intro", {"qpos": P["qpos"], "relpos": nleft - 1},
-                  e2, conclusion=n.conclusion)
-    if n.rule == "forall_f_vsym":
-        prem = n.premises[0]
-        e1 = mk("exists_f", {"var": P["var"], "domain": P["domain"],
-                             "dual": P["dual"], "dpos": P["dpos"],
-                             "qpos": P["qpos"]}, prem)
-        target = n.conclusion.left[P["qpos"]].formula
-        lemma = build_forall_to_exists(ctx, P["domain"], target.var, target.body)
-        return mk("cut", {"rpos": 0, "lpos": P["qpos"]}, lemma, e1,
-                  conclusion=n.conclusion)
-    if n.rule == "exists_f_vsym":
-        prem = n.premises[0]
-        e1 = mk("forall_f", {"var": P["var"], "domain": P["domain"],
-                             "mpos": P["mpos"], "qpos": P["qpos"],
-                             "as_eq": P.get("as_eq", False)}, prem)
-        target = n.conclusion.right[P["qpos"]].formula
-        lemma = build_forall_to_exists(ctx, P["domain"], target.var, target.body)
-        return mk("cut", {"rpos": P["qpos"], "lpos": 0}, e1, lemma,
-                  conclusion=n.conclusion)
-    if n.rule == "forall_r_vsym":
-        e1 = mk("exists_r", {"pos": P["pos"], "term": P["term"],
-                             "dual": P["dual"], "var": P["var"],
-                             "domain": P["domain"], "body": P["body"]},
-                *n.premises)
-        target = n.conclusion.right[P["pos"]].formula
-        lemma = build_exists_to_forall(ctx, P["domain"], target.var, target.body)
-        return mk("cut", {"rpos": P["pos"], "lpos": 0}, e1, lemma,
-                  conclusion=n.conclusion)
-    if n.rule == "exists_r_vsym":
-        e1 = mk("forall_r", {"pos": P["pos"], "term": P["term"],
-                             "var": P["var"], "domain": P["domain"],
-                             "body": P["body"]}, *n.premises)
-        target = n.conclusion.left[P["pos"]].formula
-        lemma = build_exists_to_forall(ctx, P["domain"], target.var, target.body)
-        return mk("cut", {"rpos": 0, "lpos": P["pos"]}, lemma, e1,
-                  conclusion=n.conclusion)
-    raise KernelError(f"unknown macro: {n.rule}")
+    return ProofNode(mate, out, tuple(prems[::-1] if swap else prems),
+                     symmetrize_sequent(n.conclusion, inv))
 
 
 # --------------------------------------------------------------------------
@@ -488,3 +431,54 @@ def build_collapse_proof(registry: Registry, cfg: CalculusConfig, name: str,
     n8 = mk("dual_member_refuted", {"domain": name, "term": a, "dual": d})
     n9 = mk("cut", {"rpos": 1, "lpos": 0}, n7, n8)
     return annotate(n9, cfg, registry)
+
+
+# --------------------------------------------------------------------------
+# macro expansion
+
+def expand_derived(p: ProofNode, cfg: CalculusConfig,
+                   registry: Registry) -> ProofNode:
+    """Rewrite derived (macro) rule applications into base-rule trees.
+
+    The result has the same conclusion and passes the checker.
+    """
+    ctx = RuleContext(cfg, registry)
+
+    def visit(n, prems, _):
+        n = ProofNode(n.rule, dict(n.params), tuple(prems), n.conclusion)
+        return _expand_one(n, ctx) if n.rule in MACRO_RULES else n
+
+    return annotate(_fold(annotate(p, cfg, registry), visit), cfg, registry)
+
+
+# Each _vsym macro is its base rule, on the macro's parameters, cut against
+# a lemma that swaps the principal quantifier on ``side`` at position ``key``.
+_VSYM_EXPANSION = {  # macro: (base, side, key, lemma, base parameter defaults)
+    "forall_f_vsym": ("exists_f", "left", "qpos", build_forall_to_exists, {}),
+    "exists_f_vsym": ("forall_f", "right", "qpos", build_forall_to_exists,
+                      {"as_eq": False}),
+    "forall_r_vsym": ("exists_r", "right", "pos", build_exists_to_forall, {}),
+    "exists_r_vsym": ("forall_r", "left", "pos", build_exists_to_forall, {}),
+}
+
+
+def _expand_one(n: ProofNode, ctx: RuleContext) -> ProofNode:
+    P = n.params
+    if n.rule == "parallel_forall":
+        prem = n.premises[0]
+        nleft = len(prem.conclusion.left)
+        e1 = mk("conv_pair_elim", {"qpos": P["qpos"]}, prem)
+        e2 = mk("forall_f", {"var": P["var"], "domain": P["domain"],
+                             "mpos": P["mpos"], "qpos": P["qpos"]}, e1)
+        return mk("conv_pair_intro", {"qpos": P["qpos"], "relpos": nleft - 1},
+                  e2, conclusion=n.conclusion)
+    base, side, key, lemma, defaults = _VSYM_EXPANSION[n.rule]
+    pos = P[key]
+    e1 = mk(base, {**defaults, **P}, *n.premises)
+    target = getattr(n.conclusion, side)[pos].formula
+    swap = lemma(ctx, P["domain"], target.var, target.body)
+    if side == "left":
+        return mk("cut", {"rpos": 0, "lpos": pos}, swap, e1,
+                  conclusion=n.conclusion)
+    return mk("cut", {"rpos": pos, "lpos": 0}, e1, swap,
+              conclusion=n.conclusion)

@@ -36,7 +36,7 @@ from .formulas import (
     Sequent, Single, Slot, Term, Times, Var, free_vars, slot_formulas,
     subformulas, tag_from_short,
 )
-from .kernel import ProofNode
+from .kernel import ProofNode, _preorder
 from .rules import _PARAM_KIND, CalculusConfig
 
 __all__ = [
@@ -227,9 +227,9 @@ _OP_TEXT = {ctor: text for text, ctor in _OP_TOKEN.items() if ctor is not Join}
 # The deepest formula, and the tallest proof, the parser builds.  A
 # connective, a quantifier and a pair of parentheses each add one formula
 # level; each proof node on a root-to-leaf path adds one proof level.
-# Formula walks, the dataclasses' own hash, == and repr, and the proof
-# parser and checker recurse once or more per level, so the bound keeps
-# every parsed formula and proof well inside Python's recursion limit.
+# Formula walks, the dataclasses' own hash, == and repr, and the proof parser
+# recurse once or more per level, so the bound keeps every parsed formula and
+# proof well inside Python's recursion limit.
 MAX_NESTING = 200
 
 
@@ -506,16 +506,13 @@ def parse_param(text: str, key: Optional[str] = None,
 # proof blocks
 
 def print_proof(p: ProofNode, indent: int = 0) -> str:
-    pad = "  " * indent
-    parts = [p.rule]
-    for k in sorted(p.params):
-        parts.append(f"{k}={print_param(p.params[k])}")
-    line = pad + " ".join(parts)
-    if p.conclusion is not None:
-        line += " : " + print_sequent(p.conclusion)
-    out = [line]
-    for q in p.premises:
-        out.append(print_proof(q, indent + 1))
+    out = []
+    for node, depth in _preorder(p, indent):
+        line = "  " * depth + " ".join([node.rule] + [
+            f"{k}={print_param(node.params[k])}" for k in sorted(node.params)])
+        if node.conclusion is not None:
+            line += " : " + print_sequent(node.conclusion)
+        out.append(line)
     return "\n".join(out)
 
 
@@ -715,10 +712,7 @@ def parse_script(text: str) -> Script:
                                         node.conclusion or root_concl)
             if node.conclusion is None:
                 placed.append((name, root_concl, i + 1, _sequent_col(line)))
-            todo = [node]
-            for k in range(i + 1, i2):  # one node per line, in pre-order
-                n = todo.pop()
-                todo.extend(reversed(n.premises))
+            for k, (n, _) in enumerate(_preorder(node), i + 1):  # a line each
                 if n.conclusion is not None:
                     placed.append((name, n.conclusion, k + 1,
                                    _sequent_col(lines[k])))

@@ -54,7 +54,7 @@ DEFAULT_MAX_DEPTH = 8
 
 
 class DepthLimitError(ValueError):
-    """A search asked for a depth above its configured maximum."""
+    """A search asked for a depth below 1 or above its configured maximum."""
 
 
 @dataclass
@@ -82,6 +82,8 @@ class SearchOutcome:
 def search_proof(goal: Sequent, cfg: CalculusConfig, registry,
                  depth: int = DEFAULT_MAX_DEPTH,
                  max_depth: int = DEFAULT_MAX_DEPTH) -> SearchOutcome:
+    if depth < 1:
+        raise DepthLimitError(f"depth must be at least 1, got {depth}")
     if depth > max_depth:
         raise DepthLimitError(f"depth {depth} exceeds the configured "
                               f"maximum {max_depth}")

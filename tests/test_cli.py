@@ -313,6 +313,8 @@ id a={z in D} : z in D |- z in D
      "--d-axiom wants DOMAIN:DUALITY"),
     (["search", "{ext}", "--name", "detach", "--depth", "9",
       "--max-depth", "8"], None, "exceeds the configured maximum"),
+    (["search", "{ext}", "--name", "detach", "--depth", "-3"], None,
+     "at least 1, got -3"),
     (["search", "{ext}", "--name", "detach"], "deep", "SYMLOG_DEPTH"),
     (["check", "{overlap}"], None, "needs collapse-demo mode"),
     (["sym", "{overlap}", "--name", "pr"], None, "needs collapse-demo mode"),
@@ -322,7 +324,8 @@ id a={z in D} : z in D |- z in D
     (["qstate", "{no_beta}"], None, "beta"),
     (["qstate", "{nan_phase}"], None, "amplitudes must be finite"),
     (["qstate", "{huge}"], None, "not a qubit state"),
-], ids=["d-axiom-spec", "depth-above-maximum", "depth-from-environment",
+], ids=["d-axiom-spec", "depth-above-maximum", "depth-below-one",
+        "depth-from-environment",
         "check-license-overlap", "sym-license-overlap",
         "search-license-overlap", "not-utf8", "zero-qubit", "qubit-field",
         "nan-phase", "huge-amplitude"])

@@ -1,18 +1,22 @@
 """Rule validation, gating, failure reporting, macro expansion."""
+import json
 from fractions import Fraction
 
 import pytest
 
 from symlog.domains import standard_registry
+from symlog.dualities import IDENTITY_INV, symmetrize_sequent
 from symlog.formulas import (
     And, Atom, Eq, IConst, IDENTICAL, IndexRel, Join, Member, Outcome, Var,
     seq, sequent_equal,
 )
 from symlog.kernel import (
     annotate, build_collapse_proof, build_exists_to_forall, check_proof,
-    collapse_config, expand_derived, mk,
+    collapse_config, expand_derived, mk, proof_equal, proof_to_json,
+    symmetrize_proof,
 )
 from symlog.rules import CalculusConfig, RuleContext
+from symlog.scripts import print_proof
 
 z, y, x = Var("z"), Var("y"), Var("x")
 p, q = Atom("p", None, ()), Atom("q", None, ())
@@ -218,6 +222,24 @@ def test_vsym_rules_expand_and_check(config, registry):
     assert check_proof(node, config, registry).ok
 
 
+def test_vsym_expansion_keeps_the_equality_membership():
+    from symlog.domains import DomainRecord, Registry
+
+    w = Outcome("w", 1)
+    reg = Registry()
+    reg.register_domain(DomainRecord("W", (w,), focused=True,
+                                     virtual_singleton=True, duality="d"))
+    cfg = CalculusConfig(True, True, True, True,
+                         d_axiom_domains=frozenset({("W", "d")}))
+    node = mk("exists_r_vsym", {"pos": 0, "term": w, "var": x, "domain": "W",
+                                "body": A(x), "as_eq": True},
+              mk("refl", {"t": w}), mk("id", {"a": A(w)}))
+    assert check_proof(node, cfg, reg).ok
+    out = expand_derived(node, cfg, reg)
+    assert out.premises[1].params["as_eq"]
+    assert check_proof(out, cfg, reg).ok
+
+
 def _focus_interderivable(n: int, pred: str) -> None:
     """The focused-domain lemma for n entries: the conjunction of entry
     instances yields the open instance under the membership, and comes
@@ -339,3 +361,58 @@ def test_check_proof_reports_a_bad_leaf_of_a_deep_proof(config, registry):
     rep = check_proof(_weakening_chain(bad, 3000), config, registry)
     assert not rep.ok
     assert [(f.path, f.rule) for f in rep.failures] == [((0,) * 3000, "member")]
+
+
+def test_check_proof_reports_a_formula_domain(config, registry):
+    odd = mk("subst", {"var": z, "term": t1, "domain": p}, mk("id", {"a": A(z)}))
+    rep = check_proof(odd, config, registry)
+    assert rep.failures[0].reason.startswith("BadParameter")
+    assert rep.stats["subst_domains"] == {}
+    json.dumps(rep.to_json())
+    rep = check_proof(mk("subst", {"var": z, "term": t1, "domain": "D"}, odd),
+                      config, registry)
+    assert [f.path for f in rep.failures] == [(0,)]
+    assert rep.stats["subst_domains"] == {"D": 1}
+
+
+def _json_chain(obj) -> list:
+    rules = []
+    while obj["premises"]:
+        rules.append(obj["rule"])
+        (obj,) = obj["premises"]
+    return rules + [obj["rule"]]
+
+
+def _tall(height: int):
+    return seq([p] * height + [q], [q])
+
+
+# walk: (the chain's height, a check of the walk's result).  Symmetrizing
+# builds a fresh image of every node's whole conclusion, so its time and
+# memory grow with the square of the height (3,000 levels take about 30 s
+# and 1 GB); 1,200 levels still pass the default recursion limit of 1,000.
+_DEEP_WALKS = {
+    "annotate": (3000, lambda deep, cfg, reg: sequent_equal(
+        annotate(deep, cfg, reg).conclusion, _tall(3000))),
+    "symmetrize_proof": (1200, lambda deep, cfg, reg: sequent_equal(
+        symmetrize_proof(deep, IDENTITY_INV, cfg, reg).conclusion,
+        symmetrize_sequent(_tall(1200), IDENTITY_INV))),
+    "expand_derived": (3000, lambda deep, cfg, reg: proof_equal(
+        expand_derived(deep, cfg, reg), annotate(deep, cfg, reg))),
+    "proof_equal": (3000, lambda deep, cfg, reg: proof_equal(
+        deep, _weakening_chain(mk("id", {"a": q}), 3000))
+        and not proof_equal(deep, _weakening_chain(mk("id", {"a": p}), 3000))),
+    "proof_to_json": (3000, lambda deep, cfg, reg:
+                      _json_chain(proof_to_json(deep))
+                      == ["weak_l"] * 3000 + ["id"]),
+    "print_proof": (3000, lambda deep, cfg, reg:
+                    print_proof(deep).splitlines()[-2:]
+                    == ["  " * 2999 + "weak_l formula={p} pos=0",
+                        "  " * 3000 + "id a={q}"]),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(_DEEP_WALKS))
+def test_every_walk_takes_deep_proofs(config, registry, walk):
+    height, check = _DEEP_WALKS[walk]
+    assert check(_weakening_chain(mk("id", {"a": q}), height), config, registry)

@@ -13,7 +13,7 @@ from symlog.formulas import (
 )
 from symlog.kernel import check_proof, proof_equal
 from symlog.rules import CalculusConfig
-from symlog.search import search_proof
+from symlog.search import DepthLimitError, search_proof
 
 from genlib import proof_context, random_goal
 
@@ -47,6 +47,12 @@ def test_reversal_nowhere(config, registry):
 def test_depth_cap_enforced(config, registry):
     with pytest.raises(ValueError):
         search_proof(seq([p], [p]), config, registry, depth=9, max_depth=8)
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+def test_depth_below_one_refused(config, registry, depth):
+    with pytest.raises(DepthLimitError, match="at least 1"):
+        search_proof(seq([p], [p]), config, registry, depth=depth)
 
 
 def test_deterministic(config, registry):
