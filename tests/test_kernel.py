@@ -390,7 +390,7 @@ def _tall(height: int):
 # walk: (the chain's height, a check of the walk's result).  Symmetrizing
 # builds a fresh image of every node's whole conclusion, so its time and
 # memory grow with the square of the height (3,000 levels take about 30 s
-# and 1 GB); 1,200 levels still pass the default recursion limit of 1,000.
+# and 1 GB); 1,200 levels still exceed the default recursion limit of 1,000.
 _DEEP_WALKS = {
     "annotate": (3000, lambda deep, cfg, reg: sequent_equal(
         annotate(deep, cfg, reg).conclusion, _tall(3000))),
