@@ -20,7 +20,8 @@ from typing import Optional
 from .domains import Registry
 from .dualities import LiteralInvolution, symmetrize_formula, symmetrize_sequent
 from .formulas import (
-    Eq, Formula, Outcome, Sequent, Single, Var, free_vars, replace_var,
+    Eq, Formula, Outcome, Sequent, Single, Var, free_vars, fresh_var,
+    replace_var,
 )
 from .rules import (
     MACRO_RULES, CalculusConfig, RuleContext, RuleError, validate_rule,
@@ -347,22 +348,6 @@ def _mate(n: ProofNode, prems: list, inv: LiteralInvolution) -> ProofNode:
 # --------------------------------------------------------------------------
 # stock derivations
 
-def _fresh_vars(count: int, avoid) -> list:
-    names = {v.name for v in avoid}
-    out = []
-    base = ["z", "y", "x", "v"]
-    k = 0
-    while len(out) < count:
-        cand = base[len(out)] if len(out) < len(base) and base[len(out)] not in names \
-            else f"z{k}"
-        if cand in names:
-            k += 1
-            continue
-        names.add(cand)
-        out.append(Var(cand))
-    return out
-
-
 def build_forall_to_exists(ctx: RuleContext, dom: str, x: Var,
                            body: Formula) -> ProofNode:
     """``forall x in dom . body |- exists x in dom . body`` through the
@@ -391,7 +376,9 @@ def build_exists_to_forall(ctx: RuleContext, dom: str, x: Var,
     if rec.duality is None:
         raise KernelError(f"{dom} carries no duality")
     d = rec.duality
-    z, y = _fresh_vars(2, free_vars(body) | {x})
+    avoid = free_vars(body) | {x}
+    z = fresh_var("z", avoid)
+    y = fresh_var("y", avoid | {z})
     n1 = mk("d_axiom", {"domain": dom, "dual": d, "z": z, "y": y,
                         "hole": x, "body": body})
     n2 = mk("forall_f", {"var": z, "domain": dom, "mpos": 0, "qpos": 0}, n1)

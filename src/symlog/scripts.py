@@ -516,11 +516,13 @@ def print_proof(p: ProofNode, indent: int = 0) -> str:
     return "\n".join(out)
 
 
-_PARAM_TOKEN_RE = re.compile(r"(\w+)=(\{[^}]*\}|[^\s]+)")
+_PARAM_TOKEN_RE = re.compile(r"\s+(\w+)=(\{[^}]*\}|[^\s]+)")
 
 
 def _parse_proof_line(text: str, lineno: int, consts: set) -> ProofNode:
-    """One proof line, ``text`` being the whole line of the file."""
+    """One proof line, ``text`` being the whole line of the file: a rule
+    name, whitespace-separated ``key=value`` items, each key once, then
+    optionally ``:`` and the conclusion."""
     head, colon, tail = text.partition(":")
     conclusion = parse_sequent(tail, consts, lineno, len(head) + 2) \
         if colon else None
@@ -529,9 +531,18 @@ def _parse_proof_line(text: str, lineno: int, consts: set) -> ProofNode:
         raise ParseError(lineno, 1, "a rule name", "")
     rule = bits[0]
     params = {}
-    for m in _PARAM_TOKEN_RE.finditer(head, head.index(rule) + len(rule)):
+    pos, end = head.index(rule) + len(rule), len(head.rstrip())
+    while pos < end:
+        m = _PARAM_TOKEN_RE.match(head, pos)
+        if m is None:
+            pos = end - len(head[pos:end].lstrip())
+            raise ParseError(lineno, pos + 1, "a parameter key=value after "
+                             "whitespace", head[pos:end].split()[0])
         key, raw = m.group(1), m.group(2)
+        if key in params:
+            raise ParseError(lineno, m.start(1) + 1, "each parameter once", key)
         params[key] = parse_param(raw, key, consts, lineno, m.start(2) + 1)
+        pos = m.end()
     return ProofNode(rule, params, (), conclusion)
 
 

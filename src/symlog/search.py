@@ -9,7 +9,9 @@ the given depth, not a completeness claim.  Depth counts nodes on the
 longest root-to-leaf path.  Given a configuration and a goal the result
 is deterministic: moves are enumerated axioms-first, then by principal
 slot left-to-right (right side before left), with term candidates in
-registry order.
+registry order.  Axiom candidates come from the goal's shape; the rule
+catalogue decides them (whether a domain is focused, which form a d-axiom
+takes), so a candidate it rejects costs one ``validate_rule`` call.
 
 Two memo tables span one search: goals proved, each with its proof's
 height, and goals that failed, each with the budget it failed under and
@@ -41,11 +43,13 @@ from typing import Iterator, Optional
 from .formulas import (
     And, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
     IndexRel, Join, Member, Neq, Or, Par, Sequent, Single, Slot, Term, Times,
-    Var, formula_equal, formula_index, fresh_var, map_sequent, replace_var,
+    Var, formula_index, fresh_var, map_sequent, replace_var,
     sequent_free_vars, shadows, slot_equal, slot_formulas,
 )
 from .kernel import ProofNode
-from .rules import CalculusConfig, RuleContext, RuleError, validate_rule
+from .rules import (
+    CalculusConfig, RuleContext, RuleError, _without, validate_rule,
+)
 
 __all__ = ["SearchOutcome", "search_proof", "DEFAULT_MAX_DEPTH",
            "DepthLimitError"]
@@ -220,9 +224,12 @@ class _Engine:
 
     def _axiom_moves(self, goal: Sequent) -> Iterator:
         nl, nr = len(goal.left), len(goal.right)
-        if nl == 1 and nr == 1 and isinstance(goal.left[0], Single) \
-                and slot_equal(goal.left[0], goal.right[0]):
-            yield "id", {"a": goal.left[0].formula}, ()
+        if nl == 1 and nr == 1 and isinstance(goal.left[0], Single):
+            f = goal.left[0].formula
+            if slot_equal(goal.left[0], goal.right[0]):
+                yield "id", {"a": f}, ()
+            if isinstance(f, Member) and isinstance(f.term, Var):
+                yield "focus", {"domain": f.domain, "var": f.term}, ()
         if nl == 0 and nr == 1 and isinstance(goal.right[0], Single):
             f = goal.right[0].formula
             if isinstance(f, Eq) and f.lhs == f.rhs:
@@ -240,13 +247,6 @@ class _Engine:
             yield from self._exclusion_like("dual_exclusion", goal.left[0])
         if nl == 0 and nr == 2:
             yield from self._exclusion_like("dual_em", goal.right[0])
-        if nl == 1 and nr == 1 and isinstance(goal.left[0], Single):
-            f = goal.left[0].formula
-            if isinstance(f, Member) and isinstance(f.term, Var) \
-                    and f.domain in self.reg:
-                rec = self.reg.get(f.domain)
-                if rec.focused and rec.entries:
-                    yield "focus", {"domain": f.domain, "var": f.term}, ()
         yield from self._d_axiom_moves(goal)
 
     def _dual_member_candidates(self, f: Formula):
@@ -286,45 +286,22 @@ class _Engine:
         return tags
 
     def _d_axiom_moves(self, goal: Sequent) -> Iterator:
-        if len(goal.left) != 2 or len(goal.right) != 2:
+        """One ``d_axiom`` candidate per licensed (domain, duality) for a
+        goal z in V, A(y) |- A(z), (y in V)^d, reading z and y as the first
+        terms of its first and last formulas."""
+        if len(goal.left) != 2 or len(goal.right) != 2 \
+                or not self.cfg.d_axiom_domains \
+                or not all(type(s) is Single for s in goal.left + goal.right):
             return
-        if not all(isinstance(s, Single) for s in goal.left + goal.right):
-            return
-        memb, a_y = goal.left[0].formula, goal.left[1].formula
-        a_z, dual = goal.right[0].formula, goal.right[1].formula
+        memb, dual = goal.left[0].formula, goal.right[1].formula
+        zs, ys = memb.shape.terms(memb), dual.shape.terms(dual)
+        if not zs or not ys or type(zs[0]) is not Var:
+            return  # replace_var abstracts a variable only
+        hole = fresh_var("h", sequent_free_vars(goal))
+        body = replace_var(goal.right[0].formula, zs[0], hole)
         for dom, d in sorted(self.cfg.d_axiom_domains):
-            if dom not in self.reg:
-                continue
-            rec = self.reg.get(dom)
-            if rec.virtual_singleton:
-                if not (isinstance(memb, Member) and memb.domain == dom
-                        and isinstance(memb.term, Var)):
-                    continue
-                z = memb.term
-                y = self._dual_term(dual, dom, d)
-            elif rec.is_singleton:
-                u = rec.entries[0]
-                if not (isinstance(memb, Eq) and memb.rhs == u
-                        and isinstance(memb.lhs, Var)):
-                    continue
-                z = memb.lhs
-                y = dual.lhs if isinstance(dual, Neq) and dual.rhs == u else None
-            else:
-                continue
-            if not isinstance(y, Var) or y == z:
-                continue
-            hole = fresh_var("h", sequent_free_vars(goal))
-            body = replace_var(a_z, z, hole)
-            if formula_equal(replace_var(body, hole, y), a_y):
-                yield ("d_axiom", {"domain": dom, "dual": d, "z": z, "y": y,
-                                   "hole": hole, "body": body}, ())
-
-    def _dual_term(self, dual: Formula, dom: str, d: str):
-        if isinstance(dual, DualMember) and dual.domain == dom and dual.dual == d:
-            return dual.term
-        if isinstance(dual, Member) and self.reg.dual_domain(d, dom) == dual.domain:
-            return dual.term
-        return None
+            yield ("d_axiom", {"domain": dom, "dual": d, "z": zs[0],
+                               "y": ys[0], "hole": hole, "body": body}, ())
 
     # -- principal moves, right side -------------------------------------------
 
@@ -335,27 +312,26 @@ class _Engine:
                 ia, ib = map(formula_index, slot_formulas(slot))
                 if ia is not None and ib is not None:
                     rel = IndexRel(ia, slot.tag, ib)
-                    prem = Sequent(goal.left + (Single(rel),),
-                                   _set_slot_r(goal, pos, Single(slot.a)))
+                    prem = _put(Sequent(goal.left + (Single(rel),), goal.right),
+                                "right", pos, Single(slot.a))
                     yield ("conv_pair_intro",
                            {"qpos": pos, "relpos": len(goal.left)}, (prem,))
                 continue
             f = slot.formula
             if isinstance(f, And):
                 yield ("and_r", {"pos": pos},
-                       (_set_r(goal, pos, f.a), _set_r(goal, pos, f.b)))
+                       (_put(goal, "right", pos, Single(f.a)),
+                        _put(goal, "right", pos, Single(f.b))))
             elif isinstance(f, Or):
                 yield ("or_r1", {"pos": pos, "other": f.b},
-                       (_set_r(goal, pos, f.a),))
+                       (_put(goal, "right", pos, Single(f.a)),))
                 yield ("or_r2", {"pos": pos, "other": f.a},
-                       (_set_r(goal, pos, f.b),))
+                       (_put(goal, "right", pos, Single(f.b)),))
             elif isinstance(f, Par):
-                prem = Sequent(goal.left, goal.right[:pos]
-                               + (Single(f.a), Single(f.b))
-                               + goal.right[pos + 1:])
+                prem = _put(goal, "right", pos, Single(f.a), Single(f.b))
                 yield ("par_r", {"pos": pos}, (prem,))
             elif isinstance(f, Times):
-                rest = _drop_r(goal, pos)
+                rest = _without(goal.right, pos)
                 for k, j in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
                                        rpre=(self._fkey(f.a),)):
                     p1 = Sequent(goal.left[:k], (Single(f.a),) + rest[:j])
@@ -368,7 +344,7 @@ class _Engine:
                                (Single(f.b),) + goal.right[1:])
                 yield ("imp_r", {}, (prem,))
             elif isinstance(f, Excl):
-                rest = _drop_r(goal, pos)
+                rest = _without(goal.right, pos)
                 for k, j in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
                                        rpost=(self._fkey(f.a),)):
                     q1 = Sequent(goal.left[:k], rest[:j] + (Single(f.a),))
@@ -377,21 +353,22 @@ class _Engine:
                     yield ("excl_r", {"pos": pos}, (q1, q2))
             elif isinstance(f, Forall):
                 z = _pick_var(f, goal)
-                inst = replace_var(f.body, f.var, z)
-                prem = Sequent(goal.left + (Single(Member(z, f.domain)),),
-                               _replace_r(goal, pos, inst))
+                inst = _put(goal, "right", pos,
+                            Single(replace_var(f.body, f.var, z)))
+                prem = Sequent(inst.left + (Single(Member(z, f.domain)),),
+                               inst.right)
                 yield ("forall_f", {"var": z, "domain": f.domain,
                                     "mpos": len(goal.left), "qpos": pos},
                        (prem,))
                 if f.domain in self.reg and self.reg.get(f.domain).is_singleton:
                     u = self.reg.get(f.domain).entries[0]
-                    prem = Sequent(goal.left + (Single(Eq(z, u)),),
-                                   _replace_r(goal, pos, inst))
+                    prem = Sequent(inst.left + (Single(Eq(z, u)),),
+                                   inst.right)
                     yield ("forall_f", {"var": z, "domain": f.domain,
                                         "mpos": len(goal.left), "qpos": pos,
                                         "as_eq": True}, (prem,))
             elif isinstance(f, Exists):
-                rest = _drop_r(goal, pos)
+                rest = _without(goal.right, pos)
                 for t in self._witnesses(f.domain, goal):
                     inst = replace_var(f.body, f.var, t)
                     for d in self._tags_for(f.domain):
@@ -407,11 +384,10 @@ class _Engine:
                                     "var": f.var, "domain": f.domain,
                                     "body": f.body}, (q1, q2))
             elif isinstance(f, Join):
-                prem = Sequent(goal.left,
-                               _set_slot_r(goal, pos, CorrPair(f.a, f.tag, f.b)))
+                prem = _put(goal, "right", pos, CorrPair(f.a, f.tag, f.b))
                 yield ("join_intro", {"qpos": pos}, (prem,))
             elif isinstance(f, Neq):
-                rest = Sequent(goal.left, _drop_r(goal, pos))
+                rest = _put(goal, "right", pos)
                 for prem in _replacement_premises(rest, f.lhs, f.rhs):
                     yield ("neq_right", {"pos": pos, "s": f.lhs, "t": f.rhs},
                            (prem,))
@@ -426,18 +402,18 @@ class _Engine:
             f = slot.formula
             if isinstance(f, And):
                 yield ("and_l1", {"pos": pos, "other": f.b},
-                       (_set_l(goal, pos, f.a),))
+                       (_put(goal, "left", pos, Single(f.a)),))
                 yield ("and_l2", {"pos": pos, "other": f.a},
-                       (_set_l(goal, pos, f.b),))
+                       (_put(goal, "left", pos, Single(f.b)),))
             elif isinstance(f, Or):
                 yield ("or_l", {"pos": pos},
-                       (_set_l(goal, pos, f.a), _set_l(goal, pos, f.b)))
+                       (_put(goal, "left", pos, Single(f.a)),
+                        _put(goal, "left", pos, Single(f.b))))
             elif isinstance(f, Times):
-                prem = Sequent(goal.left[:pos] + (Single(f.a), Single(f.b))
-                               + goal.left[pos + 1:], goal.right)
+                prem = _put(goal, "left", pos, Single(f.a), Single(f.b))
                 yield ("times_l", {"pos": pos}, (prem,))
             elif isinstance(f, Par):
-                rest = _drop_l(goal, pos)
+                rest = _without(goal.left, pos)
                 for k, j in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
                                        lpre=(self._fkey(f.a),)):
                     p1 = Sequent((Single(f.a),) + rest[:k], goal.right[:j])
@@ -446,7 +422,7 @@ class _Engine:
                     yield ("par_l", {"pos": pos, "apos": 0, "bpos": 0},
                            (p1, p2))
             elif isinstance(f, Imp):
-                rest = _drop_l(goal, pos)
+                rest = _without(goal.left, pos)
                 for k, j in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
                                        rpre=(self._fkey(f.a),)):
                     p1 = Sequent(rest[:k], (Single(f.a),) + goal.right[:j])
@@ -459,16 +435,16 @@ class _Engine:
                 yield ("excl_l", {}, (prem,))
             elif isinstance(f, Exists):
                 z = _pick_var(f, goal)
-                inst = replace_var(f.body, f.var, z)
+                inst = _put(goal, "left", pos,
+                            Single(replace_var(f.body, f.var, z)))
                 for d in self._tags_for(f.domain):
                     dual = self.reg.dual_membership(z, f.domain, d)
-                    prem = Sequent(_replace_l(goal, pos, inst),
-                                   goal.right + (Single(dual),))
+                    prem = Sequent(inst.left, inst.right + (Single(dual),))
                     yield ("exists_f", {"var": z, "domain": f.domain,
                                         "dual": d, "dpos": len(goal.right),
                                         "qpos": pos}, (prem,))
             elif isinstance(f, Forall):
-                rest = _drop_l(goal, pos)
+                rest = _without(goal.left, pos)
                 for t in self._witnesses(f.domain, goal):
                     inst = replace_var(f.body, f.var, t)
                     memb = Member(t, f.domain)
@@ -486,10 +462,10 @@ class _Engine:
                 if rec.focused and rec.entries:
                     disj = self.reg.focus_disjunction(f.domain, f.term)
                     axiom = Sequent((slot,), (Single(disj),))
-                    prem = _set_l(goal, pos, disj)
+                    prem = _put(goal, "left", pos, Single(disj))
                     yield ("cut", {"rpos": 0, "lpos": pos}, (axiom, prem))
             elif isinstance(f, Eq):
-                rest = Sequent(_drop_l(goal, pos), goal.right)
+                rest = _put(goal, "left", pos)
                 for prem in _replacement_premises(rest, f.lhs, f.rhs):
                     yield ("eq_left", {"pos": pos, "s": f.lhs, "t": f.rhs},
                            (prem,))
@@ -530,46 +506,24 @@ class _Engine:
         for pos, slot in enumerate(goal.left):
             if isinstance(slot, Single) \
                     and not self._fails((lk[:pos] + lk[pos + 1:], rk), sub):
-                prem = Sequent(_drop_l(goal, pos), goal.right)
+                prem = _put(goal, "left", pos)
                 yield ("weak_l", {"pos": pos, "formula": slot.formula}, (prem,))
         for pos, slot in enumerate(goal.right):
             if isinstance(slot, Single) \
                     and not self._fails((lk, rk[:pos] + rk[pos + 1:]), sub):
-                prem = Sequent(goal.left, _drop_r(goal, pos))
+                prem = _put(goal, "right", pos)
                 yield ("weak_r", {"pos": pos, "formula": slot.formula}, (prem,))
 
 
 # --------------------------------------------------------------------------
 # sequent surgery helpers
 
-def _set_r(goal: Sequent, pos: int, f: Formula) -> Sequent:
-    return Sequent(goal.left,
-                   goal.right[:pos] + (Single(f),) + goal.right[pos + 1:])
-
-
-def _set_l(goal: Sequent, pos: int, f: Formula) -> Sequent:
-    return Sequent(goal.left[:pos] + (Single(f),) + goal.left[pos + 1:],
-                   goal.right)
-
-
-def _set_slot_r(goal: Sequent, pos: int, slot: Slot) -> tuple:
-    return goal.right[:pos] + (slot,) + goal.right[pos + 1:]
-
-
-def _replace_r(goal: Sequent, pos: int, f: Formula) -> tuple:
-    return goal.right[:pos] + (Single(f),) + goal.right[pos + 1:]
-
-
-def _replace_l(goal: Sequent, pos: int, f: Formula) -> tuple:
-    return goal.left[:pos] + (Single(f),) + goal.left[pos + 1:]
-
-
-def _drop_r(goal: Sequent, pos: int) -> tuple:
-    return goal.right[:pos] + goal.right[pos + 1:]
-
-
-def _drop_l(goal: Sequent, pos: int) -> tuple:
-    return goal.left[:pos] + goal.left[pos + 1:]
+def _put(goal: Sequent, side: str, pos: int, *slots: Slot) -> Sequent:
+    """``goal`` with ``slots`` in place of slot ``pos`` of its ``side``."""
+    if side == "left":
+        return Sequent(goal.left[:pos] + slots + goal.left[pos + 1:],
+                       goal.right)
+    return Sequent(goal.left, goal.right[:pos] + slots + goal.right[pos + 1:])
 
 
 def _pick_var(f, goal: Sequent) -> Var:

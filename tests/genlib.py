@@ -74,6 +74,42 @@ def random_goal(rng: random.Random) -> Sequent:
     return Sequent(tuple(Single(one()) for _ in range(3)), (Single(one()),))
 
 
+def random_literal_goal(rng: random.Random, registry: Registry) -> Sequent:
+    """A small first-order search goal: one to three formulas on the left,
+    one or two on the right, each a membership, a dual membership, an
+    equality, a focus disjunction or a quantified literal over one of the
+    standard domains."""
+    terms = _VARS[:3] + tuple(sorted({e for d in _DOMAINS
+                                      for e in registry.get(d).entries},
+                                     key=repr))
+
+    def literal(t):
+        dom = rng.choice(_DOMAINS)
+        kind = rng.randrange(6)
+        if kind == 0:
+            return Member(t, dom)
+        if kind == 1:
+            return registry.dual_membership(t, dom, rng.choice(("d", "top",
+                                                                "neq", "perp")))
+        if kind == 2:
+            return DualMember(t, dom, rng.choice(("d", "top")))
+        if kind == 3:
+            return (Eq if rng.random() < 0.5 else Neq)(t, rng.choice(terms))
+        if kind == 4 and isinstance(t, Var):
+            return registry.focus_disjunction(rng.choice(("D", "Ddown", "Dup")),
+                                              t)
+        return Atom("A", None, (t,))
+
+    def one():
+        if rng.random() < 0.25:
+            v = rng.choice(_VARS[:3])
+            return rng.choice((Forall, Exists))(v, rng.choice(_DOMAINS),
+                                                literal(v))
+        return literal(rng.choice(terms))
+    return Sequent(tuple(Single(one()) for _ in range(rng.randint(1, 3))),
+                   tuple(Single(one()) for _ in range(rng.randint(1, 2))))
+
+
 def random_qubit(rng: random.Random) -> Qubit:
     a2 = rng.random()
     return Qubit(math.sqrt(a2), math.sqrt(1 - a2), rng.uniform(0, 2 * math.pi))

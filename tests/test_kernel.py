@@ -215,9 +215,12 @@ def test_expand_derived_idempotent_on_macro_free(config, registry):
     assert out.rule == "id"
 
 
-def test_vsym_rules_expand_and_check(config, registry):
+@pytest.mark.parametrize("dom, body", [
+    ("Dplus", A(x)), ("V", Atom("A", None, (x, y)))],
+    ids=["plain", "y-free-in-body"])
+def test_vsym_rules_expand_and_check(config, registry, dom, body):
     ctx = RuleContext(config, registry)
-    base = build_exists_to_forall(ctx, "Dplus", x, A(x))
+    base = build_exists_to_forall(ctx, dom, x, body)
     node = annotate(base, config, registry)
     assert check_proof(node, config, registry).ok
 
