@@ -554,7 +554,8 @@ def _alpha(f: Formula, g: Formula, env_f: dict, env_g: dict, depth: int) -> bool
 
 def formula_equal(f: Formula, g: Formula) -> bool:
     """Structural equality up to renaming of bound variables."""
-    return _alpha(f, g, {}, {}, 0)
+    # identity settles it only here, where no binder is open on either side
+    return f is g or _alpha(f, g, {}, {}, 0)
 
 
 def slot_equal(a: Slot, b: Slot) -> bool:

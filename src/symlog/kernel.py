@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .domains import Registry
-from .dualities import LiteralInvolution, symmetrize_formula, symmetrize_sequent
+from .dualities import LiteralInvolution, symmetrize_formula, symmetrize_slot
 from .formulas import (
     Eq, Formula, Outcome, Sequent, Single, Var, free_vars, fresh_var,
     replace_var,
@@ -308,12 +308,22 @@ def symmetrize_proof(p: ProofNode, inv: LiteralInvolution,
 
 
 def _sym_node(n: ProofNode, inv: LiteralInvolution) -> ProofNode:
-    return _fold(n, lambda node, prems, _: _mate(node, prems, inv))
+    # A node's conclusion shares most slots with its premises', so each slot
+    # is symmetrized once; the memo holds the slot, which keeps its id valid.
+    memo: dict = {}
+
+    def image(slot):
+        if id(slot) not in memo:
+            memo[id(slot)] = (slot, symmetrize_slot(slot, inv))
+        return memo[id(slot)][1]
+
+    return _fold(n, lambda node, prems, _: _mate(node, prems, inv, image))
 
 
-def _mate(n: ProofNode, prems: list, inv: LiteralInvolution) -> ProofNode:
+def _mate(n: ProofNode, prems: list, inv: LiteralInvolution,
+          image) -> ProofNode:
     """Apply the mate table to one annotated node whose premises' mates are
-    ``prems``."""
+    ``prems``; ``image`` symmetrizes a slot."""
     entry = _MATES.get(n.rule)
     if entry is None:
         hint = "; symmetrize its expanded form" if n.rule in MACRO_RULES else ""
@@ -342,7 +352,8 @@ def _mate(n: ProofNode, prems: list, inv: LiteralInvolution) -> ProofNode:
         elif kind == NEQ and P["dual"] == "neq":
             out["as_eq"] = True
     return ProofNode(mate, out, tuple(prems[::-1] if swap else prems),
-                     symmetrize_sequent(n.conclusion, inv))
+                     Sequent(tuple(map(image, reversed(n.conclusion.right))),
+                             tuple(map(image, reversed(n.conclusion.left)))))
 
 
 # --------------------------------------------------------------------------

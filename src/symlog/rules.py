@@ -335,8 +335,8 @@ def _r_d_axiom(params, premises, claimed, ctx):
     _need((dom, d) in ctx.cfg.d_axiom_domains, "DAxiomNotLicensed",
           f"d-axioms for ({dom}, {d}) are not licensed")
     rec = ctx.registry.get(dom)
-    _need(isinstance(z, Var) and isinstance(y, Var) and z != y,
-          "SideConditionViolated", "d-axiom instances use two distinct variables")
+    _need(all(isinstance(v, Var) for v in (z, y, hole)) and z != y,
+          "SideConditionViolated", "z, y and hole are variables, z and y distinct")
     if rec.virtual_singleton:
         memb: Formula = Member(z, dom)
         dual = ctx.registry.dual_membership(y, dom, d)

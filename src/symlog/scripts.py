@@ -21,13 +21,20 @@ Sequent slots are comma-separated; a correlated pair is written with an
 indexed comma: ``A_1(z) ,_i A_2(z)``.  Proof trees nest premises by
 two-space indentation.  Formulas and proofs nest at most ``MAX_NESTING``
 levels deep.
+
+A script is lexed once, into one stream of tokens.  A line whose first
+non-blank character is ``#`` is blank, and a blank line ends a proof; a
+line's indentation is the number of spaces it starts with.  Each name (of
+a sequent, proof, rule, key, flag, constant, licence operand or name-valued
+parameter) is one token, ``[A-Za-z][A-Za-z0-9_']*``.  A character that
+starts no token is an error at its position.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .domains import DomainRecord, Registry
 from .formulas import (
@@ -42,8 +49,7 @@ from .rules import _PARAM_KIND, CalculusConfig
 __all__ = [
     "ParseError", "Script", "parse_script", "print_script",
     "parse_formula", "print_formula", "parse_sequent", "print_sequent",
-    "parse_term", "print_term", "parse_proof_block", "print_proof",
-    "print_param", "parse_param",
+    "parse_term", "print_term", "print_proof", "print_param", "parse_param",
 ]
 
 
@@ -60,99 +66,141 @@ class ParseError(Exception):
 # lexer
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t]+)
-  | (?P<nl>\n)
-  | (?P<sym>join_[io]|\|-|<->|->|<-|,_i|,_o|~i|~o|/=|\\/|[(){}.,=&*^@:/_])
-  | (?P<num>\d+)
-  | (?P<ident>[A-Za-z][A-Za-z0-9']*)
-  | (?P<bad>.)
-""", re.VERBOSE)
+    (?P<indent>^[ \t]+(?=[^\s\#]))
+  | (?:^[ \t]*\#.*|[ \t]+)?  # a comment line, or the spaces before a token
+    (?:(?P<end>\r?\n|\Z)
+     | (?P<sym>join_[io]|\|-|<->|->|<-|,_i|,_o|~i|~o|/=|\\/|[(){}.,=&*^@:/_'])
+     | (?P<num>\d+)
+     | (?P<ident>[A-Za-z][A-Za-z0-9']*)
+     | (?P<bad>.))
+""", re.VERBOSE | re.MULTILINE)
+_KINDS = (None, "indent", "end", "sym", "num", "ident", "bad")
 
 # The longest number the parser reads; Python's int() refuses a few
 # thousand digits, and no probability or index needs more than this.
 _MAX_DIGITS = 100
 
-# The parser looks at most two tokens past the cursor, and stops at the
-# first ``end`` it consumes, so three sentinels let ``peek`` index directly.
+# Within a line the parser looks at most two tokens past the cursor; past
+# a line's ``end`` it looks at most at the two tokens that open the next.
+# So the ``end`` at the end of the text is followed by two more.
 _SENTINELS = 3
 
+# The tokens that continue a name glued to them, besides idents and numbers.
+_NAME_TAIL = frozenset(["_", "'", "join_i", "join_o"])
 
-@dataclass(frozen=True)
-class Tok:
-    kind: str  # "sym" | "num" | "ident" | "end"
+
+class Tok(NamedTuple):
+    kind: str  # "indent" | "end" | "sym" | "num" | "ident"
     text: str
-    line: int
-    col: int
+    pos: int  # offset of the token's first character in the text
 
 
-def _lex(text: str, line: int = 1, col: int = 1) -> list:
-    """The tokens of ``text``, whose first character sits at ``line`` and
-    ``col`` of its file, and three ``end`` sentinels."""
-    toks = []
-    line_start = 1 - col  # a column is m.start() - line_start + 1
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-            continue
-        if kind == "bad":
-            raise ParseError(line, m.start() - line_start + 1, "a token",
-                             m.group())
-        toks.append(Tok(kind, m.group(), line, m.start() - line_start + 1))
-    toks.extend([Tok("end", "<end>", line, len(text) - line_start + 1)]
-                * _SENTINELS)
+_new_tok = tuple.__new__  # what Tok(...) calls, without its Python frame
+
+
+def _located(text: str, pos: int, expected: str, found: str) -> ParseError:
+    line_start = text.rfind("\n", 0, pos) + 1
+    return ParseError(text.count("\n", 0, pos) + 1, pos - line_start + 1,
+                      expected, found)
+
+
+def _lex(text: str) -> list:
+    """The tokens of ``text``: an ``end`` for each newline and for the end
+    of the text, which two more follow.  A comment line makes no token but
+    its ``end``, nor do the spaces inside a line."""
+    toks = [_new_tok(Tok, (_KINDS[i], m[i], m.start(i)))
+            for m in _TOKEN_RE.finditer(text) for i in (m.lastindex,)]
+    for t in toks:
+        if t.kind == "bad":
+            raise _located(text, t.pos, "a token", t.text)
+    toks += toks[-1:] * (_SENTINELS - 1)
     return toks
 
 
 class _Stream:
-    def __init__(self, toks: list, consts: Optional[set] = None):
-        self.toks = toks
+    def __init__(self, text: str, consts: Optional[set] = None):
+        self.text = text
+        self.toks = _lex(text)
         self.i = 0
-        self.consts = consts or set()
+        self.consts = set() if consts is None else consts
         self.open = 0  # formulas being parsed, one inside the next
+
+    def error(self, t: Tok, expected: str, found: Optional[str] = None):
+        if found is None:
+            found = "<end>" if t.kind == "end" else t.text
+        return _located(self.text, t.pos, expected, found)
 
     def peek(self, ahead: int = 0) -> Tok:
         return self.toks[self.i + ahead]
 
     def next(self) -> Tok:
-        t = self.peek()
+        t = self.toks[self.i]
         self.i += 1
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "end"
+        return self.toks[self.i].text == text
+
+    def glued(self, k: int) -> bool:
+        """Whether token ``k`` starts on its line right where the token
+        before it ends."""
+        t, before = self.toks[k], self.toks[k - 1]
+        return t.kind != "end" and t.pos == before.pos + len(before.text)
 
     def eat(self, text: str) -> Tok:
-        t = self.peek()
-        if t.text != text or t.kind == "end":
-            raise ParseError(t.line, t.col, repr(text), t.text)
-        return self.next()
+        t = self.toks[self.i]
+        if t.text != text:
+            raise self.error(t, repr(text))
+        self.i += 1
+        return t
 
-    def ident(self, what: str = "an identifier") -> str:
+    def ident(self, what: str) -> str:
         t = self.peek()
         if t.kind != "ident":
-            raise ParseError(t.line, t.col, what, t.text)
+            raise self.error(t, what)
         return self.next().text
+
+    def name(self, what: str) -> str:
+        """A name: an ident, or ``join_i``/``join_o``, and the idents,
+        numbers, ``_``, ``'`` and ``join_i``/``join_o`` glued to it."""
+        t = self.peek()
+        if t.kind != "ident" and t.text not in ("join_i", "join_o"):
+            raise self.error(t, what)
+        text, end = t.text, t.pos + len(t.text)
+        while True:
+            self.i += 1
+            t = self.toks[self.i]
+            if t.pos != end or (t.kind != "ident" and t.kind != "num"
+                                and t.text not in _NAME_TAIL):
+                return text
+            text += t.text
+            end += len(t.text)
 
     def number(self) -> int:
         t = self.peek()
         if t.kind != "num":
-            raise ParseError(t.line, t.col, "a number", t.text)
+            raise self.error(t, "a number")
         if len(t.text) > _MAX_DIGITS:
-            raise ParseError(t.line, t.col, f"a number of at most "
-                             f"{_MAX_DIGITS} digits", t.text)
+            raise self.error(t, f"a number of at most {_MAX_DIGITS} digits")
         return int(self.next().text)
 
     def done(self) -> bool:
-        return self.peek().kind == "end"
+        return self.toks[self.i].kind == "end"
 
-    def expect_end(self) -> None:
-        t = self.peek()
+    def end_line(self) -> None:
+        t = self.next()
         if t.kind != "end":
-            raise ParseError(t.line, t.col, "end of input", t.text)
+            raise self.error(t, "end of input")
+
+
+def _parse_text(text: str, consts: Optional[set], read):
+    """What ``read`` takes from all of ``text``, a newline being a space."""
+    s = _Stream(text, consts)
+    s.toks = [t for t in s.toks if t.kind not in ("end", "indent")] \
+        + s.toks[-_SENTINELS:]
+    value = read(s)
+    s.end_line()
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -168,12 +216,11 @@ def _parse_probability(s: _Stream) -> Fraction:
         t = s.peek()
         den = s.number()
         if den == 0:
-            raise ParseError(t.line, t.col, "a non-zero denominator", t.text)
+            raise s.error(t, "a non-zero denominator")
     p = Fraction(num, den)
     if not 0 < p <= 1:
-        t = s.toks[start]
-        raise ParseError(t.line, t.col, "a probability in (0, 1]",
-                         "".join(tok.text for tok in s.toks[start:s.i]))
+        raise s.error(s.toks[start], "a probability in (0, 1]",
+                      "".join(tok.text for tok in s.toks[start:s.i]))
     return p
 
 
@@ -187,12 +234,8 @@ def _parse_term(s: _Stream) -> Term:
     return Var(name)
 
 
-def parse_term(text: str, consts: Optional[set] = None, line: int = 1,
-               col: int = 1) -> Term:
-    s = _Stream(_lex(text, line, col), consts)
-    t = _parse_term(s)
-    s.expect_end()
-    return t
+def parse_term(text: str, consts: Optional[set] = None) -> Term:
+    return _parse_text(text, consts, _parse_term)
 
 
 def print_term(t: Term) -> str:
@@ -211,8 +254,7 @@ def _parse_index(s: _Stream) -> Index:
         try:
             return IConst(s.number())
         except ValueError:  # IConst's range check
-            raise ParseError(t.line, t.col, "an index constant from 1 to 9",
-                             t.text) from None
+            raise s.error(t, "an index constant from 1 to 9") from None
     return IVar(s.ident("an index"))
 
 
@@ -231,12 +273,7 @@ _OP_TEXT = {ctor: text for text, ctor in _OP_TOKEN.items() if ctor is not Join}
 # recurse once or more per level, so the bound keeps every parsed formula and
 # proof well inside Python's recursion limit.
 MAX_NESTING = 200
-
-
-def _too_deep(t: Tok) -> ParseError:
-    return ParseError(t.line, t.col,
-                      f"a formula nested at most {MAX_NESTING} levels deep",
-                      t.text)
+_TOO_DEEP = f"a formula nested at most {MAX_NESTING} levels deep"
 
 
 def _operator_text(s: _Stream) -> str:
@@ -271,7 +308,7 @@ def _parse_formula(s: _Stream, level: int = 0, last: bool = True) -> tuple:
     start = s.peek()
     s.open += 1
     if s.open > MAX_NESTING:
-        raise _too_deep(start)
+        raise s.error(start, _TOO_DEEP)
     f, depth = _parse_primary(s)
     for lv in range(_OP_LEVEL[Times], level - 1, -1):
         ctor = _operator(s, lv)
@@ -281,14 +318,13 @@ def _parse_formula(s: _Stream, level: int = 0, last: bool = True) -> tuple:
             try:
                 f, depth = ctor(f, rhs), max(depth, rdepth) + 1
             except ValueError:  # Join's distinct-index check
-                raise ParseError(op.line, op.col, "join operands with "
-                                 "distinct indexes", op.text) from None
+                raise s.error(op, "join operands with distinct indexes") \
+                    from None
     if level == 0 and last and _operator_text(s):
-        t = s.peek()
-        raise ParseError(t.line, t.col, "parentheses around a chain of binary "
-                         "operators, which do not associate", t.text)
+        raise s.error(s.peek(), "parentheses around a chain of binary "
+                                "operators, which do not associate")
     if depth > MAX_NESTING:
-        raise _too_deep(start)
+        raise s.error(start, _TOO_DEEP)
     s.open -= 1
     return f, depth
 
@@ -303,8 +339,7 @@ def _parse_primary(s: _Stream) -> tuple:
             s.next()
             dual = s.ident("a duality name")
             if not isinstance(inner, Member):
-                raise ParseError(t.line, t.col,
-                                 "a membership inside (...)^dual", "formula")
+                raise s.error(t, "a membership inside (...)^dual", "formula")
             inner = DualMember(inner.term, inner.domain, dual)
         return inner, depth + 1
     if t.text in ("forall", "exists"):
@@ -315,21 +350,16 @@ def _parse_primary(s: _Stream) -> tuple:
         s.eat(".")
         body, depth = _parse_formula(s, 0, last=False)
         return (Forall if t.text == "forall" else Exists)(v, dom, body), depth + 1
-    if t.kind == "num":
+    if t.kind == "num" or t.kind == "ident" and s.peek(1).text in ("~i", "~o"):
         i = _parse_index(s)
         op = s.next()
         if op.text not in ("~i", "~o"):
-            raise ParseError(op.line, op.col, "~i or ~o", op.text)
+            raise s.error(op, "~i or ~o")
         j = _parse_index(s)
         return IndexRel(i, tag_from_short(op.text[-1]), j), 1
     if t.kind != "ident":
-        raise ParseError(t.line, t.col, "a formula", t.text)
-    # identifier: atom, membership, equality, or an index relation over IVar
-    if s.peek(1).text in ("~i", "~o"):
-        i = _parse_index(s)
-        op = s.next()
-        j = _parse_index(s)
-        return IndexRel(i, tag_from_short(op.text[-1]), j), 1
+        raise s.error(t, "a formula")
+    # identifier: atom, membership or equality
     start = s.i
     term = _parse_term(s)
     nxt = s.peek()
@@ -363,12 +393,8 @@ def _parse_primary(s: _Stream) -> tuple:
     return Atom(pred, index, args), 1
 
 
-def parse_formula(text: str, consts: Optional[set] = None, line: int = 1,
-                  col: int = 1) -> Formula:
-    s = _Stream(_lex(text, line, col), consts)
-    f, _ = _parse_formula(s, 0)
-    s.expect_end()
-    return f
+def parse_formula(text: str, consts: Optional[set] = None) -> Formula:
+    return _parse_text(text, consts, lambda s: _parse_formula(s, 0)[0])
 
 
 def print_formula(f: Formula, parent_level: int = -1) -> str:
@@ -379,31 +405,27 @@ def print_formula(f: Formula, parent_level: int = -1) -> str:
         if f.args:
             out += "(" + ", ".join(print_term(a) for a in f.args) + ")"
         return out
-    if isinstance(f, Member):
-        s = f"{print_term(f.term)} in {f.domain}"
-        return f"({s})" if parent_level >= 0 else s
     if isinstance(f, DualMember):
         return f"({print_term(f.term)} in {f.domain})^{f.dual}"
-    if isinstance(f, Eq):
-        s = f"{print_term(f.lhs)} = {print_term(f.rhs)}"
-        return f"({s})" if parent_level >= 0 else s
-    if isinstance(f, Neq):
-        s = f"{print_term(f.lhs)} /= {print_term(f.rhs)}"
-        return f"({s})" if parent_level >= 0 else s
-    if isinstance(f, IndexRel):
+    if isinstance(f, Member):
+        s = f"{print_term(f.term)} in {f.domain}"
+    elif isinstance(f, (Eq, Neq)):
+        op = "=" if isinstance(f, Eq) else "/="
+        s = f"{print_term(f.lhs)} {op} {print_term(f.rhs)}"
+    elif isinstance(f, IndexRel):
         s = f"{_print_index(f.i)} ~{f.tag.short} {_print_index(f.j)}"
-        return f"({s})" if parent_level >= 0 else s
-    if isinstance(f, (Forall, Exists)):
+    elif isinstance(f, (Forall, Exists)):
         q = "forall" if isinstance(f, Forall) else "exists"
         s = f"{q} {f.var.name} in {f.domain} . {print_formula(f.body)}"
-        return f"({s})" if parent_level >= 0 else s
-    lvl = _OP_LEVEL[type(f)]
-    op = f"join_{f.tag.short}" if isinstance(f, Join) else _OP_TEXT[type(f)]
-    left = print_formula(f.a, lvl)
-    if isinstance(f, Times) and isinstance(f.a, Atom) and not f.a.args:
-        left = f"({left})"  # keep the (x) operator out of an argument list
-    body = f"{left} {op} {print_formula(f.b, lvl)}"
-    return f"({body})" if parent_level >= lvl else body
+    else:
+        lvl = _OP_LEVEL[type(f)]
+        op = f"join_{f.tag.short}" if isinstance(f, Join) else _OP_TEXT[type(f)]
+        left = print_formula(f.a, lvl)
+        if isinstance(f, Times) and isinstance(f.a, Atom) and not f.a.args:
+            left = f"({left})"  # keep the (x) operator out of an argument list
+        body = f"{left} {op} {print_formula(f.b, lvl)}"
+        return f"({body})" if parent_level >= lvl else body
+    return f"({s})" if parent_level >= 0 else s
 
 
 # --------------------------------------------------------------------------
@@ -421,18 +443,13 @@ def _parse_slots(s: _Stream, stop: str) -> tuple:
             slots.append(CorrPair(a, tag, b))
         else:
             slots.append(Single(a))
-        if s.at(","):
-            s.next()
-            continue
-        return tuple(slots)
+        if not s.at(","):
+            return tuple(slots)
+        s.next()
 
 
-def parse_sequent(text: str, consts: Optional[set] = None, line: int = 1,
-                  col: int = 1) -> Sequent:
-    s = _Stream(_lex(text, line, col), consts)
-    seqt = _parse_sequent(s)
-    s.expect_end()
-    return seqt
+def parse_sequent(text: str, consts: Optional[set] = None) -> Sequent:
+    return _parse_text(text, consts, _parse_sequent)
 
 
 def _parse_sequent(s: _Stream) -> Sequent:
@@ -461,6 +478,9 @@ def print_sequent(s: Sequent) -> str:
 # --------------------------------------------------------------------------
 # rule parameters
 
+_BOOLS = {"true": True, "false": False}
+
+
 def print_param(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -473,33 +493,32 @@ def print_param(v) -> str:
     return print_term(v)
 
 
+def _parse_value(s: _Stream, key: Optional[str]):
+    """A parameter value: ``{formula}``, a number, ``true``/``false``, or
+    a term for a term-kind key and a name for any other, glued together."""
+    t = s.peek()
+    if t.text == "{":
+        s.next()
+        f, _ = _parse_formula(s, 0)
+        s.eat("}")
+        return f
+    if t.kind == "num":
+        return s.number()
+    if _PARAM_KIND.get(key) != "term":
+        word = s.name("a parameter value")
+        return _BOOLS.get(word, word)
+    start = s.i
+    term = _parse_term(s)
+    for k in range(start + 1, s.i):
+        if not s.glued(k):
+            raise s.error(s.toks[k], _ITEM)
+    return _BOOLS.get(getattr(term, "name", ""), term)
+
+
 def parse_param(text: str, key: Optional[str] = None,
-                consts: Optional[set] = None, line: int = 1, col: int = 1):
-    """A rule parameter's value; ``line`` and ``col`` place ``text`` in its
-    file."""
-    col += len(text) - len(text.lstrip())
-    text = text.strip()
-    if text.startswith("{"):
-        if not text.endswith("}"):
-            raise ParseError(line, col + len(text) - 1, "a closing brace",
-                             text[-1:])
-        return parse_formula(text[1:-1], consts, line, col + 1)
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if re.fullmatch(r"\d+", text):
-        if len(text) > _MAX_DIGITS:
-            raise ParseError(line, col, f"a number of at most {_MAX_DIGITS} "
-                             f"digits", text)
-        return int(text)
-    kind = _PARAM_KIND.get(key or "", None)
-    if kind == "str":
-        return text
-    if kind == "term":
-        return parse_term(text, consts, line, col)
-    # unknown key: identifiers default to strings, terms need the key table
-    return text
+                consts: Optional[set] = None):
+    """A rule parameter's value, read as in a proof line."""
+    return _parse_text(text, consts, lambda s: _parse_value(s, key))
 
 
 # --------------------------------------------------------------------------
@@ -516,62 +535,49 @@ def print_proof(p: ProofNode, indent: int = 0) -> str:
     return "\n".join(out)
 
 
-_PARAM_TOKEN_RE = re.compile(r"\s+(\w+)=(\{[^}]*\}|[^\s]+)")
+_ITEM = "a parameter key=value after whitespace"
 
 
-def _parse_proof_line(text: str, lineno: int, consts: set) -> ProofNode:
-    """One proof line, ``text`` being the whole line of the file: a rule
-    name, whitespace-separated ``key=value`` items, each key once, then
-    optionally ``:`` and the conclusion."""
-    head, colon, tail = text.partition(":")
-    conclusion = parse_sequent(tail, consts, lineno, len(head) + 2) \
-        if colon else None
-    bits = head.split(None, 1)
-    if not bits:
-        raise ParseError(lineno, 1, "a rule name", "")
-    rule = bits[0]
+def _parse_proof(s: _Stream, indent: int, placed: list) -> ProofNode:
+    """The proof line at the cursor, ``indent`` spaces in: a rule name,
+    ``key=value`` items, each after whitespace and each key once, then
+    optionally ``:`` and the conclusion, which goes on ``placed`` with its
+    first token.  Below it, two spaces further in, come its premises' lines,
+    up to a blank line or one indented less."""
+    rule = s.name("a rule name")
     params = {}
-    pos, end = head.index(rule) + len(rule), len(head.rstrip())
-    while pos < end:
-        m = _PARAM_TOKEN_RE.match(head, pos)
-        if m is None:
-            pos = end - len(head[pos:end].lstrip())
-            raise ParseError(lineno, pos + 1, "a parameter key=value after "
-                             "whitespace", head[pos:end].split()[0])
-        key, raw = m.group(1), m.group(2)
+    while not s.done() and not s.at(":"):
+        t = s.peek()
+        if s.glued(s.i):
+            raise s.error(t, _ITEM)
+        key = s.name(_ITEM)
+        if "'" in key or not (s.at("=") and s.glued(s.i) and s.glued(s.i + 1)):
+            raise s.error(t, _ITEM)
         if key in params:
-            raise ParseError(lineno, m.start(1) + 1, "each parameter once", key)
-        params[key] = parse_param(raw, key, consts, lineno, m.start(2) + 1)
-        pos = m.end()
-    return ProofNode(rule, params, (), conclusion)
-
-
-def parse_proof_block(lines: list, start: int, indent: int,
-                      consts: set) -> tuple:
-    """Parse a proof tree from indented lines, returning (node, next_line)."""
-    text = lines[start]
-    node = _parse_proof_line(text, start + 1, consts)
+            raise s.error(t, "each parameter once", key)
+        s.next()
+        params[key] = _parse_value(s, key)
+    conclusion = None
+    if s.at(":"):
+        s.next()
+        start = s.peek()
+        conclusion = _parse_sequent(s)
+        placed.append((conclusion, start))
+    s.end_line()
     premises = []
-    i = start + 1
-    child_indent = indent + 2
-    while i < len(lines):
-        line = lines[i]
-        if not line.strip():
+    while s.peek().kind == "indent":
+        lead = s.peek().text
+        depth = len(lead) - len(lead.lstrip(" "))
+        if depth < indent + 2:
             break
-        depth = len(line) - len(line.lstrip(" "))
-        if depth < child_indent:
-            break
-        if depth > child_indent:
-            raise ParseError(i + 1, depth + 1,
-                             f"indentation {child_indent}", line.strip()[:10])
-        if child_indent // 2 >= MAX_NESTING:
-            raise ParseError(i + 1, depth + 1,
-                             f"a proof nested at most {MAX_NESTING} levels deep",
-                             line.strip()[:10])
-        child, i = parse_proof_block(lines, i, child_indent, consts)
-        premises.append(child)
-    return ProofNode(node.rule, node.params, tuple(premises),
-                     node.conclusion), i
+        if depth > indent + 2:
+            raise s.error(s.peek(1), f"indentation {indent + 2}")
+        if depth // 2 >= MAX_NESTING:
+            raise s.error(s.peek(1), f"a proof nested at most {MAX_NESTING} "
+                                     f"levels deep")
+        s.next()
+        premises.append(_parse_proof(s, depth, placed))
+    return ProofNode(rule, params, tuple(premises), conclusion)
 
 
 # --------------------------------------------------------------------------
@@ -599,16 +605,14 @@ class Script:
 
     def config(self) -> CalculusConfig:
         return CalculusConfig(
-            left_contexts=self.flags.get("left_contexts", False),
-            right_contexts=self.flags.get("right_contexts", False),
-            weakening=self.flags.get("weakening", False),
-            cut=self.flags.get("cut", False),
+            **{flag: self.flags.get(flag, False) for flag in _FLAG_NAMES},
             substitution_domains=frozenset(self.subst_licenses),
             d_axiom_domains=frozenset(self.daxiom_licenses),
             collapse_demo=self.collapse_demo)
 
 
 _FLAG_NAMES = ("left_contexts", "right_contexts", "weakening", "cut")
+_LICENSE = "license subst D | license daxiom D d"
 
 
 def _parse_domain_decl(s: _Stream) -> DomainRecord:
@@ -621,61 +625,43 @@ def _parse_domain_decl(s: _Stream) -> DomainRecord:
             label = s.ident("an outcome label")
             s.eat("@")
             entries.append(Outcome(label, _parse_probability(s)))
-            if s.at(","):
-                s.next()
-                continue
-            break
-    s.eat("}")
-    focused = virtual = subst = False
-    inhabited = True
-    duality = None
-    while not s.done():
-        word = s.peek().text
-        if word == "focused":
-            focused = True
-        elif word == "virtual":
-            virtual = True
-        elif word == "subst":
-            subst = True
-        elif word == "uninhabited":
-            inhabited = False
-        elif word == "duality":
+            if not s.at(","):
+                break
             s.next()
+    s.eat("}")
+    words = dict.fromkeys(("focused", "virtual", "subst", "uninhabited"), False)
+    duality = None
+    while s.peek().text in words or s.at("duality"):
+        word = s.next().text
+        if word == "duality":
             duality = s.ident("a duality name")
-            continue
         else:
-            break
-        s.next()
-    return DomainRecord(name, tuple(entries), focused=focused,
-                        virtual_singleton=virtual, duality=duality,
-                        substitution_allowed=subst, inhabited=inhabited)
+            words[word] = True
+    return DomainRecord(name, tuple(entries), focused=words["focused"],
+                        virtual_singleton=words["virtual"], duality=duality,
+                        substitution_allowed=words["subst"],
+                        inhabited=not words["uninhabited"])
 
 
 def parse_script(text: str) -> Script:
     sc = Script()
-    lines = text.splitlines()
+    s = _Stream(text, sc.consts)
     known: set = set()
-    placed: list = []  # (owner's name, sequent, line, column) for _validate_refs
-    i = 0
-    while i < len(lines):
-        raw = lines[i]
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            i += 1
+    placed: list = []  # (owner's name, sequent, its first token)
+    while s.i < len(s.toks) - _SENTINELS:
+        t = s.peek()
+        if t.kind == "end":  # a blank line
+            s.next()
             continue
-        if raw[0] in " \t":
-            raise ParseError(i + 1, 1, "a top-level declaration", line[:12])
-        word = line.split(None, 1)[0]
+        if t.kind == "indent":
+            raise s.error(t, "a top-level declaration", s.peek(1).text)
+        word = s.name("a declaration keyword")
         if word == "domain":
-            s = _Stream(_lex(line[len("domain"):], i + 1, len("domain") + 1),
-                        sc.consts)
+            t = s.peek()
             rec = _parse_domain_decl(s)
-            s.expect_end()
-            _check_unique(rec.name, known, i)
+            _check_unique(s, t, rec.name, known)
             sc.domains.append(rec)
         elif word == "dualtable":
-            s = _Stream(_lex(line[len("dualtable"):], i + 1,
-                             len("dualtable") + 1))
             name = s.ident("a duality name")
             s.eat("{")
             table = {}
@@ -683,77 +669,72 @@ def parse_script(text: str) -> Script:
                 a = s.ident("a domain name")
                 s.eat("<->")
                 b = s.ident("a domain name")
-                table[a] = b
-                table[b] = a
+                table[a], table[b] = b, a
                 if s.at(","):
                     s.next()
             s.eat("}")
-            s.expect_end()
             sc.dualtables.setdefault(name, {}).update(table)
         elif word == "flags":
-            for flag in line.split()[1:]:
+            while not s.done():
+                t = s.peek()
+                flag = s.name("a flag name")
                 if flag == "collapse_demo":
                     sc.collapse_demo = True
-                    continue
-                if flag not in _FLAG_NAMES:
-                    raise ParseError(i + 1, 1, "a flag name", flag)
-                sc.flags[flag] = True
+                elif flag in _FLAG_NAMES:
+                    sc.flags[flag] = True
+                else:
+                    raise s.error(t, "a flag name", flag)
         elif word == "license":
-            bits = line.split()
-            if len(bits) == 3 and bits[1] == "subst":
-                sc.subst_licenses.append(bits[2])
-            elif len(bits) == 4 and bits[1] == "daxiom":
-                sc.daxiom_licenses.append((bits[2], bits[3]))
+            t = s.peek()
+            kind = s.name(_LICENSE)
+            if kind == "subst":
+                sc.subst_licenses.append(s.name(_LICENSE))
+            elif kind == "daxiom":
+                sc.daxiom_licenses.append((s.name(_LICENSE), s.name(_LICENSE)))
             else:
-                raise ParseError(i + 1, 1, "license subst D | license daxiom D d",
-                                 line)
+                raise s.error(t, _LICENSE, kind)
         elif word == "const":
-            sc.consts.update(line.split()[1:])
+            while not s.done():
+                sc.consts.add(s.name("a constant name"))
         elif word == "sequent":
-            name, body, col = _named_header(line, "sequent", i)
-            _check_unique(name, known, i)
-            sc.sequents[name] = parse_sequent(body, sc.consts, i + 1, col)
-            placed.append((name, sc.sequents[name], i + 1, _sequent_col(line)))
+            name = _header(s, word, known)
+            start = s.peek()
+            sc.sequents[name] = _parse_sequent(s)
+            placed.append((name, sc.sequents[name], start))
         elif word == "proof":
-            name, body, col = _named_header(line, "proof", i)
-            _check_unique(name, known, i)
-            root_concl = parse_sequent(body, sc.consts, i + 1, col)
-            node, i2 = parse_proof_block(lines, i + 1, 0, sc.consts)
-            sc.proofs[name] = ProofNode(node.rule, node.params, node.premises,
-                                        node.conclusion or root_concl)
+            name = _header(s, word, known)
+            start = s.peek()
+            root = _parse_sequent(s)
+            s.end_line()
+            if s.peek().kind == "indent":  # the root line's indentation is free
+                s.next()
+            lines: list = []
+            node = _parse_proof(s, 0, lines)
             if node.conclusion is None:
-                placed.append((name, root_concl, i + 1, _sequent_col(line)))
-            for k, (n, _) in enumerate(_preorder(node), i + 1):  # a line each
-                if n.conclusion is not None:
-                    placed.append((name, n.conclusion, k + 1,
-                                   _sequent_col(lines[k])))
-            i = i2
+                placed.append((name, root, start))
+                node = ProofNode(node.rule, node.params, node.premises, root)
+            placed.extend((name, concl, tok) for concl, tok in lines)
+            sc.proofs[name] = node
             continue
         else:
-            raise ParseError(i + 1, 1, "a declaration keyword", word)
-        i += 1
-    _validate_refs(sc, placed)
+            raise s.error(t, "a declaration keyword", word)
+        s.end_line()
+    _validate_refs(s, sc, placed)
     return sc
 
 
-def _named_header(line: str, keyword: str, lineno: int) -> tuple:
-    """(name, body, column of the body) of a ``keyword NAME : body`` line."""
-    head, sep, body = line.partition(":")
-    bits = head.split()
-    if not sep or len(bits) != 2 or bits[0] != keyword:
-        raise ParseError(lineno + 1, 1, f"{keyword} NAME : <sequent>", line[:20])
-    return bits[1], body, len(head) + 2
+def _header(s: _Stream, keyword: str, known: set) -> str:
+    """The fresh NAME of a ``keyword NAME :`` header, read up to the colon."""
+    t = s.peek()
+    name = s.name(f"{keyword} NAME : <sequent>")
+    s.eat(":")
+    _check_unique(s, t, name, known)
+    return name
 
 
-def _sequent_col(line: str) -> int:
-    """The column where the sequent after the first colon of ``line`` starts."""
-    head, _, body = line.partition(":")
-    return len(head) + 2 + len(body) - len(body.lstrip())
-
-
-def _check_unique(name: str, known: set, lineno: int) -> None:
+def _check_unique(s: _Stream, t: Tok, name: str, known: set) -> None:
     if name in known:
-        raise ParseError(lineno + 1, 1, "a fresh name", name)
+        raise s.error(t, "a fresh name", name)
     known.add(name)
 
 
@@ -770,7 +751,7 @@ def _formula_vars(f: Formula):
     yield from free_vars(f)
 
 
-def _validate_refs(sc: Script, placed: list) -> None:
+def _validate_refs(s: _Stream, sc: Script, placed: list) -> None:
     """Check the domains and variable names of each sequent ``placed`` holds
     once the whole script is read, since a domain may be declared below its
     first use; an error is reported where its sequent starts."""
@@ -778,19 +759,17 @@ def _validate_refs(sc: Script, placed: list) -> None:
     taken = set(sc.consts)
     for rec in sc.domains:
         taken.update(e.label for e in rec.entries)
-    for where, s, line, col in placed:
-        for slot in s.left + s.right:
+    for where, seqt, t in placed:
+        for slot in seqt.left + seqt.right:
             for f in slot_formulas(slot):
                 for dom in _domain_refs(f):
                     if dom not in declared:
-                        raise ParseError(line, col,
-                                         f"a declared domain ({where})", dom)
+                        raise s.error(t, f"a declared domain ({where})", dom)
                 for v in _formula_vars(f):
                     if v.name in taken:
-                        raise ParseError(
-                            line, col, f"a variable name distinct from "
-                                       f"constants and outcome labels ({where})",
-                            v.name)
+                        raise s.error(
+                            t, f"a variable name distinct from constants "
+                               f"and outcome labels ({where})", v.name)
 
 
 def print_script(sc: Script) -> str:

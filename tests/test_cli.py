@@ -205,6 +205,17 @@ def test_commands_reject_flags_they_ignore(ext_script, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_check_reports_a_d_axiom_with_a_non_variable_hole(tmp_path, capsys):
+    bad = tmp_path / "hole.blq"
+    bad.write_text("domain V = { v1@1/2, v2@1/2 } virtual duality d\n"
+                   "license daxiom V d\n"
+                   "proof p : z in V |- z in V\n"
+                   "d_axiom domain=V dual=d z=z y=y hole=v1@1/2 "
+                   "body={forall y in V . A(y)}\n")
+    assert main(["check", str(bad)]) == 1
+    assert capsys.readouterr().out.strip() == "p: FAIL"
+
+
 def test_check_reports_wrong_parameter_kind(tmp_path, capsys):
     bad = tmp_path / "kind.blq"
     bad.write_text("proof p : p, p |- p\ncontract_l i=x j=1\n  id a={p}\n")
@@ -324,19 +335,22 @@ id a={z in D} : z in D |- z in D
     (["qstate", "{no_beta}"], None, "beta"),
     (["qstate", "{nan_phase}"], None, "amplitudes must be finite"),
     (["qstate", "{huge}"], None, "not a qubit state"),
+    (["check", "{eof_header}"], None, "a rule name"),
 ], ids=["d-axiom-spec", "depth-above-maximum", "depth-below-one",
         "depth-from-environment",
         "check-license-overlap", "sym-license-overlap",
         "search-license-overlap", "not-utf8", "zero-qubit", "qubit-field",
-        "nan-phase", "huge-amplitude"])
+        "nan-phase", "huge-amplitude", "proof-header-at-end"])
 def test_usage_errors_exit_two(ext_script, tmp_path, monkeypatch, capsys,
                                argv, env, message):
     files = {"ext": ext_script, "overlap": tmp_path / "overlap.blq",
              "binary": tmp_path / "binary.blq", "zero": tmp_path / "zero.json",
              "no_beta": tmp_path / "no_beta.json",
              "nan_phase": tmp_path / "nan_phase.json",
-             "huge": tmp_path / "huge.json"}
+             "huge": tmp_path / "huge.json",
+             "eof_header": tmp_path / "eof_header.blq"}
     files["overlap"].write_text(OVERLAP)
+    files["eof_header"].write_text("proof pr : p |- p\n")
     files["binary"].write_bytes(b"sequent s : p |- \xff\n")
     files["zero"].write_text('{"alpha": 0, "beta": 0}')
     files["no_beta"].write_text('{"alpha": 1}')

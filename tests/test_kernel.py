@@ -3,20 +3,25 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from symlog.corpus import corpus_config, corpus_registry, positive_proofs
 from symlog.domains import standard_registry
 from symlog.dualities import IDENTITY_INV, symmetrize_sequent
 from symlog.formulas import (
-    And, Atom, Eq, IConst, IDENTICAL, IndexRel, Join, Member, Outcome, Var,
+    And, Atom, Const, Eq, IConst, IDENTICAL, IndexRel, Join, Member, Outcome, Var,
     seq, sequent_equal,
 )
 from symlog.kernel import (
-    annotate, build_collapse_proof, build_exists_to_forall, check_proof,
-    collapse_config, expand_derived, mk, proof_equal, proof_to_json,
-    symmetrize_proof,
+    CheckReport, ProofNode, _fold, _path, annotate, build_collapse_proof,
+    build_exists_to_forall, check_proof, collapse_config, expand_derived, mk,
+    proof_equal, proof_to_json, symmetrize_proof,
 )
-from symlog.rules import CalculusConfig, RuleContext
-from symlog.scripts import print_proof
+from symlog.rules import _PARAM_KIND, CalculusConfig, RuleContext
+from symlog.scripts import parse_formula, print_proof
+
+from genlib import random_formula, random_term
 
 z, y, x = Var("z"), Var("y"), Var("x")
 p, q = Atom("p", None, ()), Atom("q", None, ())
@@ -340,6 +345,49 @@ def test_malformed_d_axiom_reports_without_raising(config, registry):
     assert rep.stats["d_axiom_pairs"] == {}
 
 
+# a d-axiom whose body binds the variable named by y, so that the rule
+# renames that binder away from y before it abstracts the hole
+_D_AXIOM = mk("d_axiom", {"domain": "V", "dual": "d", "z": z, "y": y,
+                          "hole": x, "body": parse_formula("forall y in V . A(y)")})
+
+
+def test_d_axiom_with_a_non_variable_hole_is_a_failure(config, registry):
+    for hole in (t1, Const("c")):
+        node = mk("d_axiom", {**_D_AXIOM.params, "hole": hole})
+        rep = check_proof(node, config, registry)
+        assert rep.failures[0].reason.startswith("SideConditionViolated")
+
+
+_PROOFS = [proof for _, _, proof, _ in positive_proofs()] + [_D_AXIOM]
+_VALUES = st.one_of(
+    st.builds(random_term, st.randoms(use_true_random=False)),
+    st.builds(random_formula, st.randoms(use_true_random=False),
+              st.integers(1, 3)),
+    st.integers(-3, 12), st.booleans(), st.text(max_size=4))
+
+
+def _with_param(proof: ProofNode, at: int, key: str, value) -> ProofNode:
+    """``proof`` with ``key`` set to ``value`` on its node number ``at``
+    (in pre-order, counted modulo the node count)."""
+    paths = []
+    _fold(proof, lambda n, prems, trail: paths.append(_path(trail)))
+    target = sorted(paths)[at % len(paths)]
+    return _fold(proof, lambda n, prems, trail: ProofNode(
+        n.rule, {**n.params, key: value} if _path(trail) == target
+        else n.params, tuple(prems), n.conclusion))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, len(_PROOFS) - 1), st.integers(0, 10 ** 4),
+       st.sampled_from(sorted(_PARAM_KIND) + ["zz"]), _VALUES)
+@example(len(_PROOFS) - 1, 0, "hole", t1)
+def test_check_proof_reports_any_parameter_value(which, at, key, value):
+    """check_proof never raises, whatever one parameter holds."""
+    proof = _with_param(_PROOFS[which], at, key, value)
+    rep = check_proof(proof, corpus_config(), corpus_registry())
+    assert isinstance(rep, CheckReport)
+
+
 def test_wrong_parameter_kind_is_a_failure(config, registry):
     rep = check_proof(mk("id", {"a": "p"}), config, registry)
     assert not rep.ok
@@ -396,16 +444,14 @@ def _tall(height: int):
     return seq([p] * height + [q], [q])
 
 
-# walk: (the chain's height, a check of the walk's result).  Symmetrizing
-# builds a fresh image of every node's whole conclusion, so its time and
-# memory grow with the square of the height (3,000 levels take about 30 s
-# and 1 GB); 1,200 levels still exceed the default recursion limit of 1,000.
+# walk: (the chain's height, a check of the walk's result).  Each height
+# exceeds the default recursion limit of 1,000.
 _DEEP_WALKS = {
     "annotate": (3000, lambda deep, cfg, reg: sequent_equal(
         annotate(deep, cfg, reg).conclusion, _tall(3000))),
-    "symmetrize_proof": (1200, lambda deep, cfg, reg: sequent_equal(
+    "symmetrize_proof": (3000, lambda deep, cfg, reg: sequent_equal(
         symmetrize_proof(deep, IDENTITY_INV, cfg, reg).conclusion,
-        symmetrize_sequent(_tall(1200), IDENTITY_INV))),
+        symmetrize_sequent(_tall(3000), IDENTITY_INV))),
     "expand_derived": (3000, lambda deep, cfg, reg: proof_equal(
         expand_derived(deep, cfg, reg), annotate(deep, cfg, reg))),
     "proof_equal": (3000, lambda deep, cfg, reg: proof_equal(

@@ -4,15 +4,18 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symlog.corpus import export_corpus
 from symlog.formulas import (
-    Atom, CorrPair, Excl, IConst, IDENTICAL, Imp, Join, Sequent, Single, Var,
+    Atom, Const, CorrPair, Excl, IConst, IDENTICAL, Imp, Join, Sequent, Single,
+    Var,
 )
 from symlog.kernel import proof_equal
 from symlog.scripts import (
-    ParseError, parse_formula, parse_script, parse_sequent, parse_term,
-    print_formula, print_script, print_sequent,
+    ParseError, Script, parse_formula, parse_script, parse_sequent,
+    parse_term, print_formula, print_script, print_sequent,
 )
 
 from genlib import random_formula
@@ -64,10 +67,12 @@ def test_parse_errors_positioned():
     ("proof pr : p |- p\nid a={p} junk : p |- p\n", 2, 10),
     ("proof pr : p |- p\nid a={p} a={q}\n", 2, 10),
     ("proof pr : p |- p\nid a={p}b={q}\n", 2, 9),
+    ("proof pr : p |- p\n", 2, 1),
 ], ids=["domain", "dualtable", "sequent-header", "proof-header",
         "proof-formula-param", "proof-term-param", "proof-conclusion",
         "premise-conclusion", "join-same-index", "index-out-of-range",
-        "proof-stray-text", "proof-repeated-key", "proof-unspaced-params"])
+        "proof-stray-text", "proof-repeated-key", "proof-unspaced-params",
+        "proof-header-at-end"])
 def test_parse_errors_carry_file_positions(text, line, col):
     """A position counts lines and columns from the start of the script,
     wherever in a declaration, header or proof line the error sits."""
@@ -124,6 +129,26 @@ def test_reference_errors_carry_the_sequents_position(text, line, col):
     with pytest.raises(ParseError) as err:
         parse_script(text)
     assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_constants_read_as_const_below_their_declaration():
+    c = Atom("A", None, (Const("c"),))
+    sc = parse_script("const c\nsequent s : A(c) |- A(c)\n")
+    assert sc.sequents["s"] == Sequent((Single(c),), (Single(c),))
+    # above its declaration c reads as a variable that clashes with it
+    with pytest.raises(ParseError, match="distinct from constants") as err:
+        parse_script("sequent s : A(c) |- A(c)\nconst c\n")
+    assert (err.value.line, err.value.col) == (1, 13)
+
+
+def test_print_script_round_trips_the_const_line():
+    text = "const c d\nsequent s : A(c) |- A(d)\n"
+    assert print_script(parse_script(text)) == text
+
+
+def test_proof_parameter_naming_a_constant_reads_as_const():
+    sc = parse_script("const c\nproof p : |- c = c\nrefl t=c\n")
+    assert sc.proofs["p"].params == {"t": Const("c")}
 
 
 def test_scripts_reject_duplicate_names():
@@ -194,3 +219,26 @@ def test_fuzz_never_silently_divergent():
         sc2 = parse_script(out)
         assert print_script(sc2) == out
     assert survived > 0  # many mutants die; survivors must be stable
+
+
+_FRAGMENTS = ["domain", "dualtable", "flags", "license", "const", "sequent",
+              "proof", "D", "=", "{", "}", "a@1/2", ",", "<->", "subst",
+              "daxiom", "virtual", "duality", "p", "A(z)", "z in D", ":",
+              "|-", "id", "a={p}", "pos=0", "weak_l", "t=z", "cut", "#", "&",
+              "->", "(", ")", "forall x in D .", "_", "'", "1", "join_i", "@",
+              "/", "\t", "$"]
+_SEPARATORS = [" ", "", "\n", "\n  ", "\n    ", "\n\n"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(_FRAGMENTS),
+                          st.sampled_from(_SEPARATORS)), max_size=30))
+@example([("proof", " "), ("pr", " "), (":", " "), ("p", " "), ("|-", " "),
+          ("p", "\n")])
+def test_parse_script_raises_only_parse_errors(parts):
+    text = "".join(a + b for a, b in parts)
+    try:
+        sc = parse_script(text)
+    except ParseError:
+        return
+    assert isinstance(sc, Script)
