@@ -40,8 +40,8 @@ from .domains import DomainRecord, Registry
 from .formulas import (
     And, Atom, Const, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula,
     IConst, IVar, Imp, Index, IndexRel, Join, Member, Neq, Or, Outcome, Par,
-    Sequent, Single, Slot, Term, Times, Var, free_vars, slot_formulas,
-    subformulas, tag_from_short,
+    Sequent, Single, Slot, Term, Times, Var, free_vars, sequent_equal,
+    slot_formulas, subformulas, tag_from_short,
 )
 from .kernel import ProofNode, _preorder
 from .rules import _PARAM_KIND, CalculusConfig
@@ -654,7 +654,8 @@ def parse_script(text: str) -> Script:
             s.next()
             continue
         if t.kind == "indent":
-            raise s.error(t, "a top-level declaration", s.peek(1).text)
+            raise s.error(t, "a top-level declaration (a blank or # line "
+                             "ends a proof)", s.peek(1).text)
         word = s.name("a declaration keyword")
         if word == "domain":
             t = s.peek()
@@ -705,14 +706,17 @@ def parse_script(text: str) -> Script:
             name = _header(s, word, known)
             start = s.peek()
             root = _parse_sequent(s)
+            placed.append((name, root, start))
             s.end_line()
             if s.peek().kind == "indent":  # the root line's indentation is free
                 s.next()
             lines: list = []
             node = _parse_proof(s, 0, lines)
             if node.conclusion is None:
-                placed.append((name, root, start))
                 node = ProofNode(node.rule, node.params, node.premises, root)
+            elif not sequent_equal(node.conclusion, root):
+                raise s.error(lines[0][1], "the sequent of the proof header",
+                              print_sequent(node.conclusion))
             placed.extend((name, concl, tok) for concl, tok in lines)
             sc.proofs[name] = node
             continue

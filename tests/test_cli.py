@@ -336,11 +336,13 @@ id a={z in D} : z in D |- z in D
     (["qstate", "{nan_phase}"], None, "amplitudes must be finite"),
     (["qstate", "{huge}"], None, "not a qubit state"),
     (["check", "{eof_header}"], None, "a rule name"),
+    (["check", "{other_header}"], None, "the sequent of the proof header"),
 ], ids=["d-axiom-spec", "depth-above-maximum", "depth-below-one",
         "depth-from-environment",
         "check-license-overlap", "sym-license-overlap",
         "search-license-overlap", "not-utf8", "zero-qubit", "qubit-field",
-        "nan-phase", "huge-amplitude", "proof-header-at-end"])
+        "nan-phase", "huge-amplitude", "proof-header-at-end",
+        "proof-header-mismatch"])
 def test_usage_errors_exit_two(ext_script, tmp_path, monkeypatch, capsys,
                                argv, env, message):
     files = {"ext": ext_script, "overlap": tmp_path / "overlap.blq",
@@ -348,9 +350,11 @@ def test_usage_errors_exit_two(ext_script, tmp_path, monkeypatch, capsys,
              "no_beta": tmp_path / "no_beta.json",
              "nan_phase": tmp_path / "nan_phase.json",
              "huge": tmp_path / "huge.json",
-             "eof_header": tmp_path / "eof_header.blq"}
+             "eof_header": tmp_path / "eof_header.blq",
+             "other_header": tmp_path / "other_header.blq"}
     files["overlap"].write_text(OVERLAP)
     files["eof_header"].write_text("proof pr : p |- p\n")
+    files["other_header"].write_text("proof p : p |- q\nid a={q} : q |- q\n")
     files["binary"].write_bytes(b"sequent s : p |- \xff\n")
     files["zero"].write_text('{"alpha": 0, "beta": 0}')
     files["no_beta"].write_text('{"alpha": 1}')

@@ -68,17 +68,41 @@ def test_parse_errors_positioned():
     ("proof pr : p |- p\nid a={p} a={q}\n", 2, 10),
     ("proof pr : p |- p\nid a={p}b={q}\n", 2, 9),
     ("proof pr : p |- p\n", 2, 1),
+    ("proof pr : p |- q\nid a={q} : q |- q\n", 2, 12),
 ], ids=["domain", "dualtable", "sequent-header", "proof-header",
         "proof-formula-param", "proof-term-param", "proof-conclusion",
         "premise-conclusion", "join-same-index", "index-out-of-range",
         "proof-stray-text", "proof-repeated-key", "proof-unspaced-params",
-        "proof-header-at-end"])
+        "proof-header-at-end", "proof-header-mismatch"])
 def test_parse_errors_carry_file_positions(text, line, col):
     """A position counts lines and columns from the start of the script,
     wherever in a declaration, header or proof line the error sits."""
     with pytest.raises(ParseError) as err:
         parse_script(text)
     assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_proof_header_states_the_proved_sequent():
+    with pytest.raises(ParseError, match="the sequent of the proof header"):
+        parse_script("proof pr : p |- q\nid a={q} : q |- q\n")
+    # the header is validated even when the root line has a conclusion
+    with pytest.raises(ParseError, match="declared domain") as err:
+        parse_script("proof pr : z in D |- z in D\n"
+                     "id a={z in D} : z in D |- z in D\n")
+    assert (err.value.line, err.value.col) == (1, 12)
+    # bound variables may be renamed between the header and the root line
+    text = ("domain D = { a@1 }\nproof pr : forall x in D . A(x) |- p\n"
+            "weak_l pos=0 : forall y in D . A(y) |- p\n  id a={p} : p |- p\n")
+    assert parse_script(text).proofs["pr"].rule == "weak_l"
+
+
+def test_comment_line_inside_a_proof_ends_it():
+    text = ("proof p : p, q |- p\nweak_l pos=1 : p, q |- p\n  # note\n"
+            "  id a={p} : p |- p\n")
+    with pytest.raises(ParseError) as err:
+        parse_script(text)
+    assert (err.value.line, err.value.col, err.value.found) == (4, 1, "id")
+    assert "a blank or # line ends a proof" in str(err.value)
 
 
 @pytest.mark.parametrize("text, col, op", [
