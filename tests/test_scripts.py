@@ -1,4 +1,5 @@
 """Surface syntax: round trips, positioned errors, fuzz stability."""
+import hashlib
 import random
 import re
 from pathlib import Path
@@ -69,11 +70,14 @@ def test_parse_errors_positioned():
     ("proof pr : p |- p\nid a={p}b={q}\n", 2, 9),
     ("proof pr : p |- p\n", 2, 1),
     ("proof pr : p |- q\nid a={q} : q |- q\n", 2, 12),
+    ("sequent s : A(a@1/2) |- p\nsequent t : p |- A(a@1/0)\n", 2, 24),
+    ("sequent s : A(a@1/0) |- p\nsequent t : p |- A(a@1/2)\n", 1, 19),
 ], ids=["domain", "dualtable", "sequent-header", "proof-header",
         "proof-formula-param", "proof-term-param", "proof-conclusion",
         "premise-conclusion", "join-same-index", "index-out-of-range",
         "proof-stray-text", "proof-repeated-key", "proof-unspaced-params",
-        "proof-header-at-end", "proof-header-mismatch"])
+        "proof-header-at-end", "proof-header-mismatch",
+        "bad-outcome-after-good", "bad-outcome-before-good"])
 def test_parse_errors_carry_file_positions(text, line, col):
     """A position counts lines and columns from the start of the script,
     wherever in a declaration, header or proof line the error sits."""
@@ -266,3 +270,108 @@ def test_parse_script_raises_only_parse_errors(parts):
     except ParseError:
         return
     assert isinstance(sc, Script)
+
+
+# --------------------------------------------------------------------------
+# parity digest: operator chains and outcome terms, good and bad
+
+_SOUP_TERMS = ["x", "z", "c", "a@1/2", "a@1", "b@1/2", "a@2/4", "a@1 / 2",
+               "u@1/3", "b@01/2"] * 4 + ["a@1/0", "a@3/2", "a@0", "a@", "a@1/"]
+_SOUP_OPS = ["->", "<-", "join_i", "join_o", "\\/", "&", "*", "(x)"]
+_SOUP_PRELUDE = ("domain D = { a@1/2, b@1/2 } focused duality d\n"
+                 "domain E = { u@1/3, v@2/3 }\nconst c\n")
+
+
+def _soup_atom(rng: random.Random) -> str:
+    t = lambda: rng.choice(_SOUP_TERMS)  # noqa: E731
+    return rng.choice([
+        "p", "q", "A_1(x)", "1 ~i 2", f"A({t()})", f"B_2({t()}, {t()})",
+        f"{t()} in D", f"({t()} in D)^d", f"{t()} = {t()}",
+        f"{t()} /= {t()}"])
+
+
+def _soup_formula(rng: random.Random, depth: int) -> str:
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return _soup_atom(rng)
+    if r < 0.4:
+        q = rng.choice(["forall", "exists"])
+        return f"{q} x in {rng.choice('DE')} . {_soup_formula(rng, depth - 1)}"
+    if r < 0.5:
+        return f"({_soup_formula(rng, depth - 1)})"
+    out = _soup_formula(rng, depth - 1)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        out = f"{out} {rng.choice(_SOUP_OPS)} {_soup_formula(rng, depth - 1)}"
+        if rng.random() < 0.5:
+            out = f"({out})"
+    return out
+
+
+def _soup_mutant(rng: random.Random, text: str) -> str:
+    """``text``, or with one of its space-separated pieces dropped, or cut
+    short."""
+    r = rng.random()
+    if r < 0.8:
+        return text
+    if r < 0.9:
+        return text[:rng.randrange(len(text))]
+    pieces = text.split(" ")
+    del pieces[rng.randrange(len(pieces))]
+    return " ".join(pieces)
+
+
+def _soup_script(rng: random.Random) -> str:
+    lines = [_SOUP_PRELUDE]
+    for k in range(rng.randrange(1, 5)):
+        f, g = _soup_formula(rng, 2), _soup_formula(rng, 2)
+        if rng.random() < 0.5:
+            lines.append(f"sequent s{k} : {f} |- {g}\n")
+            continue
+        t = rng.choice(_SOUP_TERMS).replace(" ", "")
+        seq = f"{f} |- {f}"
+        lines.append(f"proof p{k} : {seq}\nid a={{{f}}} : {seq}\n"
+                     f"  refl t={t} : |- {t} = {t}\n\n")
+    return _soup_mutant(rng, "".join(lines))
+
+
+def _parse_outcome(parse, text: str) -> str:
+    try:
+        value = parse(text)
+    except ParseError as e:
+        return repr((e.line, e.col, e.expected, e.found))
+    if isinstance(value, Script):
+        value = {**vars(value), "consts": sorted(value.consts)}
+    return repr(value)
+
+
+# spellings of one label and numerator, each read after every other one
+_OUTCOME_SPELLINGS = ["a@1", "a@1/2", "a@01/2", "a@2/4", "a@1/0", "a@1/",
+                      "a@1 /", "a@1/x", "a@1/ 2"]
+
+
+def _parse_digest(n_formulas: int = 4000, n_scripts: int = 600,
+                  seed: int = 12) -> str:
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    texts = [f"A({a}) & x = {b}" for a in _OUTCOME_SPELLINGS
+             for b in _OUTCOME_SPELLINGS]
+    texts += [_soup_mutant(rng, _soup_formula(rng, 3))
+              for _ in range(n_formulas)]
+    for text in texts:
+        h.update(_parse_outcome(lambda t: parse_formula(t, {"c"}),
+                                text).encode())
+    for _ in range(n_scripts):
+        h.update(_parse_outcome(parse_script, _soup_script(rng)).encode())
+    return h.hexdigest()
+
+
+_PARSE_DIGEST = (
+    "596b87cd672eed3af6e6f35ba629311aa4e9025d2876bc4ea971250ccfeeffa0")
+
+
+def test_parse_outcomes_digest_unchanged():
+    """The parse result, or the error's position and text, of seeded
+    formula and script soups: operator chains with and without parentheses,
+    quantifiers, joins, ``(x)``, and outcome terms, some of them invalid;
+    and of each spelling of an outcome read after each other one."""
+    assert _parse_digest() == _PARSE_DIGEST
