@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .domains import DomainRecord, Registry
@@ -124,6 +125,7 @@ class _Stream:
         self.i = 0
         self.consts = set() if consts is None else consts
         self.open = 0  # formulas being parsed, one inside the next
+        self.outcomes: dict = {}  # (label, numerator, denominator) -> Outcome
 
     def error(self, t: Tok, expected: str, found: Optional[str] = None):
         if found is None:
@@ -224,11 +226,25 @@ def _parse_probability(s: _Stream) -> Fraction:
     return p
 
 
+def _parse_outcome(s: _Stream, label: str) -> Outcome:
+    """The outcome ``label@p`` whose probability starts at the cursor, built
+    once per stream for each spelling of a valid probability."""
+    toks, i = s.toks, s.i
+    slash = toks[i + 1].text == "/"
+    key = (label, toks[i].text, toks[i + 2].text if slash else None)
+    term = s.outcomes.get(key)
+    if term is None:
+        term = s.outcomes[key] = Outcome(label, _parse_probability(s))
+    else:
+        s.i += 3 if slash else 1
+    return term
+
+
 def _parse_term(s: _Stream) -> Term:
     name = s.ident("a term")
     if s.at("@"):
         s.next()
-        return Outcome(name, _parse_probability(s))
+        return _parse_outcome(s, name)
     if name in s.consts:
         return Const(name)
     return Var(name)
@@ -265,6 +281,9 @@ _OP_LEVEL = {Imp: 0, Excl: 0, Join: 1, Or: 2, And: 3, Par: 4, Times: 5}
 _OP_TOKEN = {"->": Imp, "<-": Excl, "join_i": Join, "join_o": Join,
              "\\/": Or, "&": And, "*": Par, "(x)": Times}
 _OP_TEXT = {ctor: text for text, ctor in _OP_TOKEN.items() if ctor is not Join}
+# operator token -> (its level, what builds its formula from the operands)
+_BINARY = {text: (_OP_LEVEL[ctor], partial(Join, tag_from_short(text[-1]))
+                  if ctor is Join else ctor) for text, ctor in _OP_TOKEN.items()}
 
 # The deepest formula, and the tallest proof, the parser builds.  A
 # connective, a quantifier and a pair of parentheses each add one formula
@@ -276,53 +295,41 @@ MAX_NESTING = 200
 _TOO_DEEP = f"a formula nested at most {MAX_NESTING} levels deep"
 
 
-def _operator_text(s: _Stream) -> str:
-    """The binary operator at the cursor, or '' when there is none."""
-    text = s.peek().text
-    if text == "(" and s.peek(1).text == "x" and s.peek(2).text == ")":
-        return "(x)"
-    return text if text in _OP_TOKEN else ""
-
-
-def _operator(s: _Stream, level: int):
-    """Consume the binary operator of precedence ``level`` at the cursor,
-    if there is one, and return what builds its formula from the operands."""
-    text = _operator_text(s)
-    ctor = _OP_TOKEN.get(text)
-    if ctor is None or _OP_LEVEL[ctor] != level:
-        return None
-    for _ in range(3 if text == "(x)" else 1):
-        s.next()
-    if ctor is Join:
-        return lambda a, b: Join(tag_from_short(text[-1]), a, b)
-    return ctor
-
-
 def _parse_formula(s: _Stream, level: int = 0, last: bool = True) -> tuple:
     """Parse a formula whose operators bind at ``level`` or tighter, and
-    return it with its nesting depth.  Each operator level takes at most
-    one operator: the operators do not associate, and an operator left over
-    at level 0 is an error.  ``last`` is False only for a quantifier body,
-    which an operator may follow: ``forall x in D . p & q & r`` reads
-    ``(forall x in D . p & q) & r``."""
+    return it with its nesting depth.  After each operand the operator at
+    the cursor is read once: it is taken, with its right operand parsed at
+    the next tighter level, while its level is at least ``level`` and below
+    that of the operator taken before it.  So tighter operators bind first,
+    each level takes at most one operator (the operators do not associate),
+    and an operator left over at level 0 is an error.  ``last`` is False
+    only for a quantifier body, which an operator may follow:
+    ``forall x in D . p & q & r`` reads ``(forall x in D . p & q) & r``."""
     start = s.peek()
     s.open += 1
     if s.open > MAX_NESTING:
         raise s.error(start, _TOO_DEEP)
     f, depth = _parse_primary(s)
-    for lv in range(_OP_LEVEL[Times], level - 1, -1):
-        ctor = _operator(s, lv)
-        if ctor is not None:
-            op = s.toks[s.i - 1]
-            rhs, rdepth = _parse_formula(s, lv + 1)
-            try:
-                f, depth = ctor(f, rhs), max(depth, rdepth) + 1
-            except ValueError:  # Join's distinct-index check
-                raise s.error(op, "join operands with distinct indexes") \
-                    from None
-    if level == 0 and last and _operator_text(s):
-        raise s.error(s.peek(), "parentheses around a chain of binary "
-                                "operators, which do not associate")
+    toks, taken = s.toks, _OP_LEVEL[Times] + 1
+    while True:
+        i = s.i
+        op = toks[i]
+        text = op.text
+        if text == "(" and toks[i + 1].text == "x" and toks[i + 2].text == ")":
+            text = "(x)"
+        binary = _BINARY.get(text)
+        if binary is None or not level <= binary[0] < taken:
+            break
+        taken, build = binary
+        s.i = i + (3 if text == "(x)" else 1)
+        rhs, rdepth = _parse_formula(s, taken + 1)
+        try:
+            f, depth = build(f, rhs), max(depth, rdepth) + 1
+        except ValueError:  # Join's distinct-index check
+            raise s.error(op, "join operands with distinct indexes") from None
+    if binary is not None and level == 0 and last:
+        raise s.error(op, "parentheses around a chain of binary operators, "
+                          "which do not associate")
     if depth > MAX_NESTING:
         raise s.error(start, _TOO_DEEP)
     s.open -= 1
@@ -624,7 +631,7 @@ def _parse_domain_decl(s: _Stream) -> DomainRecord:
         while True:
             label = s.ident("an outcome label")
             s.eat("@")
-            entries.append(Outcome(label, _parse_probability(s)))
+            entries.append(_parse_outcome(s, label))
             if not s.at(","):
                 break
             s.next()
