@@ -208,35 +208,31 @@ def _parse_text(text: str, consts: Optional[set], read):
 # --------------------------------------------------------------------------
 # terms
 
-def _parse_probability(s: _Stream) -> Fraction:
-    """An outcome's probability: a rational in (0, 1]."""
-    start = s.i
+def _parse_outcome(s: _Stream, label: str) -> Outcome:
+    """The outcome ``label@p`` whose probability, a rational in (0, 1],
+    starts at the cursor.  Each stream builds the outcome for a spelling of
+    a valid probability once, and returns it again where it recurs; an
+    invalid one is never stored, so it is reported at each position."""
+    toks, start = s.toks, s.i
+    slash = toks[start + 1].text == "/"
+    key = (label, toks[start].text, toks[start + 2].text if slash else None)
+    term = s.outcomes.get(key)
+    if term is not None:
+        s.i += 3 if slash else 1
+        return term
     num = s.number()
     den = 1
-    if s.at("/"):
+    if slash:
         s.next()
         t = s.peek()
         den = s.number()
         if den == 0:
             raise s.error(t, "a non-zero denominator")
-    p = Fraction(num, den)
-    if not 0 < p <= 1:
-        raise s.error(s.toks[start], "a probability in (0, 1]",
-                      "".join(tok.text for tok in s.toks[start:s.i]))
-    return p
-
-
-def _parse_outcome(s: _Stream, label: str) -> Outcome:
-    """The outcome ``label@p`` whose probability starts at the cursor, built
-    once per stream for each spelling of a valid probability."""
-    toks, i = s.toks, s.i
-    slash = toks[i + 1].text == "/"
-    key = (label, toks[i].text, toks[i + 2].text if slash else None)
-    term = s.outcomes.get(key)
-    if term is None:
-        term = s.outcomes[key] = Outcome(label, _parse_probability(s))
-    else:
-        s.i += 3 if slash else 1
+    try:
+        term = s.outcomes[key] = Outcome(label, Fraction(num, den))
+    except ValueError:  # Outcome's range check
+        raise s.error(toks[start], "a probability in (0, 1]",
+                      "".join(tok.text for tok in toks[start:s.i])) from None
     return term
 
 

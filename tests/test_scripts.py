@@ -334,7 +334,7 @@ def _soup_script(rng: random.Random) -> str:
     return _soup_mutant(rng, "".join(lines))
 
 
-def _parse_outcome(parse, text: str) -> str:
+def _parse_result(parse, text: str) -> str:
     try:
         value = parse(text)
     except ParseError as e:
@@ -358,10 +358,10 @@ def _parse_digest(n_formulas: int = 4000, n_scripts: int = 600,
     texts += [_soup_mutant(rng, _soup_formula(rng, 3))
               for _ in range(n_formulas)]
     for text in texts:
-        h.update(_parse_outcome(lambda t: parse_formula(t, {"c"}),
-                                text).encode())
+        h.update(_parse_result(lambda t: parse_formula(t, {"c"}),
+                               text).encode())
     for _ in range(n_scripts):
-        h.update(_parse_outcome(parse_script, _soup_script(rng)).encode())
+        h.update(_parse_result(parse_script, _soup_script(rng)).encode())
     return h.hexdigest()
 
 
