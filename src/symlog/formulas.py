@@ -9,10 +9,11 @@ explicit tolerance before anything reaches this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import Iterator, Optional, Union
+from weakref import WeakValueDictionary
 
 __all__ = [
     "Var", "Const", "Outcome", "Term",
@@ -142,15 +143,42 @@ def tag_from_short(s: str) -> CorrelationTag:
 # formulas
 
 class Formula:
-    """Base class; all constructors are frozen dataclasses below, each
-    carrying its :class:`Shape` as the class attribute ``shape``."""
+    """Base class of the constructors that :class:`Shape` builds.  Formulas
+    are interned: building one equal to a live formula returns that formula,
+    so ``==`` and ``hash`` are identity and never recurse."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        f = _INTERNED.get(key)
+        if f is None:
+            if len(args) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__}: wrong number of fields")
+            f = object.__new__(cls)
+            for name, value in zip(cls.__slots__, args):
+                object.__setattr__(f, name, value)
+            f._check()
+            _INTERNED[key] = f
+        return f
+
+    def _check(self):
+        """Reject a new formula; runs once per distinct formula."""
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __setattr__ = __delattr__ = _frozen
+
+
+# (constructor, *fields) -> the live formula with those fields
+_INTERNED = WeakValueDictionary()
 
 
 class Shape:
     """How walks see one formula constructor; declare it as the class's
-    decorator, ``@Shape(subs=..., terms=..., binds=...)``.
+    decorator, ``@Shape(subs=..., terms=..., binds=...)``, over a class
+    that annotates its fields in order.
 
     ``subs`` names the subformula fields in operand order.  ``terms`` names
     the fields holding one term each, or is the name of the one field that
@@ -174,29 +202,28 @@ class Shape:
         self.terms = attrgetter(terms) if self._packed else _tuple_getter(terms)
 
     def __call__(self, cls):
-        names = tuple(fl.name for fl in fields(cls))
+        """The slotted formula class with ``cls``'s fields and methods."""
+        names = tuple(cls.__annotations__)
         walked = self.subs + self._term_names + (("var",) if self.binds else ())
         if not set(walked) <= set(names):
             raise TypeError(f"{cls.__name__}: its shape names a missing field")
         data = tuple(n for n in names if n not in walked)
         self.data = attrgetter(*data) if data else None
-        self._fields = attrgetter(*names)
+        self._fields = get = _tuple_getter(names)
         self._subs_at = tuple(map(names.index, self.subs))
         self._terms_at = tuple(map(names.index, self._term_names))
         self._only_subs = self._subs_at == tuple(range(len(names)))
-        cls.shape = self
-        return cls
+        fmt = f"{cls.__name__}({', '.join(n + '=%r' for n in names)})"
+        body = {k: v for k, v in vars(cls).items() if k != "__dict__"}
+        body.update(__slots__=names, shape=self,
+                    __repr__=lambda f: fmt % get(f))
+        return type(cls.__name__, cls.__bases__, body)
 
     def rebuild(self, f, kids, terms=None, cls=None):
         """``f`` with the subformulas ``kids`` and, when given, the terms
-        ``terms``; every other field is kept, and ``f`` itself comes back
-        when every new part is the old one.  ``cls`` builds a constructor
+        ``terms``; every other field is kept.  ``cls`` builds a constructor
         of the same shape in place of ``f``'s own, such as its mate."""
-        if cls is None:
-            if all(map(is_, kids, self.children(f))) and (
-                    terms is None or all(map(is_, terms, self.terms(f)))):
-                return f
-            cls = type(f)
+        cls = cls or type(f)
         if self._only_subs:
             return cls(*kids)
         args = list(self._fields(f))
@@ -219,25 +246,22 @@ def _tuple_getter(names: tuple):
 
 
 @Shape(terms="args")
-@dataclass(frozen=True)
 class Atom(Formula):
     pred: str
     index: Optional[Index]
     args: tuple  # tuple[Term, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __new__(cls, pred, index, args):
+        return Formula.__new__(cls, pred, index, tuple(args))
 
 
 @Shape(terms=("term",))
-@dataclass(frozen=True)
 class Member(Formula):
     term: Term
     domain: str
 
 
 @Shape(terms=("term",))
-@dataclass(frozen=True)
 class DualMember(Formula):
     """Membership seen through a duality: the dual proposition of ``t in D``."""
 
@@ -247,21 +271,18 @@ class DualMember(Formula):
 
 
 @Shape(terms=("lhs", "rhs"))
-@dataclass(frozen=True)
 class Eq(Formula):
     lhs: Term
     rhs: Term
 
 
 @Shape(terms=("lhs", "rhs"))
-@dataclass(frozen=True)
 class Neq(Formula):
     lhs: Term
     rhs: Term
 
 
 @Shape()
-@dataclass(frozen=True)
 class IndexRel(Formula):
     """Correlation between two formula indexes (``i ~f j``)."""
 
@@ -271,21 +292,18 @@ class IndexRel(Formula):
 
 
 @Shape(subs=("a", "b"))
-@dataclass(frozen=True)
 class And(Formula):
     a: Formula
     b: Formula
 
 
 @Shape(subs=("a", "b"))
-@dataclass(frozen=True)
 class Or(Formula):
     a: Formula
     b: Formula
 
 
 @Shape(subs=("a", "b"))
-@dataclass(frozen=True)
 class Times(Formula):
     """Multiplicative conjunction."""
 
@@ -294,7 +312,6 @@ class Times(Formula):
 
 
 @Shape(subs=("a", "b"))
-@dataclass(frozen=True)
 class Par(Formula):
     """Multiplicative disjunction (the comma on the right of a sequent)."""
 
@@ -303,14 +320,12 @@ class Par(Formula):
 
 
 @Shape(subs=("a", "b"))
-@dataclass(frozen=True)
 class Imp(Formula):
     a: Formula
     b: Formula
 
 
 @Shape(subs=("a", "b"))
-@dataclass(frozen=True)
 class Excl(Formula):
     """Exclusion, the mirror connective of implication (``b excludes a``)."""
 
@@ -319,7 +334,6 @@ class Excl(Formula):
 
 
 @Shape(subs=("body",), binds=True)
-@dataclass(frozen=True)
 class Forall(Formula):
     var: Var
     domain: str
@@ -327,7 +341,6 @@ class Forall(Formula):
 
 
 @Shape(subs=("body",), binds=True)
-@dataclass(frozen=True)
 class Exists(Formula):
     var: Var
     domain: str
@@ -335,7 +348,6 @@ class Exists(Formula):
 
 
 @Shape(subs=("a", "b"))
-@dataclass(frozen=True)
 class Join(Formula):
     """Correlation connective: a pair of formulas correlated through a tag.
 
@@ -347,7 +359,7 @@ class Join(Formula):
     a: Formula
     b: Formula
 
-    def __post_init__(self):
+    def _check(self):
         ia, ib = formula_index(self.a), formula_index(self.b)
         if ia is not None and ib is not None and ia == ib:
             raise ValueError("join operands must carry distinct indexes")
@@ -506,7 +518,7 @@ def replace_var(f: Formula, x: Var, t: Term) -> Formula:
             avoid = {v.name for g in kids for v in free_vars(g)}
             nv = Var(_fresh_name(f.var.name, avoid | {f.var.name, x.name}))
             kids = [replace_var(replace_var(g, f.var, nv), x, t) for g in kids]
-            return replace(f, var=nv, **dict(zip(sh.subs, kids)))
+            return type(f)(nv, f.domain, *kids)
     return sh.rebuild(f, [replace_var(g, x, t) for g in sh.children(f)])
 
 

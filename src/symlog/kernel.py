@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .domains import Registry
@@ -309,14 +310,8 @@ def symmetrize_proof(p: ProofNode, inv: LiteralInvolution,
 
 def _sym_node(n: ProofNode, inv: LiteralInvolution) -> ProofNode:
     # A node's conclusion shares most slots with its premises', so each slot
-    # is symmetrized once; the memo holds the slot, which keeps its id valid.
-    memo: dict = {}
-
-    def image(slot):
-        if id(slot) not in memo:
-            memo[id(slot)] = (slot, symmetrize_slot(slot, inv))
-        return memo[id(slot)][1]
-
+    # is symmetrized once.
+    image = cache(lambda slot: symmetrize_slot(slot, inv))
     return _fold(n, lambda node, prems, _: _mate(node, prems, inv, image))
 
 

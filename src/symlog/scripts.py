@@ -12,7 +12,8 @@ Operators, loosest binding first::
 
 No binary operator associates: a chain of two needs parentheses, as in
 ``(p & q) & r`` or ``p -> (q -> r)``; ``p & q & r`` is a parse error that
-says so.
+says so.  A bare atom left of ``(x)`` needs them too, as in ``(p) (x) q``:
+in ``p (x) q``, ``(x)`` is the argument list of ``p``.
 
 Atoms are ``name``, ``name_1(args)``; membership is ``t in D`` and its
 dual ``(t in D)^d``; equality ``s = t`` and ``s /= t``; index relations
@@ -284,9 +285,9 @@ _BINARY = {text: (_OP_LEVEL[ctor], partial(Join, tag_from_short(text[-1]))
 # The deepest formula, and the tallest proof, the parser builds.  A
 # connective, a quantifier and a pair of parentheses each add one formula
 # level; each proof node on a root-to-leaf path adds one proof level.
-# Formula walks, the dataclasses' own hash, == and repr, and the proof parser
-# recurse once or more per level, so the bound keeps every parsed formula and
-# proof well inside Python's recursion limit.
+# Only repr, the formula walks and the proof parser still recurse, once or
+# more per level, so the bound keeps every parsed formula and proof well
+# inside Python's recursion limit.
 MAX_NESTING = 200
 _TOO_DEEP = f"a formula nested at most {MAX_NESTING} levels deep"
 
@@ -384,8 +385,7 @@ def _parse_primary(s: _Stream) -> tuple:
         index = _parse_index(s)
     args: tuple = ()
     if s.at("("):
-        # a parenthesis straight after a predicate is its argument list;
-        # a bare atom to the left of the (x) operator must be parenthesized
+        # a parenthesis straight after a predicate is its argument list
         s.next()
         items = [_parse_term(s)]
         while s.at(","):

@@ -28,12 +28,10 @@ premise's key out of the goal's, and build no premise that the memo
 already fails.  At budget 1 only the axiom moves, which come first, can
 succeed, so a goal stops enumerating once a premise has hit the bound.  The
 tables are keyed on small ints, not on the goal's text: the engine numbers
-each formula object the first time it sees it (one structural lookup,
-then one lookup by ``id``; it keeps every numbered object alive, so the
-ids stay valid), a ``Single`` slot keys as its formula's number and a
-``CorrPair`` as (number, tag, number).  Move generation reuses the goal's
-formula objects, so most lookups hit by ``id``.  A two-premise move with
-a context split builds its second premise only once the first is proved.
+each formula the first time it sees it (formulas are interned, so the
+lookup hashes the object), a ``Single`` slot keys as its formula's number
+and a ``CorrPair`` as (number, tag, number).  A two-premise move with a
+context split builds its second premise only once the first is proved.
 """
 from __future__ import annotations
 
@@ -109,21 +107,16 @@ class _Engine:
         self.failed: dict = {}  # goal key -> (budget, bound hit)
         self.bound_hit = False
         self._number: dict = {}  # formula -> its canonical int
-        self._by_id: dict = {}   # id(formula object) -> its canonical int
-        self._seen: list = []    # every object in _by_id, kept alive
         self._terms: list = []   # formula number -> the terms in it
         self._subst_entries = [
             (dom, t) for dom in sorted(self.cfg.substitution_domains)
             if dom in self.reg for t in self.reg.get(dom).entries]
 
     def _fkey(self, f: Formula) -> int:
-        n = self._by_id.get(id(f))
+        n = self._number.get(f)
         if n is None:
-            n = self._number.setdefault(f, len(self._number))
-            if n == len(self._terms):
-                self._terms.append(_add_terms(f, set()))
-            self._by_id[id(f)] = n
-            self._seen.append(f)
+            n = self._number[f] = len(self._terms)
+            self._terms.append(_add_terms(f, set()))
         return n
 
     def _slot_key(self, slot: Slot):
@@ -134,10 +127,10 @@ class _Engine:
     def _key(self, goal: Sequent) -> tuple:
         """The memo key of ``goal``: two goals get equal keys exactly when
         they are equal sequents."""
-        by_id = self._by_id
+        number = self._number
         try:  # the common case: Single slots whose formulas are numbered
-            return (tuple([by_id[id(s.formula)] for s in goal.left]),
-                    tuple([by_id[id(s.formula)] for s in goal.right]))
+            return (tuple([number[s.formula] for s in goal.left]),
+                    tuple([number[s.formula] for s in goal.right]))
         except (KeyError, AttributeError):
             return (tuple(map(self._slot_key, goal.left)),
                     tuple(map(self._slot_key, goal.right)))

@@ -1,14 +1,17 @@
-"""Core syntax: substitution, free variables, alpha-equality, indexes."""
+"""Core syntax: substitution, free variables, alpha-equality, indexes,
+interning."""
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symlog.formulas import (
-    And, Atom, CorrelationTag, Exists, Forall, IConst, IDENTICAL, Join,
-    Member, OPPOSITE, Or, Outcome, Var, formula_equal, formula_index,
+    And, Atom, CorrelationTag, Exists, Forall, Formula, IConst, IDENTICAL,
+    Join, Member, OPPOSITE, Or, Outcome, Var, formula_equal, formula_index,
     free_vars, index_set, reindex, replace_var, substitute,
 )
 
@@ -87,8 +90,9 @@ def test_join_tags_distinguish():
 
 def test_join_rejects_equal_indexes():
     a1 = Atom("A", IConst(1), (z,))
-    with pytest.raises(ValueError):
-        Join(IDENTICAL, a1, a1)
+    for _ in range(3):  # a rejected formula is never stored, so never found
+        with pytest.raises(ValueError):
+            Join(IDENTICAL, a1, a1)
 
 
 def test_correlation_tag_outcome_map():
@@ -123,3 +127,67 @@ def test_substitution_respects_alpha_equality(seed):
     assert formula_equal(g, substitute(f, z, t1))
     # substituting again cannot reintroduce the variable
     assert z not in free_vars(g)
+
+
+# --------------------------------------------------------------------------
+# interning: equal formulas are one object
+
+def _structurally_equal(f, g) -> bool:
+    """The reference equality: one constructor and equal fields, where
+    subformulas compare by this function and everything else (terms,
+    indexes, tags, names) by value.  It never applies ``==`` to two
+    formulas."""
+    if type(f) is not type(g):
+        return False
+    for name in type(f).__slots__:
+        a, b = getattr(f, name), getattr(g, name)
+        if not (_structurally_equal(a, b) if isinstance(a, Formula)
+                else a == b):
+            return False
+    return True
+
+
+@given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 2))
+@settings(max_examples=300)
+@example(5, 5, 2)
+def test_interned_equality_agrees_with_structure(seed_f, seed_g, depth):
+    # few seeds and shallow depths, so that equal pairs occur, both from
+    # one seed drawn twice and from two seeds that happen to agree
+    f = random_formula(random.Random(seed_f), depth)
+    g = random_formula(random.Random(seed_g), depth)
+    same = _structurally_equal(f, g)
+    assert (f == g) is same
+    assert (f is g) is same
+    if same:
+        assert hash(f) == hash(g)
+
+
+def _chain(n: int):
+    f = A(z)
+    for _ in range(n):
+        f = And(f, A(y))
+    return f
+
+
+def test_deep_formulas_are_one_object_and_compare_without_recursion():
+    f, g = _chain(2000), _chain(2000)
+    assert f is g
+    assert f == g
+    assert hash(f) == hash(g)
+
+
+def test_an_unreferenced_formula_leaves_the_table():
+    f = And(Atom("only_here", None, (z,)), A(y))
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+
+
+def test_formula_fields_are_read_only():
+    f = And(A(z), A(y))
+    with pytest.raises(AttributeError):
+        f.a = A(x)
+    with pytest.raises(AttributeError):
+        del f.b
+    assert f.a is A(z) and f.b is A(y)

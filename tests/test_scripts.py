@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symlog.cli import main
 from symlog.corpus import export_corpus
 from symlog.formulas import (
     Atom, Const, CorrPair, Excl, IConst, IDENTICAL, Imp, Join, Sequent, Single,
@@ -332,6 +333,24 @@ def _soup_script(rng: random.Random) -> str:
         lines.append(f"proof p{k} : {seq}\nid a={{{f}}} : {seq}\n"
                      f"  refl t={t} : |- {t} = {t}\n\n")
     return _soup_mutant(rng, "".join(lines))
+
+
+_RANDOM_SCRIPTS = st.one_of(
+    st.lists(st.tuples(st.sampled_from(_FRAGMENTS),
+                       st.sampled_from(_SEPARATORS)), max_size=30)
+    .map(lambda parts: "".join(a + b for a, b in parts)),
+    st.integers(0, 2**32 - 1).map(lambda n: _soup_script(random.Random(n))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_RANDOM_SCRIPTS)
+def test_check_command_answers_every_script(tmp_path_factory, text):
+    """``symlog check`` on a random script exits 0 (every proof checks),
+    1 (one does not) or 2 (a usage or parse error), never 3, which
+    reports an internal error."""
+    path = tmp_path_factory.getbasetemp() / "random.blq"
+    path.write_text(text)
+    assert main(["check", str(path)]) in (0, 1, 2)
 
 
 def _parse_result(parse, text: str) -> str:

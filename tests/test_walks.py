@@ -1,6 +1,5 @@
 """Every formula walk on one hand-built sample of each constructor, and a
 digest pinning the walks' outputs on random formulas."""
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -170,8 +169,8 @@ def _walk_digest(n: int = 2000, seed: int = 3) -> str:
         put("term_in", [u in terms for u in TERMS])
         swapped = [_swap_term_formula(f, s, t), _swap_term_formula(f, t, s)]
         if hasattr(f, "a"):
-            swapped.append(dataclasses.replace(
-                f, a=_swap_term_formula(f.a, s, t)))
+            swapped.append(f.shape.rebuild(
+                f, (_swap_term_formula(f.a, s, t), f.b)))
         put("swap", swapped)
         put("alpha", [formula_equal(f, g) for g in [f, prev] + swapped]
             + [formula_equal(Forall(x, "D", f),
