@@ -202,7 +202,6 @@ class Shape:
         self.terms = attrgetter(terms) if self._packed else _tuple_getter(terms)
 
     def __call__(self, cls):
-        """The slotted formula class with ``cls``'s fields and methods."""
         names = tuple(cls.__annotations__)
         walked = self.subs + self._term_names + (("var",) if self.binds else ())
         if not set(walked) <= set(names):
@@ -216,7 +215,8 @@ class Shape:
         fmt = f"{cls.__name__}({', '.join(n + '=%r' for n in names)})"
         body = {k: v for k, v in vars(cls).items() if k != "__dict__"}
         body.update(__slots__=names, shape=self,
-                    __repr__=lambda f: fmt % get(f))
+                    __repr__=lambda f: fmt % get(f),
+                    __reduce__=lambda f: (type(f), get(f)))
         return type(cls.__name__, cls.__bases__, body)
 
     def rebuild(self, f, kids, terms=None, cls=None):

@@ -1,6 +1,8 @@
 """Core syntax: substitution, free variables, alpha-equality, indexes,
 interning."""
+import copy
 import gc
+import pickle
 import random
 import weakref
 from fractions import Fraction
@@ -191,3 +193,10 @@ def test_formula_fields_are_read_only():
     with pytest.raises(AttributeError):
         del f.b
     assert f.a is A(z) and f.b is A(y)
+
+
+def test_copies_and_pickles_are_the_interned_formula():
+    f = Forall(x, "D", And(Atom("A", IConst(1), (x, t1)), Member(x, "D")))
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
