@@ -28,9 +28,7 @@ import sys
 
 from .corpus import run_corpus
 from .domains import RegistryError, standard_registry
-from .dualities import (
-    UnclassifiedLiteral, UnknownDuality, apply_duality, named_involution,
-)
+from .dualities import UnclassifiedLiteral, UnknownDuality, apply_duality
 from .formulas import map_sequent
 from .kernel import (
     KernelError, check_proof, proof_to_json, symmetrize_proof,
@@ -121,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--name", required=True)
     p.add_argument("--involution", default="identity",
-                   help="identity, perp, top, or a bare duality tag")
+                   help="a duality name; the script's dualtable of that "
+                        "name gives its domain table")
     _add_config_flags(p)
 
     p = sub.add_parser("dual", help="apply a duality to a named sequent")
@@ -181,7 +180,7 @@ def _cmd_sym(args) -> int:
         _err(f"no proof named {args.name!r}")
         return 2
     sym = symmetrize_proof(sc.proofs[args.name],
-                           named_involution(args.involution), cfg, reg)
+                           reg.involution(args.involution), cfg, reg)
     rep = check_proof(sym, cfg, reg)
     _emit(args, {"schema": 1, "ok": rep.ok, "proof": proof_to_json(sym)},
           print_proof(sym))

@@ -22,7 +22,7 @@ from typing import Callable
 
 from .correlation import distribute_forall
 from .domains import Registry, standard_registry
-from .dualities import apply_duality, named_involution, symmetrize_sequent
+from .dualities import apply_duality, symmetrize_sequent
 from .formulas import (
     And, Atom, Eq, Forall, Formula, IConst, IDENTICAL, Imp, Join, Member,
     OPPOSITE, Outcome, Var, seq, sequent_equal,
@@ -99,11 +99,12 @@ def _load(manifest: dict) -> dict:
             continue
         text = (_DATA_DIR / entry["file"]).read_text(encoding="utf-8")
         sc = parse_script(text)
+        reg = sc.registry()
         invs = (entry.get("involutions")
                 or dict.fromkeys(entry["proofs"], entry["involution"]))
         self_dual = entry.get("self_dual", ())
         out[entry["id"]] = [
-            (name, sc.proofs[name], named_involution(invs[name], self_dual))
+            (name, sc.proofs[name], reg.involution(invs[name], self_dual))
             for name in entry["proofs"]]
     return out
 

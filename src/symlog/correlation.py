@@ -72,12 +72,6 @@ def distribute_forall(dom: str, a1: Formula, a2: Formula, tag: CorrelationTag,
 
 
 def _converse_involution(dom: str, registry: Registry) -> LiteralInvolution:
-    rec = registry.get(dom)
-    dual = rec.duality or "d"
-    table = dict(registry.duality_tables.get(dual, {}))
-    self_dual = {dom}
-    mapped = table.get(dom)
-    if mapped is not None:
-        self_dual.add(mapped)
-    return LiteralInvolution(dual, domain_table=table,
-                             self_dual_domains=frozenset(self_dual))
+    dual = registry.get(dom).duality or "d"
+    mapped = registry.involution(dual).swap_domain(dom)
+    return registry.involution(dual, {dom, mapped} - {None})

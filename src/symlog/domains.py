@@ -11,14 +11,17 @@ duality ``d`` licensing the schema
 for every formula A.  Licensing both that schema and substitution on the
 same domain lets the system prove the domain is a singleton, which is why
 the two licenses are mutually exclusive outside collapse-demo mode.
+
+A registry owns each duality's domain table, kept as a ``LiteralInvolution``
+by name; every reader gets it from there (see ``Registry.involution``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .dualities import PERP_INV, TOP_INV
+from .dualities import PERP_INV, TOP_INV, LiteralInvolution
 from .formulas import (
     DualMember, Eq, Formula, Member, Neq, Or, Outcome, Term, Var, seq,
 )
@@ -28,6 +31,9 @@ __all__ = [
     "EmptyDomain", "FocusedNonSingleton", "DAxiomSchema",
     "standard_registry",
 ]
+
+# the built-in outcome-label swaps, by duality name
+_LABEL_SWAPS = {PERP_INV.name: PERP_INV.label_swap}
 
 
 class RegistryError(Exception):
@@ -103,8 +109,8 @@ class Registry:
     def __init__(self, collapse_demo: bool = False):
         self.collapse_demo = collapse_demo
         self._records: dict = {}
-        # duality name -> involution on domain names
-        self.duality_tables: dict = {}
+        # duality name -> its declared LiteralInvolution
+        self.involutions: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -117,11 +123,11 @@ class Registry:
 
     def declare_duality_table(self, dual: str, table: dict) -> None:
         """Declare how a duality maps domain names.  Must be an involution."""
-        for a, b in table.items():
-            if table.get(b) != a:
-                raise InvariantViolation(
-                    f"duality table for {dual!r} is not an involution at {a!r}")
-        self.duality_tables.setdefault(dual, {}).update(table)
+        try:
+            self.involutions[dual] = LiteralInvolution(
+                dual, _LABEL_SWAPS.get(dual, {}), dict(table))
+        except ValueError as e:
+            raise InvariantViolation(str(e)) from None
 
     # -- lookup ------------------------------------------------------------
 
@@ -142,8 +148,12 @@ class Registry:
         self.get(name)
         return Var(f"w{name}")
 
-    def dual_domain(self, dual: str, name: str) -> Optional[str]:
-        return self.duality_tables.get(dual, {}).get(name)
+    def involution(self, name: str, self_dual_domains=()) -> LiteralInvolution:
+        """The involution ``name``: the domain table declared here, the
+        built-in label swap of that name, and ``self_dual_domains``."""
+        inv = (self.involutions.get(name)
+               or LiteralInvolution(name, _LABEL_SWAPS.get(name, {})))
+        return replace(inv, self_dual_domains=frozenset(self_dual_domains))
 
     # -- derived formulas ----------------------------------------------------
 
@@ -158,10 +168,10 @@ class Registry:
         rec = self.get(name)
         if dual == "neq" and rec.is_singleton:
             return Neq(t, rec.entries[0])
-        mapped = self.dual_domain(dual, name)
-        if mapped is not None:
-            return Member(t, mapped)
-        return DualMember(t, name, dual)
+        inv = self.involutions.get(dual)
+        if inv is None:
+            return DualMember(t, name, dual)
+        return inv.dual_member(t, name)
 
     def focus_disjunction(self, name: str, z: Var) -> Formula:
         rec = self.get(name)
@@ -201,12 +211,8 @@ class Registry:
         if not self.is_member_axiom(t, name):
             return False
         rendered = self.dual_membership(t, name, dual)
-        if isinstance(rendered, Member):
-            return not self.is_member_axiom(rendered.term, rendered.domain)
-        if isinstance(rendered, Neq):
-            # t != t on the left is the disequality-reflexivity axiom; fine
-            return True
-        return True  # opaque dual literal: always refutable for members
+        return not (isinstance(rendered, Member) and
+                    self.is_member_axiom(rendered.term, rendered.domain))
 
     # -- d-axiom licensing ---------------------------------------------------
 

@@ -13,6 +13,10 @@ in the mapped domain.  Quantifiers over domains listed as self-dual keep
 their constructor (their existential and universal readings coincide), so
 only the membership literal dualizes.
 
+A ``Registry`` owns the domain tables (see ``Registry.involution``);
+``PERP_INV`` and ``TOP_INV`` are the qubit dictionary's built-ins, whose
+tables ``standard_registry`` declares.
+
 ``apply_duality`` is a different beast: it rewrites the qubit dictionary
 (sharp/phase literals, their quantified forms, and the correlated pair
 formulas) through the ``perp``/``top`` tables without touching the
@@ -20,7 +24,7 @@ logical structure, and is partial outside that dictionary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .formulas import (
     And, Atom, DualMember, Eq, Excl, Exists, Forall, Formula, Imp, IndexRel,
@@ -30,7 +34,6 @@ from .formulas import (
 
 __all__ = [
     "LiteralInvolution", "IDENTITY_INV", "PERP_INV", "TOP_INV",
-    "named_involution",
     "symmetrize_formula", "symmetrize_slot", "symmetrize_sequent",
     "apply_duality", "UnclassifiedLiteral", "UnknownDuality",
     "SHARP_LABELS", "PHASE_DOMAINS",
@@ -70,6 +73,14 @@ class LiteralInvolution:
     def swap_domain(self, name: str):
         return self.domain_table.get(name)
 
+    def dual_member(self, t, domain: str) -> Formula:
+        """The dual of ``t in domain``: membership in the mapped domain
+        where the table maps it, else the literal tagged with this name."""
+        mapped = self.domain_table.get(domain)
+        if mapped is None:
+            return DualMember(t, domain, self.name)
+        return Member(t, mapped)
+
     def swap_term(self, t):
         if isinstance(t, Outcome):
             return Outcome(self.swap_label(t.label), t.prob)
@@ -84,16 +95,6 @@ PERP_INV = LiteralInvolution("perp", label_swap=dict(SHARP_LABELS),
 TOP_INV = LiteralInvolution("top", domain_table={**PHASE_DOMAINS,
                                                  "Ddown": "Ddown",
                                                  "Dup": "Dup"})
-_NAMED = {inv.name: inv for inv in (IDENTITY_INV, PERP_INV, TOP_INV)}
-
-
-def named_involution(name: str, self_dual_domains=()) -> LiteralInvolution:
-    """``identity``, ``perp`` or ``top``, or else a bare duality tag with
-    empty tables, quantifying self-dually over ``self_dual_domains``."""
-    inv = _NAMED.get(name) or LiteralInvolution(name)
-    if self_dual_domains:
-        inv = replace(inv, self_dual_domains=frozenset(self_dual_domains))
-    return inv
 
 
 # each constructor's mate under the symmetry map
@@ -113,10 +114,7 @@ def symmetrize_formula(f: Formula, inv: LiteralInvolution) -> Formula:
     if isinstance(f, Atom):
         return Atom(f.pred, f.index, tuple(inv.swap_term(t) for t in f.args))
     if isinstance(f, Member):
-        mapped = inv.swap_domain(f.domain)
-        if mapped is not None:
-            return Member(f.term, mapped)
-        return DualMember(f.term, f.domain, inv.name)
+        return inv.dual_member(f.term, f.domain)
     if isinstance(f, DualMember):
         if f.dual == inv.name:
             return Member(f.term, f.domain)

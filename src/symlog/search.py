@@ -247,10 +247,11 @@ class _Engine:
             yield f.domain, f.term, f.dual
             return
         if isinstance(f, Member):
-            for d in sorted(self.reg.duality_tables):
-                for dom, mapped in self.reg.duality_tables[d].items():
-                    if mapped == f.domain:
-                        yield dom, f.term, d
+            # a table is an involution: only its image of f's domain maps to it
+            for d in sorted(self.reg.involutions):
+                dom = self.reg.involutions[d].swap_domain(f.domain)
+                if dom is not None:
+                    yield dom, f.term, d
         if isinstance(f, Neq):
             for dom in self.reg.names():
                 rec = self.reg.get(dom)
@@ -270,7 +271,7 @@ class _Engine:
         tags = []
         if dom in self.reg and self.reg.get(dom).duality:
             tags.append(self.reg.get(dom).duality)
-        for d in sorted(self.reg.duality_tables):
+        for d in sorted(self.reg.involutions):
             if d not in tags:
                 tags.append(d)
         for d in ("d", "neq"):

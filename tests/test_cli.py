@@ -73,6 +73,47 @@ def test_sym_command(capsys):
     assert "forall" in out
 
 
+SCRIPT_TABLE = """\
+domain A = { a@1 } focused
+domain B = { b@1 } focused
+dualtable e { A <-> B }
+proof m : |- a@1 in A
+  member domain=A term=a@1
+"""
+
+NO_TOP_TABLE = """\
+domain Dplus = { down@1/2, up@1/2 } virtual duality top
+domain Dminus = { down@1/2, up@1/2 } virtual duality top
+proof m : |- down@1/2 in Dplus
+  member domain=Dplus term=down@1/2
+"""
+
+
+@pytest.mark.parametrize("text, involution, image", [
+    (SCRIPT_TABLE, "e", "a@1 in B |-"),
+    (NO_TOP_TABLE, "top", "(down@1/2 in Dplus)^top |-"),
+], ids=["declared-table", "undeclared-top"])
+def test_sym_reads_the_scripts_duality_tables(tmp_path, capsys, text,
+                                              involution, image):
+    """``sym --involution NAME`` renders memberships through the script's
+    own ``dualtable NAME``, as the checker does, and through no other."""
+    path = tmp_path / "table.blq"
+    path.write_text(text)
+    rc = main(["sym", str(path), "--name", "m", "--involution", involution])
+    out = capsys.readouterr().out
+    assert out.strip().endswith(" : " + image)
+    assert rc == 0
+
+
+def test_check_rejects_merged_non_involution(tmp_path, capsys):
+    path = tmp_path / "merged.blq"
+    path.write_text("domain A = { a@1 }\ndomain B = { b@1 }\n"
+                    "domain C = { c@1 }\n"
+                    "dualtable e { A <-> B }\ndualtable e { A <-> C }\n")
+    assert main(["check", str(path)]) == 2
+    assert "not an involution" in capsys.readouterr().err
+
+
 def test_dual_command(tmp_path, capsys):
     script = tmp_path / "s.blq"
     script.write_text(

@@ -116,4 +116,4 @@ def test_shipped_scripts_declare_the_corpus_context():
         assert sc.config() == cfg, path.name
         got = sc.registry()
         assert {n: got.get(n) for n in got.names()} == want, path.name
-        assert got.duality_tables == reg.duality_tables, path.name
+        assert got.involutions == reg.involutions, path.name

@@ -7,6 +7,9 @@ from symlog.domains import (
     DomainRecord, EmptyDomain, FocusedNonSingleton, InvariantViolation,
     Registry, standard_registry,
 )
+from symlog.dualities import (
+    IDENTITY_INV, LiteralInvolution, PERP_INV, TOP_INV,
+)
 from symlog.formulas import (
     Eq, Member, Neq, Or, Outcome, Single, Var, DualMember,
 )
@@ -79,6 +82,22 @@ def test_dual_membership_renderings(registry):
     assert registry.dual_membership(z, "Ddown", "neq") == \
         Neq(z, Outcome("down", Fraction(1)))
     assert registry.dual_membership(z, "V", "d") == DualMember(z, "V", "d")
+
+
+def test_involutions_take_tables_from_the_registry(registry):
+    """A registry's involution has the domain table declared there, the
+    built-in label swap of its name and the caller's self-dual domains."""
+    assert registry.involution("perp") == PERP_INV
+    assert registry.involution("top") == TOP_INV
+    assert registry.involution("identity") == IDENTITY_INV
+    bare = Registry().involution("perp", {"D"})
+    assert bare.label_swap == PERP_INV.label_swap and not bare.domain_table
+    assert bare.self_dual_domains == {"D"}
+    assert Registry().involution("e") == LiteralInvolution("e")
+    reg = Registry()
+    with pytest.raises(InvariantViolation, match="not an involution"):
+        reg.declare_duality_table("e", {"A": "B", "B": "C"})
+    assert not reg.involutions
 
 
 def test_dual_member_refuted_safety(registry):
