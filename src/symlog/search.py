@@ -24,14 +24,15 @@ finally, or a rule that rejected proved premises), so by induction it has
 no proof in the search fragment, and searching it again would record no
 proof and hit no bound.  ``_fails`` holds this rule for ``prove`` and for
 the moves: the context-splitting and weakening moves slice each first
-premise's key out of the goal's, and build no premise that the memo
-already fails.  At budget 1 only the axiom moves, which come first, can
-succeed, so a goal stops enumerating once a premise has hit the bound.  The
-tables are keyed on small ints, not on the goal's text: the engine numbers
-each formula the first time it sees it (formulas are interned, so the
-lookup hashes the object), a ``Single`` slot keys as its formula's number
-and a ``CorrPair`` as (number, tag, number).  A two-premise move with a
-context split builds its second premise only once the first is proved.
+premise's key out of the goal's, hand it to ``prove`` and build no premise
+that the memo already fails.  A goal at budget 1 is settled by its axioms
+(a premise at budget 0 always fails); its other moves only tell from the
+memo whether the bound was hit.  The tables are keyed on small ints, not
+on the goal's text: the engine numbers each formula the first time it sees
+it (formulas are interned, so the lookup hashes the object), a ``Single``
+slot keys as its formula's number and a ``CorrPair`` as (number, tag,
+number).  A two-premise move with a context split builds its second
+premise only once the first is proved.
 """
 from __future__ import annotations
 
@@ -150,26 +151,28 @@ class _Engine:
             return True
         return False
 
-    def prove(self, goal: Sequent, budget: int) -> Optional[tuple]:
-        """A proof of ``goal`` at most ``budget`` nodes tall, as the pair
-        (proof, height), or None."""
-        key = self._key(goal)
+    def prove(self, goal: Sequent, budget: int,
+              key: Optional[tuple] = None) -> Optional[tuple]:
+        """A proof of ``goal`` (keyed ``key``, when the caller has the key)
+        at most ``budget`` nodes tall, as the pair (proof, height), or None."""
+        key = key or self._key(goal)
         hit = self.proved.get(key)
         if hit is not None and hit[1] <= budget:
             return hit
         if self._fails(key, budget):
             return None
+        if budget == 1:
+            return self._settle(goal, key)
         outer_hit = self.bound_hit
         self.bound_hit = False
         for rule, params, subgoals in self._moves(goal, key, budget - 1):
-            if budget == 1 and self.bound_hit:
-                break  # only the axiom moves, which come first, can succeed
             prems = []
             height = 0
             for sub in subgoals:
                 if callable(sub):  # a second premise, built only now
                     sub = sub()
-                got = self.prove(sub, budget - 1)
+                got = (self.prove(sub[0], budget - 1, sub[1])
+                       if type(sub) is tuple else self.prove(sub, budget - 1))
                 if got is None:
                     break
                 prems.append(got[0])
@@ -183,6 +186,26 @@ class _Engine:
         local_hit = self.bound_hit
         self.bound_hit = outer_hit or local_hit
         self.failed[key] = (budget, local_hit)
+        return None
+
+    def _settle(self, goal: Sequent, key: tuple) -> Optional[tuple]:
+        """``prove`` at budget 1, where a premise always fails: an axiom
+        closes ``goal``, or its failure hits the bound when another move's
+        first premise lacks a final failure (weakening drops asked first)."""
+        for rule, params, _ in self._axiom_moves(goal):
+            node = self._apply(rule, params, [], goal)
+            if node is not None:
+                got = self.proved[key] = (node, 1)
+                return got
+        outer_hit, self.bound_hit = self.bound_hit, False
+        for moves in (self._weakening_moves(goal, key, 0),
+                      self._right_moves(goal, key, 0),
+                      self._left_moves(goal, key, 0),
+                      self._subst_moves(goal, key)):
+            while not self.bound_hit and (move := next(moves, None)):
+                self._fails(self._key(move[2][0]), 0)
+        self.failed[key] = (1, self.bound_hit)
+        self.bound_hit = outer_hit or self.bound_hit
         return None
 
     def _apply(self, rule: str, params: dict, prems: list,
@@ -207,13 +230,13 @@ class _Engine:
     def _cuts(self, lk: tuple, rk: tuple, sub: int, lpre=(), rpre=(),
               rpost=()) -> Iterator:
         """The cuts (k, j) of the contexts keyed ``lk`` and ``rk`` whose
-        first premise, keyed (lpre + lk[:k], rpre + rk[:j] + rpost), is not
-        answered by the memo at budget ``sub``."""
+        first premise, keyed k1 = (lpre + lk[:k], rpre + rk[:j] + rpost), is
+        not answered by the memo at budget ``sub``, as (k, j, k1)."""
         for k in range(len(lk) + 1):
             left = lpre + lk[:k]
             for j in range(len(rk) + 1):
-                if not self._fails((left, rpre + rk[:j] + rpost), sub):
-                    yield k, j
+                if not self._fails(k1 := (left, rpre + rk[:j] + rpost), sub):
+                    yield k, j, k1
 
     def _axiom_moves(self, goal: Sequent) -> Iterator:
         nl, nr = len(goal.left), len(goal.right)
@@ -326,25 +349,25 @@ class _Engine:
                 yield ("par_r", {"pos": pos}, (prem,))
             elif isinstance(f, Times):
                 rest = _without(goal.right, pos)
-                for k, j in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
+                for k, j, k1 in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
                                        rpre=(self._fkey(f.a),)):
                     p1 = Sequent(goal.left[:k], (Single(f.a),) + rest[:j])
                     p2 = lambda k=k, j=j: Sequent(
                         goal.left[k:], (Single(f.b),) + rest[j:])
                     yield ("times_r", {"pos": pos, "apos": 0, "bpos": 0},
-                           (p1, p2))
+                           ((p1, k1), p2))
             elif isinstance(f, Imp) and pos == 0:
                 prem = Sequent(goal.left + (Single(f.a),),
                                (Single(f.b),) + goal.right[1:])
                 yield ("imp_r", {}, (prem,))
             elif isinstance(f, Excl):
                 rest = _without(goal.right, pos)
-                for k, j in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
+                for k, j, k1 in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
                                        rpost=(self._fkey(f.a),)):
                     q1 = Sequent(goal.left[:k], rest[:j] + (Single(f.a),))
                     q2 = lambda k=k, j=j: Sequent(
                         goal.left[k:] + (Single(f.b),), rest[j:])
-                    yield ("excl_r", {"pos": pos}, (q1, q2))
+                    yield ("excl_r", {"pos": pos}, ((q1, k1), q2))
             elif isinstance(f, Forall):
                 z = _pick_var(f, goal)
                 inst = _put(goal, "right", pos,
@@ -367,8 +390,9 @@ class _Engine:
                     inst = replace_var(f.body, f.var, t)
                     for d in self._tags_for(f.domain):
                         dual = self.reg.dual_membership(t, f.domain, d)
-                        for k, j in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
-                                               rpost=(self._fkey(inst),)):
+                        for k, j, k1 in self._cuts(
+                                lk, rk[:pos] + rk[pos + 1:], sub,
+                                rpost=(self._fkey(inst),)):
                             q1 = Sequent(goal.left[:k],
                                          rest[:j] + (Single(inst),))
                             q2 = lambda k=k, j=j, dual=dual: Sequent(
@@ -376,7 +400,7 @@ class _Engine:
                             yield ("exists_r",
                                    {"pos": pos, "term": t, "dual": d,
                                     "var": f.var, "domain": f.domain,
-                                    "body": f.body}, (q1, q2))
+                                    "body": f.body}, ((q1, k1), q2))
             elif isinstance(f, Join):
                 prem = _put(goal, "right", pos, CorrPair(f.a, f.tag, f.b))
                 yield ("join_intro", {"qpos": pos}, (prem,))
@@ -408,21 +432,21 @@ class _Engine:
                 yield ("times_l", {"pos": pos}, (prem,))
             elif isinstance(f, Par):
                 rest = _without(goal.left, pos)
-                for k, j in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
+                for k, j, k1 in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
                                        lpre=(self._fkey(f.a),)):
                     p1 = Sequent((Single(f.a),) + rest[:k], goal.right[:j])
                     p2 = lambda k=k, j=j: Sequent(
                         (Single(f.b),) + rest[k:], goal.right[j:])
                     yield ("par_l", {"pos": pos, "apos": 0, "bpos": 0},
-                           (p1, p2))
+                           ((p1, k1), p2))
             elif isinstance(f, Imp):
                 rest = _without(goal.left, pos)
-                for k, j in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
+                for k, j, k1 in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
                                        rpre=(self._fkey(f.a),)):
                     p1 = Sequent(rest[:k], (Single(f.a),) + goal.right[:j])
                     p2 = lambda k=k, j=j: Sequent(
                         (Single(f.b),) + rest[k:], goal.right[j:])
-                    yield ("imp_l", {"pos": pos}, (p1, p2))
+                    yield ("imp_l", {"pos": pos}, ((p1, k1), p2))
             elif isinstance(f, Excl) and pos == len(goal.left) - 1:
                 prem = Sequent(goal.left[:-1] + (Single(f.a),),
                                (Single(f.b),) + goal.right)
@@ -442,14 +466,15 @@ class _Engine:
                 for t in self._witnesses(f.domain, goal):
                     inst = replace_var(f.body, f.var, t)
                     memb = Member(t, f.domain)
-                    for k, j in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
+                    for k, j, k1 in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
                                            rpre=(self._fkey(memb),)):
                         p1 = Sequent(rest[:k], (Single(memb),) + goal.right[:j])
                         p2 = lambda k=k, j=j, inst=inst: Sequent(
                             (Single(inst),) + rest[k:], goal.right[j:])
                         yield ("forall_r",
                                {"pos": pos, "term": t, "var": f.var,
-                                "domain": f.domain, "body": f.body}, (p1, p2))
+                                "domain": f.domain, "body": f.body},
+                               ((p1, k1), p2))
             elif isinstance(f, Member) and isinstance(f.term, Var) \
                     and f.domain in self.reg:
                 rec = self.reg.get(f.domain)
@@ -498,14 +523,14 @@ class _Engine:
             return
         lk, rk = key
         for pos, slot in enumerate(goal.left):
-            if isinstance(slot, Single) \
-                    and not self._fails((lk[:pos] + lk[pos + 1:], rk), sub):
-                prem = _put(goal, "left", pos)
+            k1 = (lk[:pos] + lk[pos + 1:], rk)
+            if isinstance(slot, Single) and not self._fails(k1, sub):
+                prem = (_put(goal, "left", pos), k1)
                 yield ("weak_l", {"pos": pos, "formula": slot.formula}, (prem,))
         for pos, slot in enumerate(goal.right):
-            if isinstance(slot, Single) \
-                    and not self._fails((lk, rk[:pos] + rk[pos + 1:]), sub):
-                prem = _put(goal, "right", pos)
+            k1 = (lk, rk[:pos] + rk[pos + 1:])
+            if isinstance(slot, Single) and not self._fails(k1, sub):
+                prem = (_put(goal, "right", pos), k1)
                 yield ("weak_r", {"pos": pos, "formula": slot.formula}, (prem,))
 
 

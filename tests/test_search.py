@@ -1,4 +1,5 @@
 """Bounded backward search: positives, negatives, determinism, depths."""
+import dataclasses
 import hashlib
 import json
 import random
@@ -15,8 +16,9 @@ from symlog.formulas import (
     Times, Var, seq,
 )
 from symlog.kernel import check_proof, proof_equal
-from symlog.rules import CalculusConfig
-from symlog.search import DepthLimitError, search_proof
+from symlog.rules import CalculusConfig, RuleContext
+from symlog.scripts import print_formula, print_sequent
+from symlog.search import DepthLimitError, _Engine, search_proof
 
 from genlib import (
     proof_context, random_formula, random_goal, random_literal_goal,
@@ -140,9 +142,9 @@ def _p(i):
     return Atom(f"p{i}", None, ())
 
 
-def _parity_goals(config) -> list:
+def _ladder(config) -> list:
     """(goal, depth, config): the benchmark's search ladder without its
-    costliest goal, chain6, then 1,000 random depth-6 goals."""
+    costliest goal, chain6."""
     v1, v2 = Outcome("v1", Fraction(1, 2)), Outcome("v2", Fraction(1, 2))
     no_subst = CalculusConfig(True, True, True, True,
                               d_axiom_domains=frozenset({("V", "d")}))
@@ -157,9 +159,14 @@ def _parity_goals(config) -> list:
               (seq([], [Eq(v2, v1)]), 8, no_subst),
               (seq([], [Eq(v2, v1)]), 8, no_dax),
               (seq([Imp(p, q), q], [p]), 8, config)]
-    rng = random.Random(0)
-    goals += [(random_goal(rng), 6, config) for _ in range(1000)]
     return goals
+
+
+def _parity_goals(config) -> list:
+    """(goal, depth, config): the ladder, then 1,000 random depth-6 goals."""
+    rng = random.Random(0)
+    return _ladder(config) + [(random_goal(rng), 6, config)
+                              for _ in range(1000)]
 
 
 # sha256 over the outcomes of _parity_goals, computed with the search
@@ -232,6 +239,113 @@ def test_first_order_outcomes_unchanged(registry):
         h.update(b"\n")
     assert h.hexdigest() == _FIRST_ORDER_DIGEST
 
+
+
+class _Memo(dict):
+    """A memo table that logs each write to its engine."""
+
+    def __init__(self, engine, table):
+        super().__init__()
+        self.engine, self.table = engine, table
+
+    def __setitem__(self, key, value):
+        self.engine.record(self.table, key, value)
+        super().__setitem__(key, value)
+
+
+class _RecordingEngine(_Engine):
+    """The engine, logging every memo write as (table, goal printed from
+    its key, value): the proof's rule and height for a proved goal, the
+    budget and bound-hit flag for a failed one.  The goal is printed, not
+    keyed, because two engines may number formulas differently."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.log, self.printed = [], []  # formula number -> printed formula
+        self.proved, self.failed = _Memo(self, "proved"), _Memo(self, "failed")
+
+    def _fkey(self, f):
+        n = super()._fkey(f)
+        if n == len(self.printed):
+            self.printed.append(print_formula(f))
+        return n
+
+    def record(self, table, key, value):
+        pf = self.printed
+        slot = lambda n: (pf[n] if type(n) is int else
+                          f"{pf[n[0]]} ,{n[1]} {pf[n[2]]}")
+        goal = " |- ".join(", ".join(map(slot, side)) for side in key)
+        if table == "proved":
+            value = (value[0].rule, value[1])
+        self.log.append((table, goal, value))
+
+
+class _EnumeratingEngine(_RecordingEngine):
+    """The reference: ``prove`` as it was before a goal at budget 1 was
+    settled from its axioms and the memo.  It enumerates every move at
+    budget 1 too, stopping once a premise has hit the bound, and it keys
+    every goal from the sequent, not from the key a move built."""
+
+    def prove(self, goal, budget, key=None):
+        key = self._key(goal)
+        hit = self.proved.get(key)
+        if hit is not None and hit[1] <= budget:
+            return hit
+        if self._fails(key, budget):
+            return None
+        outer_hit = self.bound_hit
+        self.bound_hit = False
+        for rule, params, subgoals in self._moves(goal, key, budget - 1):
+            if budget == 1 and self.bound_hit:
+                break  # only the axiom moves, which come first, can succeed
+            prems = []
+            height = 0
+            for sub in subgoals:
+                if callable(sub):
+                    sub = sub()
+                if type(sub) is tuple:  # (premise, the key its move built)
+                    sub = sub[0]
+                got = self.prove(sub, budget - 1)
+                if got is None:
+                    break
+                prems.append(got[0])
+                height = max(height, got[1])
+            else:
+                node = self._apply(rule, params, prems, goal)
+                if node is not None:
+                    got = self.proved[key] = (node, height + 1)
+                    self.bound_hit = outer_hit or self.bound_hit
+                    return got
+        local_hit = self.bound_hit
+        self.bound_hit = outer_hit or local_hit
+        self.failed[key] = (budget, local_hit)
+        return None
+
+
+def _memo_log(engine_class, goal, depth, cfg, registry) -> tuple:
+    """The memo writes of search_proof's deepening loop run on an engine of
+    ``engine_class``, and its final bound-hit flag."""
+    engine = engine_class(RuleContext(cfg, registry))
+    for d in range(1, depth + 1):
+        engine.bound_hit = False
+        if engine.prove(goal, d) is not None:
+            break
+    return engine.log, engine.bound_hit
+
+
+@pytest.mark.parametrize("weakening", [True, False])
+def test_budget_one_memo_parity(registry, weakening):
+    """Settling a budget-1 goal from its axioms and the memo, and keying a
+    premise with the key its move built, write the same memo records in
+    the same order as enumerating every move and keying every goal."""
+    rng = random.Random(15)
+    goals = _ladder(corpus_config()) + [(random_goal(rng), 6, corpus_config())
+                                        for _ in range(200)]
+    for goal, depth, cfg in goals:
+        cfg = dataclasses.replace(cfg, weakening=weakening)
+        want = _memo_log(_EnumeratingEngine, goal, depth, cfg, registry)
+        got = _memo_log(_RecordingEngine, goal, depth, cfg, registry)
+        assert got == want, print_sequent(goal)
 
 
 _FOCUSED = ("D", "Ddown", "Dup")
