@@ -171,7 +171,7 @@ class _Engine:
             for sub in subgoals:
                 if callable(sub):  # a second premise, built only now
                     sub = sub()
-                got = (self.prove(sub[0], budget - 1, sub[1])
+                got = (self.prove(sub[0], budget - 1, sub[1])  # with its key
                        if type(sub) is tuple else self.prove(sub, budget - 1))
                 if got is None:
                     break
@@ -189,9 +189,9 @@ class _Engine:
         return None
 
     def _settle(self, goal: Sequent, key: tuple) -> Optional[tuple]:
-        """``prove`` at budget 1, where a premise always fails: an axiom
-        closes ``goal``, or its failure hits the bound when another move's
-        first premise lacks a final failure (weakening drops asked first)."""
+        """``prove`` at budget 1, where every premise gets budget 0 and fails:
+        an axiom closes ``goal``, or it fails, and hits the bound when some
+        other move's first premise lacks a final failure (drops asked first)."""
         for rule, params, _ in self._axiom_moves(goal):
             node = self._apply(rule, params, [], goal)
             if node is not None:

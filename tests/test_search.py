@@ -240,7 +240,6 @@ def test_first_order_outcomes_unchanged(registry):
     assert h.hexdigest() == _FIRST_ORDER_DIGEST
 
 
-
 class _Memo(dict):
     """A memo table that logs each write to its engine."""
 
