@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .formulas import (
     And, Atom, DualMember, Eq, Excl, Exists, Forall, Formula, Imp, IndexRel,
     Join, Member, Neq, Or, Outcome, Par, SHARP_LABELS, Sequent, Slot, Times,
-    rebuild_slot, slot_formulas,
+    fold, rebuild_slot, slot_formulas,
 )
 
 __all__ = [
@@ -103,25 +103,23 @@ _MATE_OF.update({b: a for a, b in _MATE_OF.items()})
 
 
 def symmetrize_formula(f: Formula, inv: LiteralInvolution) -> Formula:
-    sh = f.shape
-    if sh.subs:
-        if sh.binds and f.domain in inv.self_dual_domains:
-            mate = type(f)
-        else:
-            mate = _MATE_OF.get(type(f), type(f))
-        return sh.rebuild(f, [symmetrize_formula(g, inv)
-                              for g in reversed(sh.children(f))], cls=mate)
-    if isinstance(f, Atom):
-        return Atom(f.pred, f.index, tuple(inv.swap_term(t) for t in f.args))
-    if isinstance(f, Member):
-        return inv.dual_member(f.term, f.domain)
-    if isinstance(f, DualMember):
-        if f.dual == inv.name:
-            return Member(f.term, f.domain)
-        return f  # a foreign tag is outside this involution's swap
-    if isinstance(f, IndexRel):
-        return IndexRel(f.j, f.tag, f.i)
-    return sh.rebuild(f, (), cls=_MATE_OF[type(f)])
+    def at(g, kids):
+        sh = g.shape
+        if sh.binds and g.domain in inv.self_dual_domains:
+            return sh.rebuild(g, kids)  # a self-dual domain keeps its binder
+        if sh.subs:
+            return sh.rebuild(g, kids[::-1], cls=_MATE_OF.get(type(g), type(g)))
+        if isinstance(g, Atom):
+            return Atom(g.pred, g.index, tuple(map(inv.swap_term, g.args)))
+        if isinstance(g, Member):
+            return inv.dual_member(g.term, g.domain)
+        if isinstance(g, DualMember):  # a foreign tag is outside the swap
+            return Member(g.term, g.domain) if g.dual == inv.name else g
+        if isinstance(g, IndexRel):
+            return IndexRel(g.j, g.tag, g.i)
+        return sh.rebuild(g, (), cls=_MATE_OF[type(g)])
+
+    return fold(f, at)
 
 
 def symmetrize_slot(slot: Slot, inv: LiteralInvolution) -> Slot:
@@ -169,12 +167,12 @@ def apply_duality(f: Formula, name: str) -> Formula:
     inv = {"perp": PERP_INV, "top": TOP_INV}.get(name)
     if inv is None:
         raise UnknownDuality(f"unknown duality: {name!r}")
-    if _is_sharp_atom(f):
-        return Atom(f.pred, f.index, (inv.swap_term(f.args[0]),))
+    if _is_sharp_atom(f):  # its symmetric image swaps its label
+        return symmetrize_formula(f, inv)
     if isinstance(f, And) and _is_sharp_atom(f.a) and _is_sharp_atom(f.b):
         # the post-measurement mixed state: both dualities leave it alone
         # except perp, which swaps the two conjuncts' labels
-        return And(apply_duality(f.a, name), apply_duality(f.b, name))
+        return And(symmetrize_formula(f.a, inv), symmetrize_formula(f.b, inv))
     if isinstance(f, (Forall, Exists)):
         if isinstance(f.body, Join):
             # correlated-pair formulas are fixed points of both dualities

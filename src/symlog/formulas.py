@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional, Union
 from weakref import WeakValueDictionary
 
@@ -24,7 +24,7 @@ __all__ = [
     "Single", "CorrPair", "Slot", "Sequent",
     "free_vars", "fresh_var", "substitute", "replace_var", "formula_equal",
     "index_set", "formula_index", "reindex", "subformulas", "seq",
-    "Shape", "shadows",
+    "Shape", "walk", "fold", "shadows",
     "slot_formulas", "rebuild_slot", "map_sequent", "slots_match",
 ]
 
@@ -65,10 +65,6 @@ class Outcome:
 
 
 Term = Union[Var, Const, Outcome]
-
-
-def is_closed(t: Term) -> bool:
-    return not isinstance(t, Var)
 
 
 # --------------------------------------------------------------------------
@@ -189,7 +185,8 @@ class Shape:
 
     ``children(f)`` and ``terms(f)`` read an instance's subformulas and
     terms as tuples; ``data(f)`` reads its data, and is None when the
-    constructor has none.  ``rebuild`` is the way back.
+    constructor has none.  ``rebuild`` is the way back.  Walks go through
+    :func:`walk` or :func:`fold`, which keep their own stacks.
     """
 
     def __init__(self, subs: tuple = (), terms=(), binds: bool = False):
@@ -212,11 +209,11 @@ class Shape:
         self._subs_at = tuple(map(names.index, self.subs))
         self._terms_at = tuple(map(names.index, self._term_names))
         self._only_subs = self._subs_at == tuple(range(len(names)))
-        fmt = f"{cls.__name__}({', '.join(n + '=%r' for n in names)})"
+        self._text = text = f"{cls.__name__}({', '.join(n + '=%r' for n in names)})"
+        self._pieces = text.split("%r")  # around each field's text
         body = {k: v for k, v in vars(cls).items() if k != "__dict__"}
-        body.update(__slots__=names, shape=self,
-                    __repr__=lambda f: fmt % get(f),
-                    __reduce__=lambda f: (type(f), get(f)))
+        body.update(__slots__=names, shape=self, __reduce__=lambda f: (type(f), get(f)),
+                    __repr__=_repr if self.subs else lambda f: text % get(f))
         return type(cls.__name__, cls.__bases__, body)
 
     def rebuild(self, f, kids, terms=None, cls=None):
@@ -243,6 +240,53 @@ def _tuple_getter(names: tuple):
         get = attrgetter(names[0])
         return lambda f: (get(f),)
     return lambda f: ()
+
+
+def walk(f: Formula) -> Iterator[tuple]:
+    """Yield ``(g, bound)`` for each subformula occurrence ``g`` of ``f`` in
+    pre-order, where ``bound`` maps each variable a binder above ``g`` binds
+    to the number of binders above that binder, the nearest one winning."""
+    todo = [(f, {}, 0)]
+    while todo:
+        g, bound, depth = todo.pop()
+        yield g, bound
+        sh = g.shape
+        if sh.subs:
+            if sh.binds:
+                bound, depth = {**bound, g.var: depth}, depth + 1
+            todo += [(k, bound, depth) for k in reversed(sh.children(g))]
+
+
+def fold(f: Formula, at):
+    """Call ``at(g, [results of g's subformulas])`` once on each distinct
+    subformula ``g`` of ``f``, after its subformulas; return ``f``'s result."""
+    done, todo = {}, [f]
+    while todo:
+        g = todo.pop()
+        kids = g.shape.children(g)
+        wait = [k for k in kids if k not in done]
+        if wait:
+            todo += g, *reversed(wait)
+        elif g not in done:
+            done[g] = at(g, [*map(done.__getitem__, kids)])
+    return done[f]
+
+
+def _repr(f: Formula) -> str:
+    """A compound's ``Name(field=value, ...)``, from one stack of pieces."""
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is str:
+            out.append(g)
+        elif not any(k.shape.subs for k in g.shape.children(g)):
+            out.append(g.shape._text % g.shape._fields(g))  # over leaves
+        else:
+            parts = []
+            for text, v in zip(g.shape._pieces, g.shape._fields(g)):
+                parts += text, v if isinstance(v, Formula) else repr(v)
+            todo += ")", *reversed(parts)
+    return "".join(out)
 
 
 @Shape(terms="args")
@@ -443,88 +487,84 @@ def slots_match(a: Slot, b: Slot, same) -> bool:
 # --------------------------------------------------------------------------
 # walking a formula through its shape
 
-def shadows(binder: Var, s: Term, t: Term) -> bool:
-    """The binder rule of swapping ``s`` and ``t``: below a binder of
-    either, neither occurs free and a swap could bring in a variable the
-    binder captures, so the swap stops there."""
-    return binder == s or binder == t
+def shadows(bound, s: Term, t: Term) -> bool:
+    """The binder rule of swapping ``s`` and ``t``: below a binder of either
+    (one in ``bound``), neither occurs free and a swap could bring in a
+    variable the binder captures, so the swap stops there."""
+    return s in bound or t in bound
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    for g in f.shape.children(f):
-        yield from subformulas(g)
+    return map(itemgetter(0), walk(f))
 
 
 def free_vars(f: Formula) -> frozenset:
     """Variables with a free occurrence.  Indexes are not first-order
     variables and do not count."""
-    sh = f.shape
-    if not sh.subs:
-        return frozenset([t for t in sh.terms(f) if isinstance(t, Var)])
-    out = frozenset()
-    for g in sh.children(f):
-        out |= free_vars(g)
-    return out - {f.var} if sh.binds else out
+    return frozenset([t for g, bound in walk(f) for t in g.shape.terms(g)
+                      if isinstance(t, Var) and t not in bound])
 
 
 def sequent_free_vars(s: Sequent) -> frozenset:
-    out = frozenset()
-    for slot in s.left + s.right:
-        for f in slot_formulas(slot):
-            out |= free_vars(f)
-    return out
+    return frozenset().union(*[free_vars(f) for slot in s.left + s.right
+                               for f in slot_formulas(slot)])
 
 
 def fresh_var(base: str, used) -> Var:
     """``base`` itself if no variable in ``used`` has that name, else the
     first of ``base0``, ``base1``, ... that none has."""
-    names = {v.name for v in used}
-    if base not in names:
-        return Var(base)
-    k = 0
-    while f"{base}{k}" in names:
-        k += 1
-    return Var(f"{base}{k}")
+    return Var(_fresh_name(base, {v.name for v in used}, 0))
+
+
+def _fresh_name(base: str, avoid, k: int) -> str:
+    """``base``, else the first of ``base<k>``, ``base<k+1>``, ... not in avoid."""
+    name = base
+    while name in avoid:
+        name, k = f"{base}{k}", k + 1
+    return name
 
 
 # --------------------------------------------------------------------------
 # substitution
 
-def _fresh_name(base: str, avoid) -> str:
-    name = base
-    n = 0
-    while name in avoid:
-        n += 1
-        name = f"{base}{n}"
-    return name
-
-
 def replace_var(f: Formula, x: Var, t: Term) -> Formula:
     """Capture-avoiding replacement of free ``x`` by an arbitrary term.
 
     Internal workhorse: the public :func:`substitute` restricts the
-    replacement term to closed terms.
-    """
-    sh = f.shape
-    if not sh.subs:
-        return sh.rebuild(f, (), [t if u == x else u for u in sh.terms(f)])
-    if sh.binds:
-        if f.var == x:
-            return f  # bound occurrence shadows the substitution
-        if f.var == t:
-            # rename the binder away from the incoming variable
-            kids = sh.children(f)
-            avoid = {v.name for g in kids for v in free_vars(g)}
-            nv = Var(_fresh_name(f.var.name, avoid | {f.var.name, x.name}))
-            kids = [replace_var(replace_var(g, f.var, nv), x, t) for g in kids]
-            return type(f)(nv, f.domain, *kids)
-    return sh.rebuild(f, [replace_var(g, x, t) for g in sh.children(f)])
+    replacement term to closed terms.  A binder of ``t`` is renamed to a
+    fresh ``v``: its body has ``t`` replaced by ``v`` and then ``x`` by
+    ``t``, which no fold does, so jobs ``(g, x, t, memo)`` wait on a stack."""
+    top = {}  # g -> g with x replaced by t; memos holds one such per (x, t)
+    memos, todo = {(x, t): top}, [(f, x, t, top)]
+    while todo:
+        job = g, x, t, done = todo.pop()
+        sh = g.shape
+        if sh.binds and g.var == x:
+            done[g] = g  # bound occurrence shadows the substitution
+        elif sh.binds and g.var == t:  # rename it away from the incoming t
+            avoid = {v.name for v in free_vars(g.body)} | {t.name, x.name}
+            nv = Var(_fresh_name(t.name, avoid, 1))
+            renamed = memos.setdefault((t, nv), {})
+            body = renamed.get(g.body)
+            if body in done:
+                done[g] = type(g)(nv, g.domain, done[body])
+            else:  # first the renaming, then the replacement
+                todo += job, ((g.body, t, nv, renamed) if body is None
+                              else (body, x, t, done))
+        else:
+            kids = sh.children(g)
+            wait = [(k, x, t, done) for k in kids if k not in done]
+            if wait:
+                todo += job, *reversed(wait)
+            else:
+                done[g] = sh.rebuild(g, [done[k] for k in kids],
+                                     [t if u == x else u for u in sh.terms(g)])
+    return top[f]
 
 
 def substitute(f: Formula, x: Var, t: Term) -> Formula:
     """Replace free occurrences of ``x`` by the closed term ``t``."""
-    if not is_closed(t):
+    if isinstance(t, Var):
         raise ValueError(f"substitution term must be closed: {t}")
     return replace_var(f, x, t)
 
@@ -536,38 +576,19 @@ def substitute_sequent(s: Sequent, x: Var, t: Term) -> Sequent:
 # --------------------------------------------------------------------------
 # structural equality up to bound-variable renaming
 
-def _alpha(f: Formula, g: Formula, env_f: dict, env_g: dict, depth: int) -> bool:
-    if type(f) is not type(g):
-        return False
-    sh = f.shape
-    if sh.data is not None and sh.data(f) != sh.data(g):
-        return False
-    if sh.subs:
-        if sh.binds:
-            env_f = {**env_f, f.var.name: depth}
-            env_g = {**env_g, g.var.name: depth}
-            depth += 1
-        for a, b in zip(sh.children(f), sh.children(g)):
-            if not _alpha(a, b, env_f, env_g, depth):
-                return False
+def formula_equal(f: Formula, g: Formula) -> bool:
+    """Structural equality up to renaming of bound variables: a bound
+    variable reads as its binder's depth, any other term as itself."""
+    # identity settles it only here, where no binder is open on either side
+    if f is g:
         return True
-    tf, tg = sh.terms(f), sh.terms(g)
-    if len(tf) != len(tg):
-        return False
-    for u, v in zip(tf, tg):
-        if isinstance(u, Var) and isinstance(v, Var):
-            du, dv = env_f.get(u.name), env_g.get(v.name)
-            if du != dv or (du is None and u != v):
-                return False
-        elif u != v:
+    for (a, env_a), (b, env_b) in zip(walk(f), walk(g)):
+        sh, ta, tb = a.shape, a.shape.terms(a), b.shape.terms(b)
+        if (type(a) is not type(b)
+                or sh.data is not None and sh.data(a) != sh.data(b)
+                or tuple(map(env_a.get, ta, ta)) != tuple(map(env_b.get, tb, tb))):
             return False
     return True
-
-
-def formula_equal(f: Formula, g: Formula) -> bool:
-    """Structural equality up to renaming of bound variables."""
-    # identity settles it only here, where no binder is open on either side
-    return f is g or _alpha(f, g, {}, {}, 0)
 
 
 def slot_equal(a: Slot, b: Slot) -> bool:
@@ -586,25 +607,18 @@ def sequent_equal(s: Sequent, t: Sequent) -> bool:
 def index_set(f: Formula) -> frozenset:
     """Indexes of all atoms below ``f``.  Compounds derive their indexes
     from their atoms; no constructor introduces or erases one."""
-    if isinstance(f, Atom):
-        return frozenset() if f.index is None else frozenset([f.index])
-    out = frozenset()
-    for g in f.shape.children(f):
-        out |= index_set(g)
-    return out
+    return frozenset([g.index for g, _ in walk(f)
+                      if isinstance(g, Atom) and g.index is not None])
 
 
 def formula_index(f: Formula) -> Optional[Index]:
     """The unique atom index of ``f``, or None when unindexed or mixed."""
     s = index_set(f)
-    if len(s) == 1:
-        return next(iter(s))
-    return None
+    return next(iter(s)) if len(s) == 1 else None
 
 
 def reindex(f: Formula, old: Index, new: Index) -> Formula:
     """Rename atom index ``old`` to ``new`` throughout."""
-    if isinstance(f, Atom):
-        return Atom(f.pred, new, f.args) if f.index == old else f
-    sh = f.shape
-    return sh.rebuild(f, [reindex(g, old, new) for g in sh.children(f)])
+    return fold(f, lambda g, kids: Atom(g.pred, new, g.args)
+                if isinstance(g, Atom) and g.index == old
+                else g.shape.rebuild(g, kids))

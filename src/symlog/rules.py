@@ -36,7 +36,7 @@ from .formulas import (
     IndexRel, Join, Member, Neq, Or, Outcome, Par, Sequent, Single, Slot,
     Term, Times, Var, formula_equal, formula_index, free_vars, reindex,
     replace_var, sequent_equal, shadows, slot_equal, slot_formulas,
-    slots_match, substitute_sequent,
+    slots_match, substitute_sequent, walk,
 )
 
 __all__ = ["CalculusConfig", "RuleContext", "RuleError", "RULES",
@@ -159,31 +159,18 @@ def _replaceable(f: Formula, g: Formula, s: Term, t: Term,
                  s_ok: bool = True, t_ok: bool = True) -> bool:
     """True when ``g`` arises from ``f`` by swapping free occurrences of
     ``s`` and ``t`` (each occurrence independently, either direction)."""
-    if type(f) is not type(g):
-        return False
-    sh = f.shape
-    if sh.data is not None and sh.data(f) != sh.data(g):
-        return False
-    tf, tg = sh.terms(f), sh.terms(g)
-    if len(tf) != len(tg):
-        return False
-    for a, b in zip(tf, tg):
-        if not (a == b or s_ok and a == s and b == t
-                or t_ok and a == t and b == s):
+    for (f, bound), (g, _) in zip(walk(f), walk(g)):
+        sh, tf, tg = f.shape, f.shape.terms(f), g.shape.terms(g)
+        if (type(f) is not type(g) or len(tf) != len(tg)
+                or sh.data is not None and sh.data(f) != sh.data(g)
+                or sh.binds and f.var != g.var):  # no replacement renames
             return False
-    if sh.binds:
-        if f.var != g.var:
-            return False  # replacement never renames binders
-        if shadows(f.var, s, t):
-            s_ok = t_ok = False
-    for a, b in zip(sh.children(f), sh.children(g)):
-        if not _replaceable(a, b, s, t, s_ok, t_ok):
+        free = not (bound and shadows(bound, s, t))
+        if not all(a == b or free and (s_ok and a == s and b == t
+                                       or t_ok and a == t and b == s)
+                   for a, b in zip(tf, tg)):
             return False
     return True
-
-
-def _slot_replaceable(a: Slot, b: Slot, s: Term, t: Term) -> bool:
-    return slots_match(a, b, lambda f, g: _replaceable(f, g, s, t))
 
 
 # --------------------------------------------------------------------------
@@ -516,7 +503,8 @@ def _r_replacement(rule, params, premises, claimed, ctx):
           "SlotMismatch", f"{rule.name} changes no slot counts")
     for where in ("left", "right"):
         for a, b in zip(getattr(p, where), getattr(rest, where)):
-            _need(_slot_replaceable(a, b, s, t), "SideConditionViolated",
+            _need(slots_match(a, b, lambda f, g: _replaceable(f, g, s, t)),
+                  "SideConditionViolated",
                   f"a {where} slot is not a replacement instance")
     return claimed
 

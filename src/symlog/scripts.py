@@ -42,7 +42,7 @@ from .domains import DomainRecord, Registry
 from .formulas import (
     And, Atom, Const, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula,
     IConst, IVar, Imp, Index, IndexRel, Join, Member, Neq, Or, Outcome, Par,
-    Sequent, Single, Slot, Term, Times, Var, free_vars, sequent_equal,
+    Sequent, Single, Slot, Term, Times, Var, sequent_equal,
     slot_formulas, subformulas, tag_from_short,
 )
 from .kernel import ProofNode, _preorder
@@ -285,9 +285,8 @@ _BINARY = {text: (_OP_LEVEL[ctor], partial(Join, tag_from_short(text[-1]))
 # The deepest formula, and the tallest proof, the parser builds.  A
 # connective, a quantifier and a pair of parentheses each add one formula
 # level; each proof node on a root-to-leaf path adds one proof level.
-# Only repr, the formula walks and the proof parser still recurse, once or
-# more per level, so the bound keeps every parsed formula and proof well
-# inside Python's recursion limit.
+# Only the parsers still recurse, once or more per level, so the bound
+# keeps every parse well inside Python's recursion limit.
 MAX_NESTING = 200
 _TOO_DEEP = f"a formula nested at most {MAX_NESTING} levels deep"
 
@@ -401,34 +400,51 @@ def parse_formula(text: str, consts: Optional[set] = None) -> Formula:
 
 
 def print_formula(f: Formula, parent_level: int = -1) -> str:
-    if isinstance(f, Atom):
-        out = f.pred
-        if f.index is not None:
-            out += f"_{_print_index(f.index)}"
-        if f.args:
-            out += "(" + ", ".join(print_term(a) for a in f.args) + ")"
-        return out
-    if isinstance(f, DualMember):
-        return f"({print_term(f.term)} in {f.domain})^{f.dual}"
-    if isinstance(f, Member):
-        s = f"{print_term(f.term)} in {f.domain}"
-    elif isinstance(f, (Eq, Neq)):
-        op = "=" if isinstance(f, Eq) else "/="
-        s = f"{print_term(f.lhs)} {op} {print_term(f.rhs)}"
-    elif isinstance(f, IndexRel):
-        s = f"{_print_index(f.i)} ~{f.tag.short} {_print_index(f.j)}"
-    elif isinstance(f, (Forall, Exists)):
-        q = "forall" if isinstance(f, Forall) else "exists"
-        s = f"{q} {f.var.name} in {f.domain} . {print_formula(f.body)}"
-    else:
-        lvl = _OP_LEVEL[type(f)]
-        op = f"join_{f.tag.short}" if isinstance(f, Join) else _OP_TEXT[type(f)]
-        left = print_formula(f.a, lvl)
-        if isinstance(f, Times) and isinstance(f.a, Atom) and not f.a.args:
-            left = f"({left})"  # keep the (x) operator out of an argument list
-        body = f"{left} {op} {print_formula(f.b, lvl)}"
-        return f"({body})" if parent_level >= lvl else body
-    return f"({s})" if parent_level >= 0 else s
+    # A stack holds the pending pieces: strings, and right operands with
+    # their parent's level; a left operand or a body is printed at once.  A
+    # formula is parenthesized when its parent's level is at least its own;
+    # an atom or a dual membership never is.
+    out, todo = [], [(f, parent_level)]
+    while todo:
+        g = todo.pop()
+        if type(g) is str:
+            out.append(g)
+            continue
+        g, parent = g
+        while g.shape.subs:
+            lvl = _OP_LEVEL.get(type(g), 0)
+            if parent >= lvl:
+                out.append("(")
+                todo.append(")")
+            if isinstance(g, (Forall, Exists)):
+                q = "forall" if isinstance(g, Forall) else "exists"
+                out.append(f"{q} {g.var.name} in {g.domain} . ")
+                g, parent = g.body, -1
+            else:
+                op = f"join_{g.tag.short}" if isinstance(g, Join) else _OP_TEXT[type(g)]
+                todo += (g.b, lvl), f" {op} "
+                if isinstance(g, Times) and isinstance(g.a, Atom) and not g.a.args:
+                    out.append("(")  # keep (x) out of an argument list
+                    todo.append(")")
+                g, parent = g.a, lvl
+        text = _print_literal(g)
+        out.append(text if parent < 0 or isinstance(g, (Atom, DualMember))
+                   else f"({text})")
+    return "".join(out)
+
+
+def _print_literal(g: Formula) -> str:
+    if isinstance(g, Atom):
+        s = g.pred if g.index is None else f"{g.pred}_{_print_index(g.index)}"
+        return f"{s}({', '.join(map(print_term, g.args))})" if g.args else s
+    if isinstance(g, DualMember):
+        return f"({print_term(g.term)} in {g.domain})^{g.dual}"
+    if isinstance(g, Member):
+        return f"{print_term(g.term)} in {g.domain}"
+    if isinstance(g, IndexRel):
+        return f"{_print_index(g.i)} ~{g.tag.short} {_print_index(g.j)}"
+    op = "=" if isinstance(g, Eq) else "/="
+    return f"{print_term(g.lhs)} {op} {print_term(g.rhs)}"
 
 
 # --------------------------------------------------------------------------
@@ -745,19 +761,6 @@ def _check_unique(s: _Stream, t: Tok, name: str, known: set) -> None:
     known.add(name)
 
 
-def _domain_refs(f: Formula):
-    for g in subformulas(f):
-        if isinstance(g, (Member, DualMember, Forall, Exists)):
-            yield g.domain
-
-
-def _formula_vars(f: Formula):
-    for g in subformulas(f):
-        if g.shape.binds:
-            yield g.var
-    yield from free_vars(f)
-
-
 def _validate_refs(s: _Stream, sc: Script, placed: list) -> None:
     """Check the domains and variable names of each sequent ``placed`` holds
     once the whole script is read, since a domain may be declared below its
@@ -769,14 +772,16 @@ def _validate_refs(s: _Stream, sc: Script, placed: list) -> None:
     for where, seqt, t in placed:
         for slot in seqt.left + seqt.right:
             for f in slot_formulas(slot):
-                for dom in _domain_refs(f):
-                    if dom not in declared:
-                        raise s.error(t, f"a declared domain ({where})", dom)
-                for v in _formula_vars(f):
-                    if v.name in taken:
-                        raise s.error(
-                            t, f"a variable name distinct from constants "
-                               f"and outcome labels ({where})", v.name)
+                for g in subformulas(f):
+                    if isinstance(g, (Member, DualMember, Forall, Exists)) \
+                            and g.domain not in declared:
+                        raise s.error(t, f"a declared domain ({where})", g.domain)
+                for g in subformulas(f):
+                    for v in (g.var,) if g.shape.binds else g.shape.terms(g):
+                        if isinstance(v, Var) and v.name in taken:
+                            raise s.error(
+                                t, f"a variable name distinct from constants "
+                                   f"and outcome labels ({where})", v.name)
 
 
 def print_script(sc: Script) -> str:

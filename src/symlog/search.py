@@ -42,8 +42,8 @@ from typing import Iterator, Optional
 from .formulas import (
     And, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
     IndexRel, Join, Member, Neq, Or, Par, Sequent, Single, Slot, Term, Times,
-    Var, formula_index, fresh_var, map_sequent, replace_var,
-    sequent_free_vars, shadows, slot_equal, slot_formulas,
+    Var, fold, formula_index, fresh_var, map_sequent, replace_var,
+    sequent_free_vars, shadows, slot_equal, slot_formulas, walk,
 )
 from .kernel import ProofNode
 from .rules import (
@@ -546,28 +546,20 @@ def _put(goal: Sequent, side: str, pos: int, *slots: Slot) -> Sequent:
 
 
 def _pick_var(f, goal: Sequent) -> Var:
-    used = sequent_free_vars(goal)
-    if f.var not in used:
-        return f.var
-    return fresh_var(f.var.name, used)
+    return fresh_var(f.var.name, sequent_free_vars(goal))
 
 
 def _add_terms(f: Formula, out: set) -> set:
     """Add every term occurring in ``f`` to ``out``, and return it."""
-    sh = f.shape
-    out.update(sh.terms(f))
-    for g in sh.children(f):
-        _add_terms(g, out)
+    out.update(*[g.shape.terms(g) for g, _ in walk(f)])
     return out
 
 
 def _swap_term_formula(f: Formula, old: Term, new: Term) -> Formula:
-    sh = f.shape
-    if not sh.subs:
-        return sh.rebuild(f, (), [new if u == old else u for u in sh.terms(f)])
-    if sh.binds and shadows(f.var, old, new):
-        return f
-    return sh.rebuild(f, [_swap_term_formula(g, old, new) for g in sh.children(f)])
+    return fold(f, lambda g, kids: (
+        g if g.shape.binds and shadows((g.var,), old, new)
+        else g.shape.rebuild(g, kids, [new if u == old else u
+                                       for u in g.shape.terms(g)])))
 
 
 def _swap_term_sequent(s: Sequent, old: Term, new: Term) -> Sequent:

@@ -1,7 +1,10 @@
 """End-to-end runs of every command."""
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,17 @@ def test_check_command(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "ok" in out
+
+
+def test_python_m_symlog_runs_the_command_line():
+    src = str(CORPUS_DIR.parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "symlog", "check", str(CORPUS_DIR / "c12.blq")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "ok" in run.stdout
 
 
 def test_check_reports_failure(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Every formula walk on one hand-built sample of each constructor, and a
-digest pinning the walks' outputs on random formulas."""
+"""Every formula walk on one hand-built sample of each constructor, a
+digest pinning the walks' outputs on random formulas, and the walks on
+formulas thousands of levels deep."""
 import hashlib
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from symlog.formulas import (
     subformulas,
 )
 from symlog.rules import _replaceable
+from symlog.scripts import print_formula
 from symlog.search import _add_terms, _swap_term_formula
 
 from genlib import random_formula
@@ -185,3 +187,73 @@ def _walk_digest(n: int = 2000, seed: int = 3) -> str:
 
 def test_walk_digest_unchanged():
     assert _walk_digest() == WALK_DIGEST
+
+
+# --------------------------------------------------------------------------
+# formulas of any depth
+
+DEEP = 5000
+
+
+def _and_chain(n: int = DEEP) -> Formula:
+    f = A1
+    for k in range(n):
+        f = And(f, C(Var(f"v{k % 7}"), z))
+    return f
+
+
+def _forall_chain(n: int = DEEP) -> Formula:
+    f = Atom("A", i1, (Var("v0"), z))
+    for k in range(n):
+        f = Forall(Var(f"v{k}"), "D", f)
+    return f
+
+
+@pytest.mark.parametrize("chain", [_and_chain, _forall_chain],
+                         ids=["And", "Forall"])
+def test_walks_take_any_depth(chain):
+    """Every walk on a chain that holds the atom index 1, the free variable
+    z, no y or w, and the term up nowhere."""
+    f, n = chain(), DEEP
+    assert sum(1 for _ in subformulas(f)) > n
+    assert z in free_vars(f) and y not in free_vars(f)
+    assert index_set(f) == {i1}
+    assert index_set(reindex(f, i1, i3)) == {i3}
+    assert free_vars(replace_var(f, z, y)) == free_vars(f) - {z} | {y}
+    terms = _add_terms(f, set())
+    assert z in terms and up not in terms
+    swapped = _swap_term_formula(f, z, up)
+    assert up in _add_terms(swapped, set())
+    assert _replaceable(f, swapped, z, up)
+    assert not _replaceable(f, swapped, z, down)
+    assert formula_equal(Forall(z, "D", f), Forall(w, "D", replace_var(f, z, w)))
+    assert not formula_equal(f, swapped)
+    for inv in (IDENTITY_INV, PERP_INV):
+        assert symmetrize_formula(symmetrize_formula(f, inv), inv) == f
+    assert repr(f).count("(") > 2 * n
+    assert len(print_formula(f)) > 2 * n
+    assert Join(IDENTICAL, f, Atom("C", i2, ())).a is f
+
+
+@pytest.mark.parametrize("chain", [_and_chain, _forall_chain],
+                         ids=["And", "Forall"])
+def test_replace_var_renames_a_binder_over_any_depth(chain):
+    t = Var("t")
+    f = replace_var(Forall(t, "D", chain()), z, t)
+    assert f.var == Var("t1") and free_vars(f) == free_vars(chain()) - {z} | {t}
+    assert formula_equal(f, Forall(w, "D", replace_var(chain(), z, t)))
+
+
+def test_replace_var_renames_nested_binders():
+    """Each binder of t is renamed and its body replaced twice, so nested
+    binders of t must not repeat one another's work."""
+    def chain(x, t, n=300):
+        f = Atom("P", None, (x, t))
+        for _ in range(n):
+            f = Forall(t, "D", And(f, Atom("Q", None, (t,))))
+        return f
+
+    x, t, u = Var("x"), Var("t"), Var("u")
+    f = replace_var(chain(x, t), x, t)
+    assert f.var == Var("t1") and free_vars(f) == {t}
+    assert formula_equal(f, chain(t, u))
