@@ -10,7 +10,7 @@ from symlog import (
     Atom, CalculusConfig, IDENTITY_INV, Imp, check_proof, mk, seq,
     search_proof, standard_registry, symmetrize_proof,
 )
-from symlog.kernel import annotate
+from symlog.rules import annotate
 from symlog.scripts import print_proof, print_sequent
 
 reg = standard_registry()

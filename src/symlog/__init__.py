@@ -22,11 +22,11 @@ from .dualities import (
     IDENTITY_INV, LiteralInvolution, PERP_INV, TOP_INV, UnclassifiedLiteral,
     apply_duality, symmetrize_formula, symmetrize_sequent,
 )
-from .rules import CalculusConfig, RuleError
-from .kernel import (
-    CheckReport, NotSymmetricConfig, ProofNode, check_proof, expand_derived,
-    mk, proof_equal, symmetrize_proof,
+from .rules import (
+    CalculusConfig, CheckReport, ProofNode, RuleError, check_proof, mk,
+    proof_equal,
 )
+from .kernel import NotSymmetricConfig, expand_derived, symmetrize_proof
 from .search import SearchOutcome, search_proof
 from .correlation import distribute_forall
 from .qubits import (

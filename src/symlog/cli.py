@@ -30,17 +30,15 @@ from .corpus import run_corpus
 from .domains import RegistryError, standard_registry
 from .dualities import UnclassifiedLiteral, UnknownDuality, apply_duality
 from .formulas import map_sequent
-from .kernel import (
-    KernelError, check_proof, proof_to_json, symmetrize_proof,
-)
+from .kernel import KernelError, proof_to_json, symmetrize_proof
 from .qubits import (
     BellState, NonDyadicProbability, Qubit, bell_formula, collapse,
     measurement_domain, state_formula,
 )
 from .formulas import IDENTICAL, OPPOSITE
-from .rules import CalculusConfig, RuleError
+from .rules import RuleError, check_proof
 from .scripts import (
-    ParseError, Script, parse_script, print_formula, print_proof,
+    _FLAG_NAMES, ParseError, Script, parse_script, print_formula, print_proof,
     print_sequent,
 )
 from .search import DEFAULT_MAX_DEPTH, DepthLimitError, search_proof
@@ -59,30 +57,26 @@ def _load_script(path: str) -> Script:
         return parse_script(fh.read())
 
 
-def _merge_config(sc: Script, args, reg) -> CalculusConfig:
-    """The script's configuration widened by the command line, with its
-    licences checked against ``reg``."""
-    base = sc.config()
-    subst = set(base.substitution_domains) | set(args.subst or [])
-    dax = set(base.d_axiom_domains)
+def _load(args) -> tuple:
+    """The script of ``check``, ``sym`` or ``search`` widened by the command
+    line, its registry and its configuration, with the licences checked
+    against the registry.  ``--collapse-demo`` counts before the registry
+    is built, as the script's own ``flags collapse_demo`` does."""
+    sc = _load_script(args.file)
+    sc.collapse_demo |= args.collapse_demo
+    sc.flags.update((flag, True) for flag in _FLAG_NAMES if getattr(args, flag))
+    sc.subst_licenses += args.subst or []
     for spec in args.d_axiom or []:
         dom, _, dual = spec.partition(":")
         if not dual:
             raise UsageError(f"--d-axiom wants DOMAIN:DUALITY, got {spec!r}")
-        dax.add((dom, dual))
-    cfg = CalculusConfig(
-        left_contexts=base.left_contexts or args.left_contexts,
-        right_contexts=base.right_contexts or args.right_contexts,
-        weakening=base.weakening or args.weakening,
-        cut=base.cut or args.cut,
-        substitution_domains=frozenset(subst),
-        d_axiom_domains=frozenset(dax),
-        collapse_demo=base.collapse_demo or args.collapse_demo)
+        sc.daxiom_licenses.append((dom, dual))
+    reg, cfg = sc.registry(), sc.config()
     try:
         cfg.check_licenses(reg)
     except ValueError as e:  # the only error check_licenses raises
         raise UsageError(str(e)) from None
-    return cfg
+    return sc, reg, cfg
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -157,9 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
-    sc = _load_script(args.file)
-    reg = sc.registry()
-    cfg = _merge_config(sc, args, reg)
+    sc, reg, cfg = _load(args)
     results = {}
     ok = True
     for name, proof in sc.proofs.items():
@@ -173,9 +165,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sym(args) -> int:
-    sc = _load_script(args.file)
-    reg = sc.registry()
-    cfg = _merge_config(sc, args, reg)
+    sc, reg, cfg = _load(args)
     if args.name not in sc.proofs:
         _err(f"no proof named {args.name!r}")
         return 2
@@ -212,9 +202,7 @@ def _depth_default() -> int:
 
 
 def _cmd_search(args) -> int:
-    sc = _load_script(args.file)
-    reg = sc.registry()
-    cfg = _merge_config(sc, args, reg)
+    sc, reg, cfg = _load(args)
     goal = sc.sequents.get(args.name)
     if goal is None:
         _err(f"no sequent named {args.name!r}")

@@ -27,12 +27,9 @@ from .formulas import (
     And, Atom, Eq, Forall, Formula, IConst, IDENTICAL, Imp, Join, Member,
     OPPOSITE, Outcome, Var, seq, sequent_equal,
 )
-from .kernel import (
-    annotate, check_proof, collapse_config, expand_derived, mk, proof_equal,
-    symmetrize_proof,
-)
+from .kernel import collapse_config, expand_derived, symmetrize_proof
 from .qubits import BellState, bell_formula
-from .rules import CalculusConfig
+from .rules import CalculusConfig, annotate, check_proof, mk, proof_equal
 from .scripts import parse_script, print_script
 from .search import search_proof
 

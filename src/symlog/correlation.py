@@ -17,8 +17,8 @@ from .formulas import (
     CorrelationTag, Formula, Join, Member, Var, formula_equal, formula_index,
     free_vars, fresh_var, reindex, replace_var,
 )
-from .kernel import ProofNode, annotate, mk, symmetrize_proof
-from .rules import CalculusConfig, RuleError
+from .kernel import symmetrize_proof
+from .rules import CalculusConfig, ProofNode, RuleError, annotate, mk
 
 __all__ = ["distribute_forall"]
 

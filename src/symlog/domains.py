@@ -236,10 +236,12 @@ class Registry:
 
         Returns ``("consistent", None)`` when substitution and d-axioms are
         not both licensed, else (in collapse-demo mode) builds, for each
-        pair of distinct entries, a kernel-checked proof that they are
+        pair of distinct entries, a checked proof that they are
         equal, returning ``("collapse", proofs)``.
         """
-        from . import kernel  # local import: the guard drives the checker
+        # local, as kernel imports this module; the guard stays on the registry
+        # because perfbench and acceptance criterion 6 call it with no config
+        from . import kernel
 
         rec = self.get(name)
         both = rec.substitution_allowed and rec.duality is not None and (

@@ -1,22 +1,16 @@
-"""The trusted checker: proof trees, validation, symmetrization, macros.
+"""Proof transformations, none of them trusted: symmetrization, macro
+expansion, stock derivations and the JSON form of a proof.
 
-A proof is a tree of rule applications checked bottom-up: every node's
-conclusion is reconstructed from its premises and parameters and compared
-with the claimed conclusion when one is present.  The symmetry theorem is
-implemented as a proof transformation: each rule is replaced by its mate,
-premise order is reversed, and slot positions are mirrored, so that the
-transformed tree proves the symmetric sequent and passes the checker
-unchanged.  Checking, annotation, symmetrization, macro expansion and
-JSON output are one fold over the tree (``_fold``), each node after its
-premises; comparing and printing read one pre-order walk (``_preorder``).
-Both keep their own stack, so a proof of any height works.
+Their output goes back through the checker in ``symlog.rules``, which this
+module also exports.  The symmetry theorem is a proof transformation: each
+rule is replaced by its mate, premise order is reversed, and slot positions
+are mirrored, so that the transformed tree proves the symmetric sequent
+and passes the checker unchanged.  Each transformation is a fold over the
+tree (``rules._fold``), each node after its premises.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from functools import cache
-from typing import Optional
 
 from .domains import Registry
 from .dualities import LiteralInvolution, symmetrize_formula, symmetrize_slot
@@ -25,146 +19,25 @@ from .formulas import (
     replace_var,
 )
 from .rules import (
-    MACRO_RULES, CalculusConfig, RuleContext, RuleError, validate_rule,
+    MACRO_RULES, CalculusConfig, ProofNode, RuleContext, _fold, annotate,
+    check_proof, mk, proof_equal,
 )
+from .scripts import parse_param, parse_sequent, print_param, print_sequent
 
 __all__ = [
-    "ProofNode", "CheckFailure", "CheckReport", "KernelError",
-    "NotSymmetricConfig", "mk", "check_proof", "annotate", "proof_equal",
-    "symmetrize_proof", "expand_derived", "proof_to_json", "proof_from_json",
-    "build_forall_to_exists", "build_exists_to_forall", "build_refl_proof",
-    "build_collapse_proof", "collapse_config",
+    "KernelError", "NotSymmetricConfig", "symmetrize_proof", "expand_derived",
+    "proof_to_json", "proof_from_json", "build_forall_to_exists",
+    "build_exists_to_forall", "build_refl_proof", "build_collapse_proof",
+    "collapse_config", "ProofNode", "check_proof", "annotate", "proof_equal",
 ]
 
 
 class KernelError(Exception):
-    pass
+    """A proof transformation does not apply to the proof it was given."""
 
 
 class NotSymmetricConfig(KernelError):
-    pass
-
-
-@dataclass(frozen=True)
-class ProofNode:
-    rule: str
-    params: dict
-    premises: tuple = ()
-    conclusion: Optional[Sequent] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "premises", tuple(self.premises))
-
-
-def mk(rule: str, params: Optional[dict] = None, *premises: ProofNode,
-       conclusion: Optional[Sequent] = None) -> ProofNode:
-    return ProofNode(rule, dict(params or {}), tuple(premises), conclusion)
-
-
-def _preorder(p: ProofNode, depth: int = 0):
-    """Each node with its depth (``p``'s being ``depth``), in pre-order."""
-    todo = [(p, depth)]
-    while todo:
-        node, d = todo.pop()
-        yield node, d
-        todo.extend((q, d + 1) for q in reversed(node.premises))
-
-
-def proof_equal(a: ProofNode, b: ProofNode) -> bool:
-    # equal arities node for node fix the shape, so the walks end together
-    return all(x.rule == y.rule and x.params == y.params
-               and x.conclusion == y.conclusion
-               and len(x.premises) == len(y.premises)
-               for (x, _), (y, _) in zip(_preorder(a), _preorder(b)))
-
-
-# --------------------------------------------------------------------------
-# checking
-
-@dataclass(frozen=True)
-class CheckFailure:
-    path: tuple
-    rule: str
-    reason: str
-
-    def to_json(self):
-        return {"path": list(self.path), "rule": self.rule, "reason": self.reason}
-
-
-@dataclass
-class CheckReport:
-    ok: bool
-    failures: list
-    stats: dict
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "ok": self.ok,
-            "failures": [f.to_json() for f in self.failures],
-            "stats": self.stats,
-        }
-
-
-def _fold(p: ProofNode, visit):
-    """Call ``visit(node, its premises' results in order, trail)`` on each
-    node after its premises and return the root's result (see _path for
-    trails).  The walk keeps its own stack, so a proof of any height folds."""
-    order, todo, done = [], [(p, None)], []
-    while todo:  # pre-order, last premise first
-        node, trail = todo.pop()
-        order.append((node, trail))
-        for k, q in enumerate(node.premises):
-            todo.append((q, (k, trail)))
-    for node, trail in reversed(order):  # each node after its premises
-        k = len(done) - len(node.premises)
-        done[k:] = [visit(node, done[k:], trail)]
-    return done[0]
-
-
-def _path(trail) -> tuple:
-    path = []
-    while trail:  # a trail is (premise index, the parent's trail)
-        k, trail = trail
-        path.append(k)
-    return tuple(reversed(path))
-
-
-def check_proof(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> CheckReport:
-    """Validate every node of a proof tree; never raises on bad proofs."""
-    cfg.check_licenses(registry)
-    ctx = RuleContext(cfg, registry)
-    failures: list = []
-    rules, subst, dax = Counter(), Counter(), Counter()
-
-    def visit(node, concls, trail):
-        P = node.params
-        rules[node.rule] += 1
-        if node.rule in ("subst", "eq_left_elim", "neq_right_elim") \
-                and isinstance(P.get("domain"), str):
-            subst[P["domain"]] += 1
-        if node.rule == "d_axiom" and {"domain", "dual"} <= P.keys():
-            dax[f"{P['domain']}:{P['dual']}"] += 1
-        try:
-            if None not in concls:
-                return validate_rule(node.rule, P, concls, node.conclusion, ctx)
-        except RuleError as e:
-            failures.append(CheckFailure(_path(trail), node.rule, str(e)))
-
-    _fold(p, visit)
-    stats = {"nodes": sum(rules.values()), "rules": dict(sorted(rules.items())),
-             "subst_domains": dict(sorted(subst.items())),
-             "d_axiom_pairs": dict(sorted(dax.items()))}
-    return CheckReport(ok=not failures, failures=failures, stats=stats)
-
-
-def annotate(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> ProofNode:
-    """Fill in every node's conclusion, raising on the first bad node."""
-    ctx = RuleContext(cfg, registry)
-    return _fold(p, lambda node, prems, _: ProofNode(
-        node.rule, dict(node.params), tuple(prems),
-        validate_rule(node.rule, node.params, [q.conclusion for q in prems],
-                      node.conclusion, ctx)))
+    """Symmetrization needs matching left and right context flags."""
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +45,6 @@ def annotate(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> ProofNode
 # symlog.scripts)
 
 def proof_to_json(p: ProofNode) -> dict:
-    from .scripts import print_param, print_sequent
     return _fold(p, lambda n, prems, _: {
         "rule": n.rule,
         "params": {k: print_param(v) for k, v in n.params.items()},
@@ -182,7 +54,6 @@ def proof_to_json(p: ProofNode) -> dict:
 
 
 def proof_from_json(obj: dict) -> ProofNode:
-    from .scripts import parse_param, parse_sequent
     return ProofNode(
         obj["rule"],
         {k: parse_param(v, key=k) for k, v in obj.get("params", {}).items()},

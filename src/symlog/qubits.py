@@ -18,7 +18,7 @@ from fractions import Fraction
 from .domains import DomainRecord, Registry, standard_registry
 from .dualities import apply_duality
 from .formulas import (
-    And, Atom, CorrelationTag, Forall, Formula, Join, Outcome, Var,
+    And, Atom, CorrelationTag, Forall, Formula, IConst, Join, Outcome, Var,
     formula_equal,
 )
 
@@ -205,7 +205,6 @@ def collapse(q: Qubit, pred: str = "A") -> Formula:
 def bell_formula(b: BellState, pred: str = "A", var: Var = Var("x")) -> Formula:
     """The correlated two-particle state: a generalized quantifier built
     from the universal quantifier and the correlation connective."""
-    from .formulas import IConst
     dom = "Dplus" if b.phase == "plus" else "Dminus"
     a1 = Atom(pred, IConst(1), (var,))
     a2 = Atom(pred, IConst(2), (var,))

@@ -1,4 +1,9 @@
-"""The rule catalog: every inference rule the checker trusts.
+"""The trusted base: the rule catalogue and the proof checker.
+
+Search, symmetrization, macros, scripts and the corpus only build proofs,
+and each goes back through ``check_proof``, so this file is all that must
+be trusted (the de Bruijn criterion).  It imports only ``formulas``,
+``dualities``, ``domains`` and the standard library.
 
 Each rule is a validator ``fn(params, premises, claimed, ctx) -> Sequent``
 that either reconstructs the unique conclusion from the premises and the
@@ -22,12 +27,18 @@ per rule by stacked ``@_rule`` lines.  Each line gives the rule's ``side``
 record ``rule`` before the usual arguments.  It reads a side only through
 the ``Sequent`` field ``rule.side`` names and builds a sequent only through
 ``_on``, so it never tests which side it serves.
+
+The checker folds over a proof tree (``_fold``), validating each node
+after its premises against the claimed conclusion, if any.  The fold keeps
+its own stack, so a proof of any height is checked.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
+from typing import Optional
 
 from .domains import Registry, RegistryError
 from .dualities import IDENTITY_INV, symmetrize_formula
@@ -40,7 +51,9 @@ from .formulas import (
 )
 
 __all__ = ["CalculusConfig", "RuleContext", "RuleError", "RULES",
-           "MACRO_RULES", "validate_rule", "rule_arity"]
+           "MACRO_RULES", "validate_rule", "rule_arity", "ProofNode", "mk",
+           "proof_equal", "CheckFailure", "CheckReport", "check_proof",
+           "annotate"]
 
 
 # --------------------------------------------------------------------------
@@ -757,7 +770,8 @@ def _r_cut(params, premises, claimed, ctx):
 
 
 # --------------------------------------------------------------------------
-# derived rules (macros): validated by shape here, expanded by the kernel
+# derived rules (macros): validated by shape here, expanded by
+# kernel.expand_derived
 
 def _vsym_eligible(ctx: RuleContext, dom: str) -> str:
     """Virtual singletons with licensed d-axioms and an inhabitant have
@@ -812,3 +826,125 @@ def _r_vsym(rule, params, premises, claimed, ctx):
     f = slots[pos].formula
     swapped = Single(rule.make(f.var, f.domain, f.body))
     return _on(out, rule.side, _replaced(slots, pos, swapped))
+
+
+# --------------------------------------------------------------------------
+# the checker
+
+@dataclass(frozen=True)
+class ProofNode:
+    rule: str
+    params: dict
+    premises: tuple = ()
+    conclusion: Optional[Sequent] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "premises", tuple(self.premises))
+
+
+def mk(rule: str, params: Optional[dict] = None, *premises: ProofNode,
+       conclusion: Optional[Sequent] = None) -> ProofNode:
+    return ProofNode(rule, dict(params or {}), tuple(premises), conclusion)
+
+
+def _preorder(p: ProofNode, depth: int = 0):
+    """Each node with its depth (``p``'s being ``depth``), in pre-order."""
+    todo = [(p, depth)]
+    while todo:
+        node, d = todo.pop()
+        yield node, d
+        todo.extend((q, d + 1) for q in reversed(node.premises))
+
+
+def proof_equal(a: ProofNode, b: ProofNode) -> bool:
+    # equal arities node for node fix the shape, so the walks end together
+    return all(x.rule == y.rule and x.params == y.params
+               and x.conclusion == y.conclusion
+               and len(x.premises) == len(y.premises)
+               for (x, _), (y, _) in zip(_preorder(a), _preorder(b)))
+
+
+@dataclass(frozen=True)
+class CheckFailure:
+    path: tuple
+    rule: str
+    reason: str
+
+    def to_json(self):
+        return {"path": list(self.path), "rule": self.rule, "reason": self.reason}
+
+
+@dataclass
+class CheckReport:
+    ok: bool
+    failures: list
+    stats: dict
+
+    def to_json(self) -> dict:
+        return {
+            "schema": 1,
+            "ok": self.ok,
+            "failures": [f.to_json() for f in self.failures],
+            "stats": self.stats,
+        }
+
+
+def _fold(p: ProofNode, visit):
+    """Call ``visit(node, its premises' results in order, trail)`` on each
+    node after its premises and return the root's result (see _path for
+    trails).  The walk keeps its own stack, so a proof of any height folds."""
+    order, todo, done = [], [(p, None)], []
+    while todo:  # pre-order, last premise first
+        node, trail = todo.pop()
+        order.append((node, trail))
+        for k, q in enumerate(node.premises):
+            todo.append((q, (k, trail)))
+    for node, trail in reversed(order):  # each node after its premises
+        k = len(done) - len(node.premises)
+        done[k:] = [visit(node, done[k:], trail)]
+    return done[0]
+
+
+def _path(trail) -> tuple:
+    path = []
+    while trail:  # a trail is (premise index, the parent's trail)
+        k, trail = trail
+        path.append(k)
+    return tuple(reversed(path))
+
+
+def check_proof(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> CheckReport:
+    """Validate every node of a proof tree; never raises on bad proofs."""
+    cfg.check_licenses(registry)
+    ctx = RuleContext(cfg, registry)
+    failures: list = []
+    rules, subst, dax = Counter(), Counter(), Counter()
+
+    def visit(node, concls, trail):
+        P = node.params
+        rules[node.rule] += 1
+        if node.rule in ("subst", "eq_left_elim", "neq_right_elim") \
+                and isinstance(P.get("domain"), str):
+            subst[P["domain"]] += 1
+        if node.rule == "d_axiom" and {"domain", "dual"} <= P.keys():
+            dax[f"{P['domain']}:{P['dual']}"] += 1
+        try:
+            if None not in concls:
+                return validate_rule(node.rule, P, concls, node.conclusion, ctx)
+        except RuleError as e:
+            failures.append(CheckFailure(_path(trail), node.rule, str(e)))
+
+    _fold(p, visit)
+    stats = {"nodes": sum(rules.values()), "rules": dict(sorted(rules.items())),
+             "subst_domains": dict(sorted(subst.items())),
+             "d_axiom_pairs": dict(sorted(dax.items()))}
+    return CheckReport(ok=not failures, failures=failures, stats=stats)
+
+
+def annotate(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> ProofNode:
+    """Fill in every node's conclusion, raising on the first bad node."""
+    ctx = RuleContext(cfg, registry)
+    return _fold(p, lambda node, prems, _: ProofNode(
+        node.rule, dict(node.params), tuple(prems),
+        validate_rule(node.rule, node.params, [q.conclusion for q in prems],
+                      node.conclusion, ctx)))

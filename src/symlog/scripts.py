@@ -45,8 +45,7 @@ from .formulas import (
     Sequent, Single, Slot, Term, Times, Var, sequent_equal,
     slot_formulas, subformulas, tag_from_short,
 )
-from .kernel import ProofNode, _preorder
-from .rules import _PARAM_KIND, CalculusConfig
+from .rules import _PARAM_KIND, CalculusConfig, ProofNode, _preorder
 
 __all__ = [
     "ParseError", "Script", "parse_script", "print_script",

@@ -45,9 +45,9 @@ from .formulas import (
     Var, fold, formula_index, fresh_var, map_sequent, replace_var,
     sequent_free_vars, shadows, slot_equal, slot_formulas, walk,
 )
-from .kernel import ProofNode
+from .kernel import proof_to_json
 from .rules import (
-    CalculusConfig, RuleContext, RuleError, _without, validate_rule,
+    CalculusConfig, ProofNode, RuleContext, RuleError, _without, validate_rule,
 )
 
 __all__ = ["SearchOutcome", "search_proof", "DEFAULT_MAX_DEPTH",
@@ -77,7 +77,6 @@ class SearchOutcome:
         return "depth-exceeded" if self.bound_hit else "not-found"
 
     def to_json(self) -> dict:
-        from .kernel import proof_to_json
         return {"schema": 1, "status": self.status, "depth": self.depth,
                 "proof": proof_to_json(self.proof) if self.proof else None}
 

@@ -11,9 +11,11 @@ from symlog.formulas import (
     IDENTICAL, Imp, IndexRel, Join, Member, Neq, OPPOSITE, Or, Outcome, Par,
     Sequent, Single, Times, Var,
 )
-from symlog.kernel import ProofNode, annotate, mk
 from symlog.qubits import Qubit
-from symlog.rules import CalculusConfig, RuleContext, RuleError, validate_rule
+from symlog.rules import (
+    CalculusConfig, ProofNode, RuleContext, RuleError, annotate, mk,
+    validate_rule,
+)
 
 _DOMAINS = ("D", "Ddown", "Dup", "Dplus", "Dminus", "V")
 _VARS = tuple(Var(n) for n in ("z", "y", "w", "v"))

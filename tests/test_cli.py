@@ -248,6 +248,24 @@ def test_check_rejects_substitution_on_virtual_singleton(tmp_path, capsys):
     assert main(["check", str(demo)]) == 0
 
 
+SUBST_ON_VIRTUAL_DOMAIN = SUBST_ON_VIRTUAL.replace(
+    "virtual duality d", "virtual duality d subst") \
+    + "sequent g : A(v1@1/2) |- A(v1@1/2)\n"
+
+
+@pytest.mark.parametrize("argv", [["check"], ["sym", "--name", "s"],
+                                  ["search", "--name", "g"]],
+                         ids=["check", "sym", "search"])
+def test_collapse_demo_flag_reaches_the_scripts_registry(tmp_path, capsys,
+                                                         argv):
+    path = tmp_path / "subst_domain.blq"
+    path.write_text(SUBST_ON_VIRTUAL_DOMAIN)
+    command = [argv[0], str(path), *argv[1:]]
+    assert main(command) == 2
+    assert "requires collapse-demo mode" in capsys.readouterr().err
+    assert main(command + ["--collapse-demo"]) == 0
+
+
 def test_commands_reject_flags_they_ignore(ext_script, capsys):
     for argv in (["search", ext_script, "--name", "detach", "--expect-proof"],
                  ["corpus", "--cut"], ["qstate", "q.json", "--subst", "D"],

@@ -9,8 +9,7 @@ from symlog.formulas import (
     Atom, CorrPair, IConst, IDENTICAL, IndexRel, Join, Member, OPPOSITE,
     Sequent, Single, Var, index_set, reindex, seq,
 )
-from symlog.kernel import check_proof
-from symlog.rules import RuleContext, RuleError, validate_rule
+from symlog.rules import RuleContext, RuleError, check_proof, validate_rule
 
 from genlib import proof_context, random_formula
 

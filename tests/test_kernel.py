@@ -1,11 +1,15 @@
 """Rule validation, gating, failure reporting, macro expansion."""
+import ast
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import symlog.rules
 from symlog.corpus import corpus_config, corpus_registry, positive_proofs
 from symlog.domains import standard_registry
 from symlog.dualities import IDENTITY_INV, symmetrize_sequent
@@ -14,11 +18,13 @@ from symlog.formulas import (
     seq, sequent_equal,
 )
 from symlog.kernel import (
-    CheckReport, ProofNode, _fold, _path, annotate, build_collapse_proof,
-    build_exists_to_forall, check_proof, collapse_config, expand_derived, mk,
-    proof_equal, proof_to_json, symmetrize_proof,
+    build_collapse_proof, build_exists_to_forall, collapse_config,
+    expand_derived, proof_to_json, symmetrize_proof,
 )
-from symlog.rules import _PARAM_KIND, CalculusConfig, RuleContext
+from symlog.rules import (
+    _PARAM_KIND, CalculusConfig, CheckReport, ProofNode, RuleContext, _fold,
+    _path, annotate, check_proof, mk, proof_equal,
+)
 from symlog.scripts import parse_formula, print_proof
 
 from genlib import random_formula, random_term
@@ -471,3 +477,32 @@ _DEEP_WALKS = {
 def test_every_walk_takes_deep_proofs(config, registry, walk):
     height, check = _DEEP_WALKS[walk]
     assert check(_weakening_chain(mk("id", {"a": q}), height), config, registry)
+
+
+_TRUSTED_IMPORTS = {"formulas", "dualities", "domains"}
+_CHECKER = ("ProofNode", "check_proof", "annotate", "CheckReport", "_fold")
+
+
+def test_rules_is_the_whole_trusted_base():
+    """rules.py imports, at module level only, the formula, duality and
+    domain modules and the standard library, and no other module of the
+    package defines the checker."""
+    rules_py = Path(symlog.rules.__file__)
+    tree = ast.parse(rules_py.read_text())
+    imports = [n for n in ast.walk(tree)
+               if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert all(n in tree.body for n in imports), "an import below module level"
+    for n in imports:
+        if isinstance(n, ast.ImportFrom) and n.level:
+            assert n.level == 1 and n.module in _TRUSTED_IMPORTS, n.module
+        else:
+            names = [n.module] if isinstance(n, ast.ImportFrom) \
+                else [a.name for a in n.names]
+            assert all(m.split(".")[0] in sys.stdlib_module_names
+                       for m in names), names
+    for name in ("check_proof", "annotate", "ProofNode", "CheckReport"):
+        assert getattr(symlog.rules, name).__module__ == "symlog.rules"
+    for path in rules_py.parent.glob("*.py"):
+        defined = {n.name for n in ast.parse(path.read_text()).body
+                   if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        assert path == rules_py or not defined & set(_CHECKER), path.name

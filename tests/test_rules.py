@@ -14,8 +14,10 @@ from symlog.dualities import IDENTITY_INV, LiteralInvolution
 from symlog.formulas import (
     Atom, Eq, IConst, IDENTICAL, Join, Member, Neq, Outcome, Sequent, Var,
 )
-from symlog.kernel import annotate, mk, symmetrize_proof
-from symlog.rules import RULES, RuleContext, RuleError, validate_rule
+from symlog.kernel import symmetrize_proof
+from symlog.rules import (
+    RULES, RuleContext, RuleError, annotate, mk, validate_rule,
+)
 
 from genlib import proof_context, random_proof
 

@@ -14,7 +14,7 @@ from symlog.formulas import (
     Atom, Const, CorrPair, Excl, IConst, IDENTICAL, Imp, Join, Sequent, Single,
     Var,
 )
-from symlog.kernel import proof_equal
+from symlog.rules import proof_equal
 from symlog.scripts import (
     ParseError, Script, parse_formula, parse_script, parse_sequent,
     parse_term, print_formula, print_script, print_sequent,

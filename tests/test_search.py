@@ -15,8 +15,7 @@ from symlog.formulas import (
     IDENTICAL, Imp, Member, Neq, OPPOSITE, Or, Outcome, Par, Sequent, Single,
     Times, Var, seq,
 )
-from symlog.kernel import check_proof, proof_equal
-from symlog.rules import CalculusConfig, RuleContext
+from symlog.rules import CalculusConfig, RuleContext, check_proof, proof_equal
 from symlog.scripts import print_formula, print_sequent
 from symlog.search import DepthLimitError, _Engine, search_proof
 

@@ -12,10 +12,11 @@ from symlog.formulas import (
     Atom, Eq, Member, Neq, Outcome, Sequent, Single, Var, sequent_equal,
 )
 from symlog.kernel import (
-    _MATES, KernelError, NotSymmetricConfig, ProofNode, _sym_node, annotate,
-    check_proof, mk, proof_equal, symmetrize_proof,
+    _MATES, KernelError, NotSymmetricConfig, _sym_node, symmetrize_proof,
 )
-from symlog.rules import RULES, CalculusConfig
+from symlog.rules import (
+    RULES, CalculusConfig, ProofNode, annotate, check_proof, mk, proof_equal,
+)
 
 from genlib import proof_context, random_proof
 
