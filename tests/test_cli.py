@@ -191,12 +191,30 @@ def test_json_reports_deterministic(ext_script, capsys):
     assert json.loads(first)["schema"] == 1
 
 
-@pytest.mark.parametrize("domain", ["Ddown", "Dup", "Dplus", "Dminus", "D", "V"])
-def test_guard_standard_domains(domain, capsys):
-    rc = main(["guard", domain])
-    out = capsys.readouterr().out
+_GUARD = {  # (domain, collapse-demo mode): the guard's full report
+    ("Ddown", False): "consistent\n|- down@1 = down@1\n",
+    ("Dup", False): "consistent\n|- up@1 = up@1\n",
+    ("Dplus", False): "consistent\n",
+    ("Dminus", False): "consistent\n",
+    ("D", False): "consistent\n",
+    ("V", False): "consistent\n",
+    ("Ddown", True): "consistent\n|- down@1 = down@1\n",
+    ("Dup", True): "consistent\n|- up@1 = up@1\n",
+    ("Dplus", True): "consistent\n",
+    ("Dminus", True): "consistent\n",
+    ("D", True): "consistent\n",
+    ("V", True): "collapse\n|- v2@1/2 = v1@1/2\n|- v1@1/2 = v2@1/2\n",
+}
+
+
+@pytest.mark.parametrize(
+    "domain, demo",
+    [pytest.param(dom, demo, id=dom + ("-collapse-demo" if demo else ""))
+     for dom, demo in _GUARD])
+def test_guard_standard_domains(domain, demo, capsys):
+    rc = main(["guard", domain] + ["--collapse-demo"] * demo)
     assert rc == 0
-    assert out.splitlines()[0] == "consistent"
+    assert capsys.readouterr().out == _GUARD[domain, demo]
 
 
 def test_check_reports_missing_parameter(tmp_path, capsys):
