@@ -60,10 +60,8 @@ def _load_script(path: str) -> Script:
 def _load(args) -> tuple:
     """The script of ``check``, ``sym`` or ``search`` widened by the command
     line, its registry and its configuration, with the licences checked
-    against the registry.  ``--collapse-demo`` counts before the registry
-    is built, as the script's own ``flags collapse_demo`` does."""
+    against the registry."""
     sc = _load_script(args.file)
-    sc.collapse_demo |= args.collapse_demo
     sc.flags.update((flag, True) for flag in _FLAG_NAMES if getattr(args, flag))
     sc.subst_licenses += args.subst or []
     for spec in args.d_axiom or []:
@@ -87,17 +85,12 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _add_config_flags(sub) -> None:
-    sub.add_argument("--left-contexts", action="store_true",
-                     dest="left_contexts")
-    sub.add_argument("--right-contexts", action="store_true",
-                     dest="right_contexts")
-    sub.add_argument("--weakening", action="store_true")
-    sub.add_argument("--cut", action="store_true")
+    for flag in _FLAG_NAMES:
+        sub.add_argument("--" + flag.replace("_", "-"), action="store_true",
+                         dest=flag)
     sub.add_argument("--subst", action="append", metavar="DOMAIN")
     sub.add_argument("--d-axiom", action="append", metavar="DOMAIN:DUALITY",
                      dest="d_axiom")
-    sub.add_argument("--collapse-demo", action="store_true",
-                     dest="collapse_demo")
 
 
 def _build_parser() -> argparse.ArgumentParser:

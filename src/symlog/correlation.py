@@ -72,6 +72,6 @@ def distribute_forall(dom: str, a1: Formula, a2: Formula, tag: CorrelationTag,
 
 
 def _converse_involution(dom: str, registry: Registry) -> LiteralInvolution:
-    dual = registry.get(dom).duality or "d"
+    dual = registry.get(dom).duality
     mapped = registry.involution(dual).swap_domain(dom)
     return registry.involution(dual, {dom, mapped} - {None})

@@ -9,8 +9,10 @@ duality ``d`` licensing the schema
     z in V, A(y) |- A(z), (y in V)^d
 
 for every formula A.  Licensing both that schema and substitution on the
-same domain lets the system prove the domain is a singleton, which is why
-the two licenses are mutually exclusive outside collapse-demo mode.
+same domain lets the system prove the domain is a singleton.  Both
+licences belong to the calculus, not to the domain: ``CalculusConfig``
+holds them and its ``check_licenses`` refuses substitution on a virtual
+singleton outside collapse-demo mode.
 
 A registry owns each duality's domain table, kept as a ``LiteralInvolution``
 by name; every reader gets it from there (see ``Registry.involution``).
@@ -59,7 +61,6 @@ class DomainRecord:
     focused: bool
     virtual_singleton: bool = False
     duality: Optional[str] = None
-    substitution_allowed: bool = False
     inhabited: bool = True
 
     def __post_init__(self):
@@ -69,7 +70,7 @@ class DomainRecord:
     def is_singleton(self) -> bool:
         return self.focused and len(self.entries) == 1
 
-    def validate(self, collapse_demo: bool = False) -> None:
+    def validate(self) -> None:
         if self.focused and self.virtual_singleton and len(self.entries) != 1:
             raise InvariantViolation(
                 f"{self.name}: a focused virtual singleton must have exactly "
@@ -79,14 +80,9 @@ class DomainRecord:
             if total != 1:
                 raise InvariantViolation(
                     f"{self.name}: entry probabilities sum to {total}, not 1")
-        if self.virtual_singleton and not collapse_demo:
-            if self.duality is None:
-                raise InvariantViolation(
-                    f"{self.name}: a virtual singleton needs a duality")
-            if self.substitution_allowed:
-                raise InvariantViolation(
-                    f"{self.name}: substitution on a virtual singleton "
-                    f"requires collapse-demo mode")
+        if self.virtual_singleton and self.duality is None:
+            raise InvariantViolation(
+                f"{self.name}: a virtual singleton needs a duality")
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,7 @@ class Registry:
     # -- construction ------------------------------------------------------
 
     def register_domain(self, record: DomainRecord) -> DomainRecord:
-        record.validate(self.collapse_demo)
+        record.validate()
         if record.name in self._records:
             raise InvariantViolation(f"domain already registered: {record.name}")
         self._records[record.name] = record
@@ -231,38 +227,33 @@ class Registry:
             f"{name}: d-axioms require a virtual singleton or an "
             f"extensional singleton")
 
-    def consistency_guard(self, name: str, cfg=None):
-        """Check whether a domain's licenses conflict; demonstrate if so.
+    def consistency_guard(self, name: str):
+        """What licensing both substitution and d-axioms on a domain gives.
 
-        Returns ``("consistent", None)`` when substitution and d-axioms are
-        not both licensed, else (in collapse-demo mode) builds, for each
-        pair of distinct entries, a checked proof that they are
-        equal, returning ``("collapse", proofs)``.
+        A domain without a duality is ``("consistent", None)``; an
+        extensional singleton is consistent with the proof of ``|- u = u``.
+        In collapse-demo mode a virtual singleton whose entries' dual
+        memberships are refuted (the collapse proof's last premise) gives
+        ``("collapse", proofs)``: for each pair of distinct entries, a
+        checked proof that they are equal.  Anything else is consistent.
         """
-        # local, as kernel imports this module; the guard stays on the registry
-        # because perfbench and acceptance criterion 6 call it with no config
+        # local, as kernel imports this module; the guard stays here because
+        # perfbench and acceptance criterion 6 call it on a registry
         from . import kernel
 
         rec = self.get(name)
-        both = rec.substitution_allowed and rec.duality is not None and (
-            rec.virtual_singleton or rec.is_singleton)
-        if not both:
+        if rec.duality is None:
             return ("consistent", None)
         if rec.is_singleton:
-            u = rec.entries[0]
-            proof = kernel.build_refl_proof(u)
-            return ("consistent", [proof])
-        if not self.collapse_demo:
-            raise InvariantViolation(
-                f"{name}: conflicting licenses outside collapse-demo mode")
-        proofs = []
-        cfg = cfg if cfg is not None else kernel.collapse_config(self, name)
-        for a in rec.entries:
-            for b in rec.entries:
-                if a == b:
-                    continue
-                proofs.append(kernel.build_collapse_proof(self, cfg, name, b, a))
-        return ("collapse", proofs)
+            return ("consistent", [kernel.build_refl_proof(rec.entries[0])])
+        if not (self.collapse_demo and rec.virtual_singleton and all(
+                self.dual_member_refuted(e, name, rec.duality)
+                for e in rec.entries)):
+            return ("consistent", None)
+        cfg = kernel.collapse_config(self, name)
+        return ("collapse", [kernel.build_collapse_proof(self, cfg, name, b, a)
+                             for a in rec.entries for b in rec.entries
+                             if a != b])
 
 
 # --------------------------------------------------------------------------
@@ -282,11 +273,9 @@ def standard_registry(collapse_demo: bool = False) -> Registry:
     half = Fraction(1, 2)
     reg = Registry(collapse_demo=collapse_demo)
     reg.register_domain(DomainRecord(
-        "Ddown", (Outcome("down", 1),), focused=True, duality="neq",
-        substitution_allowed=True))
+        "Ddown", (Outcome("down", 1),), focused=True, duality="neq"))
     reg.register_domain(DomainRecord(
-        "Dup", (Outcome("up", 1),), focused=True, duality="neq",
-        substitution_allowed=True))
+        "Dup", (Outcome("up", 1),), focused=True, duality="neq"))
     reg.register_domain(DomainRecord(
         "Dplus", (Outcome("down", half), Outcome("up", half)),
         focused=False, virtual_singleton=True, duality="top"))
@@ -295,11 +284,10 @@ def standard_registry(collapse_demo: bool = False) -> Registry:
         focused=False, virtual_singleton=True, duality="top"))
     reg.register_domain(DomainRecord(
         "D", (Outcome("t1", half), Outcome("t2", half)),
-        focused=True, substitution_allowed=True))
+        focused=True))
     reg.register_domain(DomainRecord(
         "V", (Outcome("v1", half), Outcome("v2", half)),
-        focused=False, virtual_singleton=True, duality="d",
-        substitution_allowed=collapse_demo))
+        focused=False, virtual_singleton=True, duality="d"))
     for inv in (PERP_INV, TOP_INV):
         reg.declare_duality_table(inv.name, inv.domain_table)
     return reg

@@ -53,13 +53,17 @@ def proof_to_json(p: ProofNode) -> dict:
     })
 
 
+class _JsonProof(dict):
+    """A proof's JSON object, with its premises where ``_fold`` reads them."""
+    premises = property(lambda o: list(map(_JsonProof, o.get("premises", ()))))
+
+
 def proof_from_json(obj: dict) -> ProofNode:
-    return ProofNode(
-        obj["rule"],
-        {k: parse_param(v, key=k) for k, v in obj.get("params", {}).items()},
-        tuple(proof_from_json(q) for q in obj.get("premises", [])),
-        parse_sequent(obj["conclusion"]) if obj.get("conclusion") else None,
-    )
+    return _fold(_JsonProof(obj), lambda o, prems, _: ProofNode(
+        o["rule"],
+        {k: parse_param(v, key=k) for k, v in o.get("params", {}).items()},
+        tuple(prems),
+        parse_sequent(o["conclusion"]) if o.get("conclusion") else None))
 
 
 # --------------------------------------------------------------------------
@@ -268,11 +272,10 @@ def build_refl_proof(u) -> ProofNode:
 
 
 def collapse_config(registry: Registry, name: str) -> CalculusConfig:
-    rec = registry.get(name)
     return CalculusConfig(
         left_contexts=True, right_contexts=True, weakening=True, cut=True,
         substitution_domains=frozenset({name}),
-        d_axiom_domains=frozenset({(name, rec.duality or "d")}),
+        d_axiom_domains=frozenset({(name, registry.get(name).duality)}),
         collapse_demo=True)
 
 
@@ -280,8 +283,7 @@ def build_collapse_proof(registry: Registry, cfg: CalculusConfig, name: str,
                          b: Outcome, a: Outcome) -> ProofNode:
     """With both licenses on ``name``, derive ``|- b = a`` for entries
     ``b``, ``a``: the domain is provably a singleton."""
-    rec = registry.get(name)
-    d = rec.duality or "d"
+    d = registry.get(name).duality
     z, y = Var("z"), Var("y")
     hole = Var("x")
     n1 = mk("d_axiom", {"domain": name, "dual": d, "z": z, "y": y,

@@ -79,15 +79,14 @@ class CalculusConfig:
         """Both licenses on one domain prove it is a singleton, so outside
         collapse-demo mode the overlap is only allowed where that is
         already true: extensional singletons.  Substitution on a virtual
-        singleton needs collapse-demo mode on its own, as the registry
-        already demands of the domain's record."""
+        singleton needs collapse-demo mode on its own."""
         if self.collapse_demo:
             return
         for name in sorted(self.substitution_domains):
             if name in registry and registry.get(name).virtual_singleton:
                 raise ValueError(
-                    f"substitution on the virtual singleton {name} needs "
-                    f"collapse-demo mode")
+                    f"substitution on the virtual singleton {name} "
+                    f"requires collapse-demo mode")
         licensed = {d for d, _ in self.d_axiom_domains}
         for name in sorted(licensed & self.substitution_domains):
             if name in registry and registry.get(name).is_singleton:

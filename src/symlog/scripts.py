@@ -608,13 +608,12 @@ class Script:
     flags: dict = field(default_factory=dict)
     subst_licenses: list = field(default_factory=list)
     daxiom_licenses: list = field(default_factory=list)  # (domain, dual)
-    collapse_demo: bool = False
     consts: set = field(default_factory=set)
     sequents: dict = field(default_factory=dict)      # name -> Sequent
     proofs: dict = field(default_factory=dict)        # name -> ProofNode
 
     def registry(self) -> Registry:
-        reg = Registry(collapse_demo=self.collapse_demo)
+        reg = Registry()
         for rec in self.domains:
             reg.register_domain(rec)
         for name, table in self.dualtables.items():
@@ -625,15 +624,17 @@ class Script:
         return CalculusConfig(
             **{flag: self.flags.get(flag, False) for flag in _FLAG_NAMES},
             substitution_domains=frozenset(self.subst_licenses),
-            d_axiom_domains=frozenset(self.daxiom_licenses),
-            collapse_demo=self.collapse_demo)
+            d_axiom_domains=frozenset(self.daxiom_licenses))
 
 
-_FLAG_NAMES = ("left_contexts", "right_contexts", "weakening", "cut")
+_FLAG_NAMES = ("left_contexts", "right_contexts", "weakening", "cut",
+               "collapse_demo")
 _LICENSE = "license subst D | license daxiom D d"
 
 
-def _parse_domain_decl(s: _Stream) -> DomainRecord:
+def _parse_domain_decl(s: _Stream) -> tuple:
+    """The record of a ``domain`` line, and whether it has the ``subst``
+    word (``license subst NAME`` for short)."""
     name = s.ident("a domain name")
     s.eat("=")
     s.eat("{")
@@ -657,8 +658,7 @@ def _parse_domain_decl(s: _Stream) -> DomainRecord:
             words[word] = True
     return DomainRecord(name, tuple(entries), focused=words["focused"],
                         virtual_singleton=words["virtual"], duality=duality,
-                        substitution_allowed=words["subst"],
-                        inhabited=not words["uninhabited"])
+                        inhabited=not words["uninhabited"]), words["subst"]
 
 
 def parse_script(text: str) -> Script:
@@ -677,9 +677,11 @@ def parse_script(text: str) -> Script:
         word = s.name("a declaration keyword")
         if word == "domain":
             t = s.peek()
-            rec = _parse_domain_decl(s)
+            rec, subst = _parse_domain_decl(s)
             _check_unique(s, t, rec.name, known)
             sc.domains.append(rec)
+            if subst:
+                sc.subst_licenses.append(rec.name)
         elif word == "dualtable":
             name = s.ident("a duality name")
             s.eat("{")
@@ -697,9 +699,7 @@ def parse_script(text: str) -> Script:
             while not s.done():
                 t = s.peek()
                 flag = s.name("a flag name")
-                if flag == "collapse_demo":
-                    sc.collapse_demo = True
-                elif flag in _FLAG_NAMES:
+                if flag in _FLAG_NAMES:
                     sc.flags[flag] = True
                 else:
                     raise s.error(t, "a flag name", flag)
@@ -742,6 +742,8 @@ def parse_script(text: str) -> Script:
             raise s.error(t, "a declaration keyword", word)
         s.end_line()
     _validate_refs(s, sc, placed)
+    # a domain's subst word and a licence line may name one domain twice
+    sc.subst_licenses = list(dict.fromkeys(sc.subst_licenses))
     return sc
 
 
@@ -794,8 +796,6 @@ def print_script(sc: Script) -> str:
             bits.append("virtual")
         if rec.duality:
             bits.append(f"duality {rec.duality}")
-        if rec.substitution_allowed:
-            bits.append("subst")
         if not rec.inhabited:
             bits.append("uninhabited")
         out.append(" ".join(bits))
@@ -811,8 +811,6 @@ def print_script(sc: Script) -> str:
             pairs.append(f"{a} <-> {b}")
         out.append(f"dualtable {name} {{ {', '.join(pairs)} }}")
     flags = [f for f in _FLAG_NAMES if sc.flags.get(f)]
-    if sc.collapse_demo:
-        flags.append("collapse_demo")
     if flags:
         out.append("flags " + " ".join(flags))
     for dom in sc.subst_licenses:

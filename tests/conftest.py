@@ -1,19 +1,13 @@
 import pytest
 
-from symlog.domains import standard_registry
-from symlog.rules import CalculusConfig
+from symlog.corpus import corpus_config, corpus_registry
 
 
 @pytest.fixture
 def registry():
-    return standard_registry()
+    return corpus_registry()
 
 
 @pytest.fixture
 def config():
-    return CalculusConfig(
-        left_contexts=True, right_contexts=True, weakening=True, cut=True,
-        substitution_domains=frozenset({"D", "Ddown", "Dup"}),
-        d_axiom_domains=frozenset({("Dplus", "top"), ("Dminus", "top"),
-                                   ("V", "d"), ("Ddown", "neq"),
-                                   ("Dup", "neq")}))
+    return corpus_config()

@@ -5,7 +5,8 @@ import math
 import random
 from fractions import Fraction
 
-from symlog.domains import Registry, standard_registry
+from symlog.corpus import corpus_config, corpus_registry
+from symlog.domains import Registry
 from symlog.formulas import (
     And, Atom, DualMember, Eq, Excl, Exists, Forall, Formula, IConst,
     IDENTICAL, Imp, IndexRel, Join, Member, Neq, OPPOSITE, Or, Outcome, Par,
@@ -121,14 +122,7 @@ def random_qubit(rng: random.Random) -> Qubit:
 # random checkable proofs
 
 def proof_context():
-    reg = standard_registry()
-    cfg = CalculusConfig(
-        left_contexts=True, right_contexts=True, weakening=True, cut=True,
-        substitution_domains=frozenset({"D", "Ddown", "Dup"}),
-        d_axiom_domains=frozenset({("Dplus", "top"), ("Dminus", "top"),
-                                   ("V", "d"), ("Ddown", "neq"),
-                                   ("Dup", "neq")}))
-    return cfg, reg
+    return corpus_config(), corpus_registry()
 
 
 def _leaf(rng: random.Random, ctx: RuleContext) -> ProofNode:

@@ -284,6 +284,22 @@ def test_collapse_demo_flag_reaches_the_scripts_registry(tmp_path, capsys,
     assert main(command + ["--collapse-demo"]) == 0
 
 
+SUBST_WORD = """\
+domain D = { t1@1/2, t2@1/2 } focused subst
+proof s : A(t1@1/2) |- A(t1@1/2)
+subst var=z term=t1@1/2 domain=D
+  id a={A(z)}
+"""
+
+
+def test_domain_subst_word_licenses_substitution(tmp_path, capsys):
+    """A domain line's ``subst`` word is ``license subst NAME``."""
+    path = tmp_path / "subst_word.blq"
+    path.write_text(SUBST_WORD)
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "s: ok\n"
+
+
 def test_commands_reject_flags_they_ignore(ext_script, capsys):
     for argv in (["search", ext_script, "--name", "detach", "--expect-proof"],
                  ["corpus", "--cut"], ["qstate", "q.json", "--subst", "D"],

@@ -41,19 +41,13 @@ def test_register_rejects_focused_virtual_two_entries():
             focused=True, virtual_singleton=True, duality="d"))
 
 
-def test_register_rejects_substitution_on_virtual_singleton():
-    reg = Registry()
+def test_register_rejects_virtual_singleton_without_duality():
+    """A virtual singleton needs its duality in collapse-demo mode too."""
+    reg = Registry(collapse_demo=True)
     with pytest.raises(InvariantViolation):
         reg.register_domain(DomainRecord(
             "bad", (Outcome("a", half), Outcome("b", half)),
-            focused=False, virtual_singleton=True, duality="d",
-            substitution_allowed=True))
-    # the same record is admissible in collapse-demo mode
-    reg2 = Registry(collapse_demo=True)
-    reg2.register_domain(DomainRecord(
-        "ok", (Outcome("a", half), Outcome("b", half)),
-        focused=False, virtual_singleton=True, duality="d",
-        substitution_allowed=True))
+            focused=False, virtual_singleton=True))
 
 
 def test_focus_sequents_two_entries(registry):

@@ -19,7 +19,7 @@ from symlog.formulas import (
 )
 from symlog.kernel import (
     build_collapse_proof, build_exists_to_forall, collapse_config,
-    expand_derived, proof_to_json, symmetrize_proof,
+    expand_derived, proof_from_json, proof_to_json, symmetrize_proof,
 )
 from symlog.rules import (
     _PARAM_KIND, CalculusConfig, CheckReport, ProofNode, RuleContext, _fold,
@@ -268,8 +268,7 @@ def _focus_interderivable(n: int, pred: str) -> None:
 
     entries = tuple(Outcome(f"u{i}", Fraction(1, n)) for i in range(n))
     reg = Registry()
-    reg.register_domain(DomainRecord("Dn", entries, focused=True,
-                                     substitution_allowed=True))
+    reg.register_domain(DomainRecord("Dn", entries, focused=True))
     cfg = CalculusConfig(True, True, True, True,
                          substitution_domains=frozenset({"Dn"}))
     At = lambda t: Atom(pred, None, (t,))
@@ -466,6 +465,8 @@ _DEEP_WALKS = {
     "proof_to_json": (3000, lambda deep, cfg, reg:
                       _json_chain(proof_to_json(deep))
                       == ["weak_l"] * 3000 + ["id"]),
+    "proof_from_json": (3000, lambda deep, cfg, reg: proof_equal(
+        proof_from_json(proof_to_json(deep)), deep)),
     "print_proof": (3000, lambda deep, cfg, reg:
                     print_proof(deep).splitlines()[-2:]
                     == ["  " * 2999 + "weak_l formula={p} pos=0",
