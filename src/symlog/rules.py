@@ -18,15 +18,20 @@ their reconstruction; anything beyond that is gated by the configuration
 flags (left/right context liberalization, weakening, cut) or by the
 substitution / d-axiom licenses.
 
-Side-mirrored rules are written once.  Where rules differ only in the side
-of the turnstile they read and build (``and_l1`` and ``or_r1``, ``weak_l``
-and ``weak_r``, ...), one validator serves the group and is registered once
-per rule by stacked ``@_rule`` lines.  Each line gives the rule's ``side``
+Side-mirrored rules are written once.  Where rules differ only in the side of
+the turnstile they read and build (``and_l1`` and ``or_r1``, ``weak_l`` and
+``weak_r``, ...), one validator serves the group and is registered once per
+rule by stacked ``@_rule`` lines.  Each line gives the rule's ``side``
 ("left" or "right") and whatever else differs, such as the constructor
-``make``; the validator receives them, with the rule's ``name``, as the
-record ``rule`` before the usual arguments.  It reads a side only through
-the ``Sequent`` field ``rule.side`` names and builds a sequent only through
-``_on``, so it never tests which side it serves.
+``make`` or the other side ``far``; the validator receives them, with the
+rule's ``name``, as the record ``rule`` before the usual arguments.  It reads
+a side only through a ``Sequent`` field the record names and builds a sequent
+only through ``_on`` and ``_beside``, so it never tests which side it serves.
+Three mirrored pairs stay written out.  ``exists_f`` reads ``dual`` and asks
+the registry before it reads its slot, ``forall_f`` after, so merged they
+would report another fault on some calls with two.  ``imp_l``/``excl_r`` and
+``forall_r``/``exists_r`` read opposite ends of a side with the premise roles
+swapped, and ``excl_r`` checks its left context first, ``exists_r`` its right.
 
 The checker folds over a proof tree (``_fold``), validating each node
 after its premises against the claimed conclusion, if any.  The fold keeps
@@ -160,6 +165,12 @@ def _on(s: Sequent, side: str, slots: tuple) -> Sequent:
     return Sequent(slots, s.right) if side == "left" else Sequent(s.left, slots)
 
 
+def _beside(s: Sequent, side: str, slot: Slot) -> Sequent:
+    """``s`` with ``slot`` next to the turnstile on ``side``."""
+    return Sequent(s.left + (slot,), s.right) if side == "left" \
+        else Sequent(s.left, (slot,) + s.right)
+
+
 def _var_fresh_for(z: Var, slots) -> bool:
     return all(z not in free_vars(f) for s in slots for f in slot_formulas(s))
 
@@ -259,16 +270,11 @@ def _r_id(params, premises, claimed, ctx):
     return Sequent((Single(a),), (Single(a),))
 
 
-@_rule("refl", 0)
-def _r_refl(params, premises, claimed, ctx):
+@_rule("refl", 0, side="right", make=Eq)
+@_rule("neq_refl", 0, side="left", make=Neq)
+def _r_refl(rule, params, premises, claimed, ctx):
     t = params["t"]
-    return Sequent((), (Single(Eq(t, t)),))
-
-
-@_rule("neq_refl", 0)
-def _r_neq_refl(params, premises, claimed, ctx):
-    t = params["t"]
-    return Sequent((Single(Neq(t, t)),), ())
+    return _beside(Sequent((), ()), rule.side, Single(rule.make(t, t)))
 
 
 @_rule("member", 0)
@@ -287,22 +293,14 @@ def _r_dual_member_refuted(params, premises, claimed, ctx):
     return Sequent((Single(ctx.registry.dual_membership(t, dom, d)),), ())
 
 
-@_rule("dual_exclusion", 0)
-def _r_dual_exclusion(params, premises, claimed, ctx):
+@_rule("dual_exclusion", 0, side="left", what="dual exclusion")
+@_rule("dual_em", 0, side="right", what="dual excluded middle")
+def _r_dual_exclusion(rule, params, premises, claimed, ctx):
     dom, z, d = params["domain"], params["var"], params["dual"]
     _need(isinstance(z, Var), "SideConditionViolated",
-          "dual exclusion is issued for variables only")
+          f"{rule.what} is issued for variables only")
     dual = ctx.registry.dual_membership(z, dom, d)
-    return Sequent((Single(Member(z, dom)), Single(dual)), ())
-
-
-@_rule("dual_em", 0)
-def _r_dual_em(params, premises, claimed, ctx):
-    dom, z, d = params["domain"], params["var"], params["dual"]
-    _need(isinstance(z, Var), "SideConditionViolated",
-          "dual excluded middle is issued for variables only")
-    dual = ctx.registry.dual_membership(z, dom, d)
-    return Sequent((), (Single(Member(z, dom)), Single(dual)))
+    return _on(Sequent((), ()), rule.side, (Single(Member(z, dom)), Single(dual)))
 
 
 @_rule("focus", 0)
@@ -377,26 +375,18 @@ def _r_multiplicative_one(rule, params, premises, claimed, ctx):
     return _on(p, rule.side, slots[:pos] + (pair,) + slots[pos + 2:])
 
 
-@_rule("imp_r", 1)
-def _r_imp_r(params, premises, claimed, ctx):
+@_rule("imp_r", 1, side="right", make=Imp, roles=("antecedent", "succedent"),
+       shape="the antecedent last on the left, succedent first on the right")
+@_rule("excl_l", 1, side="left", make=Excl, roles=("kept side", "excluded side"),
+       shape="its components adjacent to the turnstile")
+def _r_implication(rule, params, premises, claimed, ctx):
     p = premises[0]
-    _need(len(p.left) >= 1 and len(p.right) >= 1, "SlotMismatch",
-          "imp_r needs the antecedent last on the left, succedent first on the right")
-    a = _fml(p.left[-1], "imp_r antecedent")
-    b = _fml(p.right[0], "imp_r succedent")
-    _extra(ctx, "right", len(p.right) > 1)
-    return Sequent(p.left[:-1], (Single(Imp(a, b)),) + p.right[1:])
-
-
-@_rule("excl_l", 1)
-def _r_excl_l(params, premises, claimed, ctx):
-    p = premises[0]
-    _need(len(p.left) >= 1 and len(p.right) >= 1, "SlotMismatch",
-          "excl_l needs its components adjacent to the turnstile")
-    b = _fml(p.left[-1], "excl_l kept side")
-    a = _fml(p.right[0], "excl_l excluded side")
-    _extra(ctx, "left", len(p.left) > 1)
-    return Sequent(p.left[:-1] + (Single(Excl(b, a)),), p.right[1:])
+    _need(bool(p.left and p.right), "SlotMismatch", f"{rule.name} needs {rule.shape}")
+    a = _fml(p.left[-1], f"{rule.name} {rule.roles[0]}")
+    b = _fml(p.right[0], f"{rule.name} {rule.roles[1]}")
+    _extra(ctx, rule.side, len(getattr(p, rule.side)) > 1)
+    return _beside(Sequent(p.left[:-1], p.right[1:]), rule.side,
+                   Single(rule.make(a, b)))
 
 
 # --------------------------------------------------------------------------
@@ -562,46 +552,32 @@ def _pair_components(slot: Slot, what: str):
     return slot.a, i, slot.tag, slot.b, j
 
 
-@_rule("conv_pair_elim", 1)
-def _r_conv_pair_elim(params, premises, claimed, ctx):
+@_rule("conv_pair_elim", 1, side="right", far="left", keep="a")
+@_rule("conv_pair_elim_l", 1, side="left", far="right", keep="b")
+def _r_conv_pair_elim(rule, params, premises, claimed, ctx):
     p, qpos = premises[0], params["qpos"]
-    a, i, tag, _b, j = _pair_components(_at(p.right, qpos, "conv_pair_elim"),
-                                        "conv_pair_elim")
-    return Sequent(p.left + (Single(IndexRel(i, tag, j)),),
-                   _replaced(p.right, qpos, Single(a)))
+    slots = getattr(p, rule.side)
+    pair = _at(slots, qpos, rule.name)
+    _a, i, tag, _b, j = _pair_components(pair, rule.name)
+    kept = _replaced(slots, qpos, Single(getattr(pair, rule.keep)))
+    return _beside(_on(p, rule.side, kept), rule.far, Single(IndexRel(i, tag, j)))
 
 
-@_rule("conv_pair_intro", 1)
-def _r_conv_pair_intro(params, premises, claimed, ctx):
+@_rule("conv_pair_intro", 1, side="right", far="left",
+       make=lambda a, rel: CorrPair(a, rel.tag, reindex(a, rel.i, rel.j)))
+@_rule("conv_pair_intro_l", 1, side="left", far="right",
+       make=lambda a, rel: CorrPair(reindex(a, rel.j, rel.i), rel.tag, a))
+def _r_conv_pair_intro(rule, params, premises, claimed, ctx):
     p, qpos, relpos = premises[0], params["qpos"], params["relpos"]
-    rel = _fml(_at(p.left, relpos, "conv_pair_intro relation"))
+    slots, far = getattr(p, rule.side), getattr(p, rule.far)
+    rel = _fml(_at(far, relpos, f"{rule.name} relation"))
     _need(isinstance(rel, IndexRel), "SlotMismatch",
-          f"left slot {relpos} is not an index relation")
-    a = _fml(_at(p.right, qpos, "conv_pair_intro principal"))
-    pair = CorrPair(a, rel.tag, reindex(a, rel.i, rel.j))
-    _pair_components(pair, "conv_pair_intro")
-    return Sequent(_without(p.left, relpos), _replaced(p.right, qpos, pair))
-
-
-@_rule("conv_pair_elim_l", 1)
-def _r_conv_pair_elim_l(params, premises, claimed, ctx):
-    p, qpos = premises[0], params["qpos"]
-    _b, j, tag, a, i = _pair_components(_at(p.left, qpos, "conv_pair_elim_l"),
-                                        "conv_pair_elim_l")
-    return Sequent(_replaced(p.left, qpos, Single(a)),
-                   (Single(IndexRel(j, tag, i)),) + p.right)
-
-
-@_rule("conv_pair_intro_l", 1)
-def _r_conv_pair_intro_l(params, premises, claimed, ctx):
-    p, qpos, relpos = premises[0], params["qpos"], params["relpos"]
-    rel = _fml(_at(p.right, relpos, "conv_pair_intro_l relation"))
-    _need(isinstance(rel, IndexRel), "SlotMismatch",
-          f"right slot {relpos} is not an index relation")
-    a = _fml(_at(p.left, qpos, "conv_pair_intro_l principal"))
-    pair = CorrPair(reindex(a, rel.j, rel.i), rel.tag, a)
-    _pair_components(pair, "conv_pair_intro_l")
-    return Sequent(_replaced(p.left, qpos, pair), _without(p.right, relpos))
+          f"{rule.far} slot {relpos} is not an index relation")
+    a = _fml(_at(slots, qpos, f"{rule.name} principal"))
+    pair = rule.make(a, rel)
+    _pair_components(pair, rule.name)
+    rest = _on(p, rule.far, _without(far, relpos))
+    return _on(rest, rule.side, _replaced(slots, qpos, pair))
 
 
 # --------------------------------------------------------------------------
