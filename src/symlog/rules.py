@@ -392,6 +392,14 @@ def _r_implication(rule, params, premises, claimed, ctx):
 # --------------------------------------------------------------------------
 # quantifier formation rules
 
+def _bound(params) -> Var:
+    """The rule's bound variable ``var``, which must be a variable."""
+    z = params["var"]
+    _need(isinstance(z, Var), "SideConditionViolated",
+          f"a quantifier binds a variable, not {z}")
+    return z
+
+
 def _membership(t: Term, dom: str, as_eq: bool, ctx) -> Formula:
     """The membership of ``t`` in ``dom`` the universal rules expect:
     ``t in dom``, or with ``as_eq`` its equality form over an extensional
@@ -407,7 +415,7 @@ def _membership(t: Term, dom: str, as_eq: bool, ctx) -> Formula:
 @_rule("forall_f", 1)
 def _r_forall_f(params, premises, claimed, ctx):
     p = premises[0]
-    z, dom = params["var"], params["domain"]
+    z, dom = _bound(params), params["domain"]
     mpos, qpos = params["mpos"], params["qpos"]
     as_eq = params.get("as_eq", False)
     slot = _at(p.left, mpos, "forall_f membership")
@@ -426,7 +434,7 @@ def _r_forall_f(params, premises, claimed, ctx):
 @_rule("exists_f", 1)
 def _r_exists_f(params, premises, claimed, ctx):
     p = premises[0]
-    z, dom, d = params["var"], params["domain"], params["dual"]
+    z, dom, d = _bound(params), params["domain"], params["dual"]
     dpos, qpos = params["dpos"], params["qpos"]
     dual = ctx.registry.dual_membership(z, dom, d)
     got = _fml(_at(p.right, dpos, "exists_f dual membership"))
@@ -574,6 +582,9 @@ def _r_conv_pair_intro(rule, params, premises, claimed, ctx):
     _need(isinstance(rel, IndexRel), "SlotMismatch",
           f"{rule.far} slot {relpos} is not an index relation")
     a = _fml(_at(slots, qpos, f"{rule.name} principal"))
+    # one index before reindexing, which could give a join's operands one
+    _need(formula_index(a) is not None, "SideConditionViolated",
+          f"{rule.name}: pair components need distinct unique indexes")
     pair = rule.make(a, rel)
     _pair_components(pair, rule.name)
     rest = _on(p, rule.far, _without(far, relpos))
@@ -608,6 +619,9 @@ def _r_join_intro(rule, params, premises, claimed, ctx):
     _need(isinstance(slot, CorrPair), "SlotMismatch",
           f"{rule.name} expects a correlated pair")
     _join_license(ctx, p, slot.a, slot.b)
+    i = formula_index(slot.a)
+    _need(i is None or i != formula_index(slot.b), "SideConditionViolated",
+          f"{rule.name}: pair components need distinct unique indexes")
     join = Single(Join(slot.tag, slot.a, slot.b))
     return _on(p, rule.side, _replaced(slots, qpos, join))
 
@@ -692,7 +706,7 @@ def _r_excl_r(params, premises, claimed, ctx):
 def _r_forall_r(params, premises, claimed, ctx):
     p1, p2 = premises
     pos, t = params["pos"], params["term"]
-    z, dom, body = params["var"], params["domain"], params["body"]
+    z, dom, body = _bound(params), params["domain"], params["body"]
     _need(len(p1.right) >= 1 and len(p2.left) >= 1, "SlotMismatch",
           "forall_r premise shapes")
     memb = _fml(p1.right[0], "forall_r membership")
@@ -713,7 +727,7 @@ def _r_forall_r(params, premises, claimed, ctx):
 def _r_exists_r(params, premises, claimed, ctx):
     p1, p2 = premises
     pos, t, d = params["pos"], params["term"], params["dual"]
-    z, dom, body = params["var"], params["domain"], params["body"]
+    z, dom, body = _bound(params), params["domain"], params["body"]
     _need(len(p1.right) >= 1 and len(p2.left) >= 1, "SlotMismatch",
           "exists_r premise shapes")
     inst = _fml(p1.right[-1], "exists_r instance")
@@ -766,7 +780,7 @@ def _vsym_eligible(ctx: RuleContext, dom: str) -> str:
 @_rule("parallel_forall", 1, macro=True)
 def _r_parallel_forall(params, premises, claimed, ctx):
     p = premises[0]
-    z, dom = params["var"], params["domain"]
+    z, dom = _bound(params), params["domain"]
     mpos, qpos = params["mpos"], params["qpos"]
     rec = ctx.registry.get(dom)
     _need(rec.virtual_singleton, "NotVirtualSingleton",

@@ -8,9 +8,9 @@ from fractions import Fraction
 from symlog.corpus import corpus_config, corpus_registry
 from symlog.domains import Registry
 from symlog.formulas import (
-    And, Atom, DualMember, Eq, Excl, Exists, Forall, Formula, IConst,
-    IDENTICAL, Imp, IndexRel, Join, Member, Neq, OPPOSITE, Or, Outcome, Par,
-    Sequent, Single, Times, Var,
+    And, Atom, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula,
+    IConst, IDENTICAL, Imp, IndexRel, Join, Member, Neq, OPPOSITE, Or,
+    Outcome, Par, Sequent, Single, Times, Var,
 )
 from symlog.qubits import Qubit
 from symlog.rules import (
@@ -111,6 +111,81 @@ def random_literal_goal(rng: random.Random, registry: Registry) -> Sequent:
         return literal(rng.choice(terms))
     return Sequent(tuple(Single(one()) for _ in range(rng.randint(1, 3))),
                    tuple(Single(one()) for _ in range(rng.randint(1, 2))))
+
+
+_DUALS = ("identity", "d", "top", "perp", "neq")
+_TAGS = (IDENTICAL, OPPOSITE)
+_INT_KEYS = ("pos", "mpos", "qpos", "dpos", "relpos", "i", "j", "lpos",
+             "rpos", "apos", "bpos")
+
+
+def random_rule_calls(rng: random.Random, rules: dict, count: int):
+    """``count`` random ``validate_rule`` calls (rule, params, premises,
+    claimed) over ``rules`` (name -> arity), mostly ill-formed.  One term,
+    variable and domain are drawn per call and recur in the parameters
+    and the slots, so that a side condition sometimes holds.  The formulas
+    come from pools built once: building interned formulas is slow."""
+    terms, both = _VARS + _OUTCOMES, (1, 2)
+    atom = {(u, i): Atom("A", IConst(i), (u,)) for u in terms for i in both}
+    member = {(u, d): Member(u, d) for u in terms for d in _DOMAINS}
+    dual = {(u, d, k): DualMember(u, d, k)
+            for u in terms for d in _DOMAINS for k in _DUALS}
+    joins = {u: [Join(g, atom[u, 1], atom[u, 2]) for g in _TAGS]
+             for u in terms}
+    two = {(z, u): Atom("A", None, (z, u)) for z in terms for u in terms}
+    bodies = {(z, v, d): Forall(v, d, two[z, v])
+              for z in terms for v in _VARS for d in _DOMAINS}
+    flat = ([IndexRel(IConst(i), g, IConst(j))
+             for i in both for g in _TAGS for j in both],
+            [q(v, d, atom[v, i]) for q in (Forall, Exists) for v in _VARS
+             for d in _DOMAINS for i in both],
+            [e(u, w) for e in (Eq, Neq) for u in terms for w in terms],
+            [random_formula(rng, rng.randrange(3)) for _ in range(200)])
+    names = sorted(rules)
+    for _ in range(count):
+        t, dom = random_term(rng), rng.choice(_DOMAINS)
+        z = rng.choice(_OUTCOMES) if rng.random() < 0.2 else rng.choice(_VARS)
+        other = lambda: random_term(rng) if rng.random() < 0.3 else t
+        domain = lambda: rng.choice(_DOMAINS) if rng.random() < 0.3 else dom
+
+        def formula():
+            u, kind = other(), rng.randrange(9)
+            if kind == 0:
+                return atom[u, rng.choice(both)]
+            if kind == 1:
+                return member[u, domain()]
+            if kind == 2:
+                return dual[u, domain(), rng.choice(_DUALS)]
+            if kind == 3:
+                return rng.choice(joins[u])
+            if kind == 4:
+                return two[z, u]
+            return rng.choice(flat[kind - 5])
+
+        def slot():
+            if rng.random() < 0.25:
+                u = other()
+                return CorrPair(atom[u, rng.choice(both)], rng.choice(_TAGS),
+                                atom[u, rng.choice(both)])
+            return Single(formula())
+
+        def sequent():
+            return Sequent(tuple(slot() for _ in range(rng.randrange(4))),
+                           tuple(slot() for _ in range(rng.randrange(4))))
+
+        name = rng.choice(names)
+        v = t if isinstance(t, Var) else rng.choice(_VARS)
+        params = {k: rng.randint(-1, 3) for k in _INT_KEYS}
+        params.update(
+            as_eq=rng.random() < 0.2, a=formula(), other=formula(),
+            formula=formula(), t=t, s=other(), term=t, var=z, z=z,
+            body=rng.choice((two[z, z], formula(), bodies[z, v, domain()])),
+            y=rng.choice(_VARS), hole=rng.choice(_VARS), domain=dom,
+            dual=rng.choice(_DUALS))
+        params = {k: x for k, x in params.items() if rng.random() < 0.9}
+        premises = [sequent() for _ in range(rules[name])]
+        claimed = rng.choice((None, sequent()) + tuple(premises[:1]))
+        yield name, params, premises, claimed
 
 
 def random_qubit(rng: random.Random) -> Qubit:

@@ -323,6 +323,29 @@ def test_check_reports_a_d_axiom_with_a_non_variable_hole(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "p: FAIL"
 
 
+@pytest.mark.parametrize("text", [
+    "flags weakening\n"
+    "proof bad : p |-\n"
+    "conv_pair_intro qpos=0 relpos=1\n"
+    "  weak_l pos=1 formula={1 ~i 2}\n"
+    "    id a={A_1(z) join_i A_2(z)}\n",
+    "domain Dplus = { down@1/2, up@1/2 } virtual duality top\n"
+    "proof bad : p |-\n"
+    "forall_r pos=0 term=z var=down@1/2 domain=Dplus "
+    "body={forall z in Dplus . A(down@1/2, z)}\n"
+    "  id a={z in Dplus}\n"
+    "  id a={A(z)}\n",
+], ids=["join-principal", "outcome-bound-variable"])
+def test_check_reports_a_bad_proof_without_an_internal_error(tmp_path, capsys,
+                                                             text):
+    bad = tmp_path / "bad.blq"
+    bad.write_text(text)
+    assert main(["check", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out.strip() == "bad: FAIL"
+    assert err == ""
+
+
 def test_check_reports_wrong_parameter_kind(tmp_path, capsys):
     bad = tmp_path / "kind.blq"
     bad.write_text("proof p : p, p |- p\ncontract_l i=x j=1\n  id a={p}\n")

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 import symlog.rules
 from symlog.corpus import corpus_config, corpus_registry, positive_proofs
 from symlog.domains import standard_registry
-from symlog.dualities import IDENTITY_INV, symmetrize_sequent
+from symlog.dualities import (
+    IDENTITY_INV, LiteralInvolution, symmetrize_sequent,
+)
 from symlog.formulas import (
     And, Atom, Const, Eq, IConst, IDENTICAL, IndexRel, Join, Member, Outcome, Var,
     seq, sequent_equal,
@@ -231,6 +233,30 @@ def test_vsym_rules_expand_and_check(config, registry):
     base = build_exists_to_forall(ctx, "Dplus", x, A(x))
     node = annotate(base, config, registry)
     assert check_proof(node, config, registry).ok
+
+
+def test_every_vsym_macro_expands_to_a_proof_of_its_conclusion(config,
+                                                               registry):
+    """The two existential steps on V and their images under the d duality,
+    the two universal ones, each expand to a checked proof of the macro's
+    conclusion."""
+    v1 = Outcome("v1", Fraction(1, 2))
+    built = [mk("exists_f_vsym", {"var": z, "domain": "V", "mpos": 0,
+                                  "qpos": 0}, mk("id", {"a": Member(z, "V")})),
+             mk("exists_r_vsym", {"pos": 0, "term": v1, "var": x,
+                                  "domain": "V", "body": A(x)},
+                mk("member", {"domain": "V", "term": v1}),
+                mk("id", {"a": A(v1)}))]
+    inv = LiteralInvolution("d")
+    macros = built + [symmetrize_proof(n, inv, config, registry) for n in built]
+    assert [n.rule for n in macros] == ["exists_f_vsym", "exists_r_vsym",
+                                        "forall_f_vsym", "forall_r_vsym"]
+    for node in macros:
+        want = annotate(node, config, registry).conclusion
+        out = expand_derived(node, config, registry)
+        assert out.rule == "cut"
+        assert check_proof(out, config, registry).ok
+        assert sequent_equal(out.conclusion, want)
 
 
 def test_exists_to_forall_lemma_avoids_a_free_y(config, registry):

@@ -3,23 +3,27 @@
 The digest pins, for a seeded set of calls that reaches every rule, the
 conclusion each call reconstructs or the ``RuleError`` it raises.  A
 refactor of ``rules.py`` that keeps the digest keeps every rule's answer.
+Random calls check that ``validate_rule`` raises nothing but ``RuleError``.
 """
 import dataclasses
 import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from symlog.corpus import positive_proofs
 from symlog.dualities import IDENTITY_INV, LiteralInvolution
 from symlog.formulas import (
-    Atom, Eq, IConst, IDENTICAL, Join, Member, Neq, Outcome, Sequent, Var,
+    Atom, CorrPair, Eq, Forall, IConst, IDENTICAL, IndexRel, Join, Member,
+    Neq, Outcome, Sequent, Single, Var,
 )
 from symlog.kernel import symmetrize_proof
 from symlog.rules import (
     RULES, RuleContext, RuleError, annotate, mk, validate_rule,
 )
 
-from genlib import proof_context, random_proof
+from genlib import proof_context, random_proof, random_rule_calls
 
 _FLAGS = ("left_contexts", "right_contexts", "weakening", "cut")
 # bit k of a mask switches _FLAGS[k] on; 15 is the proofs' own setting
@@ -156,3 +160,82 @@ def test_rule_outcomes_digest_unchanged():
         h.update(f"{call[0]}\t{out}\n".encode())
     assert called == accepted == set(RULES)
     assert h.hexdigest() == _OUTCOMES_DIGEST
+
+
+def test_validate_rule_raises_only_rule_errors():
+    """Random calls of every rule, mostly ill-formed, under both context
+    flags: each returns a conclusion or raises a RuleError."""
+    cfg, reg = proof_context()
+    ctxs = [RuleContext(dataclasses.replace(
+        cfg, left_contexts=left, right_contexts=right), reg)
+        for left in (False, True) for right in (False, True)]
+    rng = random.Random(1)
+    arities = {name: arity for name, (arity, _fn) in RULES.items()}
+    raised = []
+    for call in random_rule_calls(rng, arities, 20_000):
+        try:
+            validate_rule(*call, rng.choice(ctxs))
+        except RuleError:
+            pass
+        except Exception as e:
+            raised.append((call[0], repr(e)))
+    assert not raised, raised[:3]
+
+
+def _side_condition(rule, params, prems) -> str:
+    cfg, reg = proof_context()
+    with pytest.raises(RuleError) as e:
+        validate_rule(rule, params, prems, None, RuleContext(cfg, reg))
+    assert e.value.code == "SideConditionViolated"
+    return e.value.message
+
+
+_A1, _A2 = Atom("A", IConst(1), (z,)), Atom("A", IConst(2), (z,))
+_IN_DPLUS = Single(Member(z, "Dplus"))
+
+
+@pytest.mark.parametrize("rule", ["join_intro", "join_intro_l"])
+def test_join_intro_rejects_a_pair_with_one_index(rule):
+    pair = CorrPair(_A1, IDENTICAL, _A1)
+    prem = Sequent((_IN_DPLUS, pair), (pair,))
+    assert _side_condition(rule, {"qpos": 1 if rule.endswith("_l") else 0},
+                           [prem]) \
+        == f"{rule}: pair components need distinct unique indexes"
+
+
+@pytest.mark.parametrize("rule", ["conv_pair_intro", "conv_pair_intro_l"])
+def test_conv_pair_intro_rejects_a_join_principal(rule):
+    join, rel = Single(Join(IDENTICAL, _A1, _A2)), Single(
+        IndexRel(IConst(1), IDENTICAL, IConst(2)))
+    prem = Sequent((join,), (rel,)) if rule.endswith("_l") \
+        else Sequent((rel,), (join,))
+    assert _side_condition(rule, {"qpos": 0, "relpos": 0}, [prem]) \
+        == f"{rule}: pair components need distinct unique indexes"
+
+
+_DOWN = Outcome("down", Fraction(1, 2))
+_A = lambda t: Atom("A", None, (t,))
+
+
+@pytest.mark.parametrize("rule, params, prems", [
+    ("forall_f", {"mpos": 0, "qpos": 0},
+     [Sequent((Single(Member(_DOWN, "Dplus")),), (Single(_A(_DOWN)),))]),
+    ("exists_f", {"dual": "top", "dpos": 0, "qpos": 0},
+     [Sequent((Single(_A(_DOWN)),), (Single(Member(_DOWN, "Dminus")),))]),
+    ("parallel_forall", {"mpos": 0, "qpos": 0},
+     [Sequent((Single(Member(_DOWN, "Dplus")),), (CorrPair(
+         Atom("A", IConst(1), (_DOWN,)), IDENTICAL,
+         Atom("A", IConst(2), (_DOWN,))),))]),
+    ("forall_r", {"pos": 0, "term": z,
+                  "body": Forall(z, "Dplus", Atom("A", None, (_DOWN, z)))},
+     [Sequent((), (Single(Member(z, "Dplus")),)),
+      Sequent((Single(_A(z)),), ())]),
+    ("exists_r", {"pos": 0, "term": z, "dual": "top",
+                  "body": Forall(z, "Dplus", Atom("A", None, (_DOWN, z)))},
+     [Sequent((), (Single(_A(z)),)),
+      Sequent((Single(Member(z, "Dminus")),), ())]),
+], ids=["forall_f", "exists_f", "parallel_forall", "forall_r", "exists_r"])
+def test_a_bound_variable_is_a_variable(rule, params, prems):
+    """An outcome in place of the bound variable is a side condition
+    failure, not a quantifier over an outcome."""
+    _side_condition(rule, {**params, "var": _DOWN, "domain": "Dplus"}, prems)
