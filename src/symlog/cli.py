@@ -26,22 +26,28 @@ import json
 import os
 import sys
 
-from .corpus import run_corpus
+from . import _loader
 from .domains import RegistryError, standard_registry
 from .dualities import UnclassifiedLiteral, UnknownDuality, apply_duality
-from .formulas import map_sequent
-from .kernel import KernelError, proof_to_json, symmetrize_proof
-from .qubits import (
-    BellState, NonDyadicProbability, Qubit, bell_formula, collapse,
-    measurement_domain, state_formula,
-)
-from .formulas import IDENTICAL, OPPOSITE
+from .formulas import IDENTICAL, OPPOSITE, map_sequent
 from .rules import RuleError, check_proof
 from .scripts import (
     _FLAG_NAMES, ParseError, Script, parse_script, print_formula, print_proof,
     print_sequent,
 )
-from .search import DEFAULT_MAX_DEPTH, DepthLimitError, search_proof
+
+# Each command that runs a module check does not: that module and the names
+# the command takes from it, loaded on first use.  main catches the usage
+# error of such a module once the module is loaded; a class that was never
+# loaded cannot have been raised.
+_LAZY = {"sym": ("kernel", "proof_to_json symmetrize_proof"),
+         "search": ("search", "DEFAULT_MAX_DEPTH search_proof"),
+         "corpus": ("corpus", "run_corpus"),
+         "qstate": ("qubits", "Qubit collapse measurement_domain state_formula"),
+         "bell": ("qubits", "BellState bell_formula")}
+_LAZY_ERRORS = {"symlog.kernel": "KernelError", "symlog.search": "DepthLimitError",
+                "symlog.qubits": "NonDyadicProbability"}
+__getattr__ = _loader(globals(), _LAZY.values())
 
 
 class UsageError(Exception):
@@ -287,12 +293,14 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    for name in _LAZY.get(args.command, ("", ""))[1].split():
+        getattr(sys.modules[__name__], name)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, RegistryError, RuleError, KernelError, UsageError,
-            NonDyadicProbability, UnclassifiedLiteral, UnknownDuality,
-            DepthLimitError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as e:
+    except (ParseError, RegistryError, RuleError, UsageError,
+            UnclassifiedLiteral, UnknownDuality, OSError, UnicodeDecodeError,
+            json.JSONDecodeError, *(getattr(sys.modules[m], n) for m, n
+                                    in _LAZY_ERRORS.items() if m in sys.modules)) as e:
         _err(str(e))
         return 2
     except Exception as e:

@@ -45,6 +45,35 @@ def test_python_m_symlog_runs_the_command_line():
     assert "ok" in run.stdout
 
 
+# The modules check does not run.
+_NOT_FOR_CHECK = ("symlog.corpus", "symlog.correlation", "symlog.kernel",
+                  "symlog.qubits", "symlog.search")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ([], _NOT_FOR_CHECK),
+    (["check", str(CORPUS_DIR / "c1.blq")], _NOT_FOR_CHECK),
+    (["search", "{ext}", "--name", "detach"],
+     ("symlog.corpus", "symlog.correlation", "symlog.qubits")),
+], ids=["import", "check", "search"])
+def test_commands_load_only_the_modules_they_run(ext_script, argv, absent):
+    """In a fresh interpreter, as a shell starts one: importing the command
+    line and running a command loads none of the modules it does not run."""
+    src = str(CORPUS_DIR.parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\nimport symlog.cli\n"
+            "rc = symlog.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(rc, *sorted(sys.modules))\n")
+    run = subprocess.run(
+        [sys.executable, "-c", code, *(a.format(ext=ext_script) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=120)
+    rc, *loaded = run.stdout.splitlines()[-1].split()
+    assert rc == "0", run.stderr
+    assert "symlog.cli" in loaded
+    assert sorted(set(absent) & set(loaded)) == []
+
+
 def test_check_reports_failure(tmp_path, capsys):
     bad = tmp_path / "bad.blq"
     bad.write_text("proof broken : p |- q\n  id a={p}\n")
@@ -448,6 +477,17 @@ proof pr : z in D |- z in D
 id a={z in D} : z in D |- z in D
 """
 
+# The parallel_forall macro of corpus item C12, which has no symmetric mate,
+# over c12.blq's declarations.
+PARALLEL_FORALL = """\
+proof pf : forall x in Dplus . A_1(x) join_i A_2(x) |- forall z in Dplus . A_1(z) ,_i forall z in Dplus . A_2(z)
+parallel_forall domain=Dplus mpos=1 qpos=0 var=z
+  join_elim qpos=0
+    forall_r body={A_1(x) join_i A_2(x)} domain=Dplus pos=0 term=z var=x
+      id a={z in Dplus}
+      id a={A_1(z) join_i A_2(z)}
+"""
+
 
 @pytest.mark.parametrize("argv, env, message", [
     (["search", "{ext}", "--name", "detach", "--d-axiom", "V"], None,
@@ -467,12 +507,15 @@ id a={z in D} : z in D |- z in D
     (["qstate", "{huge}"], None, "not a qubit state"),
     (["check", "{eof_header}"], None, "a rule name"),
     (["check", "{other_header}"], None, "the sequent of the proof header"),
+    (["sym", "{parallel}", "--name", "pf"], None,
+     "no symmetric mate for rule parallel_forall"),
+    (["qstate", "{non_dyadic}"], None, "has no rational approximation"),
 ], ids=["d-axiom-spec", "depth-above-maximum", "depth-below-one",
         "depth-from-environment",
         "check-license-overlap", "sym-license-overlap",
         "search-license-overlap", "not-utf8", "zero-qubit", "qubit-field",
         "nan-phase", "huge-amplitude", "proof-header-at-end",
-        "proof-header-mismatch"])
+        "proof-header-mismatch", "sym-without-mate", "non-dyadic-qubit"])
 def test_usage_errors_exit_two(ext_script, tmp_path, monkeypatch, capsys,
                                argv, env, message):
     files = {"ext": ext_script, "overlap": tmp_path / "overlap.blq",
@@ -481,7 +524,9 @@ def test_usage_errors_exit_two(ext_script, tmp_path, monkeypatch, capsys,
              "nan_phase": tmp_path / "nan_phase.json",
              "huge": tmp_path / "huge.json",
              "eof_header": tmp_path / "eof_header.blq",
-             "other_header": tmp_path / "other_header.blq"}
+             "other_header": tmp_path / "other_header.blq",
+             "parallel": tmp_path / "parallel.blq",
+             "non_dyadic": tmp_path / "non_dyadic.json"}
     files["overlap"].write_text(OVERLAP)
     files["eof_header"].write_text("proof pr : p |- p\n")
     files["other_header"].write_text("proof p : p |- q\nid a={q} : q |- q\n")
@@ -490,6 +535,10 @@ def test_usage_errors_exit_two(ext_script, tmp_path, monkeypatch, capsys,
     files["no_beta"].write_text('{"alpha": 1}')
     files["nan_phase"].write_text('{"alpha": 1, "beta": 1, "phi": NaN}')
     files["huge"].write_text('{"alpha": 1, "beta": 1e308}')
+    decls = (CORPUS_DIR / "c12.blq").read_text().partition("\nproof ")[0]
+    files["parallel"].write_text(decls + "\n" + PARALLEL_FORALL)
+    files["non_dyadic"].write_text(json.dumps(
+        {"alpha": math.sqrt(0.5 + 5e-8), "beta": math.sqrt(0.5 - 5e-8)}))
     if env is not None:
         monkeypatch.setenv("SYMLOG_DEPTH", env)
     assert main([a.format(**files) for a in argv]) == 2
