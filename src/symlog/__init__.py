@@ -35,9 +35,8 @@ __version__ = "0.1.0"
 
 
 def _loader(namespace: dict, exports):
-    """A module ``__getattr__`` that takes each name of ``exports``, pairs of
-    a module and its names, from its module on first use and keeps it in
-    ``namespace``."""
+    """A module ``__getattr__`` that loads each name of ``exports``, pairs
+    of a module and its names, on first use and keeps it in ``namespace``."""
     home = {name: m for m, names in exports for name in names.split()}
 
     def __getattr__(name: str):

@@ -16,7 +16,8 @@ search goal, 2 on usage or parse errors, 3 on an internal error (any
 other exception, a ValueError raised while checking or searching too).
 Diagnostics go to stderr, reports to stdout.  Context-liberalization flags
 are never assumed: they come from the script's ``flags`` line or, for
-check, sym and search, the command line, or stay off.
+check, sym and search, the command line, or stay off.  Each command
+loads only the modules it runs.
 """
 from __future__ import annotations
 
@@ -38,8 +39,7 @@ from .scripts import (
 
 # Each command that runs a module check does not: that module and the names
 # the command takes from it, loaded on first use.  main catches the usage
-# error of such a module once the module is loaded; a class that was never
-# loaded cannot have been raised.
+# errors of the loaded ones: a class never loaded cannot have been raised.
 _LAZY = {"sym": ("kernel", "proof_to_json symmetrize_proof"),
          "search": ("search", "DEFAULT_MAX_DEPTH search_proof"),
          "corpus": ("corpus", "run_corpus"),
