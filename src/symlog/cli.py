@@ -34,13 +34,13 @@ from .formulas import IDENTICAL, OPPOSITE, map_sequent
 from .rules import RuleError, check_proof
 from .scripts import (
     _FLAG_NAMES, ParseError, Script, parse_script, print_formula, print_proof,
-    print_sequent,
+    print_sequent, proof_to_json,
 )
 
 # Each command that runs a module check does not: that module and the names
 # the command takes from it, loaded on first use.  main catches the usage
 # errors of the loaded ones: a class never loaded cannot have been raised.
-_LAZY = {"sym": ("kernel", "proof_to_json symmetrize_proof"),
+_LAZY = {"sym": ("kernel", "symmetrize_proof"),
          "search": ("search", "DEFAULT_MAX_DEPTH search_proof"),
          "corpus": ("corpus", "run_corpus"),
          "qstate": ("qubits", "Qubit collapse measurement_domain state_formula"),

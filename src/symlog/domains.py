@@ -25,7 +25,7 @@ from typing import Optional
 
 from .dualities import PERP_INV, TOP_INV, LiteralInvolution
 from .formulas import (
-    DualMember, Eq, Formula, Member, Neq, Or, Outcome, Term, Var, seq,
+    DualMember, Eq, Formula, Member, Neq, Or, Outcome, Term, Var,
 )
 
 __all__ = [
@@ -178,15 +178,6 @@ class Registry:
             f = Or(Eq(z, e), f)
         return f
 
-    def focus_sequents(self, name: str, z: Var = Var("z")) -> tuple:
-        """The pair (disjunction |- membership, membership |- disjunction).
-
-        The first is derivable for every domain with entries; the second is
-        available as an axiom exactly when the domain is declared focused.
-        """
-        disj = self.focus_disjunction(name, z)
-        return (seq([disj], [Member(z, name)]), seq([Member(z, name)], [disj]))
-
     # -- membership axioms ---------------------------------------------------
 
     def is_member_axiom(self, t: Term, name: str) -> bool:
@@ -217,6 +208,8 @@ class Registry:
 
         Succeeds exactly for virtual singletons and extensional singletons;
         for the latter the schema degenerates to the derivable =/!= form.
+        The ``d_axiom`` rule reads this law: it builds the =/!= form where
+        ``singleton_entry`` is set and the dual-membership form otherwise.
         """
         rec = self.get(name)
         if rec.virtual_singleton:

@@ -1,5 +1,5 @@
 """Proof transformations, none of them trusted: symmetrization, macro
-expansion, stock derivations and the JSON form of a proof.
+expansion and stock derivations.
 
 Their output goes back through the checker in ``symlog.rules``, which this
 module also exports.  The symmetry theorem is a proof transformation: each
@@ -22,13 +22,12 @@ from .rules import (
     MACRO_RULES, CalculusConfig, ProofNode, RuleContext, _fold, annotate,
     check_proof, mk, proof_equal,
 )
-from .scripts import parse_param, parse_sequent, print_param, print_sequent
 
 __all__ = [
     "KernelError", "NotSymmetricConfig", "symmetrize_proof", "expand_derived",
-    "proof_to_json", "proof_from_json", "build_forall_to_exists",
-    "build_exists_to_forall", "build_refl_proof", "build_collapse_proof",
-    "collapse_config", "ProofNode", "check_proof", "annotate", "proof_equal",
+    "build_forall_to_exists", "build_exists_to_forall", "build_refl_proof",
+    "build_collapse_proof", "collapse_config", "ProofNode", "check_proof",
+    "annotate", "proof_equal",
 ]
 
 
@@ -38,32 +37,6 @@ class KernelError(Exception):
 
 class NotSymmetricConfig(KernelError):
     """Symmetrization needs matching left and right context flags."""
-
-
-# --------------------------------------------------------------------------
-# serialization (the JSON machine format; the script surface lives in
-# symlog.scripts)
-
-def proof_to_json(p: ProofNode) -> dict:
-    return _fold(p, lambda n, prems, _: {
-        "rule": n.rule,
-        "params": {k: print_param(v) for k, v in n.params.items()},
-        "conclusion": print_sequent(n.conclusion) if n.conclusion else None,
-        "premises": prems,
-    })
-
-
-class _JsonProof(dict):
-    """A proof's JSON object, with its premises where ``_fold`` reads them."""
-    premises = property(lambda o: list(map(_JsonProof, o.get("premises", ()))))
-
-
-def proof_from_json(obj: dict) -> ProofNode:
-    return _fold(_JsonProof(obj), lambda o, prems, _: ProofNode(
-        o["rule"],
-        {k: parse_param(v, key=k) for k, v in o.get("params", {}).items()},
-        tuple(prems),
-        parse_sequent(o["conclusion"]) if o.get("conclusion") else None))
 
 
 # --------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from functools import partial
 from types import SimpleNamespace
 from typing import Optional
 
-from .domains import Registry, RegistryError
+from .domains import FocusedNonSingleton, Registry, RegistryError
 from .dualities import IDENTITY_INV, symmetrize_formula
 from .formulas import (
     And, Const, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
@@ -331,19 +331,18 @@ def _r_d_axiom(params, premises, claimed, ctx):
     z, y, hole, body = params["z"], params["y"], params["hole"], params["body"]
     _need((dom, d) in ctx.cfg.d_axiom_domains, "DAxiomNotLicensed",
           f"d-axioms for ({dom}, {d}) are not licensed")
-    rec = ctx.registry.get(dom)
+    ctx.registry.get(dom)  # an unknown domain fails before the variables
     _need(all(isinstance(v, Var) for v in (z, y, hole)) and z != y,
           "SideConditionViolated", "z, y and hole are variables, z and y distinct")
-    if rec.virtual_singleton:
-        memb: Formula = Member(z, dom)
-        dual = ctx.registry.dual_membership(y, dom, d)
-    elif rec.is_singleton:
-        u = rec.entries[0]
-        memb = Eq(z, u)
-        dual = Neq(y, u)
+    try:
+        u = ctx.registry.license_d_axiom(dom, d).singleton_entry
+    except FocusedNonSingleton:
+        raise RuleError("DAxiomNotLicensed", f"{dom} is neither a virtual nor "
+                        f"an extensional singleton") from None
+    if u is None:
+        memb, dual = Member(z, dom), ctx.registry.dual_membership(y, dom, d)
     else:
-        raise RuleError("DAxiomNotLicensed",
-                        f"{dom} is neither a virtual nor an extensional singleton")
+        memb, dual = Eq(z, u), Neq(y, u)
     return Sequent((Single(memb), Single(replace_var(body, hole, y))),
                    (Single(replace_var(body, hole, z)), Single(dual)))
 

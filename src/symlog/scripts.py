@@ -21,7 +21,8 @@ dual ``(t in D)^d``; equality ``s = t`` and ``s /= t``; index relations
 Sequent slots are comma-separated; a correlated pair is written with an
 indexed comma: ``A_1(z) ,_i A_2(z)``.  Proof trees nest premises by
 two-space indentation.  Formulas and proofs nest at most ``MAX_NESTING``
-levels deep.
+levels deep.  A proof's JSON form (``proof_to_json``, ``proof_from_json``)
+writes its parameters and conclusions in this format.
 
 A script is lexed once, into one stream of tokens.  A line whose first
 non-blank character is ``#`` is blank, and a blank line ends a proof; a
@@ -45,12 +46,13 @@ from .formulas import (
     Sequent, Single, Slot, Term, Times, Var, sequent_equal,
     slot_formulas, subformulas, tag_from_short,
 )
-from .rules import _PARAM_KIND, CalculusConfig, ProofNode, _preorder
+from .rules import _PARAM_KIND, CalculusConfig, ProofNode, _fold, _preorder
 
 __all__ = [
     "ParseError", "Script", "parse_script", "print_script",
     "parse_formula", "print_formula", "parse_sequent", "print_sequent",
     "parse_term", "print_term", "print_proof", "print_param", "parse_param",
+    "proof_to_json", "proof_from_json",
 ]
 
 
@@ -596,6 +598,32 @@ def _parse_proof(s: _Stream, indent: int, placed: list) -> ProofNode:
         s.next()
         premises.append(_parse_proof(s, depth, placed))
     return ProofNode(rule, params, tuple(premises), conclusion)
+
+
+# --------------------------------------------------------------------------
+# the JSON form of a proof: each node's rule, its parameters and conclusion
+# as the text format prints them, and its premises
+
+def proof_to_json(p: ProofNode) -> dict:
+    return _fold(p, lambda n, prems, _: {
+        "rule": n.rule,
+        "params": {k: print_param(v) for k, v in n.params.items()},
+        "conclusion": print_sequent(n.conclusion) if n.conclusion else None,
+        "premises": prems,
+    })
+
+
+class _JsonProof(dict):
+    """A proof's JSON object, with its premises where ``_fold`` reads them."""
+    premises = property(lambda o: list(map(_JsonProof, o.get("premises", ()))))
+
+
+def proof_from_json(obj: dict) -> ProofNode:
+    return _fold(_JsonProof(obj), lambda o, prems, _: ProofNode(
+        o["rule"],
+        {k: parse_param(v, key=k) for k, v in o.get("params", {}).items()},
+        tuple(prems),
+        parse_sequent(o["conclusion"]) if o.get("conclusion") else None))
 
 
 # --------------------------------------------------------------------------

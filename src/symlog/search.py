@@ -45,10 +45,10 @@ from .formulas import (
     Var, fold, formula_index, fresh_var, map_sequent, replace_var,
     sequent_free_vars, shadows, slot_equal, slot_formulas, walk,
 )
-from .kernel import proof_to_json
 from .rules import (
     CalculusConfig, ProofNode, RuleContext, RuleError, _without, validate_rule,
 )
+from .scripts import proof_to_json
 
 __all__ = ["SearchOutcome", "search_proof", "DEFAULT_MAX_DEPTH",
            "DepthLimitError"]

@@ -54,7 +54,8 @@ _NOT_FOR_CHECK = ("symlog.corpus", "symlog.correlation", "symlog.kernel",
     ([], _NOT_FOR_CHECK),
     (["check", str(CORPUS_DIR / "c1.blq")], _NOT_FOR_CHECK),
     (["search", "{ext}", "--name", "detach"],
-     ("symlog.corpus", "symlog.correlation", "symlog.qubits")),
+     ("symlog.corpus", "symlog.correlation", "symlog.kernel",
+      "symlog.qubits")),
 ], ids=["import", "check", "search"])
 def test_commands_load_only_the_modules_they_run(ext_script, argv, absent):
     """In a fresh interpreter, as a shell starts one: importing the command

@@ -7,9 +7,9 @@ from pathlib import Path
 from symlog.corpus import (
     build_items, corpus_config, corpus_registry, positive_proofs, run_corpus,
 )
-from symlog.kernel import proof_to_json, symmetrize_proof
+from symlog.kernel import symmetrize_proof
 from symlog.rules import check_proof
-from symlog.scripts import parse_script
+from symlog.scripts import parse_script, proof_to_json
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "src/symlog/corpus_data"
 
@@ -66,7 +66,7 @@ def test_shipped_scripts_check():
 
 
 def test_proof_json_round_trip():
-    from symlog.kernel import proof_from_json, proof_to_json
+    from symlog.scripts import proof_from_json, proof_to_json
     from symlog.rules import proof_equal
     from genlib import proof_context
     cfg, reg = proof_context()

@@ -1,4 +1,5 @@
-"""Registry invariants, focus sequents, d-axiom licensing, the guard."""
+"""Registry invariants, focus disjunctions, d-axiom licensing (and the
+``d_axiom`` rule that reads it), the guard."""
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,12 @@ from symlog.dualities import (
     IDENTITY_INV, LiteralInvolution, PERP_INV, TOP_INV,
 )
 from symlog.formulas import (
-    Eq, Member, Neq, Or, Outcome, Single, Var, DualMember,
+    Atom, Eq, Member, Neq, Or, Outcome, Sequent, Single, Var, DualMember,
 )
+from symlog.rules import CalculusConfig, RuleContext, RuleError, validate_rule
 
 half = Fraction(1, 2)
-z = Var("z")
+x, y, z = Var("x"), Var("y"), Var("z")
 
 
 def test_standard_registry_contents(registry):
@@ -50,24 +52,21 @@ def test_register_rejects_virtual_singleton_without_duality():
             focused=False, virtual_singleton=True))
 
 
-def test_focus_sequents_two_entries(registry):
-    derivable, axiom = registry.focus_sequents("D", z)
+def test_focus_disjunction_two_entries(registry):
     t1, t2 = registry.get("D").entries
-    disj = Or(Eq(z, t1), Eq(z, t2))
-    assert derivable.left[0] == Single(disj)
-    assert axiom.right[0] == Single(disj)
+    assert registry.focus_disjunction("D", z) == Or(Eq(z, t1), Eq(z, t2))
 
 
-def test_focus_sequents_singleton(registry):
-    _, axiom = registry.focus_sequents("Ddown", z)
-    assert axiom.right[0] == Single(Eq(z, Outcome("down", Fraction(1))))
+def test_focus_disjunction_singleton(registry):
+    assert registry.focus_disjunction("Ddown", z) == \
+        Eq(z, Outcome("down", Fraction(1)))
 
 
-def test_focus_sequents_empty():
+def test_focus_disjunction_empty():
     reg = Registry()
     reg.register_domain(DomainRecord("E", (), focused=False, inhabited=False))
     with pytest.raises(EmptyDomain):
-        reg.focus_sequents("E")
+        reg.focus_disjunction("E", z)
 
 
 def test_dual_membership_renderings(registry):
@@ -107,8 +106,14 @@ def test_dual_member_refuted_safety(registry):
 
 def test_license_d_axiom_law():
     """License succeeds exactly on virtual singletons and extensional
-    singletons: all eight combinations of (focused, virtual, entry count)."""
+    singletons: all eight combinations of (focused, virtual, entry count).
+    The licensed ``d_axiom`` rule holds exactly where the license does, in
+    the =/!= form exactly where the schema names its entry."""
     half = Fraction(1, 2)
+    cfg = CalculusConfig(d_axiom_domains={("X", "d")})
+    A = lambda t: Atom("A", None, (t,))
+    params = {"domain": "X", "dual": "d", "z": z, "y": y, "hole": x,
+              "body": A(x)}
     for focused in (False, True):
         for virtual in (False, True):
             for n in (1, 2):
@@ -128,12 +133,23 @@ def test_license_d_axiom_law():
                 if not registered:
                     assert not (focused and virtual and n == 1)
                     continue
+                ctx = RuleContext(cfg, reg)
                 if expected:
                     schema = reg.license_d_axiom("X", "d")
                     assert schema.domain == "X"
+                    u = schema.singleton_entry
+                    memb, dual = (
+                        (Member(z, "X"), reg.dual_membership(y, "X", "d"))
+                        if u is None else (Eq(z, u), Neq(y, u)))
+                    assert validate_rule("d_axiom", params, [], None, ctx) \
+                        == Sequent((Single(memb), Single(A(y))),
+                                   (Single(A(z)), Single(dual)))
                 else:
                     with pytest.raises(FocusedNonSingleton):
                         reg.license_d_axiom("X", "d")
+                    with pytest.raises(RuleError,
+                                       match="^DAxiomNotLicensed: "):
+                        validate_rule("d_axiom", params, [], None, ctx)
 
 
 def test_singleton_license_uses_equality_form(registry):

@@ -21,13 +21,15 @@ from symlog.formulas import (
 )
 from symlog.kernel import (
     build_collapse_proof, build_exists_to_forall, collapse_config,
-    expand_derived, proof_from_json, proof_to_json, symmetrize_proof,
+    expand_derived, symmetrize_proof,
 )
 from symlog.rules import (
     _PARAM_KIND, CalculusConfig, CheckReport, ProofNode, RuleContext, _fold,
     _path, annotate, check_proof, mk, proof_equal,
 )
-from symlog.scripts import parse_formula, print_proof
+from symlog.scripts import (
+    parse_formula, print_proof, proof_from_json, proof_to_json,
+)
 
 from genlib import random_formula, random_term
 
