@@ -29,7 +29,13 @@ non-blank character is ``#`` is blank, and a blank line ends a proof; a
 line's indentation is the number of spaces it starts with.  Each name (of
 a sequent, proof, rule, key, flag, constant, licence operand or name-valued
 parameter) is one token, ``[A-Za-z][A-Za-z0-9_']*``.  A character that
-starts no token is an error at its position.
+starts no token is an error at its position, found before any other.
+
+A ``:`` and the conclusion after it, up to the end of its line, are one
+token.  A proof line restates its whole conclusion, and shares most slots
+with its premises, so each distinct slot text is lexed and parsed once per
+script (and once more after a ``const`` line); a conclusion with a slot
+text not read before is lexed and parsed whole.
 """
 from __future__ import annotations
 
@@ -37,6 +43,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .domains import DomainRecord, Registry
@@ -72,12 +79,20 @@ _TOKEN_RE = re.compile(r"""
     (?P<indent>^[ \t]+(?=[^\s\#]))
   | (?:^[ \t]*\#.*|[ \t]+)?  # a comment line, or the spaces before a token
     (?:(?P<end>\r?\n|\Z)
-     | (?P<sym>join_[io]|\|-|<->|->|<-|,_i|,_o|~i|~o|/=|\\/|[(){}.,=&*^@:/_'])
+     | (?P<colon>:)  # and the conclusion after it: see below
+       (?:[ \t\dA-Za-z(){}.,=&*^@:/_']+|\|-|<->|<-|->|~[io]|\\/)*
+     | (?P<sym>join_[io]|\|-|<->|->|<-|,_i|,_o|~i|~o|/=|\\/|[(){}.,=&*^@/_'])
      | (?P<num>\d+)
      | (?P<ident>[A-Za-z][A-Za-z0-9']*)
      | (?P<bad>.))
 """, re.VERBOSE | re.MULTILINE)
-_KINDS = (None, "indent", "end", "sym", "num", "ident", "bad")
+_KINDS = (None, "indent", "end", "sym", "sym", "num", "ident", "bad")
+# A ``:`` token also covers the rest of its line, the conclusion, which
+# ``_conclusion`` lexes when it reads it.  The pattern after the colon reads
+# that text as runs of the characters that each start a token made of such
+# characters only, and the symbols that start with any other character.  So
+# it stops at the line's ``end``, or at the first character that starts no
+# token, which the next match reads as ``bad``.
 
 # The longest number the parser reads; Python's int() refuses a few
 # thousand digits, and no probability or index needs more than this.
@@ -107,15 +122,18 @@ def _located(text: str, pos: int, expected: str, found: str) -> ParseError:
                       expected, found)
 
 
-def _lex(text: str) -> list:
-    """The tokens of ``text``: an ``end`` for each newline and for the end
-    of the text, which two more follow.  A comment line makes no token but
-    its ``end``, nor do the spaces inside a line."""
+def _lex(text: str, pos: int = 0, endpos: Optional[int] = None) -> list:
+    """The tokens of ``text``, or of its part from ``pos`` to ``endpos``: an
+    ``end`` for each newline and for the end, which two more follow.  A
+    comment line makes no token but its ``end``, nor do the spaces inside a
+    line."""
     toks = [_new_tok(Tok, (_KINDS[i], m[i], m.start(i)))
-            for m in _TOKEN_RE.finditer(text) for i in (m.lastindex,)]
-    for t in toks:
-        if t.kind == "bad":
-            raise _located(text, t.pos, "a token", t.text)
+            for m in _TOKEN_RE.finditer(
+                text, pos, len(text) if endpos is None else endpos)
+            for i in (m.lastindex,)]
+    if "bad" in map(itemgetter(0), toks):
+        t = next(t for t in toks if t.kind == "bad")
+        raise _located(text, t.pos, "a token", t.text)
     toks += toks[-1:] * (_SENTINELS - 1)
     return toks
 
@@ -126,6 +144,7 @@ class _Stream:
         self.toks = _lex(text)
         self.i = 0
         self.consts = set() if consts is None else consts
+        self.slots: dict = {}  # slot text -> the Slot read from it (_conclusion)
         self.open = 0  # formulas being parsed, one inside the next
         self.outcomes: dict = {}  # (label, numerator, denominator) -> Outcome
 
@@ -479,6 +498,43 @@ def _parse_sequent(s: _Stream) -> Sequent:
     return Sequent(left, right)
 
 
+# A slot separator, with the blanks around it: a comma at parenthesis depth
+# 0, which is neither ``,_i`` nor ``,_o``.  A comma inside parentheses is in
+# an argument list, which holds terms only, so the next parenthesis closes.
+_SLOT_SEP = re.compile(r"[ \t]*,(?!_[io]|[^()]*\))[ \t]*")
+
+
+def _slot_texts(side: str) -> list:
+    side = side.strip(" \t")
+    return _SLOT_SEP.split(side) if side else []
+
+
+def _conclusion(s: _Stream) -> tuple:
+    """The sequent after the ``:`` just read, up to the line's ``end``, and
+    the offset of its first token.  Its slot texts are split off at the
+    turnstile and at depth-0 commas.  When the script has read each of them
+    before, under the same constants, the sequent is built from the slots
+    read then: texts that each read as one slot, joined by commas and one
+    turnstile, read as those slots.  Otherwise the conclusion is lexed and
+    parsed whole, and each of its slots is stored under its text."""
+    start, end = s.toks[s.i - 1].pos + 1, s.toks[s.i].pos
+    body = s.text[start:end]
+    left, bar, right = body.partition("|-")
+    texts = _slot_texts(left), _slot_texts(right)
+    slots = tuple(map(s.slots.get, texts[0] + texts[1]))
+    first = end - len(body.lstrip(" \t"))
+    if bar and all(slots):
+        return Sequent(slots[:len(texts[0])], slots[len(texts[0]):]), first
+    toks, i = s.toks, s.i
+    s.toks, s.i = _lex(s.text, start, end), 0
+    seqt = _parse_sequent(s)
+    s.end_line()
+    s.toks, s.i = toks, i
+    if (len(seqt.left), len(seqt.right)) == tuple(map(len, texts)):
+        s.slots.update(zip(texts[0] + texts[1], seqt.left + seqt.right))
+    return seqt, first
+
+
 def _print_slot(slot: Slot) -> str:
     if isinstance(slot, Single):
         return print_formula(slot.formula)
@@ -561,9 +617,9 @@ _ITEM = "a parameter key=value after whitespace"
 def _parse_proof(s: _Stream, indent: int, placed: list) -> ProofNode:
     """The proof line at the cursor, ``indent`` spaces in: a rule name,
     ``key=value`` items, each after whitespace and each key once, then
-    optionally ``:`` and the conclusion, which goes on ``placed`` with its
-    first token.  Below it, two spaces further in, come its premises' lines,
-    up to a blank line or one indented less."""
+    optionally ``:`` and the conclusion, which goes on ``placed`` with the
+    offset of its first token.  Below it, two spaces further in, come its
+    premises' lines, up to a blank line or one indented less."""
     rule = s.name("a rule name")
     params = {}
     while not s.done() and not s.at(":"):
@@ -580,8 +636,7 @@ def _parse_proof(s: _Stream, indent: int, placed: list) -> ProofNode:
     conclusion = None
     if s.at(":"):
         s.next()
-        start = s.peek()
-        conclusion = _parse_sequent(s)
+        conclusion, start = _conclusion(s)
         placed.append((conclusion, start))
     s.end_line()
     premises = []
@@ -693,7 +748,7 @@ def parse_script(text: str) -> Script:
     sc = Script()
     s = _Stream(text, sc.consts)
     known: set = set()
-    placed: list = []  # (owner's name, sequent, its first token)
+    placed: list = []  # (owner's name, sequent, its first token's offset)
     while s.i < len(s.toks) - _SENTINELS:
         t = s.peek()
         if t.kind == "end":  # a blank line
@@ -743,15 +798,14 @@ def parse_script(text: str) -> Script:
         elif word == "const":
             while not s.done():
                 sc.consts.add(s.name("a constant name"))
+            s.slots.clear()  # an identifier may now read as a constant
         elif word == "sequent":
             name = _header(s, word, known)
-            start = s.peek()
-            sc.sequents[name] = _parse_sequent(s)
+            sc.sequents[name], start = _conclusion(s)
             placed.append((name, sc.sequents[name], start))
         elif word == "proof":
             name = _header(s, word, known)
-            start = s.peek()
-            root = _parse_sequent(s)
+            root, start = _conclusion(s)
             placed.append((name, root, start))
             s.end_line()
             if s.peek().kind == "indent":  # the root line's indentation is free
@@ -761,9 +815,10 @@ def parse_script(text: str) -> Script:
             if node.conclusion is None:
                 node = ProofNode(node.rule, node.params, node.premises, root)
             elif not sequent_equal(node.conclusion, root):
-                raise s.error(lines[0][1], "the sequent of the proof header",
-                              print_sequent(node.conclusion))
-            placed.extend((name, concl, tok) for concl, tok in lines)
+                raise _located(s.text, lines[0][1],
+                               "the sequent of the proof header",
+                               print_sequent(node.conclusion))
+            placed.extend((name, concl, pos) for concl, pos in lines)
             sc.proofs[name] = node
             continue
         else:
@@ -793,24 +848,30 @@ def _check_unique(s: _Stream, t: Tok, name: str, known: set) -> None:
 def _validate_refs(s: _Stream, sc: Script, placed: list) -> None:
     """Check the domains and variable names of each sequent ``placed`` holds
     once the whole script is read, since a domain may be declared below its
-    first use; an error is reported where its sequent starts."""
+    first use; an error is reported where its sequent starts.  A formula
+    that passed is not checked again where it recurs."""
     declared = {rec.name for rec in sc.domains}
     taken = set(sc.consts)
     for rec in sc.domains:
         taken.update(e.label for e in rec.entries)
-    for where, seqt, t in placed:
+    passed: set = set()
+    for where, seqt, pos in placed:
         for slot in seqt.left + seqt.right:
             for f in slot_formulas(slot):
+                if f in passed:
+                    continue
                 for g in subformulas(f):
                     if isinstance(g, (Member, DualMember, Forall, Exists)) \
                             and g.domain not in declared:
-                        raise s.error(t, f"a declared domain ({where})", g.domain)
+                        raise _located(s.text, pos,
+                                       f"a declared domain ({where})", g.domain)
                 for g in subformulas(f):
                     for v in (g.var,) if g.shape.binds else g.shape.terms(g):
                         if isinstance(v, Var) and v.name in taken:
-                            raise s.error(
-                                t, f"a variable name distinct from constants "
-                                   f"and outcome labels ({where})", v.name)
+                            raise _located(
+                                s.text, pos, f"a variable name distinct from "
+                                f"constants and outcome labels ({where})", v.name)
+                passed.add(f)
 
 
 def print_script(sc: Script) -> str:

@@ -21,7 +21,7 @@ from symlog.scripts import (
     parse_term, print_formula, print_script, print_sequent,
 )
 
-from genlib import random_formula
+from genlib import proof_context, random_formula, random_proof
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "src/symlog/corpus_data"
 
@@ -405,3 +405,121 @@ def test_parse_outcomes_digest_unchanged():
     quantifiers, joins, ``(x)``, and outcome terms, some of them invalid;
     and of each spelling of an outcome read after each other one."""
     assert _parse_digest() == _PARSE_DIGEST
+
+
+# --------------------------------------------------------------------------
+# conclusions: each distinct slot text is read once per script
+
+def _preorder(node):
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        yield n
+        todo.extend(reversed(n.premises))
+
+
+def _placed(text: str, sc: Script):
+    """Each conclusion of ``text`` in line order: the sequent ``sc`` holds
+    for it, the text after its line's ``:`` and the constants above it."""
+    consts: set = set()
+    nodes = iter(())
+    for line in text.split("\n"):
+        head, colon, rest = line.partition(":")
+        words = head.split()
+        if not words:
+            continue
+        if words[0] == "const":
+            consts |= set(words[1:])
+        elif words[0] == "sequent":
+            yield sc.sequents[words[1]], rest, set(consts)
+        elif words[0] == "proof":
+            root = sc.proofs[words[1]]
+            nodes = _preorder(root)
+            yield root.conclusion, rest, set(consts)
+        elif line.startswith((" ", words[0])) and words[0] not in (
+                "domain", "dualtable", "flags", "license"):
+            node = next(nodes)
+            if colon:
+                yield node.conclusion, rest, set(consts)
+
+
+def _genlib_scripts(n: int, seed: int = 5):
+    cfg, reg = proof_context()
+    rng = random.Random(seed)
+    domains = [reg.get(d) for d in ("Ddown", "Dup", "Dplus", "Dminus", "D", "V")]
+    for k in range(n):
+        proofs = {f"g{j}": random_proof(rng, cfg, reg, max_depth=6)
+                  for j in range(3)}
+        yield print_script(Script(domains=domains, proofs=proofs))
+
+
+def test_placed_conclusions_read_as_their_own_text():
+    """Every conclusion a script places, on a header or a proof line, is
+    what ``parse_sequent`` reads from its own text under the constants
+    declared above it: a slot text read before is read the same again."""
+    rng = random.Random(22)
+    texts = [_soup_script(rng) for _ in range(400)] + list(_genlib_scripts(40))
+    checked = 0
+    for text in texts:
+        try:
+            sc = parse_script(text)
+        except ParseError:
+            continue
+        for seqt, rest, consts in _placed(text, sc):
+            assert seqt == parse_sequent(rest, consts), rest
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("text, error", [
+    ("sequent s : p & q & r |- p\nsequent t : p |- p $\n",
+     (2, 20, "a token", "$")),
+    ("proof pr : p |- p\nid a={p} :\n", (2, 11, "'|-'", "<end>")),
+    ("sequent s :\n", (1, 12, "'|-'", "<end>")),
+    ("sequent s : A(c) |- p\nconst c\nsequent t : A(c) |- p\n",
+     (1, 13, "a variable name distinct from constants and outcome labels (s)",
+      "c")),
+    ("sequent s : p & q |- p & q\nsequent t : p & q |- p & q |- p & q\n",
+     (2, 28, "end of input", "|-")),
+    ("sequent s : p & q |- p & q\nsequent t : p & q, |- p & q\n",
+     (2, 20, "a formula", "|-")),
+    ("sequent s : p & q |- p & q\nsequent t : p & q |- p & q )\n",
+     (2, 28, "end of input", ")")),
+    ("sequent s : p & q |- p & q\nsequent t : p & q |- p & q : p\n",
+     (2, 28, "end of input", ":")),
+    ("sequent s : p & q |- p & q\nsequent t : p & q |- p & q,\n",
+     (2, 28, "a formula", "<end>")),
+    ("sequent s : A(x, y) |- p\nsequent t : A(x, y) |- p & q &\n",
+     (2, 30, "parentheses around a chain of binary operators, which do not "
+             "associate", "&")),
+    ("sequent s : p ,_i q |- p\nsequent t : p ,_i q |- p ,_i\n",
+     (2, 29, "a formula", "<end>")),
+    ("sequent s : p |- p\nsequent t : p |- p p\n",
+     (2, 20, "end of input", "p")),
+    ("sequent s : p |- p\nsequent t : p |- p &\t\n",
+     (2, 22, "a formula", "<end>")),
+    ("sequent s : p |- p\rq\n", (1, 19, "a token", "\r")),
+    ("sequent s : p |- p\r", (1, 19, "a token", "\r")),
+    ("domain D = { a@1 : }\n", (1, 18, "'}'", ":")),
+    ("sequent s : p |- q\n\nproof pr : p |- p\nid a={p} : |- p\n",
+     (4, 12, "the sequent of the proof header", "|- p")),
+], ids=["bad-char-after-chain", "empty-proof-line", "empty-header",
+        "const-below-clash", "second-turnstile", "empty-slot", "stray-paren",
+        "second-colon", "trailing-comma", "chain-after-known-slot",
+        "open-pair", "glued-slot", "trailing-tab", "lone-cr", "final-cr",
+        "colon-in-declaration", "header-mismatch"])
+def test_conclusion_errors_keep_their_positions(text, error):
+    """A slot text read before does not move an error: a bad character
+    inside a conclusion is still found before any parse error, and an error
+    after a known slot is reported where the whole conclusion puts it."""
+    with pytest.raises(ParseError) as err:
+        parse_script(text)
+    e = err.value
+    assert (e.line, e.col, e.expected, e.found) == error
+
+
+def test_crlf_conclusions_read_as_lf_ones():
+    text = "const c\nsequent s : A(c) |- A(c), p\nsequent t : p |- A(c)\n"
+    crlf = parse_script(text.replace("\n", "\r\n"))
+    assert crlf.sequents == parse_script(text).sequents
+    assert crlf.sequents["t"].right == (Single(Atom("A", None, (Const("c"),))),)
