@@ -15,7 +15,7 @@ from symlog.formulas import (
     Atom, Const, CorrPair, Excl, IConst, IDENTICAL, Imp, Join, Sequent, Single,
     Var,
 )
-from symlog.rules import proof_equal
+from symlog.rules import _preorder, proof_equal
 from symlog.scripts import (
     ParseError, Script, parse_formula, parse_script, parse_sequent,
     parse_term, print_formula, print_script, print_sequent,
@@ -410,14 +410,6 @@ def test_parse_outcomes_digest_unchanged():
 # --------------------------------------------------------------------------
 # conclusions: each distinct slot text is read once per script
 
-def _preorder(node):
-    todo = [node]
-    while todo:
-        n = todo.pop()
-        yield n
-        todo.extend(reversed(n.premises))
-
-
 def _placed(text: str, sc: Script):
     """Each conclusion of ``text`` in line order: the sequent ``sc`` holds
     for it, the text after its line's ``:`` and the constants above it."""
@@ -434,10 +426,9 @@ def _placed(text: str, sc: Script):
             yield sc.sequents[words[1]], rest, set(consts)
         elif words[0] == "proof":
             root = sc.proofs[words[1]]
-            nodes = _preorder(root)
+            nodes = (node for node, _ in _preorder(root))
             yield root.conclusion, rest, set(consts)
-        elif line.startswith((" ", words[0])) and words[0] not in (
-                "domain", "dualtable", "flags", "license"):
+        elif words[0] not in ("domain", "dualtable", "flags", "license"):
             node = next(nodes)
             if colon:
                 yield node.conclusion, rest, set(consts)
@@ -447,7 +438,7 @@ def _genlib_scripts(n: int, seed: int = 5):
     cfg, reg = proof_context()
     rng = random.Random(seed)
     domains = [reg.get(d) for d in ("Ddown", "Dup", "Dplus", "Dminus", "D", "V")]
-    for k in range(n):
+    for _ in range(n):
         proofs = {f"g{j}": random_proof(rng, cfg, reg, max_depth=6)
                   for j in range(3)}
         yield print_script(Script(domains=domains, proofs=proofs))
