@@ -43,6 +43,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -498,15 +499,29 @@ def _parse_sequent(s: _Stream) -> Sequent:
     return Sequent(left, right)
 
 
-# A slot separator, with the blanks around it: a comma at parenthesis depth
-# 0, which is neither ``,_i`` nor ``,_o``.  A comma inside parentheses is in
-# an argument list, which holds terms only, so the next parenthesis closes.
-_SLOT_SEP = re.compile(r"[ \t]*,(?!_[io]|[^()]*\))[ \t]*")
+# A comma that is neither ``,_i`` nor ``,_o``: it separates two slots unless
+# it stands inside parentheses, in an argument list.
+_COMMA = re.compile(r",(?!_[io])")
 
 
 def _slot_texts(side: str) -> list:
-    side = side.strip(" \t")
-    return _SLOT_SEP.split(side) if side else []
+    """The slot texts of one side of a conclusion, without their blanks:
+    its text between the commas at parenthesis depth 0.  Each piece's
+    parentheses are counted once, so a long line splits in linear time."""
+    pieces = _COMMA.split(side)
+    opened = list(map(str.count, pieces, repeat("(")))
+    closed = list(map(str.count, pieces, repeat(")")))
+    if opened != closed:  # join the pieces of each argument list
+        groups, depth = [], 0
+        for piece, o, c in zip(pieces, opened, closed):
+            if depth > 0:
+                groups[-1].append(piece)
+            else:
+                groups.append([piece])
+            depth += o - c
+        pieces = list(map(",".join, groups))
+    texts = list(map(str.strip, pieces))
+    return [] if texts == [""] else texts
 
 
 def _conclusion(s: _Stream) -> tuple:
