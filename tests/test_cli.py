@@ -56,7 +56,11 @@ _NOT_FOR_CHECK = ("symlog.corpus", "symlog.correlation", "symlog.kernel",
     (["search", "{ext}", "--name", "detach"],
      ("symlog.corpus", "symlog.correlation", "symlog.kernel",
       "symlog.qubits")),
-], ids=["import", "check", "search"])
+    (["sym", str(CORPUS_DIR / "c1.blq"), "--name", "exists_eq_entails_member",
+      "--involution", "d"],
+     ("symlog.corpus", "symlog.correlation", "symlog.qubits",
+      "symlog.search")),
+], ids=["import", "check", "search", "sym"])
 def test_commands_load_only_the_modules_they_run(ext_script, argv, absent):
     """In a fresh interpreter, as a shell starts one: importing the command
     line and running a command loads none of the modules it does not run."""

@@ -182,12 +182,17 @@ def test_validate_rule_raises_only_rule_errors():
     assert not raised, raised[:3]
 
 
-def _side_condition(rule, params, prems) -> str:
+def _refusal(rule, params, prems) -> tuple:
     cfg, reg = proof_context()
     with pytest.raises(RuleError) as e:
         validate_rule(rule, params, prems, None, RuleContext(cfg, reg))
-    assert e.value.code == "SideConditionViolated"
-    return e.value.message
+    return e.value.code, e.value.message
+
+
+def _side_condition(rule, params, prems) -> str:
+    code, message = _refusal(rule, params, prems)
+    assert code == "SideConditionViolated"
+    return message
 
 
 _A1, _A2 = Atom("A", IConst(1), (z,)), Atom("A", IConst(2), (z,))
@@ -239,3 +244,30 @@ def test_a_bound_variable_is_a_variable(rule, params, prems):
     """An outcome in place of the bound variable is a side condition
     failure, not a quantifier over an outcome."""
     _side_condition(rule, {**params, "var": _DOWN, "domain": "Dplus"}, prems)
+
+
+_UP = Outcome("up", Fraction(1))
+
+
+@pytest.mark.parametrize("rule, params, prems, refusal", [
+    ("focus", {"domain": "Dplus", "var": z}, [],
+     ("SideConditionViolated", "Dplus is not focused")),
+    ("dual_focus", {"domain": "Dplus", "var": z, "dual": "top"}, [],
+     ("SideConditionViolated", "Dplus is not focused")),
+    ("subst", {"var": z, "term": _UP, "domain": "D"},
+     [Sequent((Single(Member(z, "D")),), (Single(_A(z)),))],
+     ("SideConditionViolated", "up@1 does not denote an element of D")),
+    ("subst", {"var": z, "term": y, "domain": "D"},
+     [Sequent((Single(Member(z, "D")),), (Single(_A(z)),))],
+     ("SideConditionViolated", "y does not denote an element of D")),
+    ("parallel_forall", {"var": z, "domain": "D", "mpos": 0, "qpos": 0},
+     [Sequent((Single(Member(z, "D")),), (CorrPair(_A1, IDENTICAL, _A2),))],
+     ("NotVirtualSingleton",
+      "the parallel quantifier rule needs a virtual singleton, got D")),
+], ids=["focus-unfocused", "dual-focus-unfocused", "subst-foreign-outcome",
+        "subst-variable", "parallel-forall-not-virtual"])
+def test_domain_side_conditions_refuse(rule, params, prems, refusal):
+    """Each step would be accepted but for the kind of its domain or the
+    term it substitutes: an unfocused domain, a term that is no entry of
+    the domain, a domain that is not a virtual singleton."""
+    assert _refusal(rule, params, prems) == refusal

@@ -1,8 +1,10 @@
 """Surface syntax: round trips, positioned errors, fuzz stability."""
 import hashlib
+import json
 import random
 import re
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,15 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symlog.cli import main
-from symlog.corpus import export_corpus
+from symlog.corpus import export_corpus, positive_proofs
+from symlog.dualities import IDENTITY_INV
 from symlog.formulas import (
-    Atom, Const, CorrPair, Excl, IConst, IDENTICAL, Imp, Join, Sequent, Single,
-    Var,
+    And, Atom, Const, CorrPair, Excl, IConst, IDENTICAL, Imp, Join, Outcome,
+    Sequent, Single, Var,
 )
+from symlog.kernel import symmetrize_proof
 from symlog.rules import _preorder, proof_equal
 from symlog.scripts import (
-    ParseError, Script, parse_formula, parse_script, parse_sequent,
-    parse_term, print_formula, print_script, print_sequent,
+    ParseError, Script, parse_formula, parse_param, parse_script,
+    parse_sequent, parse_term, print_formula, print_proof, print_script,
+    print_sequent, proof_from_json, proof_to_json,
 )
 
 from genlib import proof_context, random_formula, random_proof
@@ -514,3 +519,113 @@ def test_crlf_conclusions_read_as_lf_ones():
     crlf = parse_script(text.replace("\n", "\r\n"))
     assert crlf.sequents == parse_script(text).sequents
     assert crlf.sequents["t"].right == (Single(Atom("A", None, (Const("c"),))),)
+
+
+# --------------------------------------------------------------------------
+# formula parameters: each distinct text is read once per script
+
+_H = "proof pr : p |- p\n"
+_DEEP = "(" * 201 + "p" + ")" * 201
+
+
+@pytest.mark.parametrize("text, error", [
+    (_H + "id a={p\n", (2, 8, "'}'", "<end>")),
+    (_H + "id a={p}} : p |- p\n",
+     (2, 9, "a parameter key=value after whitespace", "}")),
+    (_H + "id a={} : p |- p\n", (2, 7, "a formula", "}")),
+    (_H + "id a={p q $} : p |- p\n", (2, 11, "a token", "$")),
+    (_H + "id a={p} : p |- p\n  id a={p $} : p |- p\n",
+     (3, 11, "a token", "$")),
+    (_H + "id a={p\r} : p |- p\n", (2, 8, "a token", "\r")),
+    ((_H + "id a={p} : p |- p\n\nproof pq : p |- p\nid a={p\n")
+     .replace("\n", "\r\n"), (5, 8, "'}'", "<end>")),
+    ("proof pr : p ,_i q |- p ,_i q\nid a={p ,_i q} : p ,_i q |- p ,_i q\n",
+     (2, 9, "'}'", ",_i")),
+    (_H + "id a={p {q}} : p |- p\n", (2, 9, "'}'", "{")),
+    (_H + "id a={p & q} : p |- p\n  id a={p & {q}} : p |- p\n",
+     (3, 13, "a formula", "{")),
+    ("sequent s : p & q |- p\n" + _H + "id a={p & q & r} : p |- p\n",
+     (3, 13, "parentheses around a chain of binary operators, which do not "
+             "associate", "&")),
+    (_H + "id a={p : q} : p |- p\n", (2, 9, "'}'", ":")),
+    (_H + "id a={p} : p |- p\n  id a={" + _DEEP + "}\n",
+     (3, 209, "a formula nested at most 200 levels deep", "(")),
+    ("domain D = { a@1/2, }\n", (1, 21, "an outcome label", "}")),
+    ("domain D = { a@1/2\n", (1, 19, "'}'", "<end>")),
+    ("domain D={ a@1/2, }\n", (1, 19, "an outcome label", "}")),
+    ("domain D={a@1/2\n", (1, 16, "'}'", "<end>")),
+    ("dualtable t { A <-> B\n", (1, 22, "a domain name", "<end>")),
+], ids=["unclosed", "second-brace", "empty", "bad-char",
+        "bad-char-after-known", "lone-cr", "crlf-unclosed-after-known", "pair-slot-text", "open-brace",
+        "open-brace-after-known", "chain-after-known-slot", "colon",
+        "too-deep", "domain-trailing-comma", "domain-unclosed",
+        "glued-domain-trailing-comma", "glued-domain-unclosed",
+        "dualtable-unclosed"])
+def test_parameter_errors_keep_their_positions(text, error):
+    """A ``{...}`` text read before does not move an error: a bad character
+    inside braces is still found first, and a parameter whose text a
+    conclusion read as a correlated pair is no formula."""
+    with pytest.raises(ParseError) as err:
+        parse_script(text)
+    e = err.value
+    assert (e.line, e.col, e.expected, e.found) == error
+
+
+def test_formula_parameters_read_as_their_own_text():
+    """A parameter's text reads as the formula it spells, wherever the
+    script read that text before, and a brace's text may span lines where
+    a newline is a space."""
+    pq = And(p, q)
+    text = "proof pr : p & q |- p & q\nid a={p & q}\n\nproof ps : p |- p\n" \
+           "id a={ p & q } : p |- p\n"
+    for crlf in (False, True):
+        sc = parse_script(text.replace("\n", "\r\n") if crlf else text)
+        assert sc.proofs["pr"].params == sc.proofs["ps"].params == {"a": pq}
+    # a const line between two uses of one text
+    sc = parse_script("proof pr : p |- p\nid a={A(c)}\n\nconst c\n"
+                      "proof ps : p |- p\nid a={A(c)}\n")
+    assert sc.proofs["pr"].params["a"] == Atom("A", None, (Var("c"),))
+    assert sc.proofs["ps"].params["a"] == Atom("A", None, (Const("c"),))
+    # a brace right after "=" that is no parameter
+    for decl in ("domain D ={ t1@1/2, t2@1/2 } focused\n",
+                 "domain D={t1@1/2,t2@1/2} focused\n"):
+        rec, = parse_script(decl).domains
+        half = Fraction(1, 2)
+        assert rec.entries == (Outcome("t1", half), Outcome("t2", half))
+        assert rec.focused
+    for spelled in ("{p & q}", "{p &\n q}", "{p &\r\n q}", "{\np & q\n}"):
+        assert parse_param(spelled, "a") == pq, spelled
+    node = proof_from_json({"rule": "id", "params": {"a": "{p & q}"},
+                            "conclusion": "p & q |- p & q"})
+    assert node.params == {"a": pq}
+
+
+# --------------------------------------------------------------------------
+# printing: each distinct slot and formula parameter is printed once a call
+
+def _printed_proofs():
+    """The corpus proofs and 500 seeded random proofs, each followed by its
+    symmetric image."""
+    cfg, reg = proof_context()
+    pairs = [(proof, inv) for _i, _n, proof, inv in positive_proofs()]
+    rng = random.Random(23)
+    pairs += [(random_proof(rng, cfg, reg, max_depth=6), IDENTITY_INV)
+              for _ in range(500)]
+    for proof, inv in pairs:
+        yield proof
+        yield symmetrize_proof(proof, inv, cfg, reg)
+
+
+# sha256 over _printed_proofs(): each proof's text and its JSON form,
+# computed while each node's slots and parameters were printed one by one
+_PRINT_DIGEST = ("abb1c080dc5d9edee5f6f9f5a24c9104"
+                 "ac37b5d4838a283159051e6755319fc2")
+
+
+def test_printed_proofs_digest_unchanged():
+    h = hashlib.sha256()
+    for proof in _printed_proofs():
+        h.update(print_proof(proof).encode() + b"\n")
+        h.update(json.dumps(proof_to_json(proof), sort_keys=True).encode()
+                 + b"\n")
+    assert h.hexdigest() == _PRINT_DIGEST
