@@ -32,17 +32,20 @@ parameter) is one token, ``[A-Za-z][A-Za-z0-9_']*``.  A character that
 starts no token is an error at its position, found before any other.
 
 A ``:`` and the conclusion after it, up to the end of its line, are one
-token.  A proof line restates its whole conclusion, and shares most slots
-with its premises, so each distinct slot text is lexed and parsed once per
-script (and once more after a ``const`` line); a conclusion with a slot
-text not read before is lexed and parsed whole.
+token, and so are a parameter's ``{`` (one glued to ``key=``) and the text
+after it, up to the next brace.  A proof line restates its whole
+conclusion, and shares most slots with its premises; the formula
+parameters of a proof repeat too.  So each distinct slot text and formula
+parameter text is lexed and parsed once per script (and once more after a
+``const`` line), and the printers print each distinct slot and parameter
+once per call.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -82,18 +85,22 @@ _TOKEN_RE = re.compile(r"""
     (?:(?P<end>\r?\n|\Z)
      | (?P<colon>:)  # and the conclusion after it: see below
        (?:[ \t\dA-Za-z(){}.,=&*^@:/_']+|\|-|<->|<-|->|~[io]|\\/)*
+     | (?P<brace>\{(?<=[\dA-Za-z_']=\{))  # a parameter's: see below
+       (?:[ \t\dA-Za-z().,=&*^@:/_']+|\|-|<->|<-|->|~[io]|\\/)*
      | (?P<sym>join_[io]|\|-|<->|->|<-|,_i|,_o|~i|~o|/=|\\/|[(){}.,=&*^@/_'])
      | (?P<num>\d+)
      | (?P<ident>[A-Za-z][A-Za-z0-9']*)
      | (?P<bad>.))
 """, re.VERBOSE | re.MULTILINE)
-_KINDS = (None, "indent", "end", "sym", "sym", "num", "ident", "bad")
+_KINDS = (None, "indent", "end", "sym", "brace", "sym", "num", "ident", "bad")
 # A ``:`` token also covers the rest of its line, the conclusion, which
-# ``_conclusion`` lexes when it reads it.  The pattern after the colon reads
+# ``_conclusion`` lexes when it reads it.  A ``{`` glued to ``key=``, which
+# starts a proof line's parameter, covers the text up to the next brace or
+# the line's end, which ``_braced`` lexes.  The pattern after each reads
 # that text as runs of the characters that each start a token made of such
 # characters only, and the symbols that start with any other character.  So
-# it stops at the line's ``end``, or at the first character that starts no
-# token, which the next match reads as ``bad``.
+# it stops at the first character that starts no token, which the next
+# match reads as ``bad``.
 
 # The longest number the parser reads; Python's int() refuses a few
 # thousand digits, and no probability or index needs more than this.
@@ -109,7 +116,7 @@ _NAME_TAIL = frozenset(["_", "'", "join_i", "join_o"])
 
 
 class Tok(NamedTuple):
-    kind: str  # "indent" | "end" | "sym" | "num" | "ident"
+    kind: str  # "indent" | "end" | "sym" | "brace" | "num" | "ident"
     text: str
     pos: int  # offset of the token's first character in the text
 
@@ -145,7 +152,7 @@ class _Stream:
         self.toks = _lex(text)
         self.i = 0
         self.consts = set() if consts is None else consts
-        self.slots: dict = {}  # slot text -> the Slot read from it (_conclusion)
+        self.slots: dict = {}  # slot or parameter text -> the Slot it reads as
         self.open = 0  # formulas being parsed, one inside the next
         self.outcomes: dict = {}  # (label, numerator, denominator) -> Outcome
 
@@ -224,6 +231,28 @@ def _parse_text(text: str, consts: Optional[set], read):
         + s.toks[-_SENTINELS:]
     value = read(s)
     s.end_line()
+    return value
+
+
+def _braced(s: _Stream, read):
+    """What ``read`` takes from between the ``{`` at the cursor and its
+    ``}``.  The text that a ``brace`` token covers is lexed here and read
+    before the stream's own tokens after it.  That text stops at a brace or
+    an ``end``, and only a ``}`` can end what ``read`` takes, so the tokens
+    after the ``}`` are read at most as lookahead."""
+    k = s.i
+    s.eat("{")
+    toks, inner = s.toks, []
+    if toks[k].kind == "brace":
+        start = toks[k].pos + 1
+        # without its trailing blanks, which _lex would end with two ``end``s
+        text = s.text[start:toks[k + 1].pos].rstrip(" \t")
+        inner = _lex(s.text, start, start + len(text))[:-_SENTINELS]
+        s.toks, s.i = inner + toks[k + 1:k + 1 + _SENTINELS], 0
+    value = read(s)
+    s.eat("}")
+    if s.toks is not toks:
+        s.toks, s.i = toks, k + 1 + s.i - len(inner)
     return value
 
 
@@ -416,8 +445,12 @@ def _parse_primary(s: _Stream) -> tuple:
     return Atom(pred, index, args), 1
 
 
+def _formula(s: _Stream) -> Formula:
+    return _parse_formula(s, 0)[0]
+
+
 def parse_formula(text: str, consts: Optional[set] = None) -> Formula:
-    return _parse_text(text, consts, lambda s: _parse_formula(s, 0)[0])
+    return _parse_text(text, consts, _formula)
 
 
 def print_formula(f: Formula, parent_level: int = -1) -> str:
@@ -504,10 +537,10 @@ def _parse_sequent(s: _Stream) -> Sequent:
 _COMMA = re.compile(r",(?!_[io])")
 
 
-def _slot_texts(side: str) -> list:
-    """The slot texts of one side of a conclusion, without their blanks:
-    its text between the commas at parenthesis depth 0.  Each piece's
-    parentheses are counted once, so a long line splits in linear time."""
+def _slot_pieces(side: str) -> list:
+    """One side of a conclusion cut at the commas at parenthesis depth 0:
+    its slot texts, each with its blanks.  Each piece's parentheses are
+    counted once, so a long line splits in linear time."""
     pieces = _COMMA.split(side)
     opened = list(map(str.count, pieces, repeat("(")))
     closed = list(map(str.count, pieces, repeat(")")))
@@ -520,34 +553,61 @@ def _slot_texts(side: str) -> list:
                 groups.append([piece])
             depth += o - c
         pieces = list(map(",".join, groups))
-    texts = list(map(str.strip, pieces))
-    return [] if texts == [""] else texts
+    return [] if len(pieces) == 1 and not pieces[0].strip() else pieces
 
 
 def _conclusion(s: _Stream) -> tuple:
     """The sequent after the ``:`` just read, up to the line's ``end``, and
     the offset of its first token.  Its slot texts are split off at the
-    turnstile and at depth-0 commas.  When the script has read each of them
-    before, under the same constants, the sequent is built from the slots
-    read then: texts that each read as one slot, joined by commas and one
-    turnstile, read as those slots.  Otherwise the conclusion is lexed and
-    parsed whole, and each of its slots is stored under its text."""
+    turnstile and at depth-0 commas and looked up in the texts the script
+    has read, under the same constants.  If some are known, each new one is
+    lexed and parsed at its offset, and stored with its slot if it reads as
+    one.  Texts that each read as one slot, joined by commas and one
+    turnstile, read as those slots.  Any other conclusion, and one with no
+    known text, is lexed and parsed whole: that stores each of its slots
+    under its text, or reports the conclusion's error."""
     start, end = s.toks[s.i - 1].pos + 1, s.toks[s.i].pos
     body = s.text[start:end]
     left, bar, right = body.partition("|-")
-    texts = _slot_texts(left), _slot_texts(right)
-    slots = tuple(map(s.slots.get, texts[0] + texts[1]))
+    pieces = _slot_pieces(left)
+    n = len(pieces)
+    pieces += _slot_pieces(right)
+    texts = list(map(str.strip, pieces))
+    slots = list(map(s.slots.get, texts))
+    if bar and any(slots) and not all(slots):
+        at = start
+        for k, piece in enumerate(pieces):
+            if k == n:
+                at = start + len(left) + 2
+            if slots[k] is None:
+                slot = slots[k] = _one_slot(s, at, at + len(piece))
+                if slot is not None:
+                    s.slots[texts[k]] = slot
+            at += len(piece) + 1
     first = end - len(body.lstrip(" \t"))
     if bar and all(slots):
-        return Sequent(slots[:len(texts[0])], slots[len(texts[0]):]), first
+        return Sequent(tuple(slots[:n]), tuple(slots[n:])), first
     toks, i = s.toks, s.i
     s.toks, s.i = _lex(s.text, start, end), 0
     seqt = _parse_sequent(s)
     s.end_line()
     s.toks, s.i = toks, i
-    if (len(seqt.left), len(seqt.right)) == tuple(map(len, texts)):
-        s.slots.update(zip(texts[0] + texts[1], seqt.left + seqt.right))
+    if len(seqt.left) == n and len(seqt.left + seqt.right) == len(texts):
+        s.slots.update(zip(texts, seqt.left + seqt.right))
     return seqt, first
+
+
+def _one_slot(s: _Stream, start: int, end: int) -> Optional[Slot]:
+    """The slot that all of ``s.text[start:end]`` reads as, or None."""
+    toks, i, depth = s.toks, s.i, s.open
+    s.toks, s.i = _lex(s.text, start, end), 0
+    try:
+        slots = _parse_slots(s, "<never>")
+    except ParseError:
+        slots = ()
+    one = slots[0] if len(slots) == 1 and s.done() else None
+    s.toks, s.i, s.open = toks, i, depth
+    return one
 
 
 def _print_slot(slot: Slot) -> str:
@@ -557,8 +617,12 @@ def _print_slot(slot: Slot) -> str:
 
 
 def print_sequent(s: Sequent) -> str:
-    left = ", ".join(_print_slot(x) for x in s.left)
-    right = ", ".join(_print_slot(x) for x in s.right)
+    return _print_sequent(s, _print_slot)
+
+
+def _print_sequent(s: Sequent, slot_text) -> str:
+    left = ", ".join(map(slot_text, s.left))
+    right = ", ".join(map(slot_text, s.right))
     if left and right:
         return f"{left} |- {right}"
     if left:
@@ -589,9 +653,15 @@ def _parse_value(s: _Stream, key: Optional[str]):
     a term for a term-kind key and a name for any other, glued together."""
     t = s.peek()
     if t.text == "{":
-        s.next()
-        f, _ = _parse_formula(s, 0)
-        s.eat("}")
+        k, close = s.i, s.toks[s.i + 1]
+        text = s.text[t.pos + 1:close.pos].strip()
+        slot = s.slots.get(text)
+        if type(slot) is Single and close.text == "}":
+            s.i = k + 2
+            return slot.formula
+        f = _braced(s, _formula)
+        if s.i == k + 2:  # the formula is the whole text
+            s.slots[text] = Single(f)
         return f
     if t.kind == "num":
         return s.number()
@@ -615,13 +685,22 @@ def parse_param(text: str, key: Optional[str] = None,
 # --------------------------------------------------------------------------
 # proof blocks
 
+def _printer():
+    """The text of a slot or a parameter value, each distinct one printed
+    once: one per printing call.  Typed, so ``True`` and ``1`` print
+    apart."""
+    return lru_cache(maxsize=None, typed=True)(
+        lambda x: _print_slot(x) if isinstance(x, (Single, CorrPair))
+        else print_param(x))
+
+
 def print_proof(p: ProofNode, indent: int = 0) -> str:
-    out = []
+    out, text = [], _printer()
     for node, depth in _preorder(p, indent):
         line = "  " * depth + " ".join([node.rule] + [
-            f"{k}={print_param(node.params[k])}" for k in sorted(node.params)])
+            f"{k}={text(node.params[k])}" for k in sorted(node.params)])
         if node.conclusion is not None:
-            line += " : " + print_sequent(node.conclusion)
+            line += " : " + _print_sequent(node.conclusion, text)
         out.append(line)
     return "\n".join(out)
 
@@ -675,10 +754,12 @@ def _parse_proof(s: _Stream, indent: int, placed: list) -> ProofNode:
 # as the text format prints them, and its premises
 
 def proof_to_json(p: ProofNode) -> dict:
+    text = _printer()
     return _fold(p, lambda n, prems, _: {
         "rule": n.rule,
-        "params": {k: print_param(v) for k, v in n.params.items()},
-        "conclusion": print_sequent(n.conclusion) if n.conclusion else None,
+        "params": {k: text(v) for k, v in n.params.items()},
+        "conclusion": _print_sequent(n.conclusion, text)
+        if n.conclusion else None,
         "premises": prems,
     })
 
@@ -730,12 +811,7 @@ _FLAG_NAMES = ("left_contexts", "right_contexts", "weakening", "cut",
 _LICENSE = "license subst D | license daxiom D d"
 
 
-def _parse_domain_decl(s: _Stream) -> tuple:
-    """The record of a ``domain`` line, and whether it has the ``subst``
-    word (``license subst NAME`` for short)."""
-    name = s.ident("a domain name")
-    s.eat("=")
-    s.eat("{")
+def _parse_entries(s: _Stream) -> tuple:
     entries = []
     if not s.at("}"):
         while True:
@@ -745,7 +821,27 @@ def _parse_domain_decl(s: _Stream) -> tuple:
             if not s.at(","):
                 break
             s.next()
-    s.eat("}")
+    return tuple(entries)
+
+
+def _parse_dualtable(s: _Stream) -> dict:
+    table = {}
+    while not s.at("}"):
+        a = s.ident("a domain name")
+        s.eat("<->")
+        b = s.ident("a domain name")
+        table[a], table[b] = b, a
+        if s.at(","):
+            s.next()
+    return table
+
+
+def _parse_domain_decl(s: _Stream) -> tuple:
+    """The record of a ``domain`` line, and whether it has the ``subst``
+    word (``license subst NAME`` for short)."""
+    name = s.ident("a domain name")
+    s.eat("=")
+    entries = _braced(s, _parse_entries)
     words = dict.fromkeys(("focused", "virtual", "subst", "uninhabited"), False)
     duality = None
     while s.peek().text in words or s.at("duality"):
@@ -754,7 +850,7 @@ def _parse_domain_decl(s: _Stream) -> tuple:
             duality = s.ident("a duality name")
         else:
             words[word] = True
-    return DomainRecord(name, tuple(entries), focused=words["focused"],
+    return DomainRecord(name, entries, focused=words["focused"],
                         virtual_singleton=words["virtual"], duality=duality,
                         inhabited=not words["uninhabited"]), words["subst"]
 
@@ -782,16 +878,7 @@ def parse_script(text: str) -> Script:
                 sc.subst_licenses.append(rec.name)
         elif word == "dualtable":
             name = s.ident("a duality name")
-            s.eat("{")
-            table = {}
-            while not s.at("}"):
-                a = s.ident("a domain name")
-                s.eat("<->")
-                b = s.ident("a domain name")
-                table[a], table[b] = b, a
-                if s.at(","):
-                    s.next()
-            s.eat("}")
+            table = _braced(s, _parse_dualtable)
             sc.dualtables.setdefault(name, {}).update(table)
         elif word == "flags":
             while not s.done():
