@@ -35,10 +35,10 @@ A ``:`` and the conclusion after it, up to the end of its line, are one
 token, and so are a parameter's ``{`` (one glued to ``key=``) and the text
 after it, up to the next brace.  A proof line restates its whole
 conclusion, and shares most slots with its premises; the formula
-parameters of a proof repeat too.  So each distinct slot text and formula
-parameter text is lexed and parsed once per script (and once more after a
-``const`` line), and the printers print each distinct slot and parameter
-once per call.
+parameters of a proof repeat too.  So one table reader, ``_slot_at``,
+lexes and parses each distinct slot text and formula parameter text once
+per script (and once more after a ``const`` line), and the printers print
+each distinct slot and parameter once per call.
 """
 from __future__ import annotations
 
@@ -93,10 +93,10 @@ _TOKEN_RE = re.compile(r"""
      | (?P<bad>.))
 """, re.VERBOSE | re.MULTILINE)
 _KINDS = (None, "indent", "end", "sym", "brace", "sym", "num", "ident", "bad")
-# A ``:`` token also covers the rest of its line, the conclusion, which
-# ``_conclusion`` lexes when it reads it.  A ``{`` glued to ``key=``, which
-# starts a proof line's parameter, covers the text up to the next brace or
-# the line's end, which ``_braced`` lexes.  The pattern after each reads
+# A ``:`` token also covers the rest of its line, the conclusion, and a
+# ``{`` glued to ``key=``, which starts a proof line's parameter, covers
+# the text up to the next brace or the line's end; ``_read_at`` lexes such
+# text at its offset when it is read.  The pattern after each reads
 # that text as runs of the characters that each start a token made of such
 # characters only, and the symbols that start with any other character.  So
 # it stops at the first character that starts no token, which the next
@@ -142,6 +142,8 @@ def _lex(text: str, pos: int = 0, endpos: Optional[int] = None) -> list:
     if "bad" in map(itemgetter(0), toks):
         t = next(t for t in toks if t.kind == "bad")
         raise _located(text, t.pos, "a token", t.text)
+    if toks[-2:-1] == toks[-1:]:  # blanks that end the text, then its end
+        del toks[-1]
     toks += toks[-1:] * (_SENTINELS - 1)
     return toks
 
@@ -234,25 +236,34 @@ def _parse_text(text: str, consts: Optional[set], read):
     return value
 
 
+def _read_at(s: _Stream, start: int, end: int, read, expected: str):
+    """What ``read`` takes from all of ``s.text[start:end]``, lexed at its
+    offset and followed, as lookahead, by the stream's tokens from the
+    cursor on.  If ``read`` stops short of them, that is an error: the
+    token at which it stopped is not ``expected``.  The stream is left as
+    it was."""
+    toks, i, depth = s.toks, s.i, s.open
+    s.toks = _lex(s.text, start, end)[:-_SENTINELS] + toks[i:i + _SENTINELS]
+    s.i = 0
+    try:
+        value = read(s)
+        if s.peek() is not toks[i]:
+            raise s.error(s.peek(), expected)
+        return value
+    finally:
+        s.toks, s.i, s.open = toks, i, depth
+
+
 def _braced(s: _Stream, read):
     """What ``read`` takes from between the ``{`` at the cursor and its
-    ``}``.  The text that a ``brace`` token covers is lexed here and read
-    before the stream's own tokens after it.  That text stops at a brace or
-    an ``end``, and only a ``}`` can end what ``read`` takes, so the tokens
-    after the ``}`` are read at most as lookahead."""
-    k = s.i
-    s.eat("{")
-    toks, inner = s.toks, []
-    if toks[k].kind == "brace":
-        start = toks[k].pos + 1
-        # without its trailing blanks, which _lex would end with two ``end``s
-        text = s.text[start:toks[k + 1].pos].rstrip(" \t")
-        inner = _lex(s.text, start, start + len(text))[:-_SENTINELS]
-        s.toks, s.i = inner + toks[k + 1:k + 1 + _SENTINELS], 0
-    value = read(s)
+    ``}``.  The text that a ``brace`` token covers stops at a brace or an
+    ``end``; it is read through ``_read_at``, up to the token after it."""
+    t = s.eat("{")
+    if t.kind == "brace":
+        value = _read_at(s, t.pos + 1, s.peek().pos, read, "'}'")
+    else:
+        value = read(s)
     s.eat("}")
-    if s.toks is not toks:
-        s.toks, s.i = toks, k + 1 + s.i - len(inner)
     return value
 
 
@@ -504,7 +515,7 @@ def _print_literal(g: Formula) -> str:
 # --------------------------------------------------------------------------
 # sequents
 
-def _parse_slots(s: _Stream, stop: str) -> tuple:
+def _parse_slots(s: _Stream, stop: str = "<never>") -> tuple:
     slots: list = []
     if s.at(stop) or s.done():
         return tuple(slots)
@@ -528,7 +539,7 @@ def parse_sequent(text: str, consts: Optional[set] = None) -> Sequent:
 def _parse_sequent(s: _Stream) -> Sequent:
     left = _parse_slots(s, "|-")
     s.eat("|-")
-    right = _parse_slots(s, "<never>")
+    right = _parse_slots(s)
     return Sequent(left, right)
 
 
@@ -537,11 +548,12 @@ def _parse_sequent(s: _Stream) -> Sequent:
 _COMMA = re.compile(r",(?!_[io])")
 
 
-def _slot_pieces(side: str) -> list:
-    """One side of a conclusion cut at the commas at parenthesis depth 0:
-    its slot texts, each with its blanks.  Each piece's parentheses are
-    counted once, so a long line splits in linear time."""
-    pieces = _COMMA.split(side)
+def _side_slots(s: _Stream, start: int, end: int) -> list:
+    """The slots of one side of a conclusion, ``s.text[start:end]``: its
+    texts cut at the commas at parenthesis depth 0, each read through
+    ``_slot_at``.  Each piece's parentheses are counted once, so a long
+    line splits in linear time."""
+    pieces = _COMMA.split(s.text[start:end])
     opened = list(map(str.count, pieces, repeat("(")))
     closed = list(map(str.count, pieces, repeat(")")))
     if opened != closed:  # join the pieces of each argument list
@@ -553,61 +565,45 @@ def _slot_pieces(side: str) -> list:
                 groups.append([piece])
             depth += o - c
         pieces = list(map(",".join, groups))
-    return [] if len(pieces) == 1 and not pieces[0].strip() else pieces
+    if len(pieces) == 1 and not pieces[0].strip():
+        return []
+    slots = []
+    for piece in pieces:
+        slots.append(_slot_at(s, start, start + len(piece)))
+        start += len(piece) + 1
+    return slots
 
 
 def _conclusion(s: _Stream) -> tuple:
     """The sequent after the ``:`` just read, up to the line's ``end``, and
-    the offset of its first token.  Its slot texts are split off at the
-    turnstile and at depth-0 commas and looked up in the texts the script
-    has read, under the same constants.  If some are known, each new one is
-    lexed and parsed at its offset, and stored with its slot if it reads as
-    one.  Texts that each read as one slot, joined by commas and one
-    turnstile, read as those slots.  Any other conclusion, and one with no
-    known text, is lexed and parsed whole: that stores each of its slots
-    under its text, or reports the conclusion's error."""
+    the offset of its first token.  A conclusion whose slot texts each read
+    as one slot, joined by commas and one turnstile, reads as those slots.
+    Any other is lexed and parsed whole, which reports its error."""
     start, end = s.toks[s.i - 1].pos + 1, s.toks[s.i].pos
-    body = s.text[start:end]
-    left, bar, right = body.partition("|-")
-    pieces = _slot_pieces(left)
-    n = len(pieces)
-    pieces += _slot_pieces(right)
-    texts = list(map(str.strip, pieces))
-    slots = list(map(s.slots.get, texts))
-    if bar and any(slots) and not all(slots):
-        at = start
-        for k, piece in enumerate(pieces):
-            if k == n:
-                at = start + len(left) + 2
-            if slots[k] is None:
-                slot = slots[k] = _one_slot(s, at, at + len(piece))
-                if slot is not None:
-                    s.slots[texts[k]] = slot
-            at += len(piece) + 1
-    first = end - len(body.lstrip(" \t"))
-    if bar and all(slots):
-        return Sequent(tuple(slots[:n]), tuple(slots[n:])), first
-    toks, i = s.toks, s.i
-    s.toks, s.i = _lex(s.text, start, end), 0
-    seqt = _parse_sequent(s)
-    s.end_line()
-    s.toks, s.i = toks, i
-    if len(seqt.left) == n and len(seqt.left + seqt.right) == len(texts):
-        s.slots.update(zip(texts, seqt.left + seqt.right))
-    return seqt, first
+    first = end - len(s.text[start:end].lstrip(" \t"))
+    bar = s.text.find("|-", start, end)
+    if bar >= 0:
+        left, right = _side_slots(s, start, bar), _side_slots(s, bar + 2, end)
+        if all(left) and all(right):
+            return Sequent(tuple(left), tuple(right)), first
+    return _read_at(s, start, end, _parse_sequent, "end of input"), first
 
 
-def _one_slot(s: _Stream, start: int, end: int) -> Optional[Slot]:
-    """The slot that all of ``s.text[start:end]`` reads as, or None."""
-    toks, i, depth = s.toks, s.i, s.open
-    s.toks, s.i = _lex(s.text, start, end), 0
-    try:
-        slots = _parse_slots(s, "<never>")
-    except ParseError:
-        slots = ()
-    one = slots[0] if len(slots) == 1 and s.done() else None
-    s.toks, s.i, s.open = toks, i, depth
-    return one
+def _slot_at(s: _Stream, start: int, end: int) -> Optional[Slot]:
+    """The slot that all of ``s.text[start:end]`` reads as, or None.  Each
+    distinct text, without its blanks, is lexed and parsed once, at its
+    offset, and its slot kept until a ``const`` line changes how a name
+    reads."""
+    text = s.text[start:end].strip()
+    slot = s.slots.get(text)
+    if slot is None:
+        try:
+            slots = _read_at(s, start, end, _parse_slots, "a slot")
+        except ParseError:
+            return None
+        if len(slots) == 1:
+            slot = s.slots[text] = slots[0]
+    return slot
 
 
 def _print_slot(slot: Slot) -> str:
@@ -653,16 +649,12 @@ def _parse_value(s: _Stream, key: Optional[str]):
     a term for a term-kind key and a name for any other, glued together."""
     t = s.peek()
     if t.text == "{":
-        k, close = s.i, s.toks[s.i + 1]
-        text = s.text[t.pos + 1:close.pos].strip()
-        slot = s.slots.get(text)
+        close = s.toks[s.i + 1]
+        slot = t.kind == "brace" and _slot_at(s, t.pos + 1, close.pos)
         if type(slot) is Single and close.text == "}":
-            s.i = k + 2
+            s.i += 2
             return slot.formula
-        f = _braced(s, _formula)
-        if s.i == k + 2:  # the formula is the whole text
-            s.slots[text] = Single(f)
-        return f
+        return _braced(s, _formula)
     if t.kind == "num":
         return s.number()
     if _PARAM_KIND.get(key) != "term":

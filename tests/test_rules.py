@@ -182,8 +182,11 @@ def test_validate_rule_raises_only_rule_errors():
     assert not raised, raised[:3]
 
 
-def _refusal(rule, params, prems) -> tuple:
+def _refusal(rule, params, prems, **changes) -> tuple:
+    """The code and message of the refusal, under the proofs' context with
+    its configuration's ``changes``."""
     cfg, reg = proof_context()
+    cfg = dataclasses.replace(cfg, **changes)
     with pytest.raises(RuleError) as e:
         validate_rule(rule, params, prems, None, RuleContext(cfg, reg))
     return e.value.code, e.value.message
@@ -271,3 +274,48 @@ def test_domain_side_conditions_refuse(rule, params, prems, refusal):
     term it substitutes: an unfocused domain, a term that is no entry of
     the domain, a domain that is not a virtual singleton."""
     assert _refusal(rule, params, prems) == refusal
+
+
+_B2 = Atom("B", IConst(2), (z,))
+_SC = "SideConditionViolated"
+
+
+@pytest.mark.parametrize("rule, params, prems, changes, refusal", [
+    ("dual_exclusion", {"domain": "Dplus", "var": _DOWN, "dual": "top"}, [],
+     {}, (_SC, "dual exclusion is issued for variables only")),
+    ("forall_r", {"pos": 0, "term": z, "var": x, "domain": "Dplus",
+                  "body": _A(x), "as_eq": True},
+     [Sequent((), (Single(Eq(z, _DOWN)),)), Sequent((Single(_A(z)),), ())],
+     {}, (_SC, "the equality form of membership needs an extensional "
+           "singleton")),
+    ("subst", {"var": _DOWN, "term": t1, "domain": "D"},
+     [Sequent((), (Single(_A(_DOWN)),))], {},
+     (_SC, "substitution replaces a variable")),
+    ("conv_pair_elim", {"qpos": 0},
+     [Sequent((), (CorrPair(_A1, IDENTICAL, _B2),))], {},
+     (_SC, "conv_pair_elim: pair components must agree up to their index")),
+    ("exists_r", {"pos": 0, "term": z, "var": x, "domain": "Dplus",
+                  "dual": "top", "body": _A(x)},
+     [Sequent((), (Single(_A(z)),)), Sequent((Single(_A(y)),), ())], {},
+     (_SC, "second premise must refute the dual membership of z in Dplus")),
+    ("exists_f_vsym", {"var": z, "domain": "Ddown", "mpos": 0, "qpos": 0},
+     [Sequent((Single(Member(z, "Ddown")),), (Single(_A(z)),))], {},
+     (_SC, "Ddown has no direction-insensitive quantifiers")),
+    ("exists_f_vsym", {"var": z, "domain": "V", "mpos": 0, "qpos": 0},
+     [Sequent((Single(Member(z, "V")),), (Single(_A(z)),))],
+     {"d_axiom_domains": frozenset()},
+     ("DAxiomNotLicensed",
+      "symmetric quantifier steps on V need its d-axioms licensed")),
+    ("parallel_forall", {"var": z, "domain": "Dplus", "mpos": 0, "qpos": 0},
+     [Sequent((_IN_DPLUS, Single(_A(z))), (CorrPair(_A1, IDENTICAL, _A2),))],
+     {},
+     (_SC, "z occurs free outside the principal pair")),
+], ids=["dual-exclusion-outcome", "as-eq-not-singleton", "subst-outcome",
+        "pair-disagrees", "exists-r-not-dual", "vsym-not-virtual",
+        "vsym-unlicensed", "parallel-forall-not-fresh"])
+def test_side_conditions_refuse(rule, params, prems, changes, refusal):
+    """Each step would be accepted but for one side condition, which no
+    other test reaches: a variable where an outcome stands, a membership
+    form, a pair's agreement, a dual membership, a macro's domain or
+    licence, a fresh variable."""
+    assert _refusal(rule, params, prems, **changes) == refusal
