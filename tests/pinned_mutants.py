@@ -58,17 +58,20 @@ def condition(source: str, function: str, message: str) -> ast.expr:
 def mutant(source: str, function: str, message: str) -> str:
     """``source`` with that condition replaced by ``True``."""
     cond = condition(source, function, message)
-    lines = source.splitlines(keepends=True)
+    data = source.encode()  # ast's column offsets count UTF-8 bytes
+    lines = data.splitlines(keepends=True)
     start = sum(map(len, lines[:cond.lineno - 1])) + cond.col_offset
     end = sum(map(len, lines[:cond.end_lineno - 1])) + cond.end_col_offset
-    return source[:start] + "True" + source[end:]
+    return (data[:start] + b"True" + data[end:]).decode()
 
 
 def passes(copy: Path) -> bool:
     """Whether ``tests/test_rules.py`` passes in ``copy``."""
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "tests/test_rules.py"],
+        # -B: a mutant of the same size written within a second of the
+        # last would otherwise run from the last one's cached bytecode
+        [sys.executable, "-B", "-m", "pytest", "-q", "-x",
+         "-p", "no:cacheprovider", "tests/test_rules.py"],
         cwd=copy, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return run.returncode == 0
 
@@ -91,7 +94,6 @@ def main() -> int:
             survivors += not killed
             print(f"{'killed' if killed else 'SURVIVED'}: {function}: "
                   f"{message}")
-        (copy / RULES).write_text(source)
     print(f"{len(PINNED) - survivors} of {len(PINNED)} pinned checks pinned")
     return 1 if survivors else 0
 
