@@ -17,12 +17,14 @@ other exception, a ValueError raised while checking or searching too).
 Diagnostics go to stderr, reports to stdout.  Context-liberalization flags
 are never assumed: they come from the script's ``flags`` line or, for
 check, sym and search, the command line, or stay off.  Each command
-loads only the modules it runs.
+loads only the modules it runs.  ``main(argv)`` may be called repeatedly
+in one process: it builds its parser once, on the first call.
 """
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import os
 import sys
@@ -99,6 +101,7 @@ def _add_config_flags(sub) -> None:
                      dest="d_axiom")
 
 
+@functools.cache  # static data; parse_args builds a fresh namespace per call
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="symlog", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -35,6 +35,11 @@ PINNED = [
     ("_vsym_eligible", "no direction-insensitive quantifiers"),
     ("_vsym_eligible", "need its d-axioms licensed"),
     ("_r_parallel_forall", "occurs free outside the principal pair"),
+    ("rule_arity", "name"),
+    ("_r_additive_two", "must share their contexts"),
+    ("_r_additive_two", "must share the {far} context"),
+    ("_r_replacement", "changes no slot counts"),
+    ("_r_replacement", "is not a replacement instance"),
 ]
 
 

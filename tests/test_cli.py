@@ -568,3 +568,65 @@ def test_value_error_while_working_exits_three(ext_script, monkeypatch,
     assert capsys.readouterr().err == ("symlog: internal error: ValueError: "
                                        "join operands must carry distinct "
                                        "indexes\n")
+
+
+def test_a_repeated_call_builds_no_parser(monkeypatch, capsys):
+    """The parser is built once per process: a later call reuses it."""
+    import argparse
+
+    main(["bell", "--phase", "plus", "--correlation", "identical"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["bell", "--phase", "minus", "--correlation", "opposite"]) == 0
+    assert built == []
+
+
+LEFT_CONTEXT = """\
+flags weakening
+proof p : p & q, r |- p
+and_l1 pos=0 other={q}
+  weak_l formula={r} pos=1
+    id a={p}
+"""
+
+SUBST_GOAL = """\
+domain D = { t1@1/2, t2@1/2 } focused
+sequent g : A(t1@1/2) |- A(t1@1/2)
+"""
+
+
+def test_calls_in_one_process_do_not_see_each_other(tmp_path, capsys):
+    """A shared parser leaks no state between calls: the same calls run
+    forward, then backward, give the same exit code, stdout and stderr."""
+    left, subst = tmp_path / "left.blq", tmp_path / "subst.blq"
+    left.write_text(LEFT_CONTEXT)
+    subst.write_text(SUBST_GOAL)
+    calls = [
+        ["check", str(left), "--left-contexts"],
+        ["check", str(left)],
+        ["search", str(subst), "--name", "g", "--subst", "D"],
+        ["search", str(subst), "--name", "g", "--subst", "D"],
+        ["search", str(subst), "--name", "g"],
+        ["bell", "--phase", "sideways", "--correlation", "identical"],
+        ["bell", "--phase", "plus", "--correlation", "identical"],
+        ["guard", "V", "--format", "json"],
+        ["guard", "V"],
+    ]
+
+    def run(argv):
+        rc = main(argv)
+        return (rc, *capsys.readouterr())
+
+    forward = [run(argv) for argv in calls]
+    backward = [run(argv) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    assert [rc for rc, _, _ in forward] == [0, 1, 0, 0, 0, 2, 0, 0, 0]
+    assert forward[0][1] == "p: ok\n" and forward[1][1] == "p: FAIL\n"
+    assert "invalid choice: 'sideways'" in forward[5][2]
+    assert json.loads(forward[7][1])["status"] == forward[8][1].strip()

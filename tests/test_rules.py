@@ -20,7 +20,7 @@ from symlog.formulas import (
 )
 from symlog.kernel import symmetrize_proof
 from symlog.rules import (
-    RULES, RuleContext, RuleError, annotate, mk, validate_rule,
+    RULES, RuleContext, RuleError, annotate, mk, rule_arity, validate_rule,
 )
 
 from genlib import proof_context, random_proof, random_rule_calls
@@ -182,13 +182,13 @@ def test_validate_rule_raises_only_rule_errors():
     assert not raised, raised[:3]
 
 
-def _refusal(rule, params, prems, **changes) -> tuple:
-    """The code and message of the refusal, under the proofs' context with
-    its configuration's ``changes``."""
+def _refusal(rule, params, prems, claimed=None, **changes) -> tuple:
+    """The code and message of the refusal of the step to ``claimed``,
+    under the proofs' context with its configuration's ``changes``."""
     cfg, reg = proof_context()
     cfg = dataclasses.replace(cfg, **changes)
     with pytest.raises(RuleError) as e:
-        validate_rule(rule, params, prems, None, RuleContext(cfg, reg))
+        validate_rule(rule, params, prems, claimed, RuleContext(cfg, reg))
     return e.value.code, e.value.message
 
 
@@ -319,3 +319,45 @@ def test_side_conditions_refuse(rule, params, prems, changes, refusal):
     form, a pair's agreement, a dual membership, a macro's domain or
     licence, a fresh variable."""
     assert _refusal(rule, params, prems, **changes) == refusal
+
+
+def test_rule_arity_refuses_an_unknown_rule():
+    with pytest.raises(RuleError) as e:
+        rule_arity("no_such_rule")
+    assert (e.value.code, e.value.message) == ("UnknownRule", "no_such_rule")
+
+
+_p, _q, _r = (Atom(n, None, ()) for n in "pqr")
+_t = Var("t")
+_SM = "SlotMismatch"
+
+
+@pytest.mark.parametrize("rule, params, prems, claimed, refusal", [
+    ("and_r", {"pos": 0},
+     [Sequent((Single(_p),), (Single(_q),)),
+      Sequent((Single(_p),), (Single(_r), Single(_p)))], None,
+     (_SM, "and_r premises must share their contexts")),
+    ("and_r", {"pos": 0},
+     [Sequent((Single(_p),), (Single(_q),)),
+      Sequent((Single(_r),), (Single(_r),))], None,
+     (_SM, "and_r premises must share the left context")),
+    ("or_l", {"pos": 0},
+     [Sequent((Single(_q),), (Single(_p),)),
+      Sequent((Single(_r),), (Single(_r),))], None,
+     (_SM, "or_l premises must share the right context")),
+    ("eq_left", {"pos": 0, "s": z, "t": _t},
+     [Sequent((Single(_A(_t)), Single(_p)), (Single(_A(z)),))],
+     Sequent((Single(Eq(z, _t)), Single(_A(_t))), (Single(_A(z)),)),
+     (_SM, "eq_left changes no slot counts")),
+    ("eq_left", {"pos": 0, "s": z, "t": _t},
+     [Sequent((Single(_p),), (Single(_q),))],
+     Sequent((Single(Eq(z, _t)), Single(_p)), (Single(_r),)),
+     (_SC, "a right slot is not a replacement instance")),
+], ids=["and-r-slot-counts", "and-r-far-context", "or-l-far-context",
+        "eq-left-slot-counts", "eq-left-not-an-instance"])
+def test_context_checks_refuse(rule, params, prems, claimed, refusal):
+    """Each step would be accepted but for the contexts its premises and
+    conclusion share: the slot counts of the premises or of the premise
+    and conclusion, the far context of a two-premise rule, a slot that is
+    no replacement instance."""
+    assert _refusal(rule, params, prems, claimed) == refusal
