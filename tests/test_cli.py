@@ -570,7 +570,7 @@ def test_value_error_while_working_exits_three(ext_script, monkeypatch,
                                        "indexes\n")
 
 
-def test_a_repeated_call_builds_no_parser(monkeypatch, capsys):
+def test_a_repeated_call_builds_no_parser(monkeypatch):
     """The parser is built once per process: a later call reuses it."""
     import argparse
 
