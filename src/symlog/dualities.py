@@ -21,10 +21,17 @@ tables ``standard_registry`` declares.
 (sharp/phase literals, their quantified forms, and the correlated pair
 formulas) through the ``perp``/``top`` tables without touching the
 logical structure, and is partial outside that dictionary.
+
+Each formula keeps a weak link to its image under the last involution that
+mapped it.  The image links back only where the map is an involution: at a
+literal whose image maps back to it (``perp`` maps ``down@1 in Ddown``
+tagged ``perp`` to ``down@1 in Ddown``, whose image is ``down@1 in Dup``),
+and at a compound whose subformulas all link back.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from weakref import ref
 
 from .formulas import (
     And, Atom, DualMember, Eq, Excl, Exists, Forall, Formula, Imp, IndexRel,
@@ -103,7 +110,8 @@ _MATE_OF.update({b: a for a, b in _MATE_OF.items()})
 
 
 def symmetrize_formula(f: Formula, inv: LiteralInvolution) -> Formula:
-    def at(g, kids):
+    """The symmetric image of ``f``, linked as the module docstring says."""
+    def image(g, kids):
         sh = g.shape
         if sh.binds and g.domain in inv.self_dual_domains:
             return sh.rebuild(g, kids)  # a self-dual domain keeps its binder
@@ -119,7 +127,24 @@ def symmetrize_formula(f: Formula, inv: LiteralInvolution) -> Formula:
             return IndexRel(g.j, g.tag, g.i)
         return sh.rebuild(g, (), cls=_MATE_OF[type(g)])
 
-    return fold(f, at)
+    def at(g, kids):
+        h = _linked(g, inv)
+        if h is None:
+            h = image(g, kids)
+            object.__setattr__(g, "_image", (inv, ref(h)))
+            if (all(_linked(k, inv) is c
+                    for k, c in zip(kids, g.shape.children(g)))
+                    if kids else image(h, ()) is g):
+                object.__setattr__(h, "_image", (inv, ref(g)))
+        return h
+
+    return _linked(f, inv) or fold(f, at)
+
+
+def _linked(g: Formula, inv: LiteralInvolution):
+    """``g``'s image under ``inv`` if ``g`` links to a live one, else None."""
+    link = g._image
+    return link[1]() if link is not None and link[0] is inv else None
 
 
 def symmetrize_slot(slot: Slot, inv: LiteralInvolution) -> Slot:

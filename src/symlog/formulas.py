@@ -143,7 +143,7 @@ class Formula:
     are interned: building one equal to a live formula returns that formula,
     so ``==`` and ``hash`` are identity and never recurse."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_image")  # _image: no field; see dualities
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -154,6 +154,7 @@ class Formula:
             f = object.__new__(cls)
             for name, value in zip(cls.__slots__, args):
                 object.__setattr__(f, name, value)
+            object.__setattr__(f, "_image", None)
             f._check()
             _INTERNED[key] = f
         return f
@@ -245,16 +246,25 @@ def _tuple_getter(names: tuple):
 def walk(f: Formula) -> Iterator[tuple]:
     """Yield ``(g, bound)`` for each subformula occurrence ``g`` of ``f`` in
     pre-order, where ``bound`` maps each variable a binder above ``g`` binds
-    to the number of binders above that binder, the nearest one winning."""
-    todo = [(f, {}, 0)]
+    to the number of binders above that binder, the nearest one winning.
+    ``bound`` is one map that the walk updates as it goes, so read it
+    before asking for the next occurrence."""
+    bound, depth, todo = {}, 0, [f]
     while todo:
-        g, bound, depth = todo.pop()
+        g = todo.pop()
+        if type(g) is tuple:  # leaving a binder: restore what it shadowed
+            var, outer, depth = g
+            del bound[var]
+            if outer is not None:
+                bound[var] = outer
+            continue
         yield g, bound
         sh = g.shape
         if sh.subs:
             if sh.binds:
-                bound, depth = {**bound, g.var: depth}, depth + 1
-            todo += [(k, bound, depth) for k in reversed(sh.children(g))]
+                todo.append((g.var, bound.get(g.var), depth))
+                bound[g.var], depth = depth, depth + 1
+            todo += reversed(sh.children(g))
 
 
 def fold(f: Formula, at):

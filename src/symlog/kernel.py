@@ -20,7 +20,7 @@ from .formulas import (
 )
 from .rules import (
     MACRO_RULES, CalculusConfig, ProofNode, RuleContext, _fold, annotate,
-    check_proof, mk, proof_equal,
+    check_proof, mk, proof_equal, validate_rule,
 )
 
 __all__ = [
@@ -148,25 +148,40 @@ def symmetrize_proof(p: ProofNode, inv: LiteralInvolution,
     """Transform a checked proof into the proof of its symmetric sequent.
 
     Requires a symmetric configuration: the theorem trades left and right
-    context liberalizations, so they must agree.
+    context liberalizations, so they must agree.  Each node is validated,
+    with its claimed conclusion, in the fold that mates it.
     """
     if cfg.left_contexts != cfg.right_contexts:
         raise NotSymmetricConfig(
             "proof symmetrization needs matching left/right context flags")
-    return _sym_node(annotate(p, cfg, registry), inv)
+    ctx = RuleContext(cfg, registry)
+    try:
+        return _sym_node(p, inv, lambda node, concls: validate_rule(
+            node.rule, node.params, concls, node.conclusion, ctx))
+    except KernelError:
+        annotate(p, cfg, registry)  # a bad node is refused as bad first
+        raise
 
 
-def _sym_node(n: ProofNode, inv: LiteralInvolution) -> ProofNode:
+def _sym_node(n: ProofNode, inv: LiteralInvolution,
+              conclude=lambda node, concls: node.conclusion) -> ProofNode:
+    """Mate each node of ``n``, concluding it by ``conclude``."""
     # A node's conclusion shares most slots with its premises', so each slot
     # is symmetrized once.
     image = cache(lambda slot: symmetrize_slot(slot, inv))
-    return _fold(n, lambda node, prems, _: _mate(node, prems, inv, image))
+
+    def visit(node, done, _):
+        c = conclude(node, [c for c, _m in done])
+        return c, _mate(node, c, done, inv, image)
+
+    return _fold(n, visit)[1]
 
 
-def _mate(n: ProofNode, prems: list, inv: LiteralInvolution,
-          image) -> ProofNode:
-    """Apply the mate table to one annotated node whose premises' mates are
-    ``prems``; ``image`` symmetrizes a slot."""
+def _mate(n: ProofNode, conclusion: Sequent, done: list,
+          inv: LiteralInvolution, image) -> ProofNode:
+    """Apply the mate table to ``n``, which concludes ``conclusion``, given
+    its premises' (conclusion, mate) pairs ``done``; ``image`` symmetrizes a
+    slot."""
     entry = _MATES.get(n.rule)
     if entry is None:
         hint = "; symmetrize its expanded form" if n.rule in MACRO_RULES else ""
@@ -180,7 +195,7 @@ def _mate(n: ProofNode, prems: list, inv: LiteralInvolution,
         to = _RENAME.get(name, name)
         if isinstance(kind, tuple):
             where, side, width = kind
-            s = n.conclusion if where == CONCL else n.premises[where].conclusion
+            s = conclusion if where == CONCL else done[where][0]
             out[to] = len(s.left if side == "l" else s.right) - width - P[name]
         elif kind == FORMULA:
             out[to] = symmetrize_formula(P[name], inv)
@@ -194,9 +209,10 @@ def _mate(n: ProofNode, prems: list, inv: LiteralInvolution,
             out["dual"] = "neq" if P.get("as_eq") else inv.name
         elif kind == NEQ and P["dual"] == "neq":
             out["as_eq"] = True
-    return ProofNode(mate, out, tuple(prems[::-1] if swap else prems),
-                     Sequent(tuple(map(image, reversed(n.conclusion.right))),
-                             tuple(map(image, reversed(n.conclusion.left)))))
+    return ProofNode(mate, out,
+                     tuple(m for _c, m in (done[::-1] if swap else done)),
+                     Sequent(tuple(map(image, reversed(conclusion.right))),
+                             tuple(map(image, reversed(conclusion.left)))))
 
 
 # --------------------------------------------------------------------------

@@ -9,13 +9,15 @@ from symlog.dualities import (
     IDENTITY_INV, LiteralInvolution, symmetrize_sequent,
 )
 from symlog.formulas import (
-    Atom, Eq, Member, Neq, Outcome, Sequent, Single, Var, sequent_equal,
+    IDENTICAL, Atom, Eq, IConst, Join, Member, Neq, Outcome, Sequent, Single,
+    Var, sequent_equal,
 )
 from symlog.kernel import (
     _MATES, KernelError, NotSymmetricConfig, _sym_node, symmetrize_proof,
 )
 from symlog.rules import (
-    RULES, CalculusConfig, ProofNode, annotate, check_proof, mk, proof_equal,
+    RULES, CalculusConfig, ProofNode, RuleError, annotate, check_proof, mk,
+    proof_equal,
 )
 
 from genlib import proof_context, random_proof
@@ -160,3 +162,37 @@ def test_mate_table_covers_the_catalogue():
     assert set(_MATES) == set(RULES) - {"parallel_forall"}
     for rule, (mate, _swap, _params) in _MATES.items():
         assert _MATES[mate][0] == rule
+
+
+# --------------------------------------------------------------------------
+# refusals: every node is validated before a missing mate is reported
+
+
+def _parallel_forall() -> ProofNode:
+    """Corpus item C12's macro node, which checks but has no mate."""
+    def pair(t):
+        return Join(IDENTICAL, Atom("A", IConst(1), (t,)),
+                    Atom("A", IConst(2), (t,)))
+
+    return mk("parallel_forall", {"var": z, "domain": "Dplus", "mpos": 1,
+                                  "qpos": 0},
+              mk("join_elim", {"qpos": 0},
+                 mk("forall_r", {"pos": 0, "term": z, "var": x,
+                                 "domain": "Dplus", "body": pair(x)},
+                    mk("id", {"a": Member(z, "Dplus")}),
+                    mk("id", {"a": pair(z)}))))
+
+
+def test_a_valid_macro_proof_is_refused_with_a_hint(config, registry):
+    assert check_proof(_parallel_forall(), config, registry).ok
+    with pytest.raises(KernelError, match="no symmetric mate for rule "
+                       "parallel_forall; symmetrize its expanded form"):
+        symmetrize_proof(_parallel_forall(), IDENTITY_INV, config, registry)
+
+
+def test_a_bad_node_after_a_mateless_one_is_refused_as_bad(config, registry):
+    bad = mk("id", {"a": p}, conclusion=Sequent((Single(q),), (Single(q),)))
+    proof = mk("cut", {"rpos": 0, "lpos": 0}, _parallel_forall(), bad)
+    with pytest.raises(RuleError) as e:
+        symmetrize_proof(proof, IDENTITY_INV, config, registry)
+    assert e.value.code == "ConclusionMismatch" and "id:" in e.value.message
