@@ -273,10 +273,7 @@ def test_an_image_lives_only_while_the_caller_holds_it():
     image = symmetrize_formula(f, IDENTITY_INV)
     assert f._image[0] is IDENTITY_INV and f._image[1]() is image
     assert image._image[1]() is f
-    assert pickle.loads(pickle.dumps(f)) is f
-    assert repr(f) == "And(a=Atom(pred='A', index=IConst(value=1), " \
-        "args=(Var(name='z'),)), b=Atom(pred='Q', index=None, " \
-        "args=(Var(name='only_here'),)))"
+    assert pickle.loads(pickle.dumps(f)) is f and "_image" not in repr(f)
     del image
     gc.collect()
     assert f._image[1]() is None
@@ -333,7 +330,7 @@ def test_walks_take_any_depth(chain):
 def test_binders_cost_a_walk_no_more_than_connectives(walk):
     """A walk keeps one bound-variable map and undoes each binder's entry on
     the way out, so nested binders cost it no more than nested connectives
-    (copying the map at each binder made the Forall chain 10-20x slower)."""
+    (a copy of the map per binder makes the Forall chain 10-20x slower)."""
     def best(f):
         times = []
         for _ in range(3):
