@@ -19,7 +19,7 @@ from symlog.formulas import (
     And, Atom, DualMember, Eq, Excl, Exists, Forall, Formula, IConst,
     IDENTICAL, Imp, IndexRel, Join, Member, Neq, OPPOSITE, Or, Outcome, Par,
     Times, Var, fold, formula_equal, free_vars, index_set, reindex,
-    replace_var, slot_formulas, subformulas,
+    replace_var, slot_formulas, subformulas, walk,
 )
 from symlog.rules import _preorder, _replaceable, annotate
 from symlog.scripts import print_formula
@@ -126,6 +126,19 @@ def test_binders_rename_and_shadow():
     assert _replaceable(f, f, y, up)
     self_dual = LiteralInvolution("top", self_dual_domains={"D"})
     assert symmetrize_formula(f, self_dual) == f
+
+
+def test_walk_maps_bound_variables_to_binder_depths():
+    """Each occurrence sees the variables of the binders above it, each
+    mapped to the number of binders above its binder; leaving a binder
+    undoes its entry, also where it shadowed an outer one."""
+    fz, fy = Forall(z, "D", C(z, y)), Forall(y, "D", C(y, z))
+    body = And(And(fz, fy), C(y, z))
+    f = Forall(y, "D", body)
+    assert [(g, dict(bound)) for g, bound in walk(f)] == [
+        (f, {}), (body, {y: 0}), (And(fz, fy), {y: 0}), (fz, {y: 0}),
+        (C(z, y), {y: 0, z: 1}), (fy, {y: 0}), (C(y, z), {y: 1}),
+        (C(y, z), {y: 0})]
 
 
 def test_join_reindex_keeps_distinct_indexes():
