@@ -546,13 +546,16 @@ def replace_var(f: Formula, x: Var, t: Term) -> Formula:
     ``t``, which no fold does, so jobs ``(g, x, t, memo)`` wait on a stack."""
     top = {}  # g -> g with x replaced by t; memos holds one such per (x, t)
     memos, todo = {(x, t): top}, [(f, x, t, top)]
+    fv = {}  # g -> free_vars(g), filled by a fold at a renaming binder
     while todo:
         job = g, x, t, done = todo.pop()
         sh = g.shape
         if sh.binds and g.var == x:
             done[g] = g  # bound occurrence shadows the substitution
         elif sh.binds and g.var == t:  # rename it away from the incoming t
-            avoid = {v.name for v in free_vars(g.body)} | {t.name, x.name}
+            if g.body not in fv:  # by presence: a closed body's set is empty
+                fold(g.body, lambda h, kids: fv.setdefault(h, _fv_at(h, kids)))
+            avoid = {v.name for v in fv[g.body]} | {t.name, x.name}
             nv = Var(_fresh_name(t.name, avoid, 1))
             renamed = memos.setdefault((t, nv), {})
             body = renamed.get(g.body)
@@ -570,6 +573,14 @@ def replace_var(f: Formula, x: Var, t: Term) -> Formula:
                 done[g] = sh.rebuild(g, [done[k] for k in kids],
                                      [t if u == x else u for u in sh.terms(g)])
     return top[f]
+
+
+def _fv_at(g: Formula, kids: list) -> frozenset:
+    """``free_vars(g)`` from the free variables of its subformulas."""
+    if g.shape.binds:
+        return kids[0] - {g.var}
+    return frozenset([u for u in g.shape.terms(g) if isinstance(u, Var)]
+                     ).union(*kids)
 
 
 def substitute(f: Formula, x: Var, t: Term) -> Formula:

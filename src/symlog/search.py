@@ -27,12 +27,10 @@ the moves: the context-splitting and weakening moves slice each first
 premise's key out of the goal's, hand it to ``prove`` and build no premise
 that the memo already fails.  A goal at budget 1 is settled by its axioms
 (a premise at budget 0 always fails); its other moves only tell from the
-memo whether the bound was hit.  The tables are keyed on small ints, not
-on the goal's text: the engine numbers each formula the first time it sees
-it (formulas are interned, so the lookup hashes the object), a ``Single``
-slot keys as its formula's number and a ``CorrPair`` as (number, tag,
-number).  A two-premise move with a context split builds its second
-premise only once the first is proved.
+memo whether the bound was hit.  The tables are keyed on the goal's
+interned formulas, a ``Single`` slot as its formula and a ``CorrPair`` as
+itself, so a lookup hashes objects, never text.  A two-premise move with a
+context split builds its second premise only once the first is proved.
 """
 from __future__ import annotations
 
@@ -106,34 +104,18 @@ class _Engine:
         self.proved: dict = {}  # goal key -> (proof, height)
         self.failed: dict = {}  # goal key -> (budget, bound hit)
         self.bound_hit = False
-        self._number: dict = {}  # formula -> its canonical int
-        self._terms: list = []   # formula number -> the terms in it
+        self._terms: dict = {}  # slot key -> the terms in it, on demand
         self._subst_entries = [
             (dom, t) for dom in sorted(self.cfg.substitution_domains)
             if dom in self.reg for t in self.reg.get(dom).entries]
 
-    def _fkey(self, f: Formula) -> int:
-        n = self._number.get(f)
-        if n is None:
-            n = self._number[f] = len(self._terms)
-            self._terms.append(_add_terms(f, set()))
-        return n
-
-    def _slot_key(self, slot: Slot):
-        if type(slot) is Single:
-            return self._fkey(slot.formula)
-        return self._fkey(slot.a), slot.tag.kind, self._fkey(slot.b)
-
     def _key(self, goal: Sequent) -> tuple:
         """The memo key of ``goal``: two goals get equal keys exactly when
         they are equal sequents."""
-        number = self._number
-        try:  # the common case: Single slots whose formulas are numbered
-            return (tuple([number[s.formula] for s in goal.left]),
-                    tuple([number[s.formula] for s in goal.right]))
-        except (KeyError, AttributeError):
-            return (tuple(map(self._slot_key, goal.left)),
-                    tuple(map(self._slot_key, goal.right)))
+        return (tuple([s.formula if type(s) is Single else s
+                       for s in goal.left]),
+                tuple([s.formula if type(s) is Single else s
+                       for s in goal.right]))
 
     def _fails(self, key: tuple, budget: int) -> bool:
         """Whether ``prove`` returns None for the goal keyed ``key`` at
@@ -349,7 +331,7 @@ class _Engine:
             elif isinstance(f, Times):
                 rest = _without(goal.right, pos)
                 for k, j, k1 in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
-                                       rpre=(self._fkey(f.a),)):
+                                       rpre=(f.a,)):
                     p1 = Sequent(goal.left[:k], (Single(f.a),) + rest[:j])
                     p2 = lambda k=k, j=j: Sequent(
                         goal.left[k:], (Single(f.b),) + rest[j:])
@@ -362,7 +344,7 @@ class _Engine:
             elif isinstance(f, Excl):
                 rest = _without(goal.right, pos)
                 for k, j, k1 in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
-                                       rpost=(self._fkey(f.a),)):
+                                       rpost=(f.a,)):
                     q1 = Sequent(goal.left[:k], rest[:j] + (Single(f.a),))
                     q2 = lambda k=k, j=j: Sequent(
                         goal.left[k:] + (Single(f.b),), rest[j:])
@@ -391,7 +373,7 @@ class _Engine:
                         dual = self.reg.dual_membership(t, f.domain, d)
                         for k, j, k1 in self._cuts(
                                 lk, rk[:pos] + rk[pos + 1:], sub,
-                                rpost=(self._fkey(inst),)):
+                                rpost=(inst,)):
                             q1 = Sequent(goal.left[:k],
                                          rest[:j] + (Single(inst),))
                             q2 = lambda k=k, j=j, dual=dual: Sequent(
@@ -432,7 +414,7 @@ class _Engine:
             elif isinstance(f, Par):
                 rest = _without(goal.left, pos)
                 for k, j, k1 in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
-                                       lpre=(self._fkey(f.a),)):
+                                       lpre=(f.a,)):
                     p1 = Sequent((Single(f.a),) + rest[:k], goal.right[:j])
                     p2 = lambda k=k, j=j: Sequent(
                         (Single(f.b),) + rest[k:], goal.right[j:])
@@ -441,7 +423,7 @@ class _Engine:
             elif isinstance(f, Imp):
                 rest = _without(goal.left, pos)
                 for k, j, k1 in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
-                                       rpre=(self._fkey(f.a),)):
+                                       rpre=(f.a,)):
                     p1 = Sequent(rest[:k], (Single(f.a),) + goal.right[:j])
                     p2 = lambda k=k, j=j: Sequent(
                         (Single(f.b),) + rest[k:], goal.right[j:])
@@ -466,7 +448,7 @@ class _Engine:
                     inst = replace_var(f.body, f.var, t)
                     memb = Member(t, f.domain)
                     for k, j, k1 in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
-                                           rpre=(self._fkey(memb),)):
+                                           rpre=(memb,)):
                         p1 = Sequent(rest[:k], (Single(memb),) + goal.right[:j])
                         p2 = lambda k=k, j=j, inst=inst: Sequent(
                             (Single(inst),) + rest[k:], goal.right[j:])
@@ -505,9 +487,10 @@ class _Engine:
     def _subst_moves(self, goal: Sequent, key: tuple) -> Iterator:
         if not self._subst_entries:
             return
-        ts = self._terms
-        terms = set().union(*[ts[n] if type(n) is int else ts[n[0]] | ts[n[2]]
-                              for n in key[0] + key[1]])
+        table = self._terms
+        terms = set().union(*[
+            table[n] if n in table else table.setdefault(n, _add_terms(n, set()))
+            for n in key[0] + key[1]])
         if not terms:
             return
         for dom, t in self._subst_entries:
@@ -548,9 +531,11 @@ def _pick_var(f, goal: Sequent) -> Var:
     return fresh_var(f.var.name, sequent_free_vars(goal))
 
 
-def _add_terms(f: Formula, out: set) -> set:
-    """Add every term occurring in ``f`` to ``out``, and return it."""
-    out.update(*[g.shape.terms(g) for g, _ in walk(f)])
+def _add_terms(n, out: set) -> set:
+    """Add every term occurring in ``n``, a formula or the ``CorrPair`` a
+    slot keys as, to ``out``, and return it."""
+    for f in (n.a, n.b) if type(n) is CorrPair else (n,):
+        out.update(*[g.shape.terms(g) for g, _ in walk(f)])
     return out
 
 

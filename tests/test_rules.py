@@ -23,6 +23,7 @@ from symlog.rules import (
     RULES, RuleContext, RuleError, annotate, mk, rule_arity, validate_rule,
 )
 
+import checker_reach
 from genlib import proof_context, random_proof, random_rule_calls
 
 _FLAGS = ("left_contexts", "right_contexts", "weakening", "cut")
@@ -361,3 +362,14 @@ def test_context_checks_refuse(rule, params, prems, claimed, refusal):
     and conclusion, the far context of a two-premise rule, a slot that is
     no replacement instance."""
     assert _refusal(rule, params, prems, claimed) == refusal
+
+
+def test_checker_reach_follows_the_checker_out_of_rules():
+    """``tests/checker_reach.py`` reaches what the checker calls in the
+    other trusted modules and none of what only search, symmetrization or
+    the corpus calls."""
+    _, names = checker_reach.reachable()
+    assert {"replace_var", "formula_equal", "symmetrize_formula",
+            "dual_member", "license_d_axiom", "_check", "_r_vsym"} <= names
+    assert not {"apply_duality", "symmetrize_sequent", "standard_registry",
+                "consistency_guard", "fresh_var", "substitute"} & names

@@ -12,11 +12,11 @@ from symlog.corpus import corpus_config
 from symlog.domains import DomainRecord, Registry
 from symlog.formulas import (
     And, Atom, CorrPair, DualMember, Eq, Excl, Exists, Forall, IConst,
-    IDENTICAL, Imp, Member, Neq, OPPOSITE, Or, Outcome, Par, Sequent, Single,
-    Times, Var, seq,
+    IDENTICAL, Imp, Join, Member, Neq, OPPOSITE, Or, Outcome, Par, Sequent,
+    Single, Times, Var, seq,
 )
 from symlog.rules import CalculusConfig, RuleContext, check_proof, proof_equal
-from symlog.scripts import print_formula, print_sequent
+from symlog.scripts import print_sequent
 from symlog.search import DepthLimitError, _Engine, search_proof
 
 from genlib import (
@@ -252,30 +252,20 @@ class _Memo(dict):
 
 
 class _RecordingEngine(_Engine):
-    """The engine, logging every memo write as (table, goal printed from
-    its key, value): the proof's rule and height for a proved goal, the
-    budget and bound-hit flag for a failed one.  The goal is printed, not
-    keyed, because two engines may number formulas differently."""
+    """The engine, logging every memo write as (table, key, value): the
+    proof's rule and height for a proved goal, the budget and bound-hit
+    flag for a failed one.  Keys hold interned formulas, so two engines
+    key one goal alike."""
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        self.log, self.printed = [], []  # formula number -> printed formula
+        self.log = []
         self.proved, self.failed = _Memo(self, "proved"), _Memo(self, "failed")
 
-    def _fkey(self, f):
-        n = super()._fkey(f)
-        if n == len(self.printed):
-            self.printed.append(print_formula(f))
-        return n
-
     def record(self, table, key, value):
-        pf = self.printed
-        slot = lambda n: (pf[n] if type(n) is int else
-                          f"{pf[n[0]]} ,{n[1]} {pf[n[2]]}")
-        goal = " |- ".join(", ".join(map(slot, side)) for side in key)
         if table == "proved":
             value = (value[0].rule, value[1])
-        self.log.append((table, goal, value))
+        self.log.append((table, key, value))
 
 
 class _EnumeratingEngine(_RecordingEngine):
@@ -339,11 +329,35 @@ def test_budget_one_memo_parity(registry, weakening):
     rng = random.Random(15)
     goals = _ladder(corpus_config()) + [(random_goal(rng), 6, corpus_config())
                                         for _ in range(200)]
+    # goals holding correlated pairs, whose slots key as CorrPair objects
+    goals += [g for g in _uncovered_goals()
+              if any(type(s) is CorrPair for s in g[0].left + g[0].right)][:40]
     for goal, depth, cfg in goals:
         cfg = dataclasses.replace(cfg, weakening=weakening)
         want = _memo_log(_EnumeratingEngine, goal, depth, cfg, registry)
         got = _memo_log(_RecordingEngine, goal, depth, cfg, registry)
         assert got == want, print_sequent(goal)
+
+
+def test_memo_keys_are_exact(config, registry):
+    """Two goals get equal memo keys exactly when they are equal sequents,
+    over goals that mix Single and CorrPair slots under both tags, a pair
+    beside a Single of each of its formulas, and a join of the same two."""
+    a1, a2 = Atom("A", IConst(1), (z,)), Atom("A", IConst(2), (z,))
+    fs = (a1, a2, p, Join(IDENTICAL, a1, a2), Join(OPPOSITE, a1, a2))
+    slots = [Single(f) for f in fs] + [
+        CorrPair(f, tag, g) for tag in (IDENTICAL, OPPOSITE)
+        for f in fs[:3] for g in fs[:3]]
+    rng = random.Random(27)
+    goals = [Sequent(tuple(rng.choices(slots, k=rng.randrange(3))),
+                     tuple(rng.choices(slots, k=rng.randrange(3))))
+             for _ in range(400)]
+    engine = _Engine(RuleContext(config, registry))
+    keys = [engine._key(g) for g in goals]
+    for g1, k1 in zip(goals, keys):
+        for g2, k2 in zip(goals, keys):
+            assert (k1 == k2) == (g1 == g2), (print_sequent(g1),
+                                              print_sequent(g2))
 
 
 _FOCUSED = ("D", "Ddown", "Dup")

@@ -365,16 +365,34 @@ def test_replace_var_renames_a_binder_over_any_depth(chain):
     assert formula_equal(f, Forall(w, "D", replace_var(chain(), z, t)))
 
 
+def _renaming_chain(x: Var, t: Var, n: int = 300) -> Formula:
+    f = Atom("P", None, (x, t))
+    for _ in range(n):
+        f = Forall(t, "D", And(f, Atom("Q", None, (t,))))
+    return f
+
+
 def test_replace_var_renames_nested_binders():
     """Each binder of t is renamed and its body replaced twice, so nested
     binders of t must not repeat one another's work."""
-    def chain(x, t, n=300):
-        f = Atom("P", None, (x, t))
-        for _ in range(n):
-            f = Forall(t, "D", And(f, Atom("Q", None, (t,))))
-        return f
-
     x, t, u = Var("x"), Var("t"), Var("u")
-    f = replace_var(chain(x, t), x, t)
+    f = replace_var(_renaming_chain(x, t), x, t)
     assert f.var == Var("t1") and free_vars(f) == {t}
-    assert formula_equal(f, chain(t, u))
+    assert formula_equal(f, _renaming_chain(t, u))
+
+
+def test_replace_var_cost_grows_linearly_with_renaming_binders():
+    """Each subformula's free variables are read once per call, so ten
+    times the nested renaming binders cost about ten times as much (asking
+    free_vars at each binder makes it about a hundred times)."""
+    x, t = Var("x"), Var("t")
+
+    def best(n):
+        f, times = _renaming_chain(x, t, n), []
+        for _ in range(3):
+            start = time.perf_counter()
+            replace_var(f, x, t)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best(1000) < 20 * best(100)
