@@ -267,10 +267,11 @@ def walk(f: Formula) -> Iterator[tuple]:
             todo += reversed(sh.children(g))
 
 
-def fold(f: Formula, at):
+def fold(f: Formula, at, done=None):
     """Call ``at(g, [results of g's subformulas])`` once on each distinct
-    subformula ``g`` of ``f``, after its subformulas; return ``f``'s result."""
-    done, todo = {}, [f]
+    subformula ``g`` of ``f`` that ``done`` (a dict it fills) has no result
+    for, after its subformulas; return ``f``'s result."""
+    done, todo = {} if done is None else done, [f]
     while todo:
         g = todo.pop()
         kids = g.shape.children(g)
@@ -546,16 +547,15 @@ def replace_var(f: Formula, x: Var, t: Term) -> Formula:
     ``t``, which no fold does, so jobs ``(g, x, t, memo)`` wait on a stack."""
     top = {}  # g -> g with x replaced by t; memos holds one such per (x, t)
     memos, todo = {(x, t): top}, [(f, x, t, top)]
-    fv = {}  # g -> free_vars(g), filled by a fold at a renaming binder
+    fv = {}  # g -> free_vars(g), filled by the folds at renaming binders
     while todo:
         job = g, x, t, done = todo.pop()
         sh = g.shape
         if sh.binds and g.var == x:
             done[g] = g  # bound occurrence shadows the substitution
         elif sh.binds and g.var == t:  # rename it away from the incoming t
-            if g.body not in fv:  # by presence: a closed body's set is empty
-                fold(g.body, lambda h, kids: fv.setdefault(h, _fv_at(h, kids)))
-            avoid = {v.name for v in fv[g.body]} | {t.name, x.name}
+            avoid = {v.name for v in fold(g.body, _fv_at, fv)}
+            avoid |= {t.name, x.name}
             nv = Var(_fresh_name(t.name, avoid, 1))
             renamed = memos.setdefault((t, nv), {})
             body = renamed.get(g.body)

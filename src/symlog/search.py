@@ -29,8 +29,9 @@ that the memo already fails.  A goal at budget 1 is settled by its axioms
 (a premise at budget 0 always fails); its other moves only tell from the
 memo whether the bound was hit.  The tables are keyed on the goal's
 interned formulas, a ``Single`` slot as its formula and a ``CorrPair`` as
-itself, so a lookup hashes objects, never text.  A two-premise move with a
-context split builds its second premise only once the first is proved.
+the tuple (formula, tag kind, formula), so a lookup hashes objects by
+identity in C, never text.  A two-premise move with a context split builds
+its second premise only once the first is proved.
 """
 from __future__ import annotations
 
@@ -112,10 +113,10 @@ class _Engine:
     def _key(self, goal: Sequent) -> tuple:
         """The memo key of ``goal``: two goals get equal keys exactly when
         they are equal sequents."""
-        return (tuple([s.formula if type(s) is Single else s
-                       for s in goal.left]),
-                tuple([s.formula if type(s) is Single else s
-                       for s in goal.right]))
+        return (tuple([s.formula if type(s) is Single else
+                       (s.a, s.tag.kind, s.b) for s in goal.left]),
+                tuple([s.formula if type(s) is Single else
+                       (s.a, s.tag.kind, s.b) for s in goal.right]))
 
     def _fails(self, key: tuple, budget: int) -> bool:
         """Whether ``prove`` returns None for the goal keyed ``key`` at
@@ -532,9 +533,9 @@ def _pick_var(f, goal: Sequent) -> Var:
 
 
 def _add_terms(n, out: set) -> set:
-    """Add every term occurring in ``n``, a formula or the ``CorrPair`` a
-    slot keys as, to ``out``, and return it."""
-    for f in (n.a, n.b) if type(n) is CorrPair else (n,):
+    """Add every term occurring in ``n``, a formula or the (formula, tag
+    kind, formula) a ``CorrPair`` slot keys as, to ``out``, and return it."""
+    for f in (n[0], n[2]) if type(n) is tuple else (n,):
         out.update(*[g.shape.terms(g) for g, _ in walk(f)])
     return out
 

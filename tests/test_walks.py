@@ -18,7 +18,7 @@ from symlog.dualities import (
 from symlog.formulas import (
     And, Atom, DualMember, Eq, Excl, Exists, Forall, Formula, IConst,
     IDENTICAL, Imp, IndexRel, Join, Member, Neq, OPPOSITE, Or, Outcome, Par,
-    Times, Var, fold, formula_equal, free_vars, index_set, reindex,
+    Times, Var, _fv_at, fold, formula_equal, free_vars, index_set, reindex,
     replace_var, slot_formulas, subformulas, walk,
 )
 from symlog.rules import _preorder, _replaceable, annotate
@@ -381,14 +381,29 @@ def test_replace_var_renames_nested_binders():
     assert formula_equal(f, _renaming_chain(t, u))
 
 
-def test_replace_var_cost_grows_linearly_with_renaming_binders():
-    """Each subformula's free variables are read once per call, so ten
-    times the nested renaming binders cost about ten times as much (asking
+def _renaming_siblings(x: Var, t: Var, n: int) -> Formula:
+    """And(G1, And(G2, ... Gn)) over the binders Gk of _renaming_chain(x,
+    t, k): each binder's body holds the binder before it."""
+    chain = _renaming_chain(x, t, n)
+    gs = [chain]
+    while len(gs) < n:
+        gs.append(gs[-1].body.a)
+    f = chain
+    for g in gs[1:]:
+        f = And(g, f)
+    return f
+
+
+@pytest.mark.parametrize("shape", [_renaming_chain, _renaming_siblings],
+                         ids=["nested", "siblings"])
+def test_replace_var_cost_grows_linearly_with_renaming_binders(shape):
+    """Each subformula's free variables are found once per call, so ten
+    times the renaming binders cost about ten times as much (asking
     free_vars at each binder makes it about a hundred times)."""
     x, t = Var("x"), Var("t")
 
     def best(n):
-        f, times = _renaming_chain(x, t, n), []
+        f, times = shape(x, t, n), []
         for _ in range(3):
             start = time.perf_counter()
             replace_var(f, x, t)
@@ -396,3 +411,17 @@ def test_replace_var_cost_grows_linearly_with_renaming_binders():
         return min(times)
 
     assert best(1000) < 20 * best(100)
+
+
+def test_one_fold_finds_the_free_variables_of_every_subformula():
+    """replace_var finds free variables by folding _fv_at, free_vars by a
+    walk; the two agree on every subformula of the digest's and the
+    corpus's formulas and of both renaming shapes."""
+    x, t = Var("x"), Var("t")
+    fv = {}
+    for f in _digest_formulas() + _corpus_formulas() + [
+            _renaming_siblings(x, t, 20)]:
+        fold(f, _fv_at, fv)
+    wrong = [g for g, vs in fv.items() if vs != free_vars(g)]
+    assert sum(g.shape.binds for g in fv) > 500, "too few binders"
+    assert wrong == [], wrong[:3]
