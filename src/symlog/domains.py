@@ -2,9 +2,9 @@
 
 A domain is a finite set of outcome terms.  A *focused* domain is one for
 which membership entails the disjunction of equalities with its listed
-entries, so substitution of entries for free variables is derivable.  A
-*virtual singleton* is a non-empty unfocused domain equipped with a
-duality ``d`` licensing the schema
+entries (the ``focus`` rule states that law), so substitution of entries
+for free variables is derivable.  A *virtual singleton* is a non-empty
+unfocused domain equipped with a duality ``d`` licensing the schema
 
     z in V, A(y) |- A(z), (y in V)^d
 
@@ -25,7 +25,7 @@ from typing import Optional
 
 from .dualities import PERP_INV, TOP_INV, LiteralInvolution
 from .formulas import (
-    DualMember, Eq, Formula, Member, Neq, Or, Outcome, Term, Var,
+    DualMember, Formula, Member, Neq, Outcome, Term, Var,
 )
 
 __all__ = [
@@ -47,7 +47,8 @@ class InvariantViolation(RegistryError):
 
 
 class EmptyDomain(RegistryError):
-    pass
+    """Exported still, but raised by nothing: the focus rules refuse a domain
+    without entries themselves."""
 
 
 class FocusedNonSingleton(RegistryError):
@@ -168,15 +169,6 @@ class Registry:
         if inv is None:
             return DualMember(t, name, dual)
         return inv.dual_member(t, name)
-
-    def focus_disjunction(self, name: str, z: Var) -> Formula:
-        rec = self.get(name)
-        if not rec.entries:
-            raise EmptyDomain(name)
-        f: Formula = Eq(z, rec.entries[-1])
-        for e in reversed(rec.entries[:-1]):
-            f = Or(Eq(z, e), f)
-        return f
 
     # -- membership axioms ---------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import attrgetter, itemgetter
 from typing import Iterator, Optional, Union
 from weakref import WeakValueDictionary
@@ -547,14 +548,16 @@ def replace_var(f: Formula, x: Var, t: Term) -> Formula:
     ``t``, which no fold does, so jobs ``(g, x, t, memo)`` wait on a stack."""
     top = {}  # g -> g with x replaced by t; memos holds one such per (x, t)
     memos, todo = {(x, t): top}, [(f, x, t, top)]
-    fv = {}  # g -> free_vars(g), filled by the folds at renaming binders
+    # g -> g's free variables named t's name and more, filled by the folds at
+    # renaming binders: every name _fresh_name picks here extends t's name
+    fv, stem = {}, t.name if isinstance(t, Var) else ""
     while todo:
         job = g, x, t, done = todo.pop()
         sh = g.shape
         if sh.binds and g.var == x:
             done[g] = g  # bound occurrence shadows the substitution
         elif sh.binds and g.var == t:  # rename it away from the incoming t
-            avoid = {v.name for v in fold(g.body, _fv_at, fv)}
+            avoid = {v.name for v in fold(g.body, partial(_fv_at, stem), fv)}
             avoid |= {t.name, x.name}
             nv = Var(_fresh_name(t.name, avoid, 1))
             renamed = memos.setdefault((t, nv), {})
@@ -575,12 +578,13 @@ def replace_var(f: Formula, x: Var, t: Term) -> Formula:
     return top[f]
 
 
-def _fv_at(g: Formula, kids: list) -> frozenset:
-    """``free_vars(g)`` from the free variables of its subformulas."""
+def _fv_at(stem: str, g: Formula, kids: list) -> frozenset:
+    """The variables of ``free_vars(g)`` whose names start with ``stem``,
+    from those of its subformulas."""
     if g.shape.binds:
         return kids[0] - {g.var}
-    return frozenset([u for u in g.shape.terms(g) if isinstance(u, Var)]
-                     ).union(*kids)
+    return frozenset([u for u in g.shape.terms(g) if isinstance(u, Var)
+                      and u.name.startswith(stem)]).union(*kids)
 
 
 def substitute(f: Formula, x: Var, t: Term) -> Formula:

@@ -3,7 +3,7 @@
 Search, symmetrization, macros, scripts and the corpus only build proofs,
 and each goes back through ``check_proof``, so this file is all that must
 be trusted (the de Bruijn criterion).  It imports only ``formulas``,
-``dualities``, ``domains`` and the standard library.
+``domains`` and the standard library: no rule runs the symmetry map.
 
 Each rule is a validator ``fn(params, premises, claimed, ctx) -> Sequent``
 that either reconstructs the unique conclusion from the premises and the
@@ -19,8 +19,8 @@ flags (left/right context liberalization, weakening, cut) or by the
 substitution / d-axiom licenses.
 
 Side-mirrored rules are written once.  Where rules differ only in the side of
-the turnstile they read and build (``and_l1`` and ``or_r1``, ``weak_l`` and
-``weak_r``, ...), one validator serves the group and is registered once per
+the turnstile they read and build (``and_l1`` and ``or_r1``, ``focus`` and
+``dual_focus``, ...), one validator serves the group and is registered once per
 rule by stacked ``@_rule`` lines.  Each line gives the rule's ``side``
 ("left" or "right") and whatever else differs, such as the constructor
 ``make`` or the other side ``far``; the validator receives them, with the
@@ -46,7 +46,6 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .domains import FocusedNonSingleton, Registry, RegistryError
-from .dualities import IDENTITY_INV, symmetrize_formula
 from .formulas import (
     And, Const, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
     IndexRel, Join, Member, Neq, Or, Outcome, Par, Sequent, Single, Slot,
@@ -303,26 +302,22 @@ def _r_dual_exclusion(rule, params, premises, claimed, ctx):
     return _on(Sequent((), ()), rule.side, (Single(Member(z, dom)), Single(dual)))
 
 
-@_rule("focus", 0)
-def _r_focus(params, premises, claimed, ctx):
-    dom, z = params["domain"], params["var"]
+@_rule("focus", 0, side="right", far="left", reads=("domain", "var"),
+       make=Eq, join=Or, member=lambda reg, z, dom: Member(z, dom))
+@_rule("dual_focus", 0, side="left", far="right", reads=("domain", "var",
+       "dual"), make=Neq, join=lambda e, rest: And(rest, e),
+       member=lambda reg, z, dom, d: reg.dual_membership(z, dom, d))
+def _r_focus(rule, params, premises, claimed, ctx):
+    dom, z, *dual = [params[k] for k in rule.reads]
     rec = ctx.registry.get(dom)
     _need(rec.focused, "SideConditionViolated", f"{dom} is not focused")
     _need(bool(rec.entries), "SideConditionViolated", f"{dom} has no entries")
-    disj = ctx.registry.focus_disjunction(dom, z)
-    return Sequent((Single(Member(z, dom)),), (Single(disj),))
-
-
-@_rule("dual_focus", 0)
-def _r_dual_focus(params, premises, claimed, ctx):
-    dom, z, d = params["domain"], params["var"], params["dual"]
-    rec = ctx.registry.get(dom)
-    _need(rec.focused, "SideConditionViolated", f"{dom} is not focused")
-    _need(bool(rec.entries), "SideConditionViolated", f"{dom} has no entries")
-    conj = symmetrize_formula(ctx.registry.focus_disjunction(dom, z),
-                              IDENTITY_INV)
-    dual = ctx.registry.dual_membership(z, dom, d)
-    return Sequent((Single(conj),), (Single(dual),))
+    # first entry outermost; dual_focus's chain is the IDENTITY_INV image
+    chain = rule.make(z, rec.entries[-1])
+    for e in reversed(rec.entries[:-1]):
+        chain = rule.join(rule.make(z, e), chain)
+    memb = Single(rule.member(ctx.registry, z, dom, *dual))
+    return _beside(_beside(Sequent((), ()), rule.far, memb), rule.side, Single(chain))
 
 
 @_rule("d_axiom", 0)
@@ -835,9 +830,9 @@ def mk(rule: str, params: Optional[dict] = None, *premises: ProofNode,
     return ProofNode(rule, dict(params or {}), tuple(premises), conclusion)
 
 
-def _preorder(p: ProofNode, depth: int = 0):
-    """Each node with its depth (``p``'s being ``depth``), in pre-order."""
-    todo = [(p, depth)]
+def _preorder(p: ProofNode):
+    """Each node with its depth (``p``'s being 0), in pre-order."""
+    todo = [(p, 0)]
     while todo:
         node, d = todo.pop()
         yield node, d

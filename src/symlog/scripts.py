@@ -464,12 +464,12 @@ def parse_formula(text: str, consts: Optional[set] = None) -> Formula:
     return _parse_text(text, consts, _formula)
 
 
-def print_formula(f: Formula, parent_level: int = -1) -> str:
+def print_formula(f: Formula) -> str:
     # A stack holds the pending pieces: strings, and right operands with
     # their parent's level; a left operand or a body is printed at once.  A
     # formula is parenthesized when its parent's level is at least its own;
     # an atom or a dual membership never is.
-    out, todo = [], [(f, parent_level)]
+    out, todo = [], [(f, -1)]
     while todo:
         g = todo.pop()
         if type(g) is str:
@@ -686,9 +686,9 @@ def _printer():
         else print_param(x))
 
 
-def print_proof(p: ProofNode, indent: int = 0) -> str:
+def print_proof(p: ProofNode) -> str:
     out, text = [], _printer()
-    for node, depth in _preorder(p, indent):
+    for node, depth in _preorder(p):
         line = "  " * depth + " ".join([node.rule] + [
             f"{k}={text(node.params[k])}" for k in sorted(node.params)])
         if node.conclusion is not None:

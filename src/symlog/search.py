@@ -11,7 +11,9 @@ is deterministic: moves are enumerated axioms-first, then by principal
 slot left-to-right (right side before left), with term candidates in
 registry order.  Axiom candidates come from the goal's shape; the rule
 catalogue decides them (whether a domain is focused, which form a d-axiom
-takes), so a candidate it rejects costs one ``validate_rule`` call.
+takes), so a candidate it rejects costs one ``validate_rule`` call.  The
+focus cut takes its first premise, the ``focus`` axiom with its chain of
+entry equations, from the catalogue too.
 
 Two memo tables span one search: goals proved, each with its proof's
 height, and goals that failed, each with the budget it failed under and
@@ -191,7 +193,7 @@ class _Engine:
         return None
 
     def _apply(self, rule: str, params: dict, prems: list,
-               goal: Sequent) -> Optional[ProofNode]:
+               goal: Optional[Sequent]) -> Optional[ProofNode]:
         try:
             concl = validate_rule(rule, params,
                                   [p.conclusion for p in prems], goal, self.ctx)
@@ -457,13 +459,13 @@ class _Engine:
                                {"pos": pos, "term": t, "var": f.var,
                                 "domain": f.domain, "body": f.body},
                                ((p1, k1), p2))
-            elif isinstance(f, Member) and isinstance(f.term, Var) \
-                    and f.domain in self.reg:
-                rec = self.reg.get(f.domain)
-                if rec.focused and rec.entries:
-                    disj = self.reg.focus_disjunction(f.domain, f.term)
-                    axiom = Sequent((slot,), (Single(disj),))
-                    prem = _put(goal, "left", pos, Single(disj))
+            elif isinstance(f, Member) and isinstance(f.term, Var):
+                # the catalogue builds the focus axiom, or refuses it
+                focus = self._apply("focus", {"domain": f.domain,
+                                              "var": f.term}, [], None)
+                if focus is not None:
+                    axiom = focus.conclusion
+                    prem = _put(goal, "left", pos, axiom.right[0])
                     yield ("cut", {"rpos": 0, "lpos": pos}, (axiom, prem))
             elif isinstance(f, Eq):
                 rest = _put(goal, "left", pos)

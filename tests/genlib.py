@@ -98,9 +98,10 @@ def random_literal_goal(rng: random.Random, registry: Registry) -> Sequent:
             return DualMember(t, dom, rng.choice(("d", "top")))
         if kind == 3:
             return (Eq if rng.random() < 0.5 else Neq)(t, rng.choice(terms))
-        if kind == 4 and isinstance(t, Var):
-            return registry.focus_disjunction(rng.choice(("D", "Ddown", "Dup")),
-                                              t)
+        if kind == 4 and isinstance(t, Var):  # the focus axiom's chain
+            params = {"domain": rng.choice(("D", "Ddown", "Dup")), "var": t}
+            ctx = RuleContext(CalculusConfig(), registry)
+            return validate_rule("focus", params, (), None, ctx).right[0].formula
         return Atom("A", None, (t,))
 
     def one():

@@ -24,7 +24,7 @@ RULES = Path("src/symlog/rules.py")
 # (enclosing function, a piece of the _need call's message)
 PINNED = [
     ("_r_focus", "is not focused"),
-    ("_r_dual_focus", "is not focused"),
+    ("_r_focus", "has no entries"),
     ("_r_subst", "does not denote an element of"),
     ("_r_parallel_forall", "needs a virtual singleton"),
     ("_r_dual_exclusion", "is issued for variables only"),

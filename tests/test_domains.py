@@ -1,18 +1,18 @@
-"""Registry invariants, focus disjunctions, d-axiom licensing (and the
+"""Registry invariants, dual memberships, d-axiom licensing (and the
 ``d_axiom`` rule that reads it), the guard."""
 from fractions import Fraction
 
 import pytest
 
 from symlog.domains import (
-    DomainRecord, EmptyDomain, FocusedNonSingleton, InvariantViolation,
-    Registry, standard_registry,
+    DomainRecord, FocusedNonSingleton, InvariantViolation, Registry,
+    standard_registry,
 )
 from symlog.dualities import (
     IDENTITY_INV, LiteralInvolution, PERP_INV, TOP_INV,
 )
 from symlog.formulas import (
-    Atom, Eq, Member, Neq, Or, Outcome, Sequent, Single, Var, DualMember,
+    Atom, Eq, Member, Neq, Outcome, Sequent, Single, Var, DualMember,
 )
 from symlog.rules import CalculusConfig, RuleContext, RuleError, validate_rule
 
@@ -50,23 +50,6 @@ def test_register_rejects_virtual_singleton_without_duality():
         reg.register_domain(DomainRecord(
             "bad", (Outcome("a", half), Outcome("b", half)),
             focused=False, virtual_singleton=True))
-
-
-def test_focus_disjunction_two_entries(registry):
-    t1, t2 = registry.get("D").entries
-    assert registry.focus_disjunction("D", z) == Or(Eq(z, t1), Eq(z, t2))
-
-
-def test_focus_disjunction_singleton(registry):
-    assert registry.focus_disjunction("Ddown", z) == \
-        Eq(z, Outcome("down", Fraction(1)))
-
-
-def test_focus_disjunction_empty():
-    reg = Registry()
-    reg.register_domain(DomainRecord("E", (), focused=False, inhabited=False))
-    with pytest.raises(EmptyDomain):
-        reg.focus_disjunction("E", z)
 
 
 def test_dual_membership_renderings(registry):

@@ -5,6 +5,7 @@ conclusion each call reconstructs or the ``RuleError`` it raises.  A
 refactor of ``rules.py`` that keeps the digest keeps every rule's answer.
 Random calls check that ``validate_rule`` raises nothing but ``RuleError``.
 """
+import ast
 import dataclasses
 import hashlib
 import random
@@ -13,14 +14,16 @@ from fractions import Fraction
 import pytest
 
 from symlog.corpus import positive_proofs
-from symlog.dualities import IDENTITY_INV, LiteralInvolution
+from symlog.domains import DomainRecord, Registry, standard_registry
+from symlog.dualities import IDENTITY_INV, LiteralInvolution, symmetrize_sequent
 from symlog.formulas import (
     Atom, CorrPair, Eq, Forall, IConst, IDENTICAL, IndexRel, Join, Member,
-    Neq, Outcome, Sequent, Single, Var,
+    Neq, Or, Outcome, Sequent, Single, Var,
 )
 from symlog.kernel import symmetrize_proof
 from symlog.rules import (
-    RULES, RuleContext, RuleError, annotate, mk, rule_arity, validate_rule,
+    RULES, CalculusConfig, RuleContext, RuleError, annotate, mk, rule_arity,
+    validate_rule,
 )
 
 import checker_reach
@@ -277,6 +280,52 @@ def test_domain_side_conditions_refuse(rule, params, prems, refusal):
     assert _refusal(rule, params, prems) == refusal
 
 
+@pytest.mark.parametrize("dom, chain", [
+    ("D", Or(Eq(z, t1), Eq(z, Outcome("t2", Fraction(1, 2))))),
+    ("Ddown", Eq(z, Outcome("down", Fraction(1)))),
+], ids=["two-entries", "singleton"])
+def test_focus_concludes_the_chain_of_entry_equations(dom, chain):
+    """z's membership in a focused domain entails its equations with the
+    entries, joined by or with the first entry outermost."""
+    cfg, reg = proof_context()
+    got = validate_rule("focus", {"domain": dom, "var": z}, [], None,
+                        RuleContext(cfg, reg))
+    assert got == Sequent((Single(Member(z, dom)),), (Single(chain),))
+
+
+@pytest.mark.parametrize("rule, params", [
+    ("focus", {"domain": "E", "var": z}),
+    ("dual_focus", {"domain": "E", "var": z, "dual": "d"}),
+], ids=["focus", "dual_focus"])
+def test_focus_refuses_a_domain_without_entries(rule, params):
+    """A focused domain without entries has no chain to conclude."""
+    reg = Registry()
+    reg.register_domain(DomainRecord("E", (), focused=True))
+    with pytest.raises(RuleError) as e:
+        validate_rule(rule, params, [], None, RuleContext(CalculusConfig(), reg))
+    assert (e.value.code, e.value.message) == \
+        ("SideConditionViolated", "E has no entries")
+
+
+def test_dual_focus_is_the_identity_image_of_focus():
+    """dual_focus builds its chain of disequations itself, and its
+    conclusion is the IDENTITY_INV image of focus's, the mirror that
+    symmetrize_proof relies on: over every focused domain of the standard
+    registry and a three-entry one."""
+    reg = standard_registry()
+    third = Fraction(1, 3)
+    reg.register_domain(DomainRecord(
+        "T", tuple(Outcome(f"s{k}", third) for k in range(3)), focused=True))
+    ctx = RuleContext(CalculusConfig(), reg)
+    focused = [dom for dom in reg.names() if reg.get(dom).focused]
+    assert focused == ["Ddown", "Dup", "D", "T"]
+    for dom in focused:
+        focus = validate_rule("focus", {"domain": dom, "var": z}, [], None, ctx)
+        mirror = validate_rule("dual_focus", {"domain": dom, "var": z,
+                                              "dual": "identity"}, [], None, ctx)
+        assert mirror == symmetrize_sequent(focus, IDENTITY_INV)
+
+
 _B2 = Atom("B", IConst(2), (z,))
 _SC = "SideConditionViolated"
 
@@ -369,7 +418,15 @@ def test_checker_reach_follows_the_checker_out_of_rules():
     other trusted modules and none of what only search, symmetrization or
     the corpus calls."""
     _, names = checker_reach.reachable()
-    assert {"replace_var", "formula_equal", "symmetrize_formula",
-            "dual_member", "license_d_axiom", "_check", "_r_vsym"} <= names
-    assert not {"apply_duality", "symmetrize_sequent", "standard_registry",
-                "consistency_guard", "fresh_var", "substitute"} & names
+    assert {"replace_var", "formula_equal", "dual_member",
+            "license_d_axiom", "_check", "_r_vsym"} <= names
+    assert not {"apply_duality", "symmetrize_formula", "symmetrize_sequent",
+                "standard_registry", "consistency_guard", "fresh_var",
+                "substitute"} & names
+    # and no rule can call the symmetry map: rules imports only these
+    tree = ast.parse((checker_reach.SRC / "rules.py").read_text())
+    ours = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+            and (n.level or n.module.startswith("symlog"))}
+    ours |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+             for a in n.names if a.name.startswith("symlog")}
+    assert ours == {"formulas", "domains"}

@@ -8,6 +8,7 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -394,12 +395,26 @@ def _renaming_siblings(x: Var, t: Var, n: int) -> Formula:
     return f
 
 
-@pytest.mark.parametrize("shape", [_renaming_chain, _renaming_siblings],
-                         ids=["nested", "siblings"])
-def test_replace_var_cost_grows_linearly_with_renaming_binders(shape):
+def _renaming_wide(x: Var, t: Var, n: int) -> Formula:
+    """forall t in D . (B(x) & (A(v1) & (A(v2) & ... A(vn)))): one renaming
+    binder over n distinct free variables."""
+    f = Atom("A", None, (Var(f"v{n}"),))
+    for k in range(n - 1, 0, -1):
+        f = And(Atom("A", None, (Var(f"v{k}"),)), f)
+    return Forall(t, "D", And(Atom("B", None, (x,)), f))
+
+
+@pytest.mark.parametrize("shape, n", [(_renaming_chain, 100),
+                                      (_renaming_siblings, 100),
+                                      (_renaming_wide, 200)],
+                         ids=["nested", "siblings", "wide"])
+def test_replace_var_cost_grows_linearly_with_renaming_binders(shape, n):
     """Each subformula's free variables are found once per call, so ten
     times the renaming binders cost about ten times as much (asking
-    free_vars at each binder makes it about a hundred times)."""
+    free_vars at each binder makes it about a hundred times).  Only the
+    variables a fresh name could meet are kept, so ten times the free
+    variables under one binder cost about ten times too (keeping them all
+    makes it about thirty-five times)."""
     x, t = Var("x"), Var("t")
 
     def best(n):
@@ -410,18 +425,23 @@ def test_replace_var_cost_grows_linearly_with_renaming_binders(shape):
             times.append(time.perf_counter() - start)
         return min(times)
 
-    assert best(1000) < 20 * best(100)
+    assert best(10 * n) < 20 * best(n)
 
 
 def test_one_fold_finds_the_free_variables_of_every_subformula():
-    """replace_var finds free variables by folding _fv_at, free_vars by a
-    walk; the two agree on every subformula of the digest's and the
-    corpus's formulas and of both renaming shapes."""
+    """replace_var finds the free variables named like the incoming term by
+    folding _fv_at, free_vars by a walk; the two agree on every subformula
+    of the digest's and the corpus's formulas and of the renaming shapes,
+    for several name prefixes, the empty one included."""
     x, t = Var("x"), Var("t")
-    fv = {}
-    for f in _digest_formulas() + _corpus_formulas() + [
-            _renaming_siblings(x, t, 20)]:
-        fold(f, _fv_at, fv)
-    wrong = [g for g, vs in fv.items() if vs != free_vars(g)]
-    assert sum(g.shape.binds for g in fv) > 500, "too few binders"
-    assert wrong == [], wrong[:3]
+    formulas = _digest_formulas() + _corpus_formulas() + [
+        _renaming_siblings(x, t, 20), _renaming_wide(x, t, 20)]
+    for stem in ("", "t", "v1", "w"):
+        fv = {}
+        for f in formulas:
+            fold(f, partial(_fv_at, stem), fv)
+        wrong = [g for g, vs in fv.items() if vs != {
+            v for v in free_vars(g) if v.name.startswith(stem)}]
+        assert sum(g.shape.binds for g in fv) > 500, "too few binders"
+        assert any(fv.values()), f"no free variable starts with {stem!r}"
+        assert wrong == [], (stem, wrong[:3])
