@@ -6,7 +6,9 @@ module also exports.  The symmetry theorem is a proof transformation: each
 rule is replaced by its mate, premise order is reversed, and slot positions
 are mirrored, so that the transformed tree proves the symmetric sequent
 and passes the checker unchanged.  Each transformation is a fold over the
-tree (``rules._fold``), each node after its premises.
+tree (``rules._fold``), each node after its premises.  A proof may share a
+node object between several steps; symmetrization validates and mates each
+distinct node once, and its image shares the mate in the same places.
 """
 from __future__ import annotations
 
@@ -148,8 +150,8 @@ def symmetrize_proof(p: ProofNode, inv: LiteralInvolution,
     """Transform a checked proof into the proof of its symmetric sequent.
 
     Requires a symmetric configuration: the theorem trades left and right
-    context liberalizations, so they must agree.  Each node is validated,
-    with its claimed conclusion, in the fold that mates it.
+    context liberalizations, so they must agree.  Each distinct node is
+    validated, with its claimed conclusion, in the fold that mates it.
     """
     if cfg.left_contexts != cfg.right_contexts:
         raise NotSymmetricConfig(
@@ -167,12 +169,19 @@ def _sym_node(n: ProofNode, inv: LiteralInvolution,
               conclude=lambda node, concls: node.conclusion) -> ProofNode:
     """Mate each node of ``n``, concluding it by ``conclude``."""
     # A node's conclusion shares most slots with its premises', so each slot
-    # is symmetrized once.
+    # is symmetrized once.  A node object met again (a premise shared by
+    # several steps) gets its first (conclusion, mate) pair back: ``n``
+    # holds every node for the whole call, so no id is reused, and the pair
+    # depends only on the node and its premises' pairs.  The image thus
+    # shares a mate wherever ``n`` shares a node.
     image = cache(lambda slot: symmetrize_slot(slot, inv))
+    seen = {}
 
     def visit(node, done, _):
-        c = conclude(node, [c for c, _m in done])
-        return c, _mate(node, c, done, inv, image)
+        if id(node) not in seen:
+            c = conclude(node, [c for c, _m in done])
+            seen[id(node)] = c, _mate(node, c, done, inv, image)
+        return seen[id(node)]
 
     return _fold(n, visit)[1]
 

@@ -1,4 +1,5 @@
 """The proof-level symmetry transformation: soundness and involutivity."""
+import json
 import random
 from fractions import Fraction
 
@@ -12,13 +13,15 @@ from symlog.formulas import (
     IDENTICAL, Atom, Eq, IConst, Join, Member, Neq, Outcome, Sequent, Single,
     Var, sequent_equal,
 )
+from symlog import kernel
 from symlog.kernel import (
     _MATES, KernelError, NotSymmetricConfig, _sym_node, symmetrize_proof,
 )
 from symlog.rules import (
-    RULES, CalculusConfig, ProofNode, RuleError, annotate, check_proof, mk,
-    proof_equal,
+    RULES, CalculusConfig, ProofNode, RuleContext, RuleError, _fold,
+    annotate, check_proof, mk, proof_equal, validate_rule,
 )
+from symlog.scripts import print_proof, proof_to_json
 
 from genlib import proof_context, random_proof
 
@@ -196,3 +199,134 @@ def test_a_bad_node_after_a_mateless_one_is_refused_as_bad(config, registry):
     with pytest.raises(RuleError) as e:
         symmetrize_proof(proof, IDENTITY_INV, config, registry)
     assert e.value.code == "ConclusionMismatch" and "id:" in e.value.message
+
+
+# --------------------------------------------------------------------------
+# cost: a node object met again is validated and mated once
+
+
+def _doubling(config, registry, levels: int) -> ProofNode:
+    """An ``id`` leaf under ``levels`` ``and_r`` steps, each taking the same
+    object as both premises: ``levels + 1`` distinct nodes, ``2^(levels +
+    1) - 1`` occurrences."""
+    ctx = RuleContext(config, registry)
+    node = ProofNode("id", {"a": p}, (), validate_rule(
+        "id", {"a": p}, [], None, ctx))
+    for _ in range(levels):
+        node = ProofNode("and_r", {"pos": 0}, (node, node), validate_rule(
+            "and_r", {"pos": 0}, [node.conclusion] * 2, None, ctx))
+    return node
+
+
+def test_a_shared_node_is_mated_once_and_its_image_stays_shared(
+        config, registry, monkeypatch):
+    proof = _doubling(config, registry, 12)
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0])
+        return validate_rule(*args)
+
+    monkeypatch.setattr(kernel, "validate_rule", spy)
+    img = symmetrize_proof(proof, IDENTITY_INV, config, registry)
+    monkeypatch.undo()
+    assert len(calls) == 13
+    node = img
+    for _ in range(12):
+        assert node.rule == "or_l" and node.premises[0] is node.premises[1]
+        node = node.premises[0]
+    assert node.rule == "id" and not node.premises
+    assert check_proof(img, config, registry).ok
+    assert sequent_equal(img.conclusion, symmetrize_sequent(
+        proof.conclusion, IDENTITY_INV))
+
+
+# --------------------------------------------------------------------------
+# a shared node gives the answers its unshared copies give
+
+
+def _unshare(proof: ProofNode) -> ProofNode:
+    """``proof`` with every occurrence a fresh node with its own params."""
+    return _fold(proof, lambda n, prems, _: ProofNode(
+        n.rule, dict(n.params), tuple(prems), n.conclusion))
+
+
+def _replace(proof: ProofNode, old: ProofNode, new: ProofNode) -> ProofNode:
+    """``proof`` with the object ``old`` replaced by ``new``, keeping the
+    sharing."""
+    memo = {}
+
+    def visit(n, prems, _):
+        if id(n) not in memo:
+            memo[id(n)] = new if n is old else ProofNode(
+                n.rule, n.params, tuple(prems), n.conclusion)
+        return memo[id(n)]
+
+    return _fold(proof, visit)
+
+
+def _first_shared(proof: ProofNode):
+    """The first node in pre-order that occurs twice in ``proof``, if any."""
+    seen = set()
+    todo = [proof]
+    while todo:
+        n = todo.pop()
+        if id(n) in seen:
+            return n
+        seen.add(id(n))
+        todo.extend(reversed(n.premises))
+    return None
+
+
+def _refusal(proof, inv, cfg, reg):
+    with pytest.raises(RuleError) as e:
+        symmetrize_proof(proof, inv, cfg, reg)
+    return e.value.code, e.value.message
+
+
+def _shared_and_unshared_agree(proof, inv, cfg, reg) -> bool:
+    """Check ``proof`` against its unshared copy; say whether it shares."""
+    out = symmetrize_proof(proof, inv, cfg, reg)
+    flat = symmetrize_proof(_unshare(proof), inv, cfg, reg)
+    assert proof_equal(out, flat)
+    assert print_proof(out) == print_proof(flat)
+    assert json.dumps(proof_to_json(out), sort_keys=True) == \
+        json.dumps(proof_to_json(flat), sort_keys=True)
+    shared = _first_shared(proof)
+    if shared is None:
+        return False
+    c = annotate(shared, cfg, reg).conclusion
+    bad = _replace(proof, shared, ProofNode(
+        shared.rule, dict(shared.params), shared.premises,
+        Sequent(c.left + (Single(q),), c.right)))
+    assert _first_shared(bad) is not None
+    assert _refusal(bad, inv, cfg, reg) == \
+        _refusal(_unshare(bad), inv, cfg, reg)
+    return True
+
+
+def test_shared_and_unshared_random_proofs_symmetrize_alike():
+    cfg, reg = proof_context()
+    rng = random.Random(20261020)
+    shared = sum(_shared_and_unshared_agree(
+        random_proof(rng, cfg, reg, max_depth=6), IDENTITY_INV, cfg, reg)
+        for _ in range(200))
+    assert shared >= 50
+
+
+def test_shared_and_unshared_corpus_proofs_symmetrize_alike():
+    cfg, reg = proof_context()
+    for _item, _name, proof, inv in positive_proofs():
+        _shared_and_unshared_agree(proof, inv, cfg, reg)
+
+
+def test_a_shared_mateless_node_is_refused_as_its_copies_are(config, registry):
+    pf = _parallel_forall()
+    proof = mk("or_l", {"pos": 0}, pf, pf)
+    assert check_proof(proof, config, registry).ok
+    messages = []
+    for p in (proof, _unshare(proof)):
+        with pytest.raises(KernelError) as e:
+            symmetrize_proof(p, IDENTITY_INV, config, registry)
+        messages.append((type(e.value), str(e.value)))
+    assert messages[0] == messages[1]
