@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from symlog import kernel
 from symlog.corpus import positive_proofs
 from symlog.dualities import (
     IDENTITY_INV, LiteralInvolution, symmetrize_sequent,
@@ -13,13 +14,12 @@ from symlog.formulas import (
     IDENTICAL, Atom, Eq, IConst, Join, Member, Neq, Outcome, Sequent, Single,
     Var, sequent_equal,
 )
-from symlog import kernel
 from symlog.kernel import (
     _MATES, KernelError, NotSymmetricConfig, _sym_node, symmetrize_proof,
 )
 from symlog.rules import (
     RULES, CalculusConfig, ProofNode, RuleContext, RuleError, _fold,
-    annotate, check_proof, mk, proof_equal, validate_rule,
+    _preorder, annotate, check_proof, mk, proof_equal, validate_rule,
 )
 from symlog.scripts import print_proof, proof_to_json
 
@@ -268,13 +268,10 @@ def _replace(proof: ProofNode, old: ProofNode, new: ProofNode) -> ProofNode:
 def _first_shared(proof: ProofNode):
     """The first node in pre-order that occurs twice in ``proof``, if any."""
     seen = set()
-    todo = [proof]
-    while todo:
-        n = todo.pop()
+    for n, _depth in _preorder(proof):
         if id(n) in seen:
             return n
         seen.add(id(n))
-        todo.extend(reversed(n.premises))
     return None
 
 
@@ -325,8 +322,8 @@ def test_a_shared_mateless_node_is_refused_as_its_copies_are(config, registry):
     proof = mk("or_l", {"pos": 0}, pf, pf)
     assert check_proof(proof, config, registry).ok
     messages = []
-    for p in (proof, _unshare(proof)):
+    for each in (proof, _unshare(proof)):
         with pytest.raises(KernelError) as e:
-            symmetrize_proof(p, IDENTITY_INV, config, registry)
+            symmetrize_proof(each, IDENTITY_INV, config, registry)
         messages.append((type(e.value), str(e.value)))
     assert messages[0] == messages[1]
