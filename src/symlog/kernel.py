@@ -6,9 +6,9 @@ module also exports.  The symmetry theorem is a proof transformation: each
 rule is replaced by its mate, premise order is reversed, and slot positions
 are mirrored, so that the transformed tree proves the symmetric sequent
 and passes the checker unchanged.  Each transformation is a fold over the
-tree (``rules._fold``), each node after its premises.  A proof may share a
-node object between several steps; symmetrization validates and mates each
-distinct node once, and its image shares the mate in the same places.
+proof (``rules._fold``), which visits each node object once, after its
+premises, so a node object shared by several steps is transformed once and
+the output shares its image in the same places.
 """
 from __future__ import annotations
 
@@ -169,19 +169,12 @@ def _sym_node(n: ProofNode, inv: LiteralInvolution,
               conclude=lambda node, concls: node.conclusion) -> ProofNode:
     """Mate each node of ``n``, concluding it by ``conclude``."""
     # A node's conclusion shares most slots with its premises', so each slot
-    # is symmetrized once.  A node object met again (a premise shared by
-    # several steps) gets its first (conclusion, mate) pair back: ``n``
-    # holds every node for the whole call, so no id is reused, and the pair
-    # depends only on the node and its premises' pairs.  The image thus
-    # shares a mate wherever ``n`` shares a node.
+    # is symmetrized once.
     image = cache(lambda slot: symmetrize_slot(slot, inv))
-    seen = {}
 
     def visit(node, done, _):
-        if id(node) not in seen:
-            c = conclude(node, [c for c, _m in done])
-            seen[id(node)] = c, _mate(node, c, done, inv, image)
-        return seen[id(node)]
+        c = conclude(node, [c for c, _m in done])
+        return c, _mate(node, c, done, inv, image)
 
     return _fold(n, visit)[1]
 

@@ -33,9 +33,9 @@ would report another fault on some calls with two.  ``imp_l``/``excl_r`` and
 ``forall_r``/``exists_r`` read opposite ends of a side with the premise roles
 swapped, and ``excl_r`` checks its left context first, ``exists_r`` its right.
 
-The checker folds over a proof tree (``_fold``), validating each node
-after its premises against the claimed conclusion, if any.  The fold keeps
-its own stack, so a proof of any height is checked.
+The checker folds over a proof on its own stack (``_fold``), validating
+each node object once, after its premises: a shared node counts once in
+``stats`` and, if bad, is reported once, at its first occurrence's path.
 """
 from __future__ import annotations
 
@@ -873,19 +873,19 @@ class CheckReport:
 
 
 def _fold(p: ProofNode, visit):
-    """Call ``visit(node, its premises' results in order, trail)`` on each
-    node after its premises and return the root's result (see _path for
-    trails).  The walk keeps its own stack, so a proof of any height folds."""
-    order, todo, done = [], [(p, None)], []
-    while todo:  # pre-order, last premise first
-        node, trail = todo.pop()
-        order.append((node, trail))
-        for k, q in enumerate(node.premises):
-            todo.append((q, (k, trail)))
-    for node, trail in reversed(order):  # each node after its premises
-        k = len(done) - len(node.premises)
-        done[k:] = [visit(node, done[k:], trail)]
-    return done[0]
+    """Call ``visit(node, its premises' results in order, trail)`` once per
+    node object, after its premises, first premise first, and return the
+    root's result.  A node met again keeps its first result and trail (_path)."""
+    done, todo = {}, [(p, None, None)]  # id(n) -> (n, result): n keeps its id
+    while todo:
+        n, trail, qs = todo.pop()
+        if qs is not None:  # each premise is done
+            done[id(n)] = n, visit(n, [done[id(q)][1] for q in qs], trail)
+        elif id(n) not in done:  # read once: a read may build new objects
+            todo.append((n, trail, qs := tuple(n.premises)))
+            for k in range(len(qs) - 1, -1, -1):  # first premise on top
+                todo.append((qs[k], (k, trail), None))
+    return done[id(p)][1]
 
 
 def _path(trail) -> tuple:
@@ -897,7 +897,7 @@ def _path(trail) -> tuple:
 
 
 def check_proof(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> CheckReport:
-    """Validate every node of a proof tree; never raises on bad proofs."""
+    """Validate each node object of a proof once; never raises on bad proofs."""
     cfg.check_licenses(registry)
     ctx = RuleContext(cfg, registry)
     failures: list = []
@@ -925,7 +925,7 @@ def check_proof(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> CheckR
 
 
 def annotate(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> ProofNode:
-    """Fill in every node's conclusion, raising on the first bad node."""
+    """Conclude each node, keeping the sharing; raises on the first bad node."""
     ctx = RuleContext(cfg, registry)
     return _fold(p, lambda node, prems, _: ProofNode(
         node.rule, dict(node.params), tuple(prems),

@@ -400,8 +400,9 @@ _VALUES = st.one_of(
 
 
 def _with_param(proof: ProofNode, at: int, key: str, value) -> ProofNode:
-    """``proof`` with ``key`` set to ``value`` on its node number ``at``
-    (in pre-order, counted modulo the node count)."""
+    """``proof`` with ``key`` set to ``value`` on its node object number
+    ``at`` (in pre-order of the distinct node objects, counted modulo their
+    number), at every place the object occurs."""
     paths = []
     _fold(proof, lambda n, prems, trail: paths.append(_path(trail)))
     target = sorted(paths)[at % len(paths)]

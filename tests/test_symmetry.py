@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import symlog.rules
 from symlog import kernel
 from symlog.corpus import positive_proofs
 from symlog.dualities import (
@@ -15,13 +16,14 @@ from symlog.formulas import (
     Var, sequent_equal,
 )
 from symlog.kernel import (
-    _MATES, KernelError, NotSymmetricConfig, _sym_node, symmetrize_proof,
+    _MATES, KernelError, NotSymmetricConfig, _sym_node, expand_derived,
+    symmetrize_proof,
 )
 from symlog.rules import (
     RULES, CalculusConfig, ProofNode, RuleContext, RuleError, _fold,
     _preorder, annotate, check_proof, mk, proof_equal, validate_rule,
 )
-from symlog.scripts import print_proof, proof_to_json
+from symlog.scripts import print_proof, proof_from_json, proof_to_json
 
 from genlib import proof_context, random_proof
 
@@ -218,24 +220,35 @@ def _doubling(config, registry, levels: int) -> ProofNode:
     return node
 
 
-def test_a_shared_node_is_mated_once_and_its_image_stays_shared(
-        config, registry, monkeypatch):
-    proof = _doubling(config, registry, 12)
+def _spy_validate_rule(monkeypatch, module) -> list:
+    """The rule names of ``module``'s ``validate_rule`` calls from now on."""
     calls = []
 
     def spy(*args):
         calls.append(args[0])
         return validate_rule(*args)
 
-    monkeypatch.setattr(kernel, "validate_rule", spy)
+    monkeypatch.setattr(module, "validate_rule", spy)
+    return calls
+
+
+def _assert_doubled(proof: ProofNode, rule: str, levels: int) -> None:
+    """``proof`` is ``levels`` ``rule`` steps, each taking one object as
+    both premises, over an ``id`` leaf."""
+    for _ in range(levels):
+        assert proof.rule == rule and proof.premises[0] is proof.premises[1]
+        proof = proof.premises[0]
+    assert proof.rule == "id" and not proof.premises
+
+
+def test_a_shared_node_is_mated_once_and_its_image_stays_shared(
+        config, registry, monkeypatch):
+    proof = _doubling(config, registry, 12)
+    calls = _spy_validate_rule(monkeypatch, kernel)
     img = symmetrize_proof(proof, IDENTITY_INV, config, registry)
     monkeypatch.undo()
     assert len(calls) == 13
-    node = img
-    for _ in range(12):
-        assert node.rule == "or_l" and node.premises[0] is node.premises[1]
-        node = node.premises[0]
-    assert node.rule == "id" and not node.premises
+    _assert_doubled(img, "or_l", 12)
     assert check_proof(img, config, registry).ok
     assert sequent_equal(img.conclusion, symmetrize_sequent(
         proof.conclusion, IDENTITY_INV))
@@ -246,23 +259,17 @@ def test_a_shared_node_is_mated_once_and_its_image_stays_shared(
 
 
 def _unshare(proof: ProofNode) -> ProofNode:
-    """``proof`` with every occurrence a fresh node with its own params."""
-    return _fold(proof, lambda n, prems, _: ProofNode(
-        n.rule, dict(n.params), tuple(prems), n.conclusion))
+    """``proof`` with every occurrence a fresh node with its own params.
+    It recurses rather than folds, since ``_fold`` keeps the sharing."""
+    return ProofNode(proof.rule, dict(proof.params),
+                     tuple(map(_unshare, proof.premises)), proof.conclusion)
 
 
 def _replace(proof: ProofNode, old: ProofNode, new: ProofNode) -> ProofNode:
     """``proof`` with the object ``old`` replaced by ``new``, keeping the
     sharing."""
-    memo = {}
-
-    def visit(n, prems, _):
-        if id(n) not in memo:
-            memo[id(n)] = new if n is old else ProofNode(
-                n.rule, n.params, tuple(prems), n.conclusion)
-        return memo[id(n)]
-
-    return _fold(proof, visit)
+    return _fold(proof, lambda n, prems, _: new if n is old else ProofNode(
+        n.rule, n.params, tuple(prems), n.conclusion))
 
 
 def _first_shared(proof: ProofNode):
@@ -275,6 +282,20 @@ def _first_shared(proof: ProofNode):
     return None
 
 
+def _misclaimed(node: ProofNode, cfg, reg) -> ProofNode:
+    """``node`` claiming one left formula more than it concludes."""
+    c = annotate(node, cfg, reg).conclusion
+    return ProofNode(node.rule, dict(node.params), node.premises,
+                     Sequent(c.left + (Single(q),), c.right))
+
+
+def _random_proofs() -> list:
+    """200 seeded ``genlib.random_proof``s; binary steps make some share."""
+    cfg, reg = proof_context()
+    rng = random.Random(20261020)
+    return [random_proof(rng, cfg, reg, max_depth=6) for _ in range(200)]
+
+
 def _refusal(proof, inv, cfg, reg):
     with pytest.raises(RuleError) as e:
         symmetrize_proof(proof, inv, cfg, reg)
@@ -283,6 +304,7 @@ def _refusal(proof, inv, cfg, reg):
 
 def _shared_and_unshared_agree(proof, inv, cfg, reg) -> bool:
     """Check ``proof`` against its unshared copy; say whether it shares."""
+    assert _first_shared(_unshare(proof)) is None
     out = symmetrize_proof(proof, inv, cfg, reg)
     flat = symmetrize_proof(_unshare(proof), inv, cfg, reg)
     assert proof_equal(out, flat)
@@ -292,10 +314,7 @@ def _shared_and_unshared_agree(proof, inv, cfg, reg) -> bool:
     shared = _first_shared(proof)
     if shared is None:
         return False
-    c = annotate(shared, cfg, reg).conclusion
-    bad = _replace(proof, shared, ProofNode(
-        shared.rule, dict(shared.params), shared.premises,
-        Sequent(c.left + (Single(q),), c.right)))
+    bad = _replace(proof, shared, _misclaimed(shared, cfg, reg))
     assert _first_shared(bad) is not None
     assert _refusal(bad, inv, cfg, reg) == \
         _refusal(_unshare(bad), inv, cfg, reg)
@@ -304,10 +323,8 @@ def _shared_and_unshared_agree(proof, inv, cfg, reg) -> bool:
 
 def test_shared_and_unshared_random_proofs_symmetrize_alike():
     cfg, reg = proof_context()
-    rng = random.Random(20261020)
-    shared = sum(_shared_and_unshared_agree(
-        random_proof(rng, cfg, reg, max_depth=6), IDENTITY_INV, cfg, reg)
-        for _ in range(200))
+    shared = sum(_shared_and_unshared_agree(proof, IDENTITY_INV, cfg, reg)
+                 for proof in _random_proofs())
     assert shared >= 50
 
 
@@ -327,3 +344,92 @@ def test_a_shared_mateless_node_is_refused_as_its_copies_are(config, registry):
             symmetrize_proof(each, IDENTITY_INV, config, registry)
         messages.append((type(e.value), str(e.value)))
     assert messages[0] == messages[1]
+
+
+# --------------------------------------------------------------------------
+# the checker, annotate and expand_derived work once per node object
+
+
+def test_a_shared_node_is_checked_once(config, registry, monkeypatch):
+    proof = _doubling(config, registry, 12)
+    calls = _spy_validate_rule(monkeypatch, symlog.rules)
+    rep = check_proof(proof, config, registry)
+    assert rep.ok and len(calls) == 13
+    assert rep.stats["nodes"] == 13 and rep.stats["rules"] == {
+        "and_r": 12, "id": 1}
+
+
+def test_a_shared_node_is_annotated_once_and_stays_shared(
+        config, registry, monkeypatch):
+    proof = _doubling(config, registry, 12)
+    calls = _spy_validate_rule(monkeypatch, symlog.rules)
+    out = annotate(proof, config, registry)
+    assert len(calls) == 13
+    _assert_doubled(out, "and_r", 12)
+    assert proof_equal(out, proof)
+
+
+def test_expansion_keeps_the_sharing(config, registry):
+    _assert_doubled(expand_derived(_doubling(config, registry, 12), config,
+                                   registry), "and_r", 12)
+    pf = _parallel_forall()
+    out = expand_derived(mk("or_l", {"pos": 0}, pf, pf), config, registry)
+    assert out.premises[0] is out.premises[1]
+    assert out.premises[0].rule == "conv_pair_intro"
+    assert check_proof(out, config, registry).ok
+
+
+def _first_path(proof: ProofNode, node: ProofNode) -> tuple:
+    """The path of ``node``'s first occurrence in ``proof``.  A node's
+    occurrences are disjoint subtrees, so pre-order and post-order meet
+    them in the same order."""
+    todo = [(proof, ())]
+    while todo:
+        n, path = todo.pop()
+        if n is node:
+            return path
+        todo += [(q, path + (k,)) for k, q in enumerate(n.premises)][::-1]
+    raise AssertionError("node not in proof")
+
+
+def _reasons(rep) -> set:
+    return {(f.rule, f.reason) for f in rep.failures}
+
+
+def _reports_agree(proof, cfg, reg) -> None:
+    """``proof`` and its unshared copy get one verdict and one set of
+    failures, and the same report when ``proof`` shares no node."""
+    rep, flat = check_proof(proof, cfg, reg), \
+        check_proof(_unshare(proof), cfg, reg)
+    assert rep.ok == flat.ok and _reasons(rep) == _reasons(flat)
+    assert rep.stats["nodes"] == len({id(n) for n, _ in _preorder(proof)})
+    if _first_shared(proof) is None:
+        assert rep == flat
+
+
+def test_shared_and_unshared_random_proofs_check_alike():
+    cfg, reg = proof_context()
+    rng = random.Random(20261021)
+    shared = 0
+    for proof in _random_proofs():
+        old = rng.choice([n for n, _ in _preorder(proof)])
+        mutant = _replace(proof, old, _misclaimed(old, cfg, reg))
+        for each in (proof, mutant):
+            _reports_agree(each, cfg, reg)
+        assert not check_proof(mutant, cfg, reg).ok
+        node = _first_shared(proof)
+        if node is None:
+            continue
+        shared += 1
+        new = _misclaimed(node, cfg, reg)
+        bad = _replace(proof, node, new)
+        _reports_agree(bad, cfg, reg)
+        assert [(f.path, f.rule) for f in check_proof(bad, cfg, reg).failures] \
+            == [(_first_path(bad, new), node.rule)]
+    assert shared >= 50
+
+
+def test_json_round_trip_keeps_every_proof():
+    corpus = [proof for _i, _n, proof, _inv in positive_proofs()]
+    for proof in _random_proofs() + corpus:
+        assert proof_equal(proof_from_json(proof_to_json(proof)), proof)
