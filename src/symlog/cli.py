@@ -241,8 +241,6 @@ def _cmd_qstate(args) -> int:
     try:
         amps = [complex(data["alpha"]), complex(data["beta"])]
         amps[1] *= cmath.exp(1j * float(data.get("phi", 0.0)))
-        if not all(map(cmath.isfinite, amps)):
-            raise ValueError("amplitudes must be finite")
         q = Qubit.from_amplitudes(amps)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise UsageError(f"{args.file}: not a qubit state: "

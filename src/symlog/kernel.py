@@ -5,10 +5,11 @@ Their output goes back through the checker in ``symlog.rules``, which this
 module also exports.  The symmetry theorem is a proof transformation: each
 rule is replaced by its mate, premise order is reversed, and slot positions
 are mirrored, so that the transformed tree proves the symmetric sequent
-and passes the checker unchanged.  Each transformation is a fold over the
-proof (``rules._fold``), which visits each node object once, after its
-premises, so a node object shared by several steps is transformed once and
-the output shares its image in the same places.
+and passes the checker unchanged.  Each transformation is a fold
+(``rules._fold``) over the checker's annotated proof (``annotate``), so
+only the checker decides validity.  The fold visits each node object once,
+after its premises, so a node object shared by several steps is
+transformed once and the output shares its image in the same places.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .formulas import (
 )
 from .rules import (
     MACRO_RULES, CalculusConfig, ProofNode, RuleContext, _fold, annotate,
-    check_proof, mk, proof_equal, validate_rule,
+    check_proof, mk, proof_equal,
 )
 
 __all__ = [
@@ -150,46 +151,33 @@ def symmetrize_proof(p: ProofNode, inv: LiteralInvolution,
     """Transform a checked proof into the proof of its symmetric sequent.
 
     Requires a symmetric configuration: the theorem trades left and right
-    context liberalizations, so they must agree.  Each distinct node is
-    validated, with its claimed conclusion, in the fold that mates it.
+    context liberalizations, so they must agree.  The proof is annotated
+    first, so a bad node is refused as bad before any node is mated.
     """
     if cfg.left_contexts != cfg.right_contexts:
         raise NotSymmetricConfig(
             "proof symmetrization needs matching left/right context flags")
-    ctx = RuleContext(cfg, registry)
-    try:
-        return _sym_node(p, inv, lambda node, concls: validate_rule(
-            node.rule, node.params, concls, node.conclusion, ctx))
-    except KernelError:
-        annotate(p, cfg, registry)  # a bad node is refused as bad first
-        raise
+    return _sym_node(annotate(p, cfg, registry), inv)
 
 
-def _sym_node(n: ProofNode, inv: LiteralInvolution,
-              conclude=lambda node, concls: node.conclusion) -> ProofNode:
-    """Mate each node of ``n``, concluding it by ``conclude``."""
+def _sym_node(n: ProofNode, inv: LiteralInvolution) -> ProofNode:
+    """Mate each node of the annotated proof ``n``."""
     # A node's conclusion shares most slots with its premises', so each slot
     # is symmetrized once.
     image = cache(lambda slot: symmetrize_slot(slot, inv))
-
-    def visit(node, done, _):
-        c = conclude(node, [c for c, _m in done])
-        return c, _mate(node, c, done, inv, image)
-
-    return _fold(n, visit)[1]
+    return _fold(n, lambda node, mates, _: _mate(node, mates, inv, image))
 
 
-def _mate(n: ProofNode, conclusion: Sequent, done: list,
-          inv: LiteralInvolution, image) -> ProofNode:
-    """Apply the mate table to ``n``, which concludes ``conclusion``, given
-    its premises' (conclusion, mate) pairs ``done``; ``image`` symmetrizes a
-    slot."""
+def _mate(n: ProofNode, mates: list, inv: LiteralInvolution,
+          image) -> ProofNode:
+    """Apply the mate table to the annotated node ``n``, given its premises'
+    mates; ``image`` symmetrizes a slot."""
     entry = _MATES.get(n.rule)
     if entry is None:
         hint = "; symmetrize its expanded form" if n.rule in MACRO_RULES else ""
         raise KernelError(f"no symmetric mate for rule {n.rule}{hint}")
     mate, swap, table = entry
-    P = n.params
+    P, c = n.params, n.conclusion
     if n.rule in _VSYM_TWIN and P["domain"] in inv.self_dual_domains:
         mate = _VSYM_TWIN[n.rule]
     out = {}
@@ -197,7 +185,7 @@ def _mate(n: ProofNode, conclusion: Sequent, done: list,
         to = _RENAME.get(name, name)
         if isinstance(kind, tuple):
             where, side, width = kind
-            s = conclusion if where == CONCL else done[where][0]
+            s = c if where == CONCL else n.premises[where].conclusion
             out[to] = len(s.left if side == "l" else s.right) - width - P[name]
         elif kind == FORMULA:
             out[to] = symmetrize_formula(P[name], inv)
@@ -211,10 +199,9 @@ def _mate(n: ProofNode, conclusion: Sequent, done: list,
             out["dual"] = "neq" if P.get("as_eq") else inv.name
         elif kind == NEQ and P["dual"] == "neq":
             out["as_eq"] = True
-    return ProofNode(mate, out,
-                     tuple(m for _c, m in (done[::-1] if swap else done)),
-                     Sequent(tuple(map(image, reversed(conclusion.right))),
-                             tuple(map(image, reversed(conclusion.left)))))
+    return ProofNode(mate, out, tuple(mates[::-1] if swap else mates),
+                     Sequent(tuple(map(image, reversed(c.right))),
+                             tuple(map(image, reversed(c.left)))))
 
 
 # --------------------------------------------------------------------------

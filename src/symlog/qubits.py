@@ -42,6 +42,11 @@ class NonDyadicProbability(Exception):
     """An amplitude square that no small rational approximates closely."""
 
 
+def _require_finite(*xs) -> None:
+    if not all(map(cmath.isfinite, xs)):
+        raise ValueError("amplitudes must be finite")
+
+
 @dataclass(frozen=True)
 class Qubit:
     """State ``alpha |down> + beta e^{i phi} |up>`` up to a global phase."""
@@ -51,6 +56,7 @@ class Qubit:
     phi: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self.alpha, self.beta, self.phi)
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("canonical amplitudes are non-negative")
         norm = self.alpha ** 2 + self.beta ** 2
@@ -68,6 +74,7 @@ class Qubit:
         """Canonicalize a C^2 vector: fix the global phase so the first
         amplitude is real non-negative (the second, if the first vanishes)."""
         a0, a1 = complex(v[0]), complex(v[1])
+        _require_finite(a0, a1)
         norm = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
         if norm < NORM_TOL:
             raise ValueError("zero vector")

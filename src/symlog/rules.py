@@ -830,21 +830,18 @@ def mk(rule: str, params: Optional[dict] = None, *premises: ProofNode,
     return ProofNode(rule, dict(params or {}), tuple(premises), conclusion)
 
 
-def _preorder(p: ProofNode):
-    """Each node with its depth (``p``'s being 0), in pre-order."""
-    todo = [(p, 0)]
-    while todo:
-        node, d = todo.pop()
-        yield node, d
-        todo.extend((q, d + 1) for q in reversed(node.premises))
-
-
 def proof_equal(a: ProofNode, b: ProofNode) -> bool:
-    # equal arities node for node fix the shape, so the walks end together
-    return all(x.rule == y.rule and x.params == y.params
-               and x.conclusion == y.conclusion
-               and len(x.premises) == len(y.premises)
-               for (x, _), (y, _) in zip(_preorder(a), _preorder(b)))
+    """Equal node for node; each pair of node objects is compared once."""
+    done, todo = {}, [(a, b)]  # id pair -> the pair, kept: no id is reused
+    while todo:
+        x, y = pair = todo.pop()
+        if done.setdefault((id(x), id(y)), pair) is pair:
+            if x.rule != y.rule or x.params != y.params \
+                    or x.conclusion != y.conclusion \
+                    or len(x.premises) != len(y.premises):
+                return False
+            todo.extend(zip(x.premises, y.premises))
+    return True
 
 
 @dataclass(frozen=True)
@@ -906,8 +903,7 @@ def check_proof(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> CheckR
     def visit(node, concls, trail):
         P = node.params
         rules[node.rule] += 1
-        if node.rule in ("subst", "eq_left_elim", "neq_right_elim") \
-                and isinstance(P.get("domain"), str):
+        if node.rule == "subst" and isinstance(P.get("domain"), str):
             subst[P["domain"]] += 1
         if node.rule == "d_axiom" and {"domain", "dual"} <= P.keys():
             dax[f"{P['domain']}:{P['dual']}"] += 1

@@ -57,7 +57,7 @@ from .formulas import (
     Sequent, Single, Slot, Term, Times, Var, sequent_equal,
     slot_formulas, subformulas, tag_from_short,
 )
-from .rules import _PARAM_KIND, CalculusConfig, ProofNode, _fold, _preorder
+from .rules import _PARAM_KIND, CalculusConfig, ProofNode, _fold
 
 __all__ = [
     "ParseError", "Script", "parse_script", "print_script",
@@ -684,6 +684,15 @@ def _printer():
     return lru_cache(maxsize=None, typed=True)(
         lambda x: _print_slot(x) if isinstance(x, (Single, CorrPair))
         else print_param(x))
+
+
+def _preorder(p: ProofNode):
+    """Each node with its depth (``p``'s being 0), in pre-order."""
+    todo = [(p, 0)]
+    while todo:
+        node, d = todo.pop()
+        yield node, d
+        todo.extend((q, d + 1) for q in reversed(node.premises))
 
 
 def print_proof(p: ProofNode) -> str:

@@ -466,6 +466,19 @@ def test_check_proof_reports_a_formula_domain(config, registry):
     assert rep.stats["subst_domains"] == {"D": 1}
 
 
+@pytest.mark.parametrize("rule,side", [("eq_left_elim", "l"),
+                                       ("neq_right_elim", "r")])
+def test_subst_domains_names_only_subst_nodes(rule, side):
+    """An elimination's validator reads no ``domain``, so a ``domain`` it
+    carries is not a substitution: Dplus has no substitution licence."""
+    eq = parse_formula("x = t1@1/2" if side == "l" else "x /= t1@1/2")
+    weak = mk(f"weak_{side}", {"pos": 0, "formula": eq},
+              mk("id", {"a": parse_formula("A(x)")}))
+    rep = check_proof(mk(rule, {"pos": 0, "domain": "Dplus"}, weak),
+                      corpus_config(), corpus_registry())
+    assert rep.ok and rep.stats["subst_domains"] == {}
+
+
 def _json_chain(obj) -> list:
     rules = []
     while obj["premises"]:

@@ -110,6 +110,23 @@ def test_non_dyadic_probability():
         measurement_domain(Qubit(math.sqrt(a2), math.sqrt(1 - a2)))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("args", [(NAN, NAN), (1.0, 0.0, NAN),
+                                  (0.0, 1.0, INF), (INF, 0.0)])
+def test_a_qubit_refuses_non_finite_parts(args):
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        Qubit(*args)
+
+
+@pytest.mark.parametrize("v", [[NAN, 1], [INF, 1], [1, complex(0, INF)],
+                               [complex(NAN, 0), 0]])
+def test_from_amplitudes_refuses_non_finite_input(v):
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        Qubit.from_amplitudes(v)
+
+
 def test_state_formula_registers_domains(registry):
     x = Var("x")
     assert state_formula(KET_DOWN, registry) == \

@@ -19,11 +19,11 @@ from symlog.formulas import (
     Sequent, Single, Var,
 )
 from symlog.kernel import symmetrize_proof
-from symlog.rules import _preorder, proof_equal
+from symlog.rules import proof_equal
 from symlog.scripts import (
-    ParseError, Script, _lex, parse_formula, parse_param, parse_script,
-    parse_sequent, parse_term, print_formula, print_proof, print_script,
-    print_sequent, proof_from_json, proof_to_json,
+    ParseError, Script, _lex, _preorder, parse_formula, parse_param,
+    parse_script, parse_sequent, parse_term, print_formula, print_proof,
+    print_script, print_sequent, proof_from_json, proof_to_json,
 )
 
 from genlib import proof_context, random_formula, random_proof

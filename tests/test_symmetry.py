@@ -1,12 +1,12 @@
 """The proof-level symmetry transformation: soundness and involutivity."""
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import symlog.rules
-from symlog import kernel
 from symlog.corpus import positive_proofs
 from symlog.dualities import (
     IDENTITY_INV, LiteralInvolution, symmetrize_sequent,
@@ -21,9 +21,11 @@ from symlog.kernel import (
 )
 from symlog.rules import (
     RULES, CalculusConfig, ProofNode, RuleContext, RuleError, _fold,
-    _preorder, annotate, check_proof, mk, proof_equal, validate_rule,
+    annotate, check_proof, mk, proof_equal, validate_rule,
 )
-from symlog.scripts import print_proof, proof_from_json, proof_to_json
+from symlog.scripts import (
+    _preorder, print_proof, proof_from_json, proof_to_json,
+)
 
 from genlib import proof_context, random_proof
 
@@ -244,7 +246,7 @@ def _assert_doubled(proof: ProofNode, rule: str, levels: int) -> None:
 def test_a_shared_node_is_mated_once_and_its_image_stays_shared(
         config, registry, monkeypatch):
     proof = _doubling(config, registry, 12)
-    calls = _spy_validate_rule(monkeypatch, kernel)
+    calls = _spy_validate_rule(monkeypatch, symlog.rules)
     img = symmetrize_proof(proof, IDENTITY_INV, config, registry)
     monkeypatch.undo()
     assert len(calls) == 13
@@ -252,6 +254,21 @@ def test_a_shared_node_is_mated_once_and_its_image_stays_shared(
     assert check_proof(img, config, registry).ok
     assert sequent_equal(img.conclusion, symmetrize_sequent(
         proof.conclusion, IDENTITY_INV))
+
+
+def test_proof_equal_cost_grows_with_the_distinct_nodes(config, registry):
+    """Each pair of node objects is compared once, so twice the levels cost
+    about twice as much (comparing each occurrence makes it about 256
+    times)."""
+    def best(levels):
+        proof, times = _doubling(config, registry, levels), []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert proof_equal(proof, proof)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best(16) < 4 * best(8)
 
 
 # --------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from symlog.formulas import (
     Times, Var, _fv_at, fold, formula_equal, free_vars, index_set, reindex,
     replace_var, slot_formulas, subformulas, walk,
 )
-from symlog.rules import _preorder, _replaceable, annotate
-from symlog.scripts import print_formula
+from symlog.rules import _replaceable, annotate
+from symlog.scripts import _preorder, print_formula
 from symlog.search import _add_terms, _swap_term_formula
 
 from genlib import proof_context, random_formula
