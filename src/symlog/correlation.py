@@ -24,8 +24,8 @@ __all__ = ["distribute_forall"]
 
 
 def _build_forward(dom: str, a1: Formula, a2: Formula, tag: CorrelationTag,
-                   var: Var, cfg: CalculusConfig,
-                   registry: Registry) -> ProofNode:
+                   var: Var) -> ProofNode:
+    """The unchecked forward proof for the pair ``a1``, ``a2``."""
     z = fresh_var("z", free_vars(a1) | free_vars(a2) | {var})
     a1z, a2z = replace_var(a1, var, z), replace_var(a2, var, z)
     inst = Join(tag, a1z, a2z)
@@ -37,8 +37,7 @@ def _build_forward(dom: str, a1: Formula, a2: Formula, tag: CorrelationTag,
     f5 = mk("conv_pair_elim", {"qpos": 0}, f4)
     f6 = mk("forall_f", {"var": z, "domain": dom, "mpos": 1, "qpos": 0}, f5)
     f7 = mk("conv_pair_intro", {"qpos": 0, "relpos": 1}, f6)
-    f8 = mk("join_intro", {"qpos": 0}, f7)
-    return annotate(f8, cfg, registry)
+    return mk("join_intro", {"qpos": 0}, f7)
 
 
 def distribute_forall(dom: str, a1: Formula, a2: Formula, tag: CorrelationTag,
@@ -64,10 +63,11 @@ def distribute_forall(dom: str, a1: Formula, a2: Formula, tag: CorrelationTag,
     if not formula_equal(a2, reindex(a1, i, j)):
         raise RuleError("SideConditionViolated",
                         "components must agree up to their index")
-    forward = _build_forward(dom, a1, a2, tag, var, cfg, registry)
-    swapped = _build_forward(dom, a2, a1, tag, var, cfg, registry)
-    inv = _converse_involution(dom, registry)
-    converse = symmetrize_proof(swapped, inv, cfg, registry)
+    forward = annotate(_build_forward(dom, a1, a2, tag, var), cfg, registry)
+    # symmetrize_proof annotates the swapped proof itself
+    swapped = _build_forward(dom, a2, a1, tag, var)
+    converse = symmetrize_proof(swapped, _converse_involution(dom, registry),
+                                cfg, registry)
     return forward, converse
 
 

@@ -3,20 +3,22 @@ expansion and stock derivations.
 
 Their output goes back through the checker in ``symlog.rules``, which this
 module also exports.  The symmetry theorem is a proof transformation: each
-rule is replaced by its mate, premise order is reversed, and slot positions
-are mirrored, so that the transformed tree proves the symmetric sequent
-and passes the checker unchanged.  Each transformation is a fold
-(``rules._fold``) over the checker's annotated proof (``annotate``), so
-only the checker decides validity.  The fold visits each node object once,
-after its premises, so a node object shared by several steps is
-transformed once and the output shares its image in the same places.
+rule is replaced by its mate, premise order is reversed, slot positions are
+mirrored and each conclusion is mapped by ``symmetrize_sequent``, so the
+transformed tree proves the symmetric sequent and passes the checker
+unchanged.  Each transformation folds (``rules._fold``) the checker's
+annotated proof (``annotate``), so only the checker decides validity.  The
+fold visits each node object once, after its premises, so a node shared by
+several steps is transformed once and the output shares its image in the
+same places; the formula image links of ``symlog.dualities`` are
+symmetrization's only memo.
 """
 from __future__ import annotations
 
-from functools import cache
-
 from .domains import Registry
-from .dualities import LiteralInvolution, symmetrize_formula, symmetrize_slot
+from .dualities import (
+    LiteralInvolution, symmetrize_formula, symmetrize_sequent,
+)
 from .formulas import (
     Eq, Formula, Outcome, Sequent, Single, Var, free_vars, fresh_var,
     replace_var,
@@ -162,16 +164,12 @@ def symmetrize_proof(p: ProofNode, inv: LiteralInvolution,
 
 def _sym_node(n: ProofNode, inv: LiteralInvolution) -> ProofNode:
     """Mate each node of the annotated proof ``n``."""
-    # A node's conclusion shares most slots with its premises', so each slot
-    # is symmetrized once.
-    image = cache(lambda slot: symmetrize_slot(slot, inv))
-    return _fold(n, lambda node, mates, _: _mate(node, mates, inv, image))
+    return _fold(n, lambda node, mates, _: _mate(node, mates, inv))
 
 
-def _mate(n: ProofNode, mates: list, inv: LiteralInvolution,
-          image) -> ProofNode:
+def _mate(n: ProofNode, mates: list, inv: LiteralInvolution) -> ProofNode:
     """Apply the mate table to the annotated node ``n``, given its premises'
-    mates; ``image`` symmetrizes a slot."""
+    mates; its conclusion is ``symmetrize_sequent`` of ``n``'s."""
     entry = _MATES.get(n.rule)
     if entry is None:
         hint = "; symmetrize its expanded form" if n.rule in MACRO_RULES else ""
@@ -200,8 +198,7 @@ def _mate(n: ProofNode, mates: list, inv: LiteralInvolution,
         elif kind == NEQ and P["dual"] == "neq":
             out["as_eq"] = True
     return ProofNode(mate, out, tuple(mates[::-1] if swap else mates),
-                     Sequent(tuple(map(image, reversed(c.right))),
-                             tuple(map(image, reversed(c.left)))))
+                     symmetrize_sequent(c, inv))
 
 
 # --------------------------------------------------------------------------

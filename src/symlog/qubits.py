@@ -71,21 +71,20 @@ class Qubit:
 
     @staticmethod
     def from_amplitudes(v) -> "Qubit":
-        """Canonicalize a C^2 vector: fix the global phase so the first
-        amplitude is real non-negative (the second, if the first vanishes)."""
+        """Canonicalize a non-zero C^2 vector of any scale: fix the global
+        phase so the first amplitude is real non-negative (the second, if
+        the first vanishes)."""
         a0, a1 = complex(v[0]), complex(v[1])
         _require_finite(a0, a1)
-        norm = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
-        if norm < NORM_TOL:
+        scale = max(map(abs, (a0.real, a0.imag, a1.real, a1.imag)))
+        if scale == 0:
             raise ValueError("zero vector")
-        a0, a1 = a0 / norm, a1 / norm
-        if abs(a0) > NORM_TOL:
-            ref = a0 / abs(a0)
-        else:
-            ref = a1 / abs(a1)
+        norm = math.sqrt(abs(a0 / scale) ** 2 + abs(a1 / scale) ** 2)
+        a0, a1 = a0 / scale / norm, a1 / scale / norm
+        ref = a0 if abs(a0) > NORM_TOL else a1
+        ref /= abs(ref)
         a0, a1 = a0 / ref, a1 / ref
-        alpha = abs(a0)
-        beta = abs(a1)
+        alpha, beta = abs(a0), abs(a1)
         phi = cmath.phase(a1) % _TAU if beta > NORM_TOL else 0.0
         return Qubit(alpha, beta, phi)
 

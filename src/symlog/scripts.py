@@ -951,8 +951,9 @@ def _check_unique(s: _Stream, t: Tok, name: str, known: set) -> None:
 def _validate_refs(s: _Stream, sc: Script, placed: list) -> None:
     """Check the domains and variable names of each sequent ``placed`` holds
     once the whole script is read, since a domain may be declared below its
-    first use; an error is reported where its sequent starts.  A formula
-    that passed is not checked again where it recurs."""
+    first use; an error is reported where its sequent starts, a formula's
+    undeclared domain before its taken variable name.  A formula that
+    passed is not checked again where it recurs."""
     declared = {rec.name for rec in sc.domains}
     taken = set(sc.consts)
     for rec in sc.domains:
@@ -963,17 +964,19 @@ def _validate_refs(s: _Stream, sc: Script, placed: list) -> None:
             for f in slot_formulas(slot):
                 if f in passed:
                     continue
+                bad = []  # taken variable names, in walk order
                 for g in subformulas(f):
                     if isinstance(g, (Member, DualMember, Forall, Exists)) \
                             and g.domain not in declared:
                         raise _located(s.text, pos,
                                        f"a declared domain ({where})", g.domain)
-                for g in subformulas(f):
-                    for v in (g.var,) if g.shape.binds else g.shape.terms(g):
-                        if isinstance(v, Var) and v.name in taken:
-                            raise _located(
-                                s.text, pos, f"a variable name distinct from "
-                                f"constants and outcome labels ({where})", v.name)
+                    vs = (g.var,) if g.shape.binds else g.shape.terms(g)
+                    bad += [v.name for v in vs
+                            if isinstance(v, Var) and v.name in taken]
+                if bad:
+                    raise _located(
+                        s.text, pos, f"a variable name distinct from "
+                        f"constants and outcome labels ({where})", bad[0])
                 passed.add(f)
 
 

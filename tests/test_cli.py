@@ -539,7 +539,7 @@ def test_usage_errors_exit_two(ext_script, tmp_path, monkeypatch, capsys,
     files["zero"].write_text('{"alpha": 0, "beta": 0}')
     files["no_beta"].write_text('{"alpha": 1}')
     files["nan_phase"].write_text('{"alpha": 1, "beta": 1, "phi": NaN}')
-    files["huge"].write_text('{"alpha": 1, "beta": 1e308}')
+    files["huge"].write_text('{"alpha": 1, "beta": 1e309}')
     decls = (CORPUS_DIR / "c12.blq").read_text().partition("\nproof ")[0]
     files["parallel"].write_text(decls + "\n" + PARALLEL_FORALL)
     files["non_dyadic"].write_text(json.dumps(

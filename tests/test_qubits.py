@@ -127,6 +127,23 @@ def test_from_amplitudes_refuses_non_finite_input(v):
         Qubit.from_amplitudes(v)
 
 
+def test_from_amplitudes_reads_a_huge_vector():
+    q = Qubit.from_amplitudes([1, 1e308])
+    assert (q.alpha, q.beta, q.phi) == pytest.approx(
+        (KET_UP.alpha, KET_UP.beta, KET_UP.phi))
+    assert measurement_domain(q).name == "Dup"
+
+
+def test_from_amplitudes_reads_a_tiny_vector():
+    q = Qubit.from_amplitudes([3e-13, 4e-13])
+    assert (q.alpha, q.beta, q.phi) == pytest.approx((0.6, 0.8, 0.0))
+
+
+def test_from_amplitudes_refuses_the_zero_vector():
+    with pytest.raises(ValueError, match="zero vector"):
+        Qubit.from_amplitudes([0, 0])
+
+
 def test_state_formula_registers_domains(registry):
     x = Var("x")
     assert state_formula(KET_DOWN, registry) == \

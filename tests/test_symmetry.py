@@ -1,4 +1,5 @@
 """The proof-level symmetry transformation: soundness and involutivity."""
+import hashlib
 import json
 import random
 import time
@@ -9,7 +10,7 @@ import pytest
 import symlog.rules
 from symlog.corpus import positive_proofs
 from symlog.dualities import (
-    IDENTITY_INV, LiteralInvolution, symmetrize_sequent,
+    IDENTITY_INV, PERP_INV, TOP_INV, LiteralInvolution, symmetrize_sequent,
 )
 from symlog.formulas import (
     IDENTICAL, Atom, Eq, IConst, Join, Member, Neq, Outcome, Sequent, Single,
@@ -64,6 +65,33 @@ def test_corpus_proofs_symmetrize():
                              symmetrize_sequent(proof.conclusion, inv))
         back = symmetrize_proof(out, inv, cfg, reg)
         assert proof_equal(back, annotate(proof, cfg, reg)), f"{item}/{name}"
+
+
+# sha256 of every corpus proof's image and double image (or refusal) under
+# each involution below and its manifest one, as symmetrize_proof gave them
+# while each mate's conclusion was built through a private slot cache
+IMAGE_DIGEST = "bfaedf1735affbe67db7ed5de4b70e822db24d6b89891b57059785d0e828b1bb"
+IMAGE_INVS = (IDENTITY_INV, PERP_INV, TOP_INV, LiteralInvolution("d"),
+              LiteralInvolution("d", self_dual_domains={"V"}))
+
+
+def _image_digest() -> str:
+    cfg, reg = proof_context()
+    h = hashlib.sha256()
+    for item, name, proof, manifest in positive_proofs():
+        for k, inv in enumerate(IMAGE_INVS + (manifest,)):
+            try:
+                once = symmetrize_proof(proof, inv, cfg, reg)
+                twice = symmetrize_proof(once, inv, cfg, reg)
+                out = [proof_to_json(once), proof_to_json(twice)]
+            except (KernelError, RuleError) as e:
+                out = f"{type(e).__name__}: {e}"
+            h.update(json.dumps([item, name, k, out], sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_image_digest_unchanged():
+    assert _image_digest() == IMAGE_DIGEST
 
 
 def test_random_proofs_symmetrize():
