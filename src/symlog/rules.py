@@ -79,13 +79,13 @@ class CalculusConfig:
         object.__setattr__(self, "d_axiom_domains",
                            frozenset(self.d_axiom_domains))
 
-    def check_licenses(self, registry) -> None:
+    def check_licenses(self, registry) -> CalculusConfig:
         """Both licenses on one domain prove it is a singleton, so outside
         collapse-demo mode the overlap is only allowed where that is
         already true: extensional singletons.  Substitution on a virtual
-        singleton needs collapse-demo mode on its own."""
+        singleton needs collapse-demo mode on its own.  Returns ``self``."""
         if self.collapse_demo:
-            return
+            return self
         for name in sorted(self.substitution_domains):
             if name in registry and registry.get(name).virtual_singleton:
                 raise ValueError(
@@ -98,6 +98,7 @@ class CalculusConfig:
             raise ValueError(
                 f"domain {name} licensed for both substitution and d-axioms "
                 f"needs collapse-demo mode")
+        return self
 
 
 @dataclass(frozen=True)
@@ -895,8 +896,7 @@ def _path(trail) -> tuple:
 
 def check_proof(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> CheckReport:
     """Validate each node object of a proof once; never raises on bad proofs."""
-    cfg.check_licenses(registry)
-    ctx = RuleContext(cfg, registry)
+    ctx = RuleContext(cfg.check_licenses(registry), registry)
     failures: list = []
     rules, subst, dax = Counter(), Counter(), Counter()
 
@@ -921,8 +921,8 @@ def check_proof(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> CheckR
 
 
 def annotate(p: ProofNode, cfg: CalculusConfig, registry: Registry) -> ProofNode:
-    """Conclude each node, keeping the sharing; raises on the first bad node."""
-    ctx = RuleContext(cfg, registry)
+    """Conclude each node, keeping sharing; raises on a bad licence or node."""
+    ctx = RuleContext(cfg.check_licenses(registry), registry)
     return _fold(p, lambda node, prems, _: ProofNode(
         node.rule, dict(node.params), tuple(prems),
         validate_rule(node.rule, node.params, [q.conclusion for q in prems],

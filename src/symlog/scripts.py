@@ -893,14 +893,14 @@ def parse_script(text: str) -> Script:
             t = s.peek()
             kind = s.name(_LICENSE)
             if kind == "subst":
-                sc.subst_licenses.append(s.name(_LICENSE))
+                sc.subst_licenses.append(s.ident(_LICENSE))
             elif kind == "daxiom":
-                sc.daxiom_licenses.append((s.name(_LICENSE), s.name(_LICENSE)))
+                sc.daxiom_licenses.append((s.ident(_LICENSE), s.ident(_LICENSE)))
             else:
                 raise s.error(t, _LICENSE, kind)
         elif word == "const":
             while not s.done():
-                sc.consts.add(s.name("a constant name"))
+                sc.consts.add(s.ident("a constant name"))
             s.slots.clear()  # an identifier may now read as a constant
         elif word == "sequent":
             name = _header(s, word, known)

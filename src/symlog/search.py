@@ -32,8 +32,7 @@ that the memo already fails.  A goal at budget 1 is settled by its axioms
 memo whether the bound was hit.  The tables are keyed on the goal's
 interned formulas, a ``Single`` slot as its formula and a ``CorrPair`` as
 the tuple (formula, tag kind, formula), so a lookup hashes objects by
-identity in C, never text.  A two-premise move with a context split builds
-its second premise only once the first is proved.
+identity in C, never text.
 """
 from __future__ import annotations
 
@@ -153,8 +152,6 @@ class _Engine:
             prems = []
             height = 0
             for sub in subgoals:
-                if callable(sub):  # a second premise, built only now
-                    sub = sub()
                 got = (self.prove(sub[0], budget - 1, sub[1])  # with its key
                        if type(sub) is tuple else self.prove(sub, budget - 1))
                 if got is None:
@@ -336,8 +333,7 @@ class _Engine:
                 for k, j, k1 in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
                                        rpre=(f.a,)):
                     p1 = Sequent(goal.left[:k], (Single(f.a),) + rest[:j])
-                    p2 = lambda k=k, j=j: Sequent(
-                        goal.left[k:], (Single(f.b),) + rest[j:])
+                    p2 = Sequent(goal.left[k:], (Single(f.b),) + rest[j:])
                     yield ("times_r", {"pos": pos, "apos": 0, "bpos": 0},
                            ((p1, k1), p2))
             elif isinstance(f, Imp) and pos == 0:
@@ -349,8 +345,7 @@ class _Engine:
                 for k, j, k1 in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
                                        rpost=(f.a,)):
                     q1 = Sequent(goal.left[:k], rest[:j] + (Single(f.a),))
-                    q2 = lambda k=k, j=j: Sequent(
-                        goal.left[k:] + (Single(f.b),), rest[j:])
+                    q2 = Sequent(goal.left[k:] + (Single(f.b),), rest[j:])
                     yield ("excl_r", {"pos": pos}, ((q1, k1), q2))
             elif isinstance(f, Forall):
                 z = _pick_var(f, goal)
@@ -379,8 +374,8 @@ class _Engine:
                                 rpost=(inst,)):
                             q1 = Sequent(goal.left[:k],
                                          rest[:j] + (Single(inst),))
-                            q2 = lambda k=k, j=j, dual=dual: Sequent(
-                                goal.left[k:] + (Single(dual),), rest[j:])
+                            q2 = Sequent(goal.left[k:] + (Single(dual),),
+                                         rest[j:])
                             yield ("exists_r",
                                    {"pos": pos, "term": t, "dual": d,
                                     "var": f.var, "domain": f.domain,
@@ -419,8 +414,7 @@ class _Engine:
                 for k, j, k1 in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
                                        lpre=(f.a,)):
                     p1 = Sequent((Single(f.a),) + rest[:k], goal.right[:j])
-                    p2 = lambda k=k, j=j: Sequent(
-                        (Single(f.b),) + rest[k:], goal.right[j:])
+                    p2 = Sequent((Single(f.b),) + rest[k:], goal.right[j:])
                     yield ("par_l", {"pos": pos, "apos": 0, "bpos": 0},
                            ((p1, k1), p2))
             elif isinstance(f, Imp):
@@ -428,8 +422,7 @@ class _Engine:
                 for k, j, k1 in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
                                        rpre=(f.a,)):
                     p1 = Sequent(rest[:k], (Single(f.a),) + goal.right[:j])
-                    p2 = lambda k=k, j=j: Sequent(
-                        (Single(f.b),) + rest[k:], goal.right[j:])
+                    p2 = Sequent((Single(f.b),) + rest[k:], goal.right[j:])
                     yield ("imp_l", {"pos": pos}, ((p1, k1), p2))
             elif isinstance(f, Excl) and pos == len(goal.left) - 1:
                 prem = Sequent(goal.left[:-1] + (Single(f.a),),
@@ -453,8 +446,8 @@ class _Engine:
                     for k, j, k1 in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
                                            rpre=(memb,)):
                         p1 = Sequent(rest[:k], (Single(memb),) + goal.right[:j])
-                        p2 = lambda k=k, j=j, inst=inst: Sequent(
-                            (Single(inst),) + rest[k:], goal.right[j:])
+                        p2 = Sequent((Single(inst),) + rest[k:],
+                                     goal.right[j:])
                         yield ("forall_r",
                                {"pos": pos, "term": t, "var": f.var,
                                 "domain": f.domain, "body": f.body},

@@ -515,12 +515,17 @@ parallel_forall domain=Dplus mpos=1 qpos=0 var=z
     (["sym", "{parallel}", "--name", "pf"], None,
      "no symmetric mate for rule parallel_forall"),
     (["qstate", "{non_dyadic}"], None, "has no rational approximation"),
+    (["sym", "{ext}", "--name", "nope"], None, "no proof named 'nope'"),
+    (["search", "{ext}", "--name", "nope"], None, "no sequent named 'nope'"),
+    (["dual", "{ext}", "--name", "nope", "--duality", "top"], None,
+     "no sequent named 'nope'"),
 ], ids=["d-axiom-spec", "depth-above-maximum", "depth-below-one",
         "depth-from-environment",
         "check-license-overlap", "sym-license-overlap",
         "search-license-overlap", "not-utf8", "zero-qubit", "qubit-field",
         "nan-phase", "huge-amplitude", "proof-header-at-end",
-        "proof-header-mismatch", "sym-without-mate", "non-dyadic-qubit"])
+        "proof-header-mismatch", "sym-without-mate", "non-dyadic-qubit",
+        "sym-unknown-name", "search-unknown-name", "dual-unknown-name"])
 def test_usage_errors_exit_two(ext_script, tmp_path, monkeypatch, capsys,
                                argv, env, message):
     files = {"ext": ext_script, "overlap": tmp_path / "overlap.blq",
@@ -549,6 +554,16 @@ def test_usage_errors_exit_two(ext_script, tmp_path, monkeypatch, capsys,
     assert main([a.format(**files) for a in argv]) == 2
     err = capsys.readouterr().err
     assert message in err and "internal error" not in err
+
+
+def test_d_axiom_option_grants_the_licence(tmp_path, capsys):
+    path = tmp_path / "c7.blq"
+    text = (CORPUS_DIR / "c7.blq").read_text()
+    path.write_text(text.replace("license daxiom V d\n", ""))
+    assert main(["check", str(path)]) == 1
+    assert "exists_to_forall_V: FAIL" in capsys.readouterr().out
+    assert main(["check", str(path), "--d-axiom", "V:d"]) == 0
+    assert "exists_to_forall_V: ok" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["check", "search"])

@@ -118,6 +118,22 @@ def test_distribution_rejects_focused_domain():
     assert err.value.code == "NotVirtualSingleton"
 
 
+@pytest.mark.parametrize("b1, b2, message", [
+    (Atom("A", None, (x,)), Atom("A", IConst(2), (x,)),
+     "distinct unique indexes"),
+    (Atom("A", IConst(1), (x,)), Atom("A", IConst(1), (x,)),
+     "distinct unique indexes"),
+    (Atom("A", IConst(1), (x,)), Atom("B", IConst(2), (x,)),
+     "agree up to their index"),
+], ids=["unindexed", "same-index", "other-predicate"])
+def test_distribution_refuses_unmatched_components(b1, b2, message):
+    cfg, reg = proof_context()
+    with pytest.raises(RuleError) as err:
+        distribute_forall("Dplus", b1, b2, IDENTICAL, cfg, reg)
+    assert err.value.code == "SideConditionViolated"
+    assert message in err.value.message
+
+
 def test_index_conservation_through_conversion(ctx):
     there = to_relation(pair_seq(), ctx)
     assert there.left[-1] == Single(REL)

@@ -43,6 +43,14 @@ def test_register_rejects_focused_virtual_two_entries():
             focused=True, virtual_singleton=True, duality="d"))
 
 
+def test_register_rejects_a_name_twice():
+    reg = Registry()
+    rec = DomainRecord("E", (Outcome("e", Fraction(1)),), focused=True)
+    reg.register_domain(rec)
+    with pytest.raises(InvariantViolation, match="already registered: E"):
+        reg.register_domain(rec)
+
+
 def test_register_rejects_virtual_singleton_without_duality():
     """A virtual singleton needs its duality in collapse-demo mode too."""
     reg = Registry(collapse_demo=True)

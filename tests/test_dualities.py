@@ -103,6 +103,15 @@ def test_apply_duality_is_partial():
         apply_duality(Member(z, "Dplus"), "top")
     with pytest.raises(UnknownDuality):
         apply_duality(Member(z, "Dplus"), "perpp")
+    with pytest.raises(UnclassifiedLiteral, match="body outside"):
+        apply_duality(Forall(x, "Dplus", p), "top")
+
+
+def test_apply_duality_on_the_mixed_state():
+    """perp swaps both conjuncts' labels; top keeps them."""
+    down, up = _lit("A", "down"), _lit("A", "up")
+    assert apply_duality(And(down, up), "perp") == And(up, down)
+    assert apply_duality(And(down, up), "top") == And(down, up)
 
 
 def test_dualities_commute_on_the_eight_literals():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import symlog.rules
 from symlog.corpus import corpus_config, corpus_registry, positive_proofs
-from symlog.domains import standard_registry
+from symlog.domains import DomainRecord, standard_registry
 from symlog.dualities import (
     IDENTITY_INV, LiteralInvolution, symmetrize_sequent,
 )
@@ -20,8 +20,8 @@ from symlog.formulas import (
     seq, sequent_equal,
 )
 from symlog.kernel import (
-    build_collapse_proof, build_exists_to_forall, collapse_config,
-    expand_derived, symmetrize_proof,
+    KernelError, build_collapse_proof, build_exists_to_forall,
+    build_forall_to_exists, collapse_config, expand_derived, symmetrize_proof,
 )
 from symlog.rules import (
     _PARAM_KIND, CalculusConfig, CheckReport, ProofNode, RuleContext, _fold,
@@ -270,6 +270,16 @@ def test_exists_to_forall_lemma_avoids_a_free_y(config, registry):
     assert check_proof(node, config, registry).ok
 
 
+def test_stock_lemmas_refuse_a_domain_without_their_premise(config, registry):
+    registry.register_domain(DomainRecord(
+        "E", (Outcome("e", Fraction(1)),), focused=True, inhabited=False))
+    ctx = RuleContext(config, registry)
+    with pytest.raises(KernelError, match="E has no declared inhabitant"):
+        build_forall_to_exists(ctx, "E", x, A(x))
+    with pytest.raises(KernelError, match="D carries no duality"):
+        build_exists_to_forall(ctx, "D", x, A(x))
+
+
 def test_vsym_expansion_keeps_the_equality_membership():
     from symlog.domains import DomainRecord, Registry
 
@@ -370,6 +380,21 @@ def test_substitution_license_on_virtual_singleton(registry):
                           substitution_domains=frozenset({"V"}),
                           collapse_demo=True)
     assert check_proof(node, demo, registry).ok
+
+
+def test_every_checker_entry_refuses_what_check_proof_refuses():
+    reg = corpus_registry()
+    v1, v2 = reg.get("V").entries
+    demo = collapse_config(reg, "V")
+    proof = build_collapse_proof(reg, demo, "V", v2, v1)
+    assert check_proof(proof, demo, reg).ok
+    cfg = CalculusConfig(True, True, True, True, substitution_domains={"V"},
+                         d_axiom_domains={("V", "d")})
+    for entry in (check_proof, annotate, expand_derived,
+                  lambda p, c, r: symmetrize_proof(p, IDENTITY_INV, c, r),
+                  lambda p, c, r: build_collapse_proof(r, c, "V", v2, v1)):
+        with pytest.raises(ValueError, match="virtual singleton V requires"):
+            entry(proof, cfg, reg)
 
 
 def test_malformed_d_axiom_reports_without_raising(config, registry):

@@ -20,6 +20,17 @@ X, Z = GateTag("X"), GateTag("Z")
 TOL = 1e-12
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Qubit(-1.0, 0.0), "non-negative"),
+    (lambda: Qubit(1.0, 1.0), "not normalized"),
+    (lambda: GateTag("Y"), "unknown gate: Y"),
+    (lambda: BellState("zero", IDENTICAL), "unknown phase modality: zero"),
+], ids=["negative", "unnormalized", "gate", "phase"])
+def test_constructors_refuse_values_outside_their_range(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_gate_matrices_are_involutions():
     for g in (X, Z):
         (a, b), (c, d) = g.matrix

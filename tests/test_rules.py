@@ -377,6 +377,11 @@ def test_rule_arity_refuses_an_unknown_rule():
     assert (e.value.code, e.value.message) == ("UnknownRule", "no_such_rule")
 
 
+def test_rule_arity_reads_the_catalogue():
+    assert (rule_arity("id"), rule_arity("weak_l"), rule_arity("cut")) == \
+        (0, 1, 2)
+
+
 _p, _q, _r = (Atom(n, None, ()) for n in "pqr")
 _t = Var("t")
 _SM = "SlotMismatch"

@@ -186,6 +186,47 @@ def test_proof_parameter_naming_a_constant_reads_as_const():
     assert sc.proofs["p"].params == {"t": Const("c")}
 
 
+# Each wrap adds a pair of parentheses and a chain of six operators, each
+# binding looser than the one before: seven levels, but one parser call.
+_DEEP_CHAIN = "p"
+for _ in range(29):
+    _DEEP_CHAIN = f"({_DEEP_CHAIN}) (x) q * q & q \\/ q join_i q -> q"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("const c_1\n", "1:8: expected a constant name, found '_'"),
+    ("flags cut\nlicense subst D_1\n", "2:16: expected end of input, found '_'"),
+    ("license daxiom V d_2\n", "1:19: expected end of input, found '_'"),
+    ("license daxiom V_2 d\n",
+     "1:17: expected license subst D | license daxiom D d, found '_'"),
+    ("domain D = { a@" + "1" * 101 + " }\n",
+     "1:16: expected a number of at most 100 digits"),
+    (f"sequent s : {_DEEP_CHAIN} |- p\n",
+     "1:13: expected a formula nested at most 200 levels deep, found '('"),
+    ("sequent s : (p)^d |- p\n",
+     "1:13: expected a membership inside (...)^dual, found 'formula'"),
+    ("proof pr : |- down@1 = down@1\nrefl t=down @1\n",
+     "2:13: expected a parameter key=value after whitespace, found '@'"),
+], ids=["const", "subst", "daxiom-duality", "daxiom-domain", "long-number",
+        "deep-chain", "dual-of-atom", "spaced-term"])
+def test_parse_errors_say_what_was_expected(text, error):
+    """A formula reads ``c_1`` as ``c`` with index 1, and no domain or
+    duality name holds ``_``, so a constant or licence operand with ``_``
+    is an error at it.  The deep chain opens 30 parser calls, far below
+    the bound, so its depth is refused once the outermost chain is read,
+    at its start."""
+    with pytest.raises(ParseError) as err:
+        parse_script(text)
+    assert str(err.value).startswith(error)
+
+
+def test_print_script_round_trips_an_uninhabited_domain():
+    text = "domain E = { e@1 } duality d uninhabited\n"
+    sc = parse_script(text)
+    assert not sc.domains[0].inhabited
+    assert print_script(sc) == text
+
+
 def test_scripts_reject_duplicate_names():
     text = "sequent s : p |- p\nsequent s : q |- q\n"
     with pytest.raises(ParseError):
