@@ -78,6 +78,9 @@ def _load(args) -> tuple:
             raise UsageError(f"--d-axiom wants DOMAIN:DUALITY, got {spec!r}")
         sc.daxiom_licenses.append((dom, dual))
     reg, cfg = sc.registry(), sc.config()
+    for dom in sc.subst_licenses + [d for d, _ in sc.daxiom_licenses]:
+        if dom not in reg:
+            raise UsageError(f"a licence names the undeclared domain {dom!r}")
     try:
         cfg.check_licenses(reg)
     except ValueError as e:  # the only error check_licenses raises

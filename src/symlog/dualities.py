@@ -22,11 +22,13 @@ tables ``standard_registry`` declares.
 formulas) through the ``perp``/``top`` tables without touching the
 logical structure, and is partial outside that dictionary.
 
-Each formula keeps a weak link to its image under the last involution that
-mapped it.  The image links back only where the map is an involution: at a
-literal whose image maps back to it (``perp`` maps ``down@1 in Ddown``
-tagged ``perp`` to ``down@1 in Ddown``, whose image is ``down@1 in Dup``),
-and at a compound whose subformulas all link back.
+A sequent slot maps as a compound that is its own mate: a correlated pair
+swaps its formulas and keeps its tag.  Each formula and slot keeps a weak
+link to its image under the last involution that mapped it.  The image
+links back only where the map is an involution: at a literal whose image
+maps back to it (``perp`` maps ``down@1 in Ddown`` tagged ``perp`` to
+``down@1 in Ddown``, whose image is ``down@1 in Dup``), and at a compound
+whose subformulas all link back.
 """
 from __future__ import annotations
 
@@ -35,13 +37,12 @@ from weakref import ref
 
 from .formulas import (
     And, Atom, DualMember, Eq, Excl, Exists, Forall, Formula, Imp, IndexRel,
-    Join, Member, Neq, Or, Outcome, Par, SHARP_LABELS, Sequent, Slot, Times,
-    fold, rebuild_slot, slot_formulas,
+    Join, Member, Neq, Or, Outcome, Par, SHARP_LABELS, Sequent, Times, fold,
 )
 
 __all__ = [
     "LiteralInvolution", "IDENTITY_INV", "PERP_INV", "TOP_INV",
-    "symmetrize_formula", "symmetrize_slot", "symmetrize_sequent",
+    "symmetrize_formula", "symmetrize_sequent",
     "apply_duality", "UnclassifiedLiteral", "UnknownDuality",
     "SHARP_LABELS", "PHASE_DOMAINS",
 ]
@@ -110,7 +111,8 @@ _MATE_OF.update({b: a for a, b in _MATE_OF.items()})
 
 
 def symmetrize_formula(f: Formula, inv: LiteralInvolution) -> Formula:
-    """The symmetric image of ``f``, linked as the module docstring says."""
+    """The symmetric image of ``f``, a formula or a slot, linked as the
+    module docstring says."""
     def image(g, kids):
         sh = g.shape
         if sh.binds and g.domain in inv.self_dual_domains:
@@ -147,17 +149,11 @@ def _linked(g: Formula, inv: LiteralInvolution):
     return link[1]() if link is not None and link[0] is inv else None
 
 
-def symmetrize_slot(slot: Slot, inv: LiteralInvolution) -> Slot:
-    return rebuild_slot(slot, [symmetrize_formula(g, inv)
-                               for g in reversed(slot_formulas(slot))])
-
-
 def symmetrize_sequent(s: Sequent, inv: LiteralInvolution) -> Sequent:
     """The symmetric sequent: sides swapped, slot order reversed, every
     slot symmetrized."""
-    left = tuple(symmetrize_slot(sl, inv) for sl in reversed(s.right))
-    right = tuple(symmetrize_slot(sl, inv) for sl in reversed(s.left))
-    return Sequent(left, right)
+    return Sequent(tuple(symmetrize_formula(sl, inv) for sl in s.right[::-1]),
+                   tuple(symmetrize_formula(sl, inv) for sl in s.left[::-1]))
 
 
 # --------------------------------------------------------------------------

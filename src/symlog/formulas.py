@@ -1,9 +1,10 @@
 """Core syntax: terms, indexes, formulas, sequents, and substitution.
 
-Everything here is an immutable value.  Terms are flat (variables,
-declared constants, and outcome terms pairing a label with an exact
-rational probability), so "replace term s by term t" never has to look
-inside a term.  Probabilities are :class:`fractions.Fraction` so that
+Everything here is an immutable value.  Formulas and sequent slots are
+built through ``Shape`` and interned.  Terms are flat (variables, declared
+constants, and outcome terms pairing a label with an exact rational
+probability), so "replace term s by term t" never has to look inside a
+term.  Probabilities are :class:`fractions.Fraction` so that
 term equality stays decidable; the quantum layer converts floats with an
 explicit tolerance before anything reaches this module.
 """
@@ -26,7 +27,7 @@ __all__ = [
     "free_vars", "fresh_var", "substitute", "replace_var", "formula_equal",
     "index_set", "formula_index", "reindex", "subformulas", "seq",
     "Shape", "walk", "fold", "shadows",
-    "slot_formulas", "rebuild_slot", "map_sequent", "slots_match",
+    "slot_formulas", "map_sequent",
 ]
 
 
@@ -139,10 +140,11 @@ def tag_from_short(s: str) -> CorrelationTag:
 # --------------------------------------------------------------------------
 # formulas
 
-class Formula:
-    """Base class of the constructors that :class:`Shape` builds.  Formulas
-    are interned: building one equal to a live formula returns that formula,
-    so ``==`` and ``hash`` are identity and never recurse."""
+class _Interned:
+    """Base class of the values that :class:`Shape` builds: formulas and
+    sequent slots.  They are interned: building one equal to a live value
+    returns that value, so ``==`` and ``hash`` are identity and never
+    recurse."""
 
     __slots__ = ("__weakref__", "_image")  # _image: no field; see dualities
 
@@ -161,7 +163,7 @@ class Formula:
         return f
 
     def _check(self):
-        """Reject a new formula; runs once per distinct formula."""
+        """Reject a new value; runs once per distinct value."""
 
     def _frozen(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -169,14 +171,20 @@ class Formula:
     __setattr__ = __delattr__ = _frozen
 
 
-# (constructor, *fields) -> the live formula with those fields
+class Formula(_Interned):
+    """Base class of the formula constructors."""
+
+    __slots__ = ()
+
+
+# (constructor, *fields) -> the live value with those fields
 _INTERNED = WeakValueDictionary()
 
 
 class Shape:
-    """How walks see one formula constructor; declare it as the class's
-    decorator, ``@Shape(subs=..., terms=..., binds=...)``, over a class
-    that annotates its fields in order.
+    """How walks see one constructor of formulas or sequent slots; declare
+    it as the class's decorator, ``@Shape(subs=..., terms=..., binds=...)``,
+    over a class that annotates its fields in order.
 
     ``subs`` names the subformula fields in operand order.  ``terms`` names
     the fields holding one term each, or is the name of the one field that
@@ -422,15 +430,16 @@ class Join(Formula):
 
 
 # --------------------------------------------------------------------------
-# sequent slots
+# sequent slots: compounds of formulas, so walks, folds, formula_equal and
+# the symmetry map read them as they read a connective
 
-@dataclass(frozen=True)
-class Single:
+@Shape(subs=("formula",))
+class Single(_Interned):
     formula: Formula
 
 
-@dataclass(frozen=True)
-class CorrPair:
+@Shape(subs=("a", "b"))
+class CorrPair(_Interned):
     """A correlated pair of slot formulas (the indexed comma)."""
 
     a: Formula
@@ -467,33 +476,16 @@ def seq(left, right) -> Sequent:
 
 
 def slot_formulas(s: Slot) -> tuple:
-    if isinstance(s, Single):
-        return (s.formula,)
-    return (s.a, s.b)
-
-
-def rebuild_slot(s: Slot, fs) -> Slot:
-    """A slot of the same kind (and tag) as ``s`` holding the formulas ``fs``."""
-    if isinstance(s, Single):
-        return Single(fs[0])
-    return CorrPair(fs[0], s.tag, fs[1])
+    return s.shape.children(s)
 
 
 def map_sequent(s: Sequent, fn) -> Sequent:
     """Apply ``fn`` to every formula of every slot, keeping the layout."""
 
     def on_slot(sl: Slot) -> Slot:
-        return rebuild_slot(sl, [fn(g) for g in slot_formulas(sl)])
+        return sl.shape.rebuild(sl, [*map(fn, slot_formulas(sl))])
 
     return Sequent(tuple(map(on_slot, s.left)), tuple(map(on_slot, s.right)))
-
-
-def slots_match(a: Slot, b: Slot, same) -> bool:
-    """Slots of one kind and tag whose formulas agree pairwise by ``same``."""
-    if isinstance(a, Single):
-        return isinstance(b, Single) and same(a.formula, b.formula)
-    return (isinstance(b, CorrPair) and a.tag == b.tag
-            and same(a.a, b.a) and same(a.b, b.b))
 
 
 # --------------------------------------------------------------------------
@@ -518,8 +510,7 @@ def free_vars(f: Formula) -> frozenset:
 
 
 def sequent_free_vars(s: Sequent) -> frozenset:
-    return frozenset().union(*[free_vars(f) for slot in s.left + s.right
-                               for f in slot_formulas(slot)])
+    return frozenset().union(*map(free_vars, s.left + s.right))
 
 
 def fresh_var(base: str, used) -> Var:
@@ -602,8 +593,9 @@ def substitute_sequent(s: Sequent, x: Var, t: Term) -> Sequent:
 # structural equality up to bound-variable renaming
 
 def formula_equal(f: Formula, g: Formula) -> bool:
-    """Structural equality up to renaming of bound variables: a bound
-    variable reads as its binder's depth, any other term as itself."""
+    """Structural equality of two formulas, or two slots, up to renaming
+    of bound variables: a bound variable reads as its binder's depth, any
+    other term as itself."""
     # identity settles it only here, where no binder is open on either side
     if f is g:
         return True
@@ -616,14 +608,10 @@ def formula_equal(f: Formula, g: Formula) -> bool:
     return True
 
 
-def slot_equal(a: Slot, b: Slot) -> bool:
-    return slots_match(a, b, formula_equal)
-
-
 def sequent_equal(s: Sequent, t: Sequent) -> bool:
     return (len(s.left) == len(t.left) and len(s.right) == len(t.right)
-            and all(map(slot_equal, s.left, t.left))
-            and all(map(slot_equal, s.right, t.right)))
+            and all(map(formula_equal, s.left, t.left))
+            and all(map(formula_equal, s.right, t.right)))
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,8 @@ unchanged.  Each transformation folds (``rules._fold``) the checker's
 annotated proof (``annotate``), so only the checker decides validity.  The
 fold visits each node object once, after its premises, so a node shared by
 several steps is transformed once and the output shares its image in the
-same places; the formula image links of ``symlog.dualities`` are
-symmetrization's only memo.
+same places; the image links of ``symlog.dualities``, on formulas and
+slots, are symmetrization's only memo.
 """
 from __future__ import annotations
 

@@ -50,8 +50,8 @@ from .formulas import (
     And, Const, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
     IndexRel, Join, Member, Neq, Or, Outcome, Par, Sequent, Single, Slot,
     Term, Times, Var, formula_equal, formula_index, free_vars, reindex,
-    replace_var, sequent_equal, shadows, slot_equal, slot_formulas,
-    slots_match, substitute_sequent, walk,
+    replace_var, sequent_equal, shadows, slot_formulas, substitute_sequent,
+    walk,
 )
 
 __all__ = ["CalculusConfig", "RuleContext", "RuleError", "RULES",
@@ -172,7 +172,7 @@ def _beside(s: Sequent, side: str, slot: Slot) -> Sequent:
 
 
 def _var_fresh_for(z: Var, slots) -> bool:
-    return all(z not in free_vars(f) for s in slots for f in slot_formulas(s))
+    return all(z not in free_vars(s) for s in slots)
 
 
 # --------------------------------------------------------------------------
@@ -180,8 +180,9 @@ def _var_fresh_for(z: Var, slots) -> bool:
 
 def _replaceable(f: Formula, g: Formula, s: Term, t: Term,
                  s_ok: bool = True, t_ok: bool = True) -> bool:
-    """True when ``g`` arises from ``f`` by swapping free occurrences of
-    ``s`` and ``t`` (each occurrence independently, either direction)."""
+    """True when ``g`` arises from ``f``, two formulas or two slots, by
+    swapping free occurrences of ``s`` and ``t`` (each occurrence
+    independently, either direction)."""
     for (f, bound), (g, _) in zip(walk(f), walk(g)):
         sh, tf, tg = f.shape, f.shape.terms(f), g.shape.terms(g)
         if (type(f) is not type(g) or len(tf) != len(tg)
@@ -462,7 +463,7 @@ def _r_contract(rule, params, premises, claimed, ctx):
     p, i, j = premises[0], params["i"], params["j"]
     slots = getattr(p, rule.side)
     _need(0 <= i < j < len(slots), "SlotMismatch", f"{rule.name} positions")
-    _need(slot_equal(slots[i], slots[j]), "SideConditionViolated",
+    _need(formula_equal(slots[i], slots[j]), "SideConditionViolated",
           "contracted slots must be equal")
     return _on(p, rule.side, _without(slots, j))
 
@@ -508,8 +509,7 @@ def _r_replacement(rule, params, premises, claimed, ctx):
           "SlotMismatch", f"{rule.name} changes no slot counts")
     for where in ("left", "right"):
         for a, b in zip(getattr(p, where), getattr(rest, where)):
-            _need(slots_match(a, b, lambda f, g: _replaceable(f, g, s, t)),
-                  "SideConditionViolated",
+            _need(_replaceable(a, b, s, t), "SideConditionViolated",
                   f"a {where} slot is not a replacement instance")
     return claimed
 
@@ -645,10 +645,9 @@ def _r_additive_two(rule, params, premises, claimed, ctx):
     b = _fml(_at(s2, pos, f"{rule.name} second component"))
     _need(len(p1.left) == len(p2.left) and len(p1.right) == len(p2.right),
           "SlotMismatch", f"{rule.name} premises must share their contexts")
-    _need(all(slot_equal(x, y) for x, y in zip(getattr(p1, far),
-                                               getattr(p2, far))),
+    _need(all(map(formula_equal, getattr(p1, far), getattr(p2, far))),
           "SlotMismatch", f"{rule.name} premises must share the {far} context")
-    _need(all(k == pos or slot_equal(x, y)
+    _need(all(k == pos or formula_equal(x, y)
               for k, (x, y) in enumerate(zip(s1, s2))),
           "SlotMismatch",
           f"{rule.name} premises must share the {rule.side} context")
@@ -746,7 +745,7 @@ def _r_cut(params, premises, claimed, ctx):
     rpos, lpos = params["rpos"], params["lpos"]
     c1 = _at(p1.right, rpos, "cut formula (right premise side)")
     c2 = _at(p2.left, lpos, "cut formula (left premise side)")
-    _need(slot_equal(c1, c2), "SlotMismatch",
+    _need(formula_equal(c1, c2), "SlotMismatch",
           "cut formulas do not match")
     left = p2.left[:lpos] + p1.left + p2.left[lpos + 1:]
     right = p1.right[:rpos] + p2.right + p1.right[rpos + 1:]

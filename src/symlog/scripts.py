@@ -26,10 +26,14 @@ writes its parameters and conclusions in this format.
 
 A script is lexed once, into one stream of tokens.  A line whose first
 non-blank character is ``#`` is blank, and a blank line ends a proof; a
-line's indentation is the number of spaces it starts with.  Each name (of
-a sequent, proof, rule, key, flag, constant, licence operand or name-valued
-parameter) is one token, ``[A-Za-z][A-Za-z0-9_']*``.  A character that
-starts no token is an error at its position, found before any other.
+line's indentation is the number of spaces it starts with.  A name (of a
+sequent, proof, rule, key, flag or name-valued parameter) matches
+``[A-Za-z][A-Za-z0-9_']*`` and is read as the tokens glued together that
+make it up (``_Stream.name``), since the lexer splits ``a_1`` at its
+``_``.  Constants and licence operands are identifiers,
+``[A-Za-z][A-Za-z0-9']*``, as domain, duality and predicate names are.  A
+character that starts no token is an error at its position, found before
+any other.
 
 A ``:`` and the conclusion after it, up to the end of its line, are one
 token, and so are a parameter's ``{`` (one glued to ``key=``) and the text
@@ -861,6 +865,7 @@ def parse_script(text: str) -> Script:
     s = _Stream(text, sc.consts)
     known: set = set()
     placed: list = []  # (owner's name, sequent, its first token's offset)
+    licensed: list = []  # (domain, "license KIND", the domain's offset)
     while s.i < len(s.toks) - _SENTINELS:
         t = s.peek()
         if t.kind == "end":  # a blank line
@@ -892,12 +897,14 @@ def parse_script(text: str) -> Script:
         elif word == "license":
             t = s.peek()
             kind = s.name(_LICENSE)
-            if kind == "subst":
-                sc.subst_licenses.append(s.ident(_LICENSE))
-            elif kind == "daxiom":
-                sc.daxiom_licenses.append((s.ident(_LICENSE), s.ident(_LICENSE)))
-            else:
+            if kind not in ("subst", "daxiom"):
                 raise s.error(t, _LICENSE, kind)
+            pos, dom = s.peek().pos, s.ident(_LICENSE)
+            licensed.append((dom, f"license {kind}", pos))
+            if kind == "subst":
+                sc.subst_licenses.append(dom)
+            else:
+                sc.daxiom_licenses.append((dom, s.ident(_LICENSE)))
         elif word == "const":
             while not s.done():
                 sc.consts.add(s.ident("a constant name"))
@@ -927,7 +934,7 @@ def parse_script(text: str) -> Script:
         else:
             raise s.error(t, "a declaration keyword", word)
         s.end_line()
-    _validate_refs(s, sc, placed)
+    _validate_refs(s, sc, placed, licensed)
     # a domain's subst word and a licence line may name one domain twice
     sc.subst_licenses = list(dict.fromkeys(sc.subst_licenses))
     return sc
@@ -948,13 +955,18 @@ def _check_unique(s: _Stream, t: Tok, name: str, known: set) -> None:
     known.add(name)
 
 
-def _validate_refs(s: _Stream, sc: Script, placed: list) -> None:
-    """Check the domains and variable names of each sequent ``placed`` holds
-    once the whole script is read, since a domain may be declared below its
-    first use; an error is reported where its sequent starts, a formula's
-    undeclared domain before its taken variable name.  A formula that
-    passed is not checked again where it recurs."""
+def _validate_refs(s: _Stream, sc: Script, placed: list,
+                   licensed: list) -> None:
+    """Check the domain of each licence ``licensed`` holds, then the domains
+    and variable names of each sequent ``placed`` holds, once the whole
+    script is read, since a domain may be declared below its first use.  A
+    licence's error is reported at its domain, a sequent's where it starts,
+    a formula's undeclared domain before its taken variable name.  A
+    formula that passed is not checked again where it recurs."""
     declared = {rec.name for rec in sc.domains}
+    for dom, where, pos in licensed:
+        if dom not in declared:
+            raise _located(s.text, pos, f"a declared domain ({where})", dom)
     taken = set(sc.consts)
     for rec in sc.domains:
         taken.update(e.label for e in rec.entries)

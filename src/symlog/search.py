@@ -26,13 +26,11 @@ finally, or a rule that rejected proved premises), so by induction it has
 no proof in the search fragment, and searching it again would record no
 proof and hit no bound.  ``_fails`` holds this rule for ``prove`` and for
 the moves: the context-splitting and weakening moves slice each first
-premise's key out of the goal's, hand it to ``prove`` and build no premise
-that the memo already fails.  A goal at budget 1 is settled by its axioms
-(a premise at budget 0 always fails); its other moves only tell from the
-memo whether the bound was hit.  The tables are keyed on the goal's
-interned formulas, a ``Single`` slot as its formula and a ``CorrPair`` as
-the tuple (formula, tag kind, formula), so a lookup hashes objects by
-identity in C, never text.
+premise's sides out of the goal's and build no premise that the memo
+already fails.  A goal at budget 1 is settled by its axioms (a premise at
+budget 0 always fails); its other moves only tell from the memo whether
+the bound was hit.  The tables are keyed on the goal's two sides, tuples
+of interned slots, so a lookup hashes objects by identity in C, never text.
 """
 from __future__ import annotations
 
@@ -42,8 +40,8 @@ from typing import Iterator, Optional
 from .formulas import (
     And, CorrPair, DualMember, Eq, Excl, Exists, Forall, Formula, Imp,
     IndexRel, Join, Member, Neq, Or, Par, Sequent, Single, Slot, Term, Times,
-    Var, fold, formula_index, fresh_var, map_sequent, replace_var,
-    sequent_free_vars, shadows, slot_equal, slot_formulas, walk,
+    Var, fold, formula_equal, formula_index, fresh_var, map_sequent,
+    replace_var, sequent_free_vars, shadows, slot_formulas, walk,
 )
 from .rules import (
     CalculusConfig, ProofNode, RuleContext, RuleError, _without, validate_rule,
@@ -106,18 +104,10 @@ class _Engine:
         self.proved: dict = {}  # goal key -> (proof, height)
         self.failed: dict = {}  # goal key -> (budget, bound hit)
         self.bound_hit = False
-        self._terms: dict = {}  # slot key -> the terms in it, on demand
+        self._terms: dict = {}  # slot -> the terms in it, on demand
         self._subst_entries = [
             (dom, t) for dom in sorted(self.cfg.substitution_domains)
             if dom in self.reg for t in self.reg.get(dom).entries]
-
-    def _key(self, goal: Sequent) -> tuple:
-        """The memo key of ``goal``: two goals get equal keys exactly when
-        they are equal sequents."""
-        return (tuple([s.formula if type(s) is Single else
-                       (s.a, s.tag.kind, s.b) for s in goal.left]),
-                tuple([s.formula if type(s) is Single else
-                       (s.a, s.tag.kind, s.b) for s in goal.right]))
 
     def _fails(self, key: tuple, budget: int) -> bool:
         """Whether ``prove`` returns None for the goal keyed ``key`` at
@@ -134,11 +124,10 @@ class _Engine:
             return True
         return False
 
-    def prove(self, goal: Sequent, budget: int,
-              key: Optional[tuple] = None) -> Optional[tuple]:
-        """A proof of ``goal`` (keyed ``key``, when the caller has the key)
-        at most ``budget`` nodes tall, as the pair (proof, height), or None."""
-        key = key or self._key(goal)
+    def prove(self, goal: Sequent, budget: int) -> Optional[tuple]:
+        """A proof of ``goal`` at most ``budget`` nodes tall, as the pair
+        (proof, height), or None."""
+        key = (goal.left, goal.right)
         hit = self.proved.get(key)
         if hit is not None and hit[1] <= budget:
             return hit
@@ -148,12 +137,11 @@ class _Engine:
             return self._settle(goal, key)
         outer_hit = self.bound_hit
         self.bound_hit = False
-        for rule, params, subgoals in self._moves(goal, key, budget - 1):
+        for rule, params, subgoals in self._moves(goal, budget - 1):
             prems = []
             height = 0
             for sub in subgoals:
-                got = (self.prove(sub[0], budget - 1, sub[1])  # with its key
-                       if type(sub) is tuple else self.prove(sub, budget - 1))
+                got = self.prove(sub, budget - 1)
                 if got is None:
                     break
                 prems.append(got[0])
@@ -179,12 +167,11 @@ class _Engine:
                 got = self.proved[key] = (node, 1)
                 return got
         outer_hit, self.bound_hit = self.bound_hit, False
-        for moves in (self._weakening_moves(goal, key, 0),
-                      self._right_moves(goal, key, 0),
-                      self._left_moves(goal, key, 0),
-                      self._subst_moves(goal, key)):
+        for moves in (self._weakening_moves(goal, 0), self._right_moves(goal, 0),
+                      self._left_moves(goal, 0), self._subst_moves(goal)):
             while not self.bound_hit and (move := next(moves, None)):
-                self._fails(self._key(move[2][0]), 0)
+                first = move[2][0]
+                self._fails((first.left, first.right), 0)
         self.failed[key] = (1, self.bound_hit)
         self.bound_hit = outer_hit or self.bound_hit
         return None
@@ -200,30 +187,30 @@ class _Engine:
 
     # -- move enumeration ----------------------------------------------------
 
-    def _moves(self, goal: Sequent, key: tuple, sub: int) -> Iterator:
-        """The moves on ``goal``, keyed ``key``; premises get budget ``sub``."""
+    def _moves(self, goal: Sequent, sub: int) -> Iterator:
+        """The moves on ``goal``; premises get budget ``sub``."""
         yield from self._axiom_moves(goal)
-        yield from self._right_moves(goal, key, sub)
-        yield from self._left_moves(goal, key, sub)
-        yield from self._subst_moves(goal, key)
-        yield from self._weakening_moves(goal, key, sub)
+        yield from self._right_moves(goal, sub)
+        yield from self._left_moves(goal, sub)
+        yield from self._subst_moves(goal)
+        yield from self._weakening_moves(goal, sub)
 
-    def _cuts(self, lk: tuple, rk: tuple, sub: int, lpre=(), rpre=(),
+    def _cuts(self, left: tuple, right: tuple, sub: int, lpre=(), rpre=(),
               rpost=()) -> Iterator:
-        """The cuts (k, j) of the contexts keyed ``lk`` and ``rk`` whose
-        first premise, keyed k1 = (lpre + lk[:k], rpre + rk[:j] + rpost), is
-        not answered by the memo at budget ``sub``, as (k, j, k1)."""
-        for k in range(len(lk) + 1):
-            left = lpre + lk[:k]
-            for j in range(len(rk) + 1):
-                if not self._fails(k1 := (left, rpre + rk[:j] + rpost), sub):
-                    yield k, j, k1
+        """The cuts (k, j) of the contexts ``left`` and ``right`` whose first
+        premise, with the sides lpre + left[:k] and rpre + right[:j] + rpost,
+        the memo does not answer at budget ``sub``, as (k, j, that premise)."""
+        for k in range(len(left) + 1):
+            lk = lpre + left[:k]
+            for j in range(len(right) + 1):
+                if not self._fails(k1 := (lk, rpre + right[:j] + rpost), sub):
+                    yield k, j, Sequent(*k1)
 
     def _axiom_moves(self, goal: Sequent) -> Iterator:
         nl, nr = len(goal.left), len(goal.right)
         if nl == 1 and nr == 1 and isinstance(goal.left[0], Single):
             f = goal.left[0].formula
-            if slot_equal(goal.left[0], goal.right[0]):
+            if formula_equal(goal.left[0], goal.right[0]):
                 yield "id", {"a": f}, ()
             if isinstance(f, Member) and isinstance(f.term, Var):
                 yield "focus", {"domain": f.domain, "var": f.term}, ()
@@ -303,8 +290,7 @@ class _Engine:
 
     # -- principal moves, right side -------------------------------------------
 
-    def _right_moves(self, goal: Sequent, key: tuple, sub: int) -> Iterator:
-        lk, rk = key
+    def _right_moves(self, goal: Sequent, sub: int) -> Iterator:
         for pos, slot in enumerate(goal.right):
             if isinstance(slot, CorrPair):
                 ia, ib = map(formula_index, slot_formulas(slot))
@@ -330,23 +316,21 @@ class _Engine:
                 yield ("par_r", {"pos": pos}, (prem,))
             elif isinstance(f, Times):
                 rest = _without(goal.right, pos)
-                for k, j, k1 in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
-                                       rpre=(f.a,)):
-                    p1 = Sequent(goal.left[:k], (Single(f.a),) + rest[:j])
+                for k, j, p1 in self._cuts(goal.left, rest, sub,
+                                           rpre=(Single(f.a),)):
                     p2 = Sequent(goal.left[k:], (Single(f.b),) + rest[j:])
                     yield ("times_r", {"pos": pos, "apos": 0, "bpos": 0},
-                           ((p1, k1), p2))
+                           (p1, p2))
             elif isinstance(f, Imp) and pos == 0:
                 prem = Sequent(goal.left + (Single(f.a),),
                                (Single(f.b),) + goal.right[1:])
                 yield ("imp_r", {}, (prem,))
             elif isinstance(f, Excl):
                 rest = _without(goal.right, pos)
-                for k, j, k1 in self._cuts(lk, rk[:pos] + rk[pos + 1:], sub,
-                                       rpost=(f.a,)):
-                    q1 = Sequent(goal.left[:k], rest[:j] + (Single(f.a),))
+                for k, j, q1 in self._cuts(goal.left, rest, sub,
+                                           rpost=(Single(f.a),)):
                     q2 = Sequent(goal.left[k:] + (Single(f.b),), rest[j:])
-                    yield ("excl_r", {"pos": pos}, ((q1, k1), q2))
+                    yield ("excl_r", {"pos": pos}, (q1, q2))
             elif isinstance(f, Forall):
                 z = _pick_var(f, goal)
                 inst = _put(goal, "right", pos,
@@ -366,20 +350,17 @@ class _Engine:
             elif isinstance(f, Exists):
                 rest = _without(goal.right, pos)
                 for t in self._witnesses(f.domain, goal):
-                    inst = replace_var(f.body, f.var, t)
+                    inst = Single(replace_var(f.body, f.var, t))
                     for d in self._tags_for(f.domain):
                         dual = self.reg.dual_membership(t, f.domain, d)
-                        for k, j, k1 in self._cuts(
-                                lk, rk[:pos] + rk[pos + 1:], sub,
-                                rpost=(inst,)):
-                            q1 = Sequent(goal.left[:k],
-                                         rest[:j] + (Single(inst),))
+                        for k, j, q1 in self._cuts(goal.left, rest, sub,
+                                                   rpost=(inst,)):
                             q2 = Sequent(goal.left[k:] + (Single(dual),),
                                          rest[j:])
                             yield ("exists_r",
                                    {"pos": pos, "term": t, "dual": d,
                                     "var": f.var, "domain": f.domain,
-                                    "body": f.body}, ((q1, k1), q2))
+                                    "body": f.body}, (q1, q2))
             elif isinstance(f, Join):
                 prem = _put(goal, "right", pos, CorrPair(f.a, f.tag, f.b))
                 yield ("join_intro", {"qpos": pos}, (prem,))
@@ -391,8 +372,7 @@ class _Engine:
 
     # -- principal moves, left side --------------------------------------------
 
-    def _left_moves(self, goal: Sequent, key: tuple, sub: int) -> Iterator:
-        lk, rk = key
+    def _left_moves(self, goal: Sequent, sub: int) -> Iterator:
         for pos, slot in enumerate(goal.left):
             if isinstance(slot, CorrPair):
                 continue
@@ -411,19 +391,17 @@ class _Engine:
                 yield ("times_l", {"pos": pos}, (prem,))
             elif isinstance(f, Par):
                 rest = _without(goal.left, pos)
-                for k, j, k1 in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
-                                       lpre=(f.a,)):
-                    p1 = Sequent((Single(f.a),) + rest[:k], goal.right[:j])
+                for k, j, p1 in self._cuts(rest, goal.right, sub,
+                                           lpre=(Single(f.a),)):
                     p2 = Sequent((Single(f.b),) + rest[k:], goal.right[j:])
                     yield ("par_l", {"pos": pos, "apos": 0, "bpos": 0},
-                           ((p1, k1), p2))
+                           (p1, p2))
             elif isinstance(f, Imp):
                 rest = _without(goal.left, pos)
-                for k, j, k1 in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
-                                       rpre=(f.a,)):
-                    p1 = Sequent(rest[:k], (Single(f.a),) + goal.right[:j])
+                for k, j, p1 in self._cuts(rest, goal.right, sub,
+                                           rpre=(Single(f.a),)):
                     p2 = Sequent((Single(f.b),) + rest[k:], goal.right[j:])
-                    yield ("imp_l", {"pos": pos}, ((p1, k1), p2))
+                    yield ("imp_l", {"pos": pos}, (p1, p2))
             elif isinstance(f, Excl) and pos == len(goal.left) - 1:
                 prem = Sequent(goal.left[:-1] + (Single(f.a),),
                                (Single(f.b),) + goal.right)
@@ -441,17 +419,14 @@ class _Engine:
             elif isinstance(f, Forall):
                 rest = _without(goal.left, pos)
                 for t in self._witnesses(f.domain, goal):
-                    inst = replace_var(f.body, f.var, t)
-                    memb = Member(t, f.domain)
-                    for k, j, k1 in self._cuts(lk[:pos] + lk[pos + 1:], rk, sub,
-                                           rpre=(memb,)):
-                        p1 = Sequent(rest[:k], (Single(memb),) + goal.right[:j])
-                        p2 = Sequent((Single(inst),) + rest[k:],
-                                     goal.right[j:])
+                    inst = Single(replace_var(f.body, f.var, t))
+                    memb = Single(Member(t, f.domain))
+                    for k, j, p1 in self._cuts(rest, goal.right, sub,
+                                               rpre=(memb,)):
+                        p2 = Sequent((inst,) + rest[k:], goal.right[j:])
                         yield ("forall_r",
                                {"pos": pos, "term": t, "var": f.var,
-                                "domain": f.domain, "body": f.body},
-                               ((p1, k1), p2))
+                                "domain": f.domain, "body": f.body}, (p1, p2))
             elif isinstance(f, Member) and isinstance(f.term, Var):
                 # the catalogue builds the focus axiom, or refuses it
                 focus = self._apply("focus", {"domain": f.domain,
@@ -480,13 +455,13 @@ class _Engine:
 
     # -- generalization and weakening --------------------------------------------
 
-    def _subst_moves(self, goal: Sequent, key: tuple) -> Iterator:
+    def _subst_moves(self, goal: Sequent) -> Iterator:
         if not self._subst_entries:
             return
         table = self._terms
         terms = set().union(*[
             table[n] if n in table else table.setdefault(n, _add_terms(n, set()))
-            for n in key[0] + key[1]])
+            for n in goal.left + goal.right])
         if not terms:
             return
         for dom, t in self._subst_entries:
@@ -495,21 +470,20 @@ class _Engine:
                 prem = _swap_term_sequent(goal, t, z)
                 yield ("subst", {"var": z, "term": t, "domain": dom}, (prem,))
 
-    def _weakening_moves(self, goal: Sequent, key: tuple,
-                         sub: int) -> Iterator:
+    def _weakening_moves(self, goal: Sequent, sub: int) -> Iterator:
         if not self.cfg.weakening:
             return
-        lk, rk = key
-        for pos, slot in enumerate(goal.left):
-            k1 = (lk[:pos] + lk[pos + 1:], rk)
+        lk, rk = goal.left, goal.right
+        for pos, slot in enumerate(lk):
+            k1 = (_without(lk, pos), rk)
             if isinstance(slot, Single) and not self._fails(k1, sub):
-                prem = (_put(goal, "left", pos), k1)
-                yield ("weak_l", {"pos": pos, "formula": slot.formula}, (prem,))
-        for pos, slot in enumerate(goal.right):
-            k1 = (lk, rk[:pos] + rk[pos + 1:])
+                yield ("weak_l", {"pos": pos, "formula": slot.formula},
+                       (Sequent(*k1),))
+        for pos, slot in enumerate(rk):
+            k1 = (lk, _without(rk, pos))
             if isinstance(slot, Single) and not self._fails(k1, sub):
-                prem = (_put(goal, "right", pos), k1)
-                yield ("weak_r", {"pos": pos, "formula": slot.formula}, (prem,))
+                yield ("weak_r", {"pos": pos, "formula": slot.formula},
+                       (Sequent(*k1),))
 
 
 # --------------------------------------------------------------------------
@@ -528,10 +502,9 @@ def _pick_var(f, goal: Sequent) -> Var:
 
 
 def _add_terms(n, out: set) -> set:
-    """Add every term occurring in ``n``, a formula or the (formula, tag
-    kind, formula) a ``CorrPair`` slot keys as, to ``out``, and return it."""
-    for f in (n[0], n[2]) if type(n) is tuple else (n,):
-        out.update(*[g.shape.terms(g) for g, _ in walk(f)])
+    """Add every term occurring in ``n``, a formula or a slot, to ``out``,
+    and return it."""
+    out.update(*[g.shape.terms(g) for g, _ in walk(n)])
     return out
 
 

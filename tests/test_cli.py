@@ -497,6 +497,10 @@ parallel_forall domain=Dplus mpos=1 qpos=0 var=z
 @pytest.mark.parametrize("argv, env, message", [
     (["search", "{ext}", "--name", "detach", "--d-axiom", "V"], None,
      "--d-axiom wants DOMAIN:DUALITY"),
+    (["check", "{ext}", "--subst", "Nowhere"], None,
+     "a licence names the undeclared domain 'Nowhere'"),
+    (["search", "{ext}", "--name", "detach", "--d-axiom", "Nowhere:d"], None,
+     "a licence names the undeclared domain 'Nowhere'"),
     (["search", "{ext}", "--name", "detach", "--depth", "9",
       "--max-depth", "8"], None, "exceeds the configured maximum"),
     (["search", "{ext}", "--name", "detach", "--depth", "-3"], None,
@@ -519,7 +523,8 @@ parallel_forall domain=Dplus mpos=1 qpos=0 var=z
     (["search", "{ext}", "--name", "nope"], None, "no sequent named 'nope'"),
     (["dual", "{ext}", "--name", "nope", "--duality", "top"], None,
      "no sequent named 'nope'"),
-], ids=["d-axiom-spec", "depth-above-maximum", "depth-below-one",
+], ids=["d-axiom-spec", "subst-undeclared", "d-axiom-undeclared",
+        "depth-above-maximum", "depth-below-one",
         "depth-from-environment",
         "check-license-overlap", "sym-license-overlap",
         "search-license-overlap", "not-utf8", "zero-qubit", "qubit-field",

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symlog.formulas import (
-    And, Atom, CorrelationTag, Exists, Forall, Formula, IConst, IDENTICAL,
-    Join, Member, OPPOSITE, Or, Outcome, Var, formula_equal, formula_index,
-    free_vars, index_set, reindex, replace_var, substitute,
+    And, Atom, CorrPair, CorrelationTag, Exists, Forall, Formula, IConst,
+    IDENTICAL, Join, Member, OPPOSITE, Or, Outcome, Single, Var,
+    formula_equal, formula_index, free_vars, index_set, reindex, replace_var,
+    substitute,
 )
 
 from genlib import random_formula
@@ -135,10 +136,10 @@ def test_substitution_respects_alpha_equality(seed):
 # interning: equal formulas are one object
 
 def _structurally_equal(f, g) -> bool:
-    """The reference equality: one constructor and equal fields, where
-    subformulas compare by this function and everything else (terms,
-    indexes, tags, names) by value.  It never applies ``==`` to two
-    formulas."""
+    """The reference equality of two formulas or two slots: one constructor
+    and equal fields, where subformulas compare by this function and
+    everything else (terms, indexes, tags, names) by value.  It never
+    applies ``==`` to two formulas."""
     if type(f) is not type(g):
         return False
     for name in type(f).__slots__:
@@ -178,12 +179,34 @@ def test_deep_formulas_are_one_object_and_compare_without_recursion():
     assert hash(f) == hash(g)
 
 
+def test_two_slots_are_one_object_exactly_when_they_are_equal():
+    """Over slots that mix Single and CorrPair under both tags, a pair beside
+    a Single of each of its formulas, and a join of the same two."""
+    a1, a2 = Atom("A", IConst(1), (z,)), Atom("A", IConst(2), (z,))
+    fs = (a1, a2, Atom("p", None, ()), Join(IDENTICAL, a1, a2),
+          Join(OPPOSITE, a1, a2))
+
+    def slots():
+        return [Single(f) for f in fs] + [
+            CorrPair(f, tag, g) for tag in (IDENTICAL, OPPOSITE)
+            for f in fs[:3] for g in fs[:3]]
+
+    for s in slots():
+        for t in slots():
+            same = _structurally_equal(s, t)
+            assert (s == t) is same and (s is t) is same
+            if same:
+                assert hash(s) == hash(t)
+
+
 def test_an_unreferenced_formula_leaves_the_table():
-    f = And(Atom("only_here", None, (z,)), A(y))
-    ref = weakref.ref(f)
-    del f
-    gc.collect()
-    assert ref() is None
+    for make in (lambda: And(Atom("only_here", None, (z,)), A(y)),
+                 lambda: CorrPair(A(z), OPPOSITE, Atom("only_here", None, ()))):
+        f = make()
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
 
 
 def test_formula_fields_are_read_only():
@@ -197,6 +220,7 @@ def test_formula_fields_are_read_only():
 
 def test_copies_and_pickles_are_the_interned_formula():
     f = Forall(x, "D", And(Atom("A", IConst(1), (x, t1)), Member(x, "D")))
-    assert copy.copy(f) is f
-    assert copy.deepcopy(f) is f
-    assert pickle.loads(pickle.dumps(f)) is f
+    for g in (f, CorrPair(f, IDENTICAL, Member(x, "D"))):
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g

@@ -2,6 +2,7 @@
 import ast
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -545,6 +546,26 @@ _DEEP_WALKS = {
 def test_every_walk_takes_deep_proofs(config, registry, walk):
     height, check = _DEEP_WALKS[walk]
     assert check(_weakening_chain(mk("id", {"a": q}), height), config, registry)
+
+
+def test_symmetrizing_a_tall_proof_costs_about_what_checking_it_costs(
+        config, registry):
+    """A slot links to its image like a formula, so a mate's conclusion
+    maps each slot already mapped through one link: on a 1,000-level
+    chain, symmetrize_proof stays within 45 times the time of annotate
+    (about 90 times when each node rebuilt each of its slots)."""
+    deep = _weakening_chain(mk("id", {"a": q}), 1000)
+
+    def best(walk):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            walk(deep, config, registry)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    sym = best(lambda d, c, r: symmetrize_proof(d, IDENTITY_INV, c, r))
+    assert sym < 45 * best(annotate)
 
 
 _TRUSTED_IMPORTS = {"formulas", "dualities", "domains"}

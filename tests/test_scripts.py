@@ -199,6 +199,8 @@ for _ in range(29):
     ("license daxiom V d_2\n", "1:19: expected end of input, found '_'"),
     ("license daxiom V_2 d\n",
      "1:17: expected license subst D | license daxiom D d, found '_'"),
+    ("license subst D\nlicense daxiom Nowhere d\ndomain D = { t1@1 }\n",
+     "2:16: expected a declared domain (license daxiom), found 'Nowhere'"),
     ("domain D = { a@" + "1" * 101 + " }\n",
      "1:16: expected a number of at most 100 digits"),
     (f"sequent s : {_DEEP_CHAIN} |- p\n",
@@ -207,12 +209,14 @@ for _ in range(29):
      "1:13: expected a membership inside (...)^dual, found 'formula'"),
     ("proof pr : |- down@1 = down@1\nrefl t=down @1\n",
      "2:13: expected a parameter key=value after whitespace, found '@'"),
-], ids=["const", "subst", "daxiom-duality", "daxiom-domain", "long-number",
-        "deep-chain", "dual-of-atom", "spaced-term"])
+], ids=["const", "subst", "daxiom-duality", "daxiom-domain",
+        "undeclared-domain", "long-number", "deep-chain", "dual-of-atom",
+        "spaced-term"])
 def test_parse_errors_say_what_was_expected(text, error):
     """A formula reads ``c_1`` as ``c`` with index 1, and no domain or
     duality name holds ``_``, so a constant or licence operand with ``_``
-    is an error at it.  The deep chain opens 30 parser calls, far below
+    is an error at it.  A licence's domain may be declared below it, but
+    must be declared.  The deep chain opens 30 parser calls, far below
     the bound, so its depth is refused once the outermost chain is read,
     at its start."""
     with pytest.raises(ParseError) as err:

@@ -12,8 +12,8 @@ from symlog.corpus import corpus_config
 from symlog.domains import DomainRecord, Registry
 from symlog.formulas import (
     And, Atom, CorrPair, DualMember, Eq, Excl, Exists, Forall, IConst,
-    IDENTICAL, Imp, Join, Member, Neq, OPPOSITE, Or, Outcome, Par, Sequent,
-    Single, Times, Var, seq,
+    IDENTICAL, Imp, Member, Neq, OPPOSITE, Or, Outcome, Par, Sequent, Single,
+    Times, Var, seq,
 )
 from symlog.rules import CalculusConfig, RuleContext, check_proof, proof_equal
 from symlog.scripts import print_sequent
@@ -254,8 +254,8 @@ class _Memo(dict):
 class _RecordingEngine(_Engine):
     """The engine, logging every memo write as (table, key, value): the
     proof's rule and height for a proved goal, the budget and bound-hit
-    flag for a failed one.  Keys hold interned formulas, so two engines
-    key one goal alike."""
+    flag for a failed one.  Keys hold interned slots, so two engines key
+    one goal alike."""
 
     def __init__(self, ctx):
         super().__init__(ctx)
@@ -271,11 +271,10 @@ class _RecordingEngine(_Engine):
 class _EnumeratingEngine(_RecordingEngine):
     """The reference: ``prove`` as it was before a goal at budget 1 was
     settled from its axioms and the memo.  It enumerates every move at
-    budget 1 too, stopping once a premise has hit the bound, and it keys
-    every goal from the sequent, not from the key a move built."""
+    budget 1 too, stopping once a premise has hit the bound."""
 
-    def prove(self, goal, budget, key=None):
-        key = self._key(goal)
+    def prove(self, goal, budget):
+        key = (goal.left, goal.right)
         hit = self.proved.get(key)
         if hit is not None and hit[1] <= budget:
             return hit
@@ -283,16 +282,12 @@ class _EnumeratingEngine(_RecordingEngine):
             return None
         outer_hit = self.bound_hit
         self.bound_hit = False
-        for rule, params, subgoals in self._moves(goal, key, budget - 1):
+        for rule, params, subgoals in self._moves(goal, budget - 1):
             if budget == 1 and self.bound_hit:
                 break  # only the axiom moves, which come first, can succeed
             prems = []
             height = 0
             for sub in subgoals:
-                if callable(sub):
-                    sub = sub()
-                if type(sub) is tuple:  # (premise, the key its move built)
-                    sub = sub[0]
                 got = self.prove(sub, budget - 1)
                 if got is None:
                     break
@@ -323,9 +318,8 @@ def _memo_log(engine_class, goal, depth, cfg, registry) -> tuple:
 
 @pytest.mark.parametrize("weakening", [True, False])
 def test_budget_one_memo_parity(registry, weakening):
-    """Settling a budget-1 goal from its axioms and the memo, and keying a
-    premise with the key its move built, write the same memo records in
-    the same order as enumerating every move and keying every goal."""
+    """Settling a budget-1 goal from its axioms and the memo writes the same
+    memo records in the same order as enumerating every move."""
     rng = random.Random(15)
     goals = _ladder(corpus_config()) + [(random_goal(rng), 6, corpus_config())
                                         for _ in range(200)]
@@ -337,27 +331,6 @@ def test_budget_one_memo_parity(registry, weakening):
         want = _memo_log(_EnumeratingEngine, goal, depth, cfg, registry)
         got = _memo_log(_RecordingEngine, goal, depth, cfg, registry)
         assert got == want, print_sequent(goal)
-
-
-def test_memo_keys_are_exact(config, registry):
-    """Two goals get equal memo keys exactly when they are equal sequents,
-    over goals that mix Single and CorrPair slots under both tags, a pair
-    beside a Single of each of its formulas, and a join of the same two."""
-    a1, a2 = Atom("A", IConst(1), (z,)), Atom("A", IConst(2), (z,))
-    fs = (a1, a2, p, Join(IDENTICAL, a1, a2), Join(OPPOSITE, a1, a2))
-    slots = [Single(f) for f in fs] + [
-        CorrPair(f, tag, g) for tag in (IDENTICAL, OPPOSITE)
-        for f in fs[:3] for g in fs[:3]]
-    rng = random.Random(27)
-    goals = [Sequent(tuple(rng.choices(slots, k=rng.randrange(3))),
-                     tuple(rng.choices(slots, k=rng.randrange(3))))
-             for _ in range(400)]
-    engine = _Engine(RuleContext(config, registry))
-    keys = [engine._key(g) for g in goals]
-    for g1, k1 in zip(goals, keys):
-        for g2, k2 in zip(goals, keys):
-            assert (k1 == k2) == (g1 == g2), (print_sequent(g1),
-                                              print_sequent(g2))
 
 
 _FOCUSED = ("D", "Ddown", "Dup")
