@@ -113,6 +113,10 @@ _MATE_OF.update({b: a for a, b in _MATE_OF.items()})
 def symmetrize_formula(f: Formula, inv: LiteralInvolution) -> Formula:
     """The symmetric image of ``f``, a formula or a slot, linked as the
     module docstring says."""
+    h = _linked(f, inv)
+    if h is not None:
+        return h
+
     def image(g, kids):
         sh = g.shape
         if sh.binds and g.domain in inv.self_dual_domains:
@@ -140,7 +144,7 @@ def symmetrize_formula(f: Formula, inv: LiteralInvolution) -> Formula:
                 object.__setattr__(h, "_image", (inv, ref(g)))
         return h
 
-    return _linked(f, inv) or fold(f, at)
+    return fold(f, at)
 
 
 def _linked(g: Formula, inv: LiteralInvolution):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from operator import attrgetter, itemgetter
 from typing import Iterator, Optional, Union
 from weakref import WeakValueDictionary
@@ -276,11 +275,10 @@ def walk(f: Formula) -> Iterator[tuple]:
             todo += reversed(sh.children(g))
 
 
-def fold(f: Formula, at, done=None):
+def fold(f: Formula, at):
     """Call ``at(g, [results of g's subformulas])`` once on each distinct
-    subformula ``g`` of ``f`` that ``done`` (a dict it fills) has no result
-    for, after its subformulas; return ``f``'s result."""
-    done, todo = {} if done is None else done, [f]
+    subformula ``g`` of ``f``, after its subformulas; return ``f``'s result."""
+    done, todo = {}, [f]
     while todo:
         g = todo.pop()
         kids = g.shape.children(g)
@@ -534,48 +532,41 @@ def replace_var(f: Formula, x: Var, t: Term) -> Formula:
     """Capture-avoiding replacement of free ``x`` by an arbitrary term.
 
     Internal workhorse: the public :func:`substitute` restricts the
-    replacement term to closed terms.  A binder of ``t`` is renamed to a
-    fresh ``v``: its body has ``t`` replaced by ``v`` and then ``x`` by
-    ``t``, which no fold does, so jobs ``(g, x, t, memo)`` wait on a stack."""
-    top = {}  # g -> g with x replaced by t; memos holds one such per (x, t)
-    memos, todo = {(x, t): top}, [(f, x, t, top)]
-    # g -> g's free variables named t's name and more, filled by the folds at
-    # renaming binders: every name _fresh_name picks here extends t's name
-    fv, stem = {}, t.name if isinstance(t, Var) else ""
+    replacement term to closed terms.  Every binder of ``t`` is renamed to
+    one ``v``, the first of ``t1``, ``t2``, ... that is not ``x`` and names
+    no variable of ``f``, so no binder binds ``v`` and renaming never has
+    to rename again.  Its body has ``t`` replaced by ``v`` and then ``x``
+    by ``t``, which no fold does, so jobs ``(g, x, t, memo)`` wait on a
+    stack."""
+    top, renamed, v = {}, {}, None  # g -> g with x by t; g -> g with t by v
+    todo = [(f, x, t, top)]
     while todo:
-        job = g, x, t, done = todo.pop()
+        job = g, y, u, done = todo.pop()
         sh = g.shape
-        if sh.binds and g.var == x:
+        if sh.binds and g.var == y:
             done[g] = g  # bound occurrence shadows the substitution
-        elif sh.binds and g.var == t:  # rename it away from the incoming t
-            avoid = {v.name for v in fold(g.body, partial(_fv_at, stem), fv)}
-            avoid |= {t.name, x.name}
-            nv = Var(_fresh_name(t.name, avoid, 1))
-            renamed = memos.setdefault((t, nv), {})
+        elif sh.binds and g.var == u:  # rename it away from the incoming t
+            if v is None:  # the variable names of f, each subformula once
+                names = {x.name}
+                fold(f, lambda h, _: names.update(
+                    w.name for w in (*h.shape.terms(h), getattr(h, "var", None))
+                    if isinstance(w, Var)))
+                v = Var(_fresh_name(t.name, names, 1))
             body = renamed.get(g.body)
             if body in done:
-                done[g] = type(g)(nv, g.domain, done[body])
+                done[g] = type(g)(v, g.domain, done[body])
             else:  # first the renaming, then the replacement
-                todo += job, ((g.body, t, nv, renamed) if body is None
+                todo += job, ((g.body, t, v, renamed) if body is None
                               else (body, x, t, done))
         else:
             kids = sh.children(g)
-            wait = [(k, x, t, done) for k in kids if k not in done]
+            wait = [(k, y, u, done) for k in kids if k not in done]
             if wait:
                 todo += job, *reversed(wait)
             else:
                 done[g] = sh.rebuild(g, [done[k] for k in kids],
-                                     [t if u == x else u for u in sh.terms(g)])
+                                     [u if w == y else w for w in sh.terms(g)])
     return top[f]
-
-
-def _fv_at(stem: str, g: Formula, kids: list) -> frozenset:
-    """The variables of ``free_vars(g)`` whose names start with ``stem``,
-    from those of its subformulas."""
-    if g.shape.binds:
-        return kids[0] - {g.var}
-    return frozenset([u for u in g.shape.terms(g) if isinstance(u, Var)
-                      and u.name.startswith(stem)]).union(*kids)
 
 
 def substitute(f: Formula, x: Var, t: Term) -> Formula:

@@ -19,7 +19,7 @@ from symlog.dualities import (
 from symlog.formulas import (
     And, Atom, DualMember, Eq, Excl, Exists, Forall, Formula, IConst,
     IDENTICAL, Imp, IndexRel, Join, Member, Neq, OPPOSITE, Or, Outcome, Par,
-    Times, Var, _fv_at, fold, formula_equal, free_vars, index_set, reindex,
+    Times, Var, fold, formula_equal, free_vars, index_set, reindex,
     replace_var, slot_formulas, subformulas, walk,
 )
 from symlog.rules import _replaceable, annotate
@@ -395,26 +395,29 @@ def _renaming_siblings(x: Var, t: Var, n: int) -> Formula:
     return f
 
 
-def _renaming_wide(x: Var, t: Var, n: int) -> Formula:
+def _renaming_wide(x: Var, t: Var, n: int, stem: str = "v") -> Formula:
     """forall t in D . (B(x) & (A(v1) & (A(v2) & ... A(vn)))): one renaming
-    binder over n distinct free variables."""
-    f = Atom("A", None, (Var(f"v{n}"),))
+    binder over n distinct free variables, named ``stem`` and a number."""
+    f = Atom("A", None, (Var(f"{stem}{n}"),))
     for k in range(n - 1, 0, -1):
-        f = And(Atom("A", None, (Var(f"v{k}"),)), f)
+        f = And(Atom("A", None, (Var(f"{stem}{k}"),)), f)
     return Forall(t, "D", And(Atom("B", None, (x,)), f))
 
 
 @pytest.mark.parametrize("shape, n", [(_renaming_chain, 100),
                                       (_renaming_siblings, 100),
-                                      (_renaming_wide, 200)],
-                         ids=["nested", "siblings", "wide"])
+                                      (_renaming_wide, 200),
+                                      (partial(_renaming_wide, stem="t"), 200)],
+                         ids=["nested", "siblings", "wide", "wide-t"])
 def test_replace_var_cost_grows_linearly_with_renaming_binders(shape, n):
-    """Each subformula's free variables are found once per call, so ten
-    times the renaming binders cost about ten times as much (asking
-    free_vars at each binder makes it about a hundred times).  Only the
-    variables a fresh name could meet are kept, so ten times the free
-    variables under one binder cost about ten times too (keeping them all
-    makes it about thirty-five times)."""
+    """The variable names of the formula are taken once per call, by a fold
+    that visits each distinct subformula once, and every renamed binder
+    takes the one name they leave fresh, so ten times the renaming binders
+    cost about ten times as much (asking free_vars at each binder makes it
+    about a hundred times).  Ten times the free variables under one binder
+    cost about ten times too, also when they are named like the fresh name
+    (t1 ... tn), where keeping each subformula's free variables made it
+    about thirty times."""
     x, t = Var("x"), Var("t")
 
     def best(n):
@@ -428,20 +431,55 @@ def test_replace_var_cost_grows_linearly_with_renaming_binders(shape, n):
     assert best(10 * n) < 20 * best(n)
 
 
-def test_one_fold_finds_the_free_variables_of_every_subformula():
-    """replace_var finds the free variables named like the incoming term by
-    folding _fv_at, free_vars by a walk; the two agree on every subformula
-    of the digest's and the corpus's formulas and of the renaming shapes,
-    for several name prefixes, the empty one included."""
-    x, t = Var("x"), Var("t")
-    formulas = _digest_formulas() + _corpus_formulas() + [
-        _renaming_siblings(x, t, 20), _renaming_wide(x, t, 20)]
-    for stem in ("", "t", "v1", "w"):
-        fv = {}
-        for f in formulas:
-            fold(f, partial(_fv_at, stem), fv)
-        wrong = [g for g, vs in fv.items() if vs != {
-            v for v in free_vars(g) if v.name.startswith(stem)}]
-        assert sum(g.shape.binds for g in fv) > 500, "too few binders"
-        assert any(fv.values()), f"no free variable starts with {stem!r}"
-        assert wrong == [], (stem, wrong[:3])
+def _textbook_replace(f: Formula, x: Var, t) -> Formula:
+    """replace_var by the textbook recursion: a binder of t is renamed to
+    the first of t1, t2, ... that is neither x nor free in its body."""
+    sh = f.shape
+    if sh.binds and f.var == x:
+        return f
+    if sh.binds and f.var == t:
+        names, k = {v.name for v in free_vars(f.body)} | {x.name}, 1
+        while f"{t.name}{k}" in names:
+            k += 1
+        v = Var(f"{t.name}{k}")
+        body = _textbook_replace(_textbook_replace(f.body, t, v), x, t)
+        return type(f)(v, f.domain, body)
+    return sh.rebuild(f, [_textbook_replace(g, x, t) for g in sh.children(f)],
+                      [t if u == x else u for u in sh.terms(f)])
+
+
+def _named_formula(rng: random.Random, names: tuple, depth: int) -> Formula:
+    """A random formula of atoms, conjunctions and quantifiers over the
+    variables ``names``."""
+    var = lambda: Var(rng.choice(names))
+    kind = rng.randrange(4) if depth > 0 else 0
+    if kind == 0:
+        return Atom("P", None, tuple(var() for _ in range(rng.randrange(3))))
+    if kind == 1:
+        return And(_named_formula(rng, names, depth - 1),
+                   _named_formula(rng, names, depth - 1))
+    return (Forall, Exists)[kind - 2](var(), "D",
+                                      _named_formula(rng, names, depth - 1))
+
+
+@pytest.mark.parametrize("names", [("x", "y", "t", "t1", "t2", "t3"),
+                                   ("x", "y", "z", "t")])
+def test_replace_var_agrees_with_the_textbook_recursion(names):
+    """Seeded calls against _textbook_replace: the results are alpha-equal
+    with the same free variables, and the very same formula whenever no
+    variable of f and not x is named like the fresh name, the incoming
+    variable's name and digits."""
+    rng, differ, renaming = random.Random(35), [], 0
+    for _ in range(5000):
+        f = _named_formula(rng, names, rng.randrange(1, 6))
+        x, t = (Var(n) for n in rng.sample(names, 2))
+        got, want = replace_var(f, x, t), _textbook_replace(f, x, t)
+        binders = {g.var for g in subformulas(f) if g.shape.binds}
+        renaming += t in binders
+        clash = any(v.name.startswith(t.name) and v.name[len(t.name):].isdigit()
+                    for v in binders | free_vars(f) | {x})
+        if not (formula_equal(got, want) and free_vars(got) == free_vars(want)
+                and (clash or got is want)):
+            differ.append((f, x, t, got, want))
+    assert renaming > 1000, "too few calls meet a binder of t"
+    assert differ == [], (len(differ), differ[:3])
